@@ -96,12 +96,11 @@ def run_corpus(
     rejected: int = REJECTED_DOCS,
     chunk: int = INGEST_CHUNK,
     query_samples: int = QUERY_SAMPLES,
-    table_cache: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One full lifecycle in a throwaway root; returns a result dict."""
     documents = corpus_documents(accepted, rejected)
     with tempfile.TemporaryDirectory(prefix="repro-corpus-bench-") as root:
-        dispatcher = Dispatcher(corpus_root=root, table_cache=table_cache)
+        dispatcher = Dispatcher(corpus_root=root)
         try:
             created = dispatcher.handle(
                 {"cmd": "corpus-create", "corpus": "bench", "grammar": GRAMMAR}
@@ -272,11 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-output", action="store_true",
         help=f"do not write {OUTPUT_PATH.name}",
     )
-    parser.add_argument(
-        "--table-cache", metavar="DIR",
-        help="warm-start the corpus sessions from (and write back to) the "
-        "persistent table store under DIR",
-    )
     options = parser.parse_args(argv)
 
     print(
@@ -288,7 +282,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         accepted=options.accepted,
         rejected=options.rejected,
         query_samples=options.query_samples,
-        table_cache=options.table_cache,
     )
     report: Dict[str, Any] = {
         "bench": "corpus",

@@ -69,35 +69,13 @@ def main(argv=None) -> int:
         default=None,
         help="floor JSON to check against (exit 1 on a >3x regression)",
     )
-    parser.add_argument(
-        "--table-cache",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="measure cold vs warm start against the persistent table "
-        "store under DIR (adds a 'warm_start' section per workload; a "
-        "second run against the same DIR reports written_states == 0)",
-    )
     args = parser.parse_args(argv)
 
     names = list(WORKLOAD_NAMES) if args.workload == "all" else [args.workload]
-    report = collect_hotpath_report(
-        repeats=args.repeats,
-        workload_names=names,
-        table_cache=None if args.table_cache is None else str(args.table_cache),
-    )
+    report = collect_hotpath_report(repeats=args.repeats, workload_names=names)
 
     for name in names:
         print(render_hotpath(report["workloads"][name]))
-        warm = report["workloads"][name].get("warm_start")
-        if warm is not None:
-            print(
-                f"  warm_start: {warm['saved_states']} states served, "
-                f"{warm['written_states']} written, cold "
-                f"{warm['cold_seconds'] * 1000:.1f}ms vs warm "
-                f"{warm['warm_seconds'] * 1000:.1f}ms "
-                f"({warm['speedup']:.2f}x)"
-            )
         print()
 
     if not args.no_output:
@@ -114,17 +92,6 @@ def main(argv=None) -> int:
         problems = check_floor(
             measured, floor, max_regression=floor.get("max_regression", 3.0)
         )
-        # The warm-start rule may target a different workload than the
-        # throughput floors (timing a 7-state grammar's restore is all
-        # noise); check it against that workload's report when measured.
-        warm_rule = floor.get("warm_start")
-        warm_workload = (warm_rule or {}).get("workload")
-        if warm_workload and warm_workload != workload_name:
-            warm_measured = report["workloads"].get(warm_workload)
-            if warm_measured is not None:
-                problems += check_floor(
-                    warm_measured, {"warm_start": warm_rule}
-                )
         if problems:
             print("floor check: FAIL")
             for problem in problems:

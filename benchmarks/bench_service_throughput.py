@@ -72,9 +72,9 @@ CLIENTS = 8
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service_throughput.json"
 
 
-def run_workload(requests, cache_capacity: int = 4096, table_cache=None):
+def run_workload(requests, cache_capacity: int = 4096):
     """Serve ``requests`` on a fresh dispatcher; returns a result dict."""
-    dispatcher = Dispatcher(cache_capacity=cache_capacity, table_cache=table_cache)
+    dispatcher = Dispatcher(cache_capacity=cache_capacity)
     started = time.perf_counter()
     errors = 0
     for request in requests:
@@ -129,7 +129,6 @@ def run_concurrent(
     clients: int = CLIENTS,
     mode: str = "process",
     cache_capacity: int = 4096,
-    table_cache: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Concurrent clients driving a sharded scheduler; returns a result dict.
 
@@ -144,7 +143,6 @@ def run_concurrent(
         mode=mode,
         max_depth=4096,
         cache_capacity=cache_capacity,
-        table_cache=table_cache,
     )
     try:
         # Warm-up: make every shard (and child process) answer once so
@@ -192,7 +190,6 @@ def run_concurrent(
             "cache_hit_rate": cache.get("hit_rate", 0.0),
             "coalesced": shard_metrics.get("coalesced", 0),
             "overloaded": shard_metrics.get("overloaded", 0),
-            "generation": metrics.get("generation", {}),
         }
     finally:
         scheduler.close()
@@ -320,12 +317,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-output", action="store_true",
         help=f"do not write {OUTPUT_PATH.name}",
     )
-    parser.add_argument(
-        "--table-cache", metavar="DIR",
-        help="warm-start every shard/session from (and write back to) the "
-        "persistent table store under DIR; the report then carries the "
-        "aggregated generation.saved_states counter",
-    )
     options = parser.parse_args(argv)
     worker_counts = sorted({int(n) for n in options.workers.split(",") if n})
 
@@ -346,11 +337,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"({len(requests)} requests total)"
         )
         for label, capacity in (("cached", 4096), ("uncached", 1)):
-            result = run_workload(
-                requests,
-                cache_capacity=capacity,
-                table_cache=options.table_cache,
-            )
+            result = run_workload(requests, cache_capacity=capacity)
             report["dispatcher"][label] = {
                 key: round(value, 4) if isinstance(value, float) else value
                 for key, value in result.items()
@@ -379,7 +366,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=workers,
             clients=options.clients,
             mode=options.mode,
-            table_cache=options.table_cache,
         )
         by_workers[workers] = result
         report["concurrent"][str(workers)] = {

@@ -13,7 +13,6 @@ set* read off the ACTION rows of the states the parser died in.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..grammar.symbols import Terminal
@@ -21,12 +20,6 @@ from ..lexing.scanner import Lexeme
 from ..runtime.forest import ENUMERATION_CAP, ParseForest, TreeNode
 
 __all__ = ["Diagnostic", "ParseOutcome", "line_and_column"]
-
-#: How many derivations the deprecated :attr:`ParseOutcome.trees` property
-#: materializes at most.  Code that needs more (or needs to know the real
-#: count) must move to the :attr:`ParseOutcome.forest` handle.
-DEPRECATED_TREES_CAP = 256
-
 
 def line_and_column(text: str, offset: int) -> Tuple[int, int]:
     """1-based (line, column) of character ``offset`` in ``text``."""
@@ -114,8 +107,7 @@ class ParseOutcome:
     Derivations live behind the :attr:`forest` handle
     (:class:`~repro.runtime.forest.ParseForest`): ``tree_count()`` is
     cheap even when the count is exponential, and ``trees(limit=...)``
-    enumerates lazily.  The former eager ``trees`` tuple survives as a
-    deprecated property capped at :data:`DEPRECATED_TREES_CAP`.
+    enumerates lazily.
     """
 
     __slots__ = (
@@ -183,24 +175,6 @@ class ParseOutcome:
         if self.forest is None or self.forest.tree_count() != 1:
             return None
         return next(iter(self.forest.trees(1)))
-
-    @property
-    def trees(self) -> Tuple[TreeNode, ...]:
-        """Deprecated: eagerly materialized derivations.
-
-        Enumerates at most :data:`DEPRECATED_TREES_CAP` trees out of
-        :attr:`forest`; use the handle directly for lazy iteration or
-        real counts.
-        """
-        warnings.warn(
-            "ParseOutcome.trees is deprecated; use ParseOutcome.forest "
-            "(tree_count() / trees(limit=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if self.forest is None:
-            return ()
-        return tuple(self.forest.trees(DEPRECATED_TREES_CAP))
 
     def brackets(self, limit: Optional[int] = None) -> List[str]:
         """Derivations in bracketed text form, deterministically sorted."""

@@ -198,11 +198,6 @@ class Engine:
     def __init__(self, language: Any) -> None:
         self.language = language
 
-    @property
-    def provides_trees(self) -> bool:
-        """Deprecated alias of :attr:`supports_trees`."""
-        return self.supports_trees
-
     # -- the protocol ------------------------------------------------------
 
     def recognize(self, terminals: Sequence[Terminal]) -> EngineReport:
@@ -521,21 +516,15 @@ class DenseTableEngine(_CheckpointMixin, Engine):
 
     def _parser(self) -> PoolParser:
         if self._pool is None:
-            store = getattr(self.language, "table_store", None)
-            table = store.load_table(self.language.grammar) if store else None
-            if table is None:
-                from ..lr.generator import ConventionalGenerator
+            from ..lr.generator import ConventionalGenerator
 
-                # Generate against a copy: expansion must not leak
-                # observers onto (or expansion work into) the language's
-                # live graph.
-                generator = ConventionalGenerator(self.language.grammar.copy())
-                generator.generate()
-                table = lr0_table(generator.graph)
-                if store is not None:
-                    store.save_table(self.language.grammar, table)
+            # Generate against a copy: expansion must not leak observers
+            # onto (or expansion work into) the language's live graph.
+            generator = ConventionalGenerator(self.language.grammar.copy())
+            generator.generate()
+            control = TableControl(lr0_table(generator.graph))
             self._pool = PoolParser(
-                TableControl(table),
+                control,
                 self.language.grammar,
                 max_sweep_steps=self.language.max_sweep_steps,
             )

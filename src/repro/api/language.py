@@ -152,17 +152,14 @@ def _collect_language_stats():
     takes its contribution with it.
     """
     graph_totals = {"expansions": 0, "states_created": 0, "states_removed": 0,
-                    "closure_items": 0, "states_restored": 0}
+                    "closure_items": 0}
     states = complete = 0
-    warm_saved = warm_cold = 0
     compiled_totals: Dict[str, int] = {}
     for language in list(_LIVE_LANGUAGES):
         graph = language.generator.graph
         snapshot = graph.stats.snapshot()
         for key in graph_totals:
             graph_totals[key] += snapshot.get(key, 0)
-        warm_saved += language.saved_states
-        warm_cold += snapshot.get("expansions", 0)
         for state in graph.states():
             states += 1
             complete += state.is_complete
@@ -173,8 +170,6 @@ def _collect_language_stats():
         yield ("repro.generator." + key, None, "counter", value)
     yield ("repro.generator.states", None, "gauge", states)
     yield ("repro.generator.states_complete", None, "gauge", complete)
-    yield ("repro.generator.warm_saved_states", None, "gauge", warm_saved)
-    yield ("repro.generator.warm_cold_states", None, "gauge", warm_cold)
     for key, value in compiled_totals.items():
         # action_cache_hits -> repro.compiled.action_cache.hits
         dotted = key.replace("action_cache_", "action_cache.", 1)
@@ -235,7 +230,6 @@ class Language:
         gc: bool = True,
         max_sweep_steps: int = 1_000_000,
         sorts: Iterable[str] = (),
-        table_store: Optional[Any] = None,
     ) -> None:
         if engine not in engines():
             raise ValueError(
@@ -255,19 +249,6 @@ class Language:
         # subscribed to the grammar first, so MODIFY marks states before
         # the cache flush inspects them (see repro.lr.compiled).
         self.control = CompiledControl(self.generator.control, self.grammar)
-        #: the persistent content-addressed cache (repro.lr.tablestore),
-        #: or None for a purely in-memory language
-        self.table_store = table_store
-        #: states adopted from the store at construction — the warm start
-        self.saved_states = 0
-        self._persisted_key: Optional[Tuple[int, int]] = None
-        if table_store is not None:
-            # Warm-start before anything subscribes: adopted states are
-            # indistinguishable from freshly expanded ones to every layer
-            # above (lazy control, compiled memo, engines).
-            self.saved_states = table_store.restore_graph(
-                self.generator.graph, self.control
-            )
         self._engines: Dict[str, Engine] = {}
         self._engines_lock = threading.Lock()
         #: the parsed SDF module when built via :meth:`from_sdf`
@@ -703,24 +684,6 @@ class Language:
     def collect_garbage(self, force_sweep: bool = False) -> int:
         return self.generator.collect_garbage(force_sweep=force_sweep)
 
-    def persist_tables(self) -> int:
-        """Write newly materialized states back to the table store.
-
-        Cheap to call after every parse: when neither the grammar revision
-        nor the number of complete states moved since the last write-back,
-        nothing is touched.  Returns the number of store entries written.
-        """
-        if self.table_store is None:
-            return 0
-        graph = self.generator.graph
-        complete = sum(1 for state in graph.states() if state.is_complete)
-        key = (self.grammar.revision, complete)
-        if key == self._persisted_key:
-            return 0
-        written = self.table_store.save_graph(graph, self.control)
-        self._persisted_key = key
-        return written
-
     def _on_modify(self, grammar: Grammar, rule: Rule, added: bool) -> None:
         del grammar, rule, added
         with self._engines_lock:
@@ -755,10 +718,6 @@ class Language:
     def summary(self) -> Dict[str, int]:
         data = graph_summary(self.generator.graph)
         data.update(self.control.stats.snapshot())
-        # The warm-start ledger: states adopted from the persistent store
-        # at construction vs. states this process expanded itself.
-        data["saved_states"] = self.saved_states
-        data["cold_states"] = self.generator.graph.stats.expansions
         return data
 
     def table_fraction(self) -> float:

@@ -206,87 +206,8 @@ def measure_hotpath(
     return report
 
 
-def measure_warm_start(
-    table_cache: str,
-    workload: Optional[Fig71Workload] = None,
-    repeats: int = 3,
-    input_name: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Cold vs warm cold-start generation cost for one workload grammar.
-
-    The measured phase is everything a fresh process pays before its first
-    steady-state parse: building the :class:`~repro.core.ipg.IPG`, one
-    recognition of a small input (forcing lazy expansion), and a
-    dense-table ``prepare()`` (forcing the conventional ``expand_all``).
-    ``cold`` runs without a table store; ``warm`` runs against the
-    content-addressed store under ``table_cache`` — populated first via
-    ``persist_tables()``, which is idempotent, so a second benchmark run
-    against the same directory (or a CI run restoring it from a cache)
-    reports ``written_states == 0`` and serves everything from disk.
-
-    ``speedup`` is best-of-``repeats`` cold over best-of-``repeats`` warm;
-    floors only enforce it when ``saved_states > 0`` (a store that served
-    nothing proves nothing about restore cost).
-    """
-    from ..core.ipg import IPG
-    from ..lr.tablestore import TableStore
-
-    if workload is None:
-        from .workloads import sdf_workload
-
-        workload = sdf_workload()
-    name = input_name or min(
-        workload.inputs, key=lambda key: len(workload.inputs[key])
-    )
-    tokens = workload.inputs[name]
-    store = TableStore(table_cache)
-
-    def cold_start(table_store: Optional[TableStore]):
-        # Grammar construction (workload text parsing) happens outside the
-        # timer: the phase under measurement is control-plane generation
-        # for a grammar the process already has, which is what the store
-        # can and cannot save.
-        grammar = workload.fresh_grammar()
-        started = time.perf_counter()
-        ipg = IPG(grammar, table_store=table_store)
-        ipg.recognize(tokens)
-        ipg.language.engine("dense").prepare()
-        return ipg, time.perf_counter() - started
-
-    # Populate the store (skip-if-exists per entry: re-running against an
-    # already warm directory writes nothing and proves cross-run reuse).
-    seeder, _ = cold_start(store)
-    written = seeder.persist_tables()
-
-    cold_seconds = min(cold_start(None)[1] for _ in range(repeats))
-    warm_ipg, warm_seconds = None, float("inf")
-    for _ in range(repeats):
-        ipg, elapsed = cold_start(store)
-        if elapsed < warm_seconds:
-            warm_seconds = elapsed
-        warm_ipg = ipg
-    summary = warm_ipg.summary()
-    return {
-        "workload": workload.name,
-        "input": name,
-        "repeats": repeats,
-        "written_states": written,
-        "saved_states": summary["saved_states"],
-        "cold_states": summary["cold_states"],
-        "cold_seconds": round(cold_seconds, 6),
-        "warm_seconds": round(warm_seconds, 6),
-        "speedup": (
-            round(cold_seconds / warm_seconds, 3)
-            if warm_seconds
-            else float("inf")
-        ),
-    }
-
-
 def collect_hotpath_report(
-    repeats: int = 5,
-    workload_names: Optional[Sequence[str]] = None,
-    table_cache: Optional[str] = None,
+    repeats: int = 5, workload_names: Optional[Sequence[str]] = None
 ) -> Dict[str, Any]:
     """The full ``BENCH_parse_hotpath.json`` payload.
 
@@ -300,7 +221,7 @@ def collect_hotpath_report(
 
     factories = {"sdf": sdf_workload, "booleans": booleans_workload}
     names = list(workload_names) if workload_names is not None else list(factories)
-    report = {
+    return {
         "benchmark": "parse_hotpath",
         "unit": "tokens/sec (best of warm repeats, recognition)",
         "workloads": {
@@ -313,14 +234,6 @@ def collect_hotpath_report(
             for name in names
         },
     }
-    if table_cache is not None:
-        # One store directory serves every workload: grammar manifests are
-        # keyed per grammar, state entries dedupe across shared subgrammars.
-        for name in names:
-            report["workloads"][name]["warm_start"] = measure_warm_start(
-                table_cache, factories[name]()
-            )
-    return report
 
 
 def render_hotpath(report: Dict[str, Any]) -> str:
@@ -358,12 +271,6 @@ def check_floor(
       ``denominator``.  This is the real regression signal: reintroducing
       O(depth) signatures or per-call action allocation collapses the
       compiled-vs-baseline ratio no matter how fast the runner is.
-    * ``warm_start`` — guards on the :func:`measure_warm_start` section,
-      checked only when the run measured one (``--table-cache``) *and*
-      the store actually served states (``saved_states > 0``; an empty
-      store proves nothing).  ``max_warm_cold_states`` bounds lazy
-      expansions a warm start is still allowed to pay (0 = everything
-      restored); ``min_speedup`` floors cold-seconds over warm-seconds.
     """
     problems = []
     for name, floor_rates in floor.get("tokens_per_sec", {}).items():
@@ -402,27 +309,5 @@ def check_floor(
             problems.append(
                 f"{name}: {numerator} is only {ratio:.2f}x {denominator} "
                 f"in this run (floor requires >= {min_ratio}x)"
-            )
-    warm_rule = floor.get("warm_start")
-    warm = report.get("warm_start")
-    if (
-        warm_rule
-        and warm
-        and warm_rule.get("workload") in (None, report.get("workload"))
-        and warm.get("saved_states", 0) > 0
-    ):
-        max_cold = warm_rule.get("max_warm_cold_states")
-        if max_cold is not None and warm["cold_states"] > max_cold:
-            problems.append(
-                f"warm_start: a warm-started session still expanded "
-                f"{warm['cold_states']} states lazily (floor allows "
-                f"<= {max_cold})"
-            )
-        min_speedup = warm_rule.get("min_speedup")
-        if min_speedup is not None and warm["speedup"] < min_speedup:
-            problems.append(
-                f"warm_start: warm generation is only {warm['speedup']:.2f}x "
-                f"cold (floor requires >= {min_speedup}x with "
-                f"{warm['saved_states']} states served from the store)"
             )
     return problems

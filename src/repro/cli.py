@@ -501,13 +501,6 @@ def _serve_main(args: List[str]) -> int:
         "parse results, completion journals) under DIR across restarts",
     )
     parser.add_argument(
-        "--table-cache",
-        metavar="DIR",
-        help="persistent content-addressed table store: sessions warm-start "
-        "their LR control planes from DIR and write newly materialized "
-        "states back (shared across processes, shards, and CI runs)",
-    )
-    parser.add_argument(
         "--ready-file",
         metavar="PATH",
         help="write the bound address to PATH once listening "
@@ -603,7 +596,6 @@ def _serve_main(args: List[str]) -> int:
                 cache_capacity=options.cache_capacity,
                 default_deadline_ms=options.deadline_ms,
                 corpus_root=options.corpus_root,
-                table_cache=options.table_cache,
             ),
         )
 
@@ -632,7 +624,6 @@ def _serve_main(args: List[str]) -> int:
         restart_window=options.restart_window,
         backoff_ms=options.backoff_ms,
         corpus_root=options.corpus_root,
-        table_cache=options.table_cache,
     )
     return run_server(
         scheduler,
@@ -698,12 +689,6 @@ def _batch_main(args: List[str]) -> int:
         help="enable the corpus-* commands, persisting corpora under DIR",
     )
     parser.add_argument(
-        "--table-cache",
-        metavar="DIR",
-        help="warm-start sessions from (and write back to) the persistent "
-        "table store under DIR",
-    )
-    parser.add_argument(
         "--serial",
         action="store_true",
         help="bypass the scheduler and serve requests one at a time "
@@ -735,9 +720,7 @@ def _batch_main(args: List[str]) -> int:
     if options.serial:
         from .service.dispatcher import Dispatcher
 
-        handler = Dispatcher(
-            corpus_root=options.corpus_root, table_cache=options.table_cache
-        )
+        handler = Dispatcher(corpus_root=options.corpus_root)
         closer = handler.close
     else:
         from .service.scheduler import Scheduler
@@ -747,7 +730,6 @@ def _batch_main(args: List[str]) -> int:
             workers=options.workers,
             mode=mode,
             corpus_root=options.corpus_root,
-            table_cache=options.table_cache,
         )
         closer = handler.close
     try:
@@ -972,12 +954,6 @@ def _corpus_main(args: List[str]) -> int:
         help="shard flavour (default: process when --workers > 1, "
         "else thread)",
     )
-    parser.add_argument(
-        "--table-cache",
-        metavar="DIR",
-        help="warm-start corpus worker sessions from (and write back to) "
-        "the persistent table store under DIR",
-    )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
     create = verbs.add_parser(
@@ -1108,10 +1084,7 @@ def _corpus_main(args: List[str]) -> int:
 
     mode = options.mode or ("process" if options.workers > 1 else "thread")
     scheduler = Scheduler(
-        workers=options.workers,
-        mode=mode,
-        corpus_root=options.root,
-        table_cache=options.table_cache,
+        workers=options.workers, mode=mode, corpus_root=options.root
     )
     try:
         response = scheduler.handle(request)

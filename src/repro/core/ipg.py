@@ -55,7 +55,6 @@ class IPG:
         grammar: Grammar,
         gc: bool = True,
         max_sweep_steps: int = 1_000_000,
-        table_store=None,
     ) -> None:
         # Imported here, not at module top: repro.api builds on repro.core
         # (generator, compiled control), so the facade must not create an
@@ -63,10 +62,7 @@ class IPG:
         from ..api.language import Language
 
         self.language = Language(
-            grammar,
-            gc=gc,
-            max_sweep_steps=max_sweep_steps,
-            table_store=table_store,
+            grammar, gc=gc, max_sweep_steps=max_sweep_steps
         )
 
     # -- constructors ------------------------------------------------------
@@ -142,10 +138,6 @@ class IPG:
     def collect_garbage(self, force_sweep: bool = False) -> int:
         """Trigger the mark-and-sweep fallback (refcounting is automatic)."""
         return self.generator.collect_garbage(force_sweep=force_sweep)
-
-    def persist_tables(self) -> int:
-        """Write newly materialized control state to the table store."""
-        return self.language.persist_tables()
 
     # -- introspection -----------------------------------------------------
 

@@ -19,13 +19,6 @@ across the whole pool; they are opened with ``force`` through the normal
 ``open`` command, which in process mode lands them in the shard's
 mutation journal — a crashed shard replays its corpus worker session
 before serving the job's next parse.
-
-Because worker sessions go through the ordinary ``open`` path, a
-scheduler built with ``table_cache`` warm-starts every one of them from
-the persistent table store (``repro.lr.tablestore``): the first batch
-job over a corpus pays for expanding the grammar's automaton once, and
-every later job — in this process or the next — adopts those states
-instead of recomputing them.
 """
 
 from __future__ import annotations

@@ -31,25 +31,16 @@ class GraphStats:
 
     ``expansions`` counts every EXPAND call (including re-expansions after
     a grammar modification); ``states_created`` counts item sets ever
-    allocated; ``states_removed`` counts garbage-collected ones;
-    ``states_restored`` counts states whose EXPAND result was adopted from
-    a persistent table store instead of being recomputed.
+    allocated; ``states_removed`` counts garbage-collected ones.
     """
 
-    __slots__ = (
-        "expansions",
-        "states_created",
-        "states_removed",
-        "closure_items",
-        "states_restored",
-    )
+    __slots__ = ("expansions", "states_created", "states_removed", "closure_items")
 
     def __init__(self) -> None:
         self.expansions = 0
         self.states_created = 0
         self.states_removed = 0
         self.closure_items = 0
-        self.states_restored = 0
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -57,7 +48,6 @@ class GraphStats:
             "states_created": self.states_created,
             "states_removed": self.states_removed,
             "closure_items": self.closure_items,
-            "states_restored": self.states_restored,
         }
 
     def __repr__(self) -> str:
@@ -237,50 +227,6 @@ class ItemSetGraph:
         itemset.reductions = tuple(reductions)
         itemset.type = StateType.COMPLETE
         self.stats.expansions += 1
-
-    # -- warm restore (persistent table store) ----------------------------
-
-    def materialize(self, kernel: Kernel) -> ItemSet:
-        """Get-or-create the state for ``kernel`` *without* expanding it.
-
-        The persistent table store resolves transition targets through this
-        before adopting a stored EXPAND result: targets that were never
-        expanded in the saving session come back as plain initial states,
-        exactly as a fresh EXPAND would have created them.
-        """
-        state = self._by_kernel.get(kernel)
-        if state is None:
-            state = self._create_state(kernel)
-        return state
-
-    def adopt_expansion(
-        self,
-        itemset: ItemSet,
-        transitions: Iterable[Tuple[Symbol, object]],
-        reductions: Iterable[Rule],
-    ) -> None:
-        """Install a previously computed EXPAND result on an initial state.
-
-        The caller (:mod:`repro.lr.tablestore`) has already validated that
-        the stored result describes *this* kernel under *this* grammar, so
-        the routine mirrors :meth:`expand` exactly — transition dict built
-        in the given order, reference counts of linked targets incremented,
-        reductions frozen, state marked complete — but performs no closure
-        computation.  Only initial states may adopt: dirty states carry old
-        transitions that RE-EXPAND must settle, so they always re-expand.
-        """
-        if itemset.type is not StateType.INITIAL:
-            raise ValueError(
-                f"only initial states can adopt a stored expansion: {itemset!r}"
-            )
-        itemset.transitions = {}
-        for symbol, target in transitions:
-            itemset.transitions[symbol] = target
-            if target is not ACCEPT:
-                target.refcount += 1
-        itemset.reductions = tuple(reductions)
-        itemset.type = StateType.COMPLETE
-        self.stats.states_restored += 1
 
     # -- whole-graph helpers ---------------------------------------------
 

@@ -264,57 +264,6 @@ class DenseTable:
                 goto_row[self._nt_index[nonterminal]] = self._state_objects[target]
             self._goto_rows.append(goto_row)
 
-    @classmethod
-    def rehydrate(
-        cls,
-        table: "ParseTable",
-        columns: Sequence[Terminal],
-        pool: Sequence[ActionSet],
-        action_rows: Sequence[Sequence[int]],
-        default_indices: Sequence[int],
-        goto_rows: Sequence[Sequence[Optional[int]]],
-    ) -> "DenseTable":
-        """Rebuild a dense table from its persisted parts.
-
-        The expensive half of :meth:`__init__` — one ``table.action`` call
-        per grid cell, allocating and deduplicating action tuples — is
-        exactly what a persisted dense rendering already paid for, so the
-        restore path only re-interns shift targets against this table's
-        state objects, re-encodes the (small, shared) action pool into
-        steps, and fans the integer rows back out.  The caller vouches
-        that the parts describe ``table``; feed garbage and parses fail,
-        not this constructor.
-        """
-        self = object.__new__(cls)
-        self.table = table
-        self._term_index = {t: i for i, t in enumerate(columns)}
-        self._nt_index = {nt: i for i, nt in enumerate(table.nonterminals)}
-        self._state_objects = [int(n) for n in range(len(table))]
-        interned = self._state_objects
-        self._pool = [
-            tuple(
-                Shift(interned[action.target])
-                if isinstance(action, Shift)
-                else action
-                for action in actions
-            )
-            for actions in pool
-        ]
-        step_pool = [encode_step(actions) for actions in self._pool]
-        self._action_rows = [list(row) for row in action_rows]
-        self._default_actions = [self._pool[i] for i in default_indices]
-        self._goto_rows = [
-            [None if t is None else interned[t] for t in row]
-            for row in goto_rows
-        ]
-        self.step_cache = {}
-        for state, row in enumerate(self._action_rows):
-            self.step_cache[interned[state]] = {
-                terminal: step_pool[row[i]]
-                for i, terminal in enumerate(columns)
-            }
-        return self
-
     def _reintern(self, actions: ActionSet) -> ActionSet:
         """Rebuild shift actions so their targets are interned state ints."""
         rebuilt: List[Action] = []

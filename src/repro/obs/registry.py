@@ -236,6 +236,13 @@ class MetricsRegistry:
         ``__init__`` without leaking.
         """
         with self._lock:
+            # Sweep dead owners here as well as at snapshot time: a process
+            # that never exports metrics would otherwise keep one entry per
+            # owner it ever built.  Owners are heavyweight, so the scan over
+            # the live ones is noise next to constructing one.
+            self._object_collectors = [
+                (ref, fn) for ref, fn in self._object_collectors if ref() is not None
+            ]
             self._object_collectors.append((weakref.ref(owner), collector))
 
     def _collected_samples(self) -> Dict[str, Dict[str, Any]]:

@@ -261,11 +261,7 @@ class PoolParser:
         # Zero-call probe surface: a compiled (or dense-table) control
         # exposes its pre-decoded step cells, so the fast stretch reads
         # memo dicts directly instead of paying a method call per step;
-        # the hits taken this way are credited back below.  Warm-started
-        # controls (states adopted from repro.lr.tablestore, step cells
-        # replayed from stored hot-terminal lists) land here identically
-        # — the probe surface cannot tell restored cells from computed
-        # ones.
+        # the hits taken this way are credited back below.
         step_cache = getattr(self.control, "fast_step_cache", None)
         credit_hits = getattr(self.control, "count_probe_hits", None)
         steps_get = step_cache.get if step_cache is not None else None

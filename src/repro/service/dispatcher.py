@@ -62,19 +62,8 @@ class Dispatcher:
         clock: Callable[[], float] = time.perf_counter,
         default_deadline_ms: Optional[float] = None,
         corpus_root: Optional[str] = None,
-        table_cache: Optional[str] = None,
     ) -> None:
-        table_store = None
-        if table_cache is not None:
-            # Imported lazily to keep the service importable without the
-            # LR layer fully loaded (mirrors the corpus import below).
-            from ..lr.tablestore import TableStore
-
-            table_store = TableStore(table_cache)
-        if workspace is not None:
-            self.workspace = workspace
-        else:
-            self.workspace = Workspace(cache_capacity, table_store=table_store)
+        self.workspace = workspace if workspace is not None else Workspace(cache_capacity)
         self.stats = LatencyStats()
         self.default_deadline_ms = default_deadline_ms
         self._clock = clock
@@ -448,15 +437,10 @@ class Dispatcher:
 
     def _restore(self, request: Dict[str, Any]) -> Dict[str, Any]:
         name = request.get("session")
-        table_store = self.workspace.table_store
         if "path" in request:
-            session = load_session(
-                request["path"], name=name, table_store=table_store
-            )
+            session = load_session(request["path"], name=name)
         elif "snapshot" in request:
-            session = session_from_dict(
-                request["snapshot"], name=name, table_store=table_store
-            )
+            session = session_from_dict(request["snapshot"], name=name)
         else:
             raise ProtocolError("'restore' needs a 'path' or 'snapshot' field")
         self.workspace.adopt(session, force=bool(request.get("force", False)))
@@ -483,7 +467,6 @@ class Dispatcher:
             "cache": self.workspace.cache.stats.snapshot(),
             "cache_entries": len(self.workspace.cache),
             "action_cache": self.workspace.action_cache_summary(),
-            "generation": self.workspace.generation_summary(),
             "requests": self.stats.snapshot(),
         }
 

@@ -225,7 +225,6 @@ class ProcessExecutor:
         self,
         cache_capacity: int = 1024,
         deadline_ms: Optional[float] = None,
-        table_cache: Optional[str] = None,
     ) -> None:
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src_dir = os.path.dirname(package_root)
@@ -247,12 +246,6 @@ class ProcessExecutor:
         ]
         if deadline_ms is not None:
             argv += ["--deadline-ms", str(deadline_ms)]
-        if table_cache is not None:
-            # Every child (including supervision respawns) inherits the
-            # persistent table store, so a replacement shard warm-starts
-            # its sessions' control planes instead of re-expanding them
-            # under journal replay.
-            argv += ["--table-cache", table_cache]
         # Child stderr goes to a spooled temp file so crash tracebacks
         # survive the child (a pipe would deadlock a chatty child; the
         # parent only reads this after a failure).
@@ -830,12 +823,6 @@ def merge_global(request: Any, parts: List[Response]) -> Response:
                 key: sum(part.get("action_cache", {}).get(key, 0) for part in parts)
                 for key in action_keys
             },
-            "generation": {
-                key: sum(part.get("generation", {}).get(key, 0) for part in parts)
-                for key in sorted(
-                    {key for part in parts for key in part.get("generation", {})}
-                )
-            },
             "requests": _merge_latency([part.get("requests", {}) for part in parts]),
             "time": elapsed,
         }
@@ -870,7 +857,6 @@ class Scheduler:
         max_backoff_ms: float = 5_000.0,
         compact_threshold: int = 32,
         corpus_root: Optional[str] = None,
-        table_cache: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
@@ -891,7 +877,6 @@ class Scheduler:
                 else Dispatcher(
                     cache_capacity=cache_capacity,
                     default_deadline_ms=deadline_ms,
-                    table_cache=table_cache,
                 )
             )
             executors: List[Any] = [
@@ -906,9 +891,7 @@ class Scheduler:
 
             def factory() -> ProcessExecutor:
                 return ProcessExecutor(
-                    cache_capacity=cache_capacity,
-                    deadline_ms=deadline_ms,
-                    table_cache=table_cache,
+                    cache_capacity=cache_capacity, deadline_ms=deadline_ms
                 )
 
             executors = []

@@ -49,17 +49,12 @@ def session_to_dict(session: ParseSession) -> Dict[str, Any]:
 
 
 def session_from_dict(
-    payload: Dict[str, Any],
-    name: Optional[str] = None,
-    table_store: Optional[Any] = None,
+    payload: Dict[str, Any], name: Optional[str] = None
 ) -> ParseSession:
     """Rebuild a session from a snapshot payload.
 
     ``name`` overrides the recorded session name (restoring somebody
-    else's snapshot under a fresh name is how sessions are cloned).  With
-    a ``table_store`` the restored session warm-starts its lazy control
-    plane from the persistent cache on top of whatever SLR fast path the
-    snapshot itself carries.
+    else's snapshot under a fresh name is how sessions are cloned).
     """
     if payload.get("format") != SESSION_FORMAT_VERSION:
         raise ServiceError(
@@ -76,7 +71,6 @@ def session_from_dict(
         name or payload.get("session", "restored"),
         sorts=grammar_payload.get("sorts", ()),
         grammar=grammar,
-        table_store=table_store,
     )
     table_payload = payload.get("table")
     if table_payload is not None:
@@ -91,11 +85,5 @@ def save_session(session: ParseSession, path: str) -> Dict[str, Any]:
     return payload
 
 
-def load_session(
-    path: str,
-    name: Optional[str] = None,
-    table_store: Optional[Any] = None,
-) -> ParseSession:
-    return session_from_dict(
-        load_payload(path), name=name, table_store=table_store
-    )
+def load_session(path: str, name: Optional[str] = None) -> ParseSession:
+    return session_from_dict(load_payload(path), name=name)

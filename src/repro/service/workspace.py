@@ -55,7 +55,6 @@ class ParseSession:
         grammar_text: str = "",
         sorts: Iterable[str] = (),
         grammar: Optional[Grammar] = None,
-        table_store: Optional[Any] = None,
     ) -> None:
         self.name = name
         self.sorts = set(sorts)
@@ -65,9 +64,7 @@ class ParseSession:
                 if grammar_text.strip()
                 else Grammar()
             )
-        #: the shared persistent table store (warm starts), or None
-        self.table_store = table_store
-        self.ipg = IPG(grammar, table_store=table_store)
+        self.ipg = IPG(grammar)
         #: the unified front door (tokenizer + engine registry); the IPG
         #: facade and this Language share one generator and control plane
         self.language = self.ipg.language
@@ -235,13 +232,10 @@ class ParseSession:
             outcome = self.language.parse_lexed(
                 lexed, engine=engine, build_trees=False
             )
-            payload = outcome.to_payload()
-        else:
-            payload = self.language.parse_lexed(
-                lexed, engine=engine
-            ).to_payload(max_trees=max_trees)
-        self.persist_tables()
-        return payload
+            return outcome.to_payload()
+        return self.language.parse_lexed(lexed, engine=engine).to_payload(
+            max_trees=max_trees
+        )
 
     def recognize_payload(
         self, tokens: TokenInput, engine: Optional[str] = None
@@ -262,7 +256,6 @@ class ParseSession:
         payload = outcome.to_payload()
         payload.pop("trees", None)
         payload.pop("trees_built", None)
-        self.persist_tables()
         return payload
 
     # -- incremental re-parsing (checkpoint store) -------------------------
@@ -329,7 +322,6 @@ class ParseSession:
         )
         payload = self._result_payload(outcome, result_id, mode, max_trees)
         self._retain(result_id, outcome, payload)
-        self.persist_tables()
         return payload, False
 
     @staticmethod
@@ -402,16 +394,7 @@ class ParseSession:
         payload = self._result_payload(outcome, result_id, mode, max_trees)
         payload["base"] = base
         self._retain(result_id, outcome, payload)
-        self.persist_tables()
         return payload, False
-
-    def persist_tables(self) -> int:
-        """Write states this session materialized back to the table store.
-
-        A no-op without a store, and when nothing new was materialized
-        since the last write-back — cheap enough to run after every parse.
-        """
-        return self.ipg.persist_tables()
 
     def summary(self) -> Dict[str, int]:
         return self.ipg.summary()
@@ -436,17 +419,10 @@ class Workspace:
     :class:`ResultCache`) take locks.
     """
 
-    def __init__(
-        self,
-        cache_capacity: int = 1024,
-        table_store: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, cache_capacity: int = 1024) -> None:
         self._sessions: Dict[str, ParseSession] = {}
         self._lock = threading.RLock()
         self.cache = ResultCache(cache_capacity)
-        #: shared persistent table store inherited by every session this
-        #: workspace opens (snapshot restores included), or None
-        self.table_store = table_store
         #: Checkpoint evictions of already-closed sessions, so the
         #: ``repro.checkpoints.evictions`` counter stays monotone.
         self._retired_checkpoint_evictions = 0
@@ -498,9 +474,7 @@ class Workspace:
                 raise ServiceError(
                     f"session {name!r} is already open (pass force to replace it)"
                 )
-        session = ParseSession(
-            name, grammar_text, sorts, table_store=self.table_store
-        )
+        session = ParseSession(name, grammar_text, sorts)
         return self.adopt(session, force=force)
 
     def adopt(self, session: ParseSession, force: bool = False) -> ParseSession:
@@ -569,23 +543,6 @@ class Workspace:
         for session in sessions:
             for key, value in session.ipg.control.stats.snapshot().items():
                 total[key] = total.get(key, 0) + value
-        return total
-
-    def generation_summary(self) -> Dict[str, int]:
-        """Warm-start accounting summed over open sessions.
-
-        ``saved_states`` — states adopted from the persistent table store
-        instead of being expanded; ``cold_states`` — EXPAND calls paid by
-        this process.  A second process opening the same grammars should
-        show ``saved_states > 0`` and a near-zero ``cold_states``.
-        """
-        with self._lock:
-            sessions = list(self._sessions.values())
-        total = {"saved_states": 0, "cold_states": 0}
-        for session in sessions:
-            language = session.language
-            total["saved_states"] += language.saved_states
-            total["cold_states"] += language.generator.graph.stats.expansions
         return total
 
     # -- cached parsing ----------------------------------------------------

@@ -78,11 +78,6 @@ class TestRegistry:
         for record in detail.values():
             assert record["summary"]
 
-    def test_provides_trees_is_a_deprecated_alias(self):
-        lang = Language.from_text(BOOLEANS)
-        assert lang.engine("gss").provides_trees is True
-        assert lang.engine("earley").provides_trees is False
-
 
 class TestDifferential:
     @pytest.mark.parametrize("grammar_text,accepted,rejected", CORPUS)

@@ -47,7 +47,7 @@ class TestOutcome:
         assert outcome.accepted and bool(outcome)
         assert outcome.engine == "compiled"
         assert outcome.elapsed >= 0
-        assert outcome.ambiguity == len(outcome.trees) == 2
+        assert outcome.ambiguity == outcome.forest.tree_count() == 2
         assert outcome.is_ambiguous
         assert outcome.stats["shifts"] > 0
         assert len(outcome.lexemes) == 5
@@ -56,7 +56,7 @@ class TestOutcome:
         lang = Language.from_text(BOOLEANS)
         outcome = lang.recognize("true")
         assert outcome.accepted
-        assert outcome.trees == ()
+        assert outcome.forest is None
         assert outcome.trees_built is False
 
     def test_payload_shape(self):

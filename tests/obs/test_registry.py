@@ -112,6 +112,22 @@ class TestCollectors:
         gc.collect()
         assert "owner.size" not in registry.snapshot()
 
+        # Without any snapshot() in between, registering many short-lived
+        # owners must not grow the entry list without bound, and must not
+        # drop the live ones.
+        survivors = [Owner() for _ in range(10)]
+        for survivor in survivors:
+            registry.register_object_collector(
+                survivor, lambda o: [("owner.size", None, "gauge", o.size)]
+            )
+        for _ in range(5000):
+            registry.register_object_collector(
+                Owner(), lambda o: [("owner.size", None, "gauge", o.size)]
+            )
+        gc.collect()
+        assert len(registry._object_collectors) <= len(survivors) + 1
+        assert registry.snapshot()["owner.size"]["value"] == 11 * len(survivors)
+
     def test_collected_sample_merges_into_instrument_series(self):
         registry = MetricsRegistry()
         registry.counter("hits").inc(2)
