@@ -8,8 +8,12 @@ trajectory is tracked across PRs:
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py
 
+Every run also times tree rendering (``ParseForest.brackets``) for the
+429-tree booleans forest and the ASF.sdf tree.
+
 CI smoke mode — booleans workload only, checked against the committed
-floor (fails when any tier regresses more than 3x):
+floor (fails when any tier regresses more than 3x, or when rendering
+the ASF.sdf tree takes more than 1.5x the time of counting it):
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py \\
         --workload booleans --floor benchmarks/hotpath_floor.json
@@ -27,15 +31,19 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 try:
     from repro.bench.hotpath import (
         check_floor,
+        check_render_floor,
         collect_hotpath_report,
         render_hotpath,
+        render_tree_timings,
     )
 except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(REPO_ROOT / "src"))
     from repro.bench.hotpath import (
         check_floor,
+        check_render_floor,
         collect_hotpath_report,
         render_hotpath,
+        render_tree_timings,
     )
 
 WORKLOAD_NAMES = ("sdf", "booleans")
@@ -67,7 +75,8 @@ def main(argv=None) -> int:
         "--floor",
         type=Path,
         default=None,
-        help="floor JSON to check against (exit 1 on a >3x regression)",
+        help="floor JSON to check against (exit 1 on a >3x regression "
+        "or a render/count ratio over its ceiling)",
     )
     args = parser.parse_args(argv)
 
@@ -77,6 +86,8 @@ def main(argv=None) -> int:
     for name in names:
         print(render_hotpath(report["workloads"][name]))
         print()
+    print(render_tree_timings(report["render"]))
+    print()
 
     if not args.no_output:
         args.output.write_text(json.dumps(report, indent=2) + "\n")
@@ -91,7 +102,7 @@ def main(argv=None) -> int:
             return 1
         problems = check_floor(
             measured, floor, max_regression=floor.get("max_regression", 3.0)
-        )
+        ) + check_render_floor(report["render"], floor)
         if problems:
             print("floor check: FAIL")
             for problem in problems:

@@ -15,11 +15,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..grammar.symbols import Terminal
 from ..lexing.scanner import Lexeme
 from ..runtime.forest import ENUMERATION_CAP, ParseForest, TreeNode
 
 __all__ = ["Diagnostic", "ParseOutcome", "line_and_column"]
+
+_RENDER_TREES = obs.counter("repro.render.trees")
+_RENDER_CHARS = obs.counter("repro.render.chars")
+
 
 def line_and_column(text: str, offset: int) -> Tuple[int, int]:
     """1-based (line, column) of character ``offset`` in ``text``."""
@@ -193,16 +198,24 @@ class ParseOutcome:
         ``max_trees`` caps how many derivations are rendered into
         ``trees``; ``ambiguity`` always reports the true count and
         whether the rendering was truncated.  With ``max_trees=None`` the
-        rendering is still bounded by the forest enumeration cap.
+        rendering is still bounded by the forest enumeration cap.  The
+        rendering runs in a ``render`` span and feeds the
+        ``repro.render.trees`` / ``repro.render.chars`` counters.
         """
         tree_count = self.ambiguity
         if max_trees is None:
             enumerated = min(tree_count, ENUMERATION_CAP)
         else:
             enumerated = min(tree_count, max_trees)
+        with obs.span("render") as span:
+            trees = self.brackets(enumerated)
+            chars = sum(map(len, trees))
+            span.set(trees=len(trees), chars=chars)
+        _RENDER_TREES.inc(len(trees))
+        _RENDER_CHARS.inc(chars)
         payload: Dict[str, Any] = {
             "accepted": self.accepted,
-            "trees": self.brackets(enumerated),
+            "trees": trees,
             "engine": self.engine,
         }
         if self.trees_built:

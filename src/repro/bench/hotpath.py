@@ -21,6 +21,12 @@ Every tier drives the same token streams, so the numbers isolate the
 control plane and the stack discipline.  The first parse per tier is a
 discarded warm-up (it pays lazy expansion / cache population); reported
 throughput is the best of ``repeats`` timed warm parses.
+
+:func:`measure_render` adds the step after the parse: µs per
+``ParseForest.brackets()`` call, the service's tree rendering, for the
+429-tree booleans forest and the ASF.sdf tree.  Its floor is a same-run
+ratio against counting the same forest, so a renderer that builds
+intermediate trees again fails on any machine.
 """
 
 from __future__ import annotations
@@ -28,14 +34,22 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Optional, Sequence
 
+from ..api import Language
 from ..core.incremental import IncrementalGenerator
 from ..grammar.grammar import Grammar
 from ..lr.compiled import CompiledControl
 from ..lr.graph import ItemSetGraph
 from ..lr.table import TableControl, lr0_table
+from ..runtime.forest import ParseForest
 from ..runtime.gss import GSSParser
 from ..runtime.parallel import PoolParser
-from .workloads import Fig71Workload, TokenStream
+from .workloads import (
+    Fig71Workload,
+    TokenStream,
+    _boolean_sentence,
+    booleans_workload,
+    sdf_workload,
+)
 
 CONTROL_TIERS = ("lazy_baseline", "lazy", "compiled", "table", "gss")
 
@@ -206,6 +220,73 @@ def measure_hotpath(
     return report
 
 
+#: Operands of the booleans render input: Catalan(7) = 429 trees, like
+#: the 8-operand parses of the end-to-end booleans traffic.
+RENDER_OPERANDS = 8
+
+
+def _render_forests() -> Dict[str, ParseForest]:
+    """The forests :func:`measure_render` renders, parsed by the default
+    (``compiled``) engine: one root per booleans tree, one ASF.sdf tree."""
+    booleans = booleans_workload()
+    sdf = sdf_workload()
+    parses = {
+        "booleans8": (booleans, _boolean_sentence(RENDER_OPERANDS)),
+        "ASF.sdf": (sdf, sdf.inputs["ASF.sdf"]),
+    }
+    forests = {}
+    for name, (workload, tokens) in parses.items():
+        outcome = Language(workload.fresh_grammar()).parse(tokens)
+        if not outcome.accepted:
+            raise ValueError(f"render workload input {name!r} rejected")
+        forests[name] = outcome.forest
+    return forests
+
+
+def measure_render(repeats: int = 5) -> Dict[str, Any]:
+    """Best-of-``repeats`` µs per render and per count, per forest.
+
+    ``render_us`` times ``brackets()`` on a forest whose counts are
+    already known (what ``ParseOutcome.to_payload`` does after reading
+    ``tree_count()``); ``count_us`` times ``tree_count()`` on a fresh
+    handle over the same roots.  Rounds interleave every measurement so
+    machine noise lands on all of them alike.  Returns::
+
+        {"unit": ..., "forests": {name: {"trees", "chars", "render_us",
+         "count_us", "render_vs_count"}}}
+    """
+    forests = _render_forests()
+    best: Dict[str, Dict[str, float]] = {
+        name: {"render": float("inf"), "count": float("inf")}
+        for name in forests
+    }
+    for _ in range(repeats):
+        for name, forest in forests.items():
+            started = time.perf_counter()
+            ParseForest(forest.roots).tree_count()
+            counted = time.perf_counter()
+            forest.brackets()
+            rendered = time.perf_counter()
+            timings = best[name]
+            timings["count"] = min(timings["count"], counted - started)
+            timings["render"] = min(timings["render"], rendered - counted)
+    report: Dict[str, Any] = {
+        "unit": "us per call (best of warm repeats)",
+        "forests": {},
+    }
+    for name, forest in forests.items():
+        trees = forest.brackets()
+        timings = best[name]
+        report["forests"][name] = {
+            "trees": len(trees),
+            "chars": sum(map(len, trees)),
+            "render_us": round(timings["render"] * 1e6, 1),
+            "count_us": round(timings["count"] * 1e6, 1),
+            "render_vs_count": round(timings["render"] / timings["count"], 2),
+        }
+    return report
+
+
 def collect_hotpath_report(
     repeats: int = 5, workload_names: Optional[Sequence[str]] = None
 ) -> Dict[str, Any]:
@@ -215,10 +296,9 @@ def collect_hotpath_report(
     input lists — both ``benchmarks/bench_parse_hotpath.py`` and
     ``benchmarks/collect_experiments.py`` write the repo-root JSON through
     this function, so the tracked artifact never depends on which entry
-    point ran last.
+    point ran last.  The ``render`` section is measured whatever
+    ``workload_names`` selects.
     """
-    from .workloads import booleans_workload, sdf_workload
-
     factories = {"sdf": sdf_workload, "booleans": booleans_workload}
     names = list(workload_names) if workload_names is not None else list(factories)
     return {
@@ -233,6 +313,7 @@ def collect_hotpath_report(
             )
             for name in names
         },
+        "render": measure_render(repeats=repeats),
     }
 
 
@@ -249,6 +330,22 @@ def render_hotpath(report: Dict[str, Any]) -> str:
         speedup = report["speedup_compiled_vs_baseline"].get(name)
         suffix = f" {speedup:>8.2f}x" if speedup is not None else ""
         lines.append(f"  {name:12s} {data['tokens']:>7d}{cells}{suffix}")
+    return "\n".join(lines)
+
+
+def render_tree_timings(report: Dict[str, Any]) -> str:
+    """ASCII rendering of a :func:`measure_render` report."""
+    lines = [
+        "tree rendering (ParseForest.brackets, compiled engine)",
+        f"  {'forest':12s} {'trees':>6s} {'chars':>8s} {'render us':>10s}"
+        f" {'count us':>10s} {'ratio':>6s}",
+    ]
+    for name, data in report["forests"].items():
+        lines.append(
+            f"  {name:12s} {data['trees']:>6d} {data['chars']:>8d}"
+            f" {data['render_us']:>10,.1f} {data['count_us']:>10,.1f}"
+            f" {data['render_vs_count']:>6.2f}"
+        )
     return "\n".join(lines)
 
 
@@ -309,5 +406,24 @@ def check_floor(
             problems.append(
                 f"{name}: {numerator} is only {ratio:.2f}x {denominator} "
                 f"in this run (floor requires >= {min_ratio}x)"
+            )
+    return problems
+
+
+def check_render_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
+    """Failure strings for a :func:`measure_render` report against the
+    floor file's ``render.max_render_vs_count`` ratios (same-run
+    ``render_us / count_us`` per forest, so machine-independent)."""
+    problems = []
+    limits = floor.get("render", {}).get("max_render_vs_count", {})
+    for name, max_ratio in limits.items():
+        measured = report["forests"].get(name)
+        if measured is None:
+            problems.append(f"render forest {name!r} missing from the report")
+        elif measured["render_vs_count"] > max_ratio:
+            problems.append(
+                f"render/{name}: rendering takes "
+                f"{measured['render_vs_count']:.2f}x the time of counting "
+                f"the same forest (floor allows <= {max_ratio}x)"
             )
     return problems

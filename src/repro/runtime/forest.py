@@ -13,12 +13,14 @@ engine, as :class:`PackedNode` alternatives inside a shared packed parse
 forest (SPPF).  :func:`count_trees` and :func:`enumerate_strings` treat a
 shared node as the single subtree it is, and both are iterative with
 memoized counts so cyclic or exponentially ambiguous forests produce an
-explicit error instead of a hang or a recursion-depth crash.
+explicit error instead of a hang or a recursion-depth crash.  Rendering
+a tree as text is one iterative pass over the forest itself, linear in
+the output, with no intermediate tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..grammar.rules import Rule
 from ..grammar.symbols import Symbol, Terminal
@@ -208,12 +210,12 @@ def pretty(tree: TreeNode, indent: str = "") -> str:
 
 
 def bracketed(tree: TreeNode) -> str:
-    """Compact  ``A(b c(d))``  rendering, convenient in tests."""
-    if isinstance(tree, Leaf):
-        return str(tree.terminal)
-    assert isinstance(tree, ParseNode)
-    inner = " ".join(bracketed(child) for child in tree.children)
-    return f"{tree.rule.lhs!s}({inner})"
+    """Compact  ``A(b c(d))``  rendering, convenient in tests.
+
+    Iterative (see :func:`_render`), so deep trees render fine; a packed
+    node inside ``tree`` renders as its first alternative.
+    """
+    return _render(tree, 0, {})
 
 
 def node_count(tree: TreeNode, _seen: Optional[set] = None) -> int:
@@ -309,6 +311,8 @@ def _nth_tree(root: TreeNode, index: int, counts: Dict[int, int]) -> TreeNode:
     their subtree counts.  Entirely iterative — deep derivation chains must
     not hit the recursion limit.  Unambiguous subtrees decode to the shared
     node itself, preserving identity (and sharing) where nothing varies.
+    Only :meth:`ParseForest.trees` decodes; rendering walks the forest
+    directly (:func:`_render`).
     """
     results: Dict[int, TreeNode] = {}
     next_key = 1
@@ -357,27 +361,107 @@ def _nth_tree(root: TreeNode, index: int, counts: Dict[int, int]) -> TreeNode:
     return results[0]
 
 
-def enumerate_strings(
-    root: TreeNode, limit: Optional[int] = None
-) -> Iterator[str]:
-    """Bracketed renderings of the trees packed under ``root``, lazily.
+def _render(root: TreeNode, index: int, counts: Dict[int, int]) -> str:
+    """Bracketed rendering of tree ``index`` under ``root``, in one pass.
 
-    With ``limit=None`` the forest must hold at most
-    :data:`ENUMERATION_CAP` trees — beyond that an unbounded enumeration
-    is almost certainly a caller bug and raises
-    :class:`ForestCapExceeded` up front.
+    The same mixed-radix walk as :func:`_nth_tree`, but it emits text
+    instead of building a tree: a packed node spends the index on
+    choosing an alternative, a parse node splits it across its children,
+    and the name, ``(``, `` `` and ``)`` pieces go onto one list that is
+    joined once.  Iterative, so the cost is linear in the output and deep
+    chains cannot hit the recursion limit.  Index 0 always takes every
+    first alternative (no subtree count is below 1), so it reads no
+    ``counts`` at all.
     """
-    counts: Dict[int, int] = {}
-    total = _count_into(root, counts)
+    pieces: List[str] = []
+    append = pieces.append
+    # (node, index, separator) entries still to render, or ")" to emit
+    stack: List[Any] = [(root, index, "")]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        entry = pop()
+        if entry.__class__ is str:
+            append(entry)
+            continue
+        node, idx, separator = entry
+        # exact class tests (no node class is subclassed) beat isinstance
+        kind = node.__class__
+        while kind is PackedNode:
+            if not idx:
+                node = node.alternatives[0]
+            else:
+                for alternative in node.alternatives:
+                    count = counts[id(alternative)]
+                    if idx < count:
+                        node = alternative
+                        break
+                    idx -= count
+                else:
+                    raise IndexError("tree index out of range")
+            kind = node.__class__
+        if kind is Leaf:
+            append(separator + node.terminal.name)
+            continue
+        append(separator + node.rule.lhs.name + "(")
+        push(")")
+        children = node.children
+        if not children:
+            continue
+        if idx:
+            for child in children[:0:-1]:
+                count = counts[id(child)]
+                push((child, idx % count, " "))
+                idx //= count
+        else:
+            for child in children[:0:-1]:
+                push((child, 0, " "))
+        push((children[0], idx, ""))
+    return "".join(pieces)
+
+
+def _enumerated(total: int, limit: Optional[int]) -> int:
+    """How many of ``total`` trees an enumeration up to ``limit`` yields.
+
+    ``limit=None`` means all of them, refused with
+    :class:`ForestCapExceeded` past :data:`ENUMERATION_CAP`: an unbounded
+    enumeration of a bigger forest is almost certainly a caller bug.
+    """
     if limit is None:
         if total > ENUMERATION_CAP:
             raise ForestCapExceeded(
                 f"forest packs {total} trees, over the unbounded-enumeration "
                 f"cap of {ENUMERATION_CAP}; pass an explicit limit"
             )
-        limit = total
-    count = min(limit, total)
-    return (bracketed(_nth_tree(root, i, counts)) for i in range(count))
+        return total
+    return min(limit, total)
+
+
+def enumerate_strings(
+    root: TreeNode, limit: Optional[int] = None
+) -> Iterator[str]:
+    """Bracketed renderings of the trees packed under ``root``, lazily.
+
+    With ``limit=None`` the forest must hold at most
+    :data:`ENUMERATION_CAP` trees, else :class:`ForestCapExceeded` is
+    raised up front.
+    """
+    counts: Dict[int, int] = {}
+    count = _enumerated(_count_into(root, counts), limit)
+    return (_render(root, i, counts) for i in range(count))
+
+
+def _root_indices(
+    roots: Sequence[TreeNode], counts: Dict[int, int], remaining: int
+) -> Iterator[Tuple[TreeNode, int]]:
+    """``(root, index)`` for the first ``remaining`` trees over ``roots``."""
+    for root in roots:
+        if remaining <= 0:
+            return
+        taken = min(counts[id(root)], remaining)
+        for index in range(taken):
+            yield root, index
+        remaining -= taken
 
 
 class ParseForest:
@@ -416,31 +500,23 @@ class ParseForest:
         ``limit=None`` means *all* trees, which is refused with
         :class:`ForestCapExceeded` past :data:`ENUMERATION_CAP`.
         """
-        total = self.tree_count()
-        if limit is None:
-            if total > ENUMERATION_CAP:
-                raise ForestCapExceeded(
-                    f"forest packs {total} trees, over the "
-                    f"unbounded-enumeration cap of {ENUMERATION_CAP}; "
-                    f"pass an explicit limit"
-                )
-            limit = total
-        return self._iter_trees(min(limit, total))
-
-    def _iter_trees(self, count: int) -> Iterator[TreeNode]:
-        assert self._counts is not None
-        remaining = count
-        for root in self.roots:
-            if remaining <= 0:
-                return
-            root_total = self._counts[id(root)]
-            for index in range(min(root_total, remaining)):
-                yield _nth_tree(root, index, self._counts)
-            remaining -= root_total
+        counts, indices = self._enumeration(limit)
+        return (_nth_tree(root, index, counts) for root, index in indices)
 
     def brackets(self, limit: Optional[int] = None) -> List[str]:
-        """Sorted bracketed renderings (see :func:`bracketed`)."""
-        return sorted(bracketed(tree) for tree in self.trees(limit))
+        """Sorted bracketed renderings (see :func:`bracketed`) of the
+        trees :meth:`trees` would yield, rendered by :func:`_render`."""
+        counts, indices = self._enumeration(limit)
+        return sorted(_render(root, index, counts) for root, index in indices)
+
+    def _enumeration(
+        self, limit: Optional[int]
+    ) -> Tuple[Dict[int, int], Iterator[Tuple[TreeNode, int]]]:
+        """The subtree counts and a lazy ``(root, index)`` walk over the
+        first trees up to ``limit``; the cap check runs here, eagerly."""
+        remaining = _enumerated(self.tree_count(), limit)
+        assert self._counts is not None
+        return self._counts, _root_indices(self.roots, self._counts, remaining)
 
     def __repr__(self) -> str:
         return f"ParseForest({len(self.roots)} roots)"

@@ -1,6 +1,12 @@
 """Hot-path benchmark plumbing: floor checks and report shape."""
 
-from repro.bench.hotpath import check_floor, measure_hotpath
+from repro.bench.hotpath import (
+    check_floor,
+    check_render_floor,
+    measure_hotpath,
+    measure_render,
+    render_tree_timings,
+)
 from repro.bench.workloads import booleans_workload
 
 
@@ -102,3 +108,32 @@ class TestMeasureHotpath:
         assert set(report["inputs"]["tiny"]["tokens_per_sec"]) == {
             "lazy_baseline", "lazy", "compiled", "table", "gss",
         }
+
+
+class TestRender:
+    FLOOR = {"render": {"max_render_vs_count": {"ASF.sdf": 1.5}}}
+
+    def report_with(self, ratio):
+        return {"forests": {"ASF.sdf": {"render_vs_count": ratio}}}
+
+    def test_ratio_under_ceiling_passes(self):
+        assert check_render_floor(self.report_with(0.6), self.FLOOR) == []
+
+    def test_decode_then_render_ratio_fails(self):
+        problems = check_render_floor(self.report_with(2.7), self.FLOOR)
+        assert any("2.70x" in p for p in problems)
+
+    def test_missing_forest_reported(self):
+        problems = check_render_floor({"forests": {}}, self.FLOOR)
+        assert problems and "missing" in problems[0]
+
+    def test_report_shape(self):
+        report = measure_render(repeats=1)
+        booleans = report["forests"]["booleans8"]
+        asf = report["forests"]["ASF.sdf"]
+        assert booleans["trees"] == 429  # Catalan(7)
+        assert asf["trees"] == 1 and asf["chars"] > 10_000
+        for data in (booleans, asf):
+            assert data["render_us"] > 0 and data["count_us"] > 0
+            assert data["render_vs_count"] > 0
+        assert "ASF.sdf" in render_tree_timings(report)

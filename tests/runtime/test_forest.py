@@ -216,3 +216,13 @@ class TestPackedForests:
         assert forest.tree_count() == 1
         (only,) = forest.trees()
         assert only is node  # identity preserved when nothing unpacks
+        expected = "B(" * 5001 + "true" + ")" * 5001
+        assert forest.brackets() == [expected]
+        assert bracketed(node) == expected
+        assert list(enumerate_strings(node)) == [expected]
+
+    def test_bracketed_renders_first_alternative_of_packed_nodes(self):
+        _, p05 = self._ambiguous_five()
+        (first,) = ParseForest((p05,)).trees(1)
+        assert bracketed(p05) == bracketed(first)
+

@@ -406,3 +406,23 @@ class TestWorkspaceAdoption:
         session.add_rule("B ::= y")
         assert not session.has_fast_path   # MODIFY still drops the fast path
         assert session.recognize_payload("y")["accepted"] is True
+
+
+def test_deep_right_recursive_list_answers_with_a_tree(dispatcher):
+    """400 tokens of ``L ::= x L`` nest 400 levels deep, past what a
+    recursive renderer survives."""
+    opened = dispatcher.handle({
+        "cmd": "open",
+        "session": "deep",
+        "grammar": "START ::= L\nL ::= x\nL ::= x L",
+    })
+    assert "error" not in opened
+    response = dispatcher.handle({
+        "cmd": "parse",
+        "session": "deep",
+        "tokens": " ".join(["x"] * 400),
+        "max_trees": 1,
+    })
+    assert "error" not in response
+    assert response["accepted"] is True
+    assert response["trees"] == ["START(" + "L(x " * 399 + "L(x)" + ")" * 400]

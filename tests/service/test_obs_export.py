@@ -150,6 +150,25 @@ class TestRequestTracing:
         assert children_sum <= tree["duration"] + slack
         assert tree["duration"] <= response["time"] + slack
 
+    def test_rendering_has_a_span_and_counters(self, worked_dispatcher):
+        def rendered():
+            metrics = worked_dispatcher.handle(
+                {"cmd": "metrics-export", "format": "json"}
+            )["metrics"]
+            return (_counter_value(metrics, "repro.render.trees"),
+                    _counter_value(metrics, "repro.render.chars"))
+
+        trees_before, chars_before = rendered()
+        response = worked_dispatcher.handle(
+            {"cmd": "parse", "session": "s1", "tokens": "true or true or true",
+             "trace": True}
+        )
+        (render,) = [c for c in response["trace"]["children"]
+                     if c["name"] == "render"]
+        chars = sum(map(len, response["trees"]))
+        assert render["attributes"] == {"trees": 2, "chars": chars}
+        assert rendered() == (trees_before + 2, chars_before + chars)
+
     def test_untraced_requests_carry_no_tree(self, worked_dispatcher):
         response = worked_dispatcher.handle(
             {"cmd": "parse", "session": "s1", "tokens": "true"}
