@@ -50,8 +50,14 @@ def main() -> None:
     sentence = "not true and not false"
     print(f"\n{sentence!r} through every engine:")
     for name in engines():
-        result = lang.parse(sentence, engine=name)
-        trees = f"{result.ambiguity} trees" if result.trees_built else "no trees"
+        # Recognize-only engines (earley) build no trees: ask them to
+        # recognize instead of parse.
+        if lang.engine(name).supports_trees:
+            result = lang.parse(sentence, engine=name)
+            trees = f"{result.ambiguity} trees"
+        else:
+            result = lang.recognize(sentence, engine=name)
+            trees = "no trees"
         print(
             f"  {name:10s} accepted={result.accepted}  {trees}  "
             f"({result.elapsed * 1000:.2f} ms)"

@@ -63,10 +63,12 @@ def main() -> None:
 
     print("5. Snapshot alice, restore as a warm third session:")
     snapshot = dispatcher.handle({"cmd": "snapshot", "session": "alice"})
-    print(f"   (deterministic table shipped: {snapshot['deterministic']})")
-    show(dispatcher.handle({
+    restored = dispatcher.handle({
         "cmd": "restore", "session": "carol", "snapshot": snapshot["snapshot"],
-    }))
+    })
+    show(restored)
+    print(f"   (restored at grammar version {restored['version']})")
+    assert restored["version"] == snapshot["version"]
     show(dispatcher.handle(
         {"cmd": "recognize", "session": "carol", "tokens": "true and true"}
     ))

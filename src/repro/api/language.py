@@ -430,16 +430,9 @@ class Language:
         from ..runtime.incremental import Edit
 
         started = time.perf_counter()
-        if engine is not None:
-            # Explicit names are validated (unknown ones raise, exactly
-            # as in ``parse``); only the *inherited* engine falls back —
-            # prev.engine can be a non-registry label like the service's
-            # SLR fast path.
-            engine_name = engine
-        elif prev.engine in engines():
-            engine_name = prev.engine
-        else:
-            engine_name = self.default_engine
+        # An explicit name is validated (unknown ones raise, exactly as
+        # in ``parse``); otherwise the edit re-parses on the base's engine.
+        engine_name = engine if engine is not None else prev.engine
         selected = self.engine(engine_name)
         replacement_lexed = self.lex(replacement)
         base_terminals = prev.terminals

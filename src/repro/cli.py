@@ -33,8 +33,7 @@ Besides the REPL there are two service subcommands (see
     Run the same requests non-interactively from files (or stdin)
     through the sharded scheduler — pipelined under a bounded in-flight
     window, responses in request order — printing responses to stdout
-    and a throughput/cache summary to stderr (``--serial`` restores the
-    original single-threaded runner).
+    and a throughput/cache summary to stderr.
 
 ``python -m repro corpus VERB ...``
     Manage persistent corpora under ``--root DIR``: ``create`` a corpus
@@ -405,8 +404,7 @@ subcommands:
                     --mode thread|process, --queue-depth, --batch,
                     --ready-file; see README "Serving")
   batch [file...]   run JSON requests from files (or stdin) through the
-                    sharded scheduler (--workers, --mode, --window,
-                    --serial for the old single-threaded runner) and
+                    sharded scheduler (--workers, --mode, --window) and
                     print responses plus a throughput summary on stderr
   corpus VERB ...   manage persistent corpora under --root DIR:
                     create | ingest | parse | status | query | info
@@ -637,14 +635,12 @@ def _serve_main(args: List[str]) -> int:
 def _batch_main(args: List[str]) -> int:
     """``repro batch`` — run JSON requests non-interactively.
 
-    Migration note (PR 8): batch runs are now routed through the sharded
-    scheduler — requests are pipelined under a bounded in-flight window
-    instead of being served one at a time by the serial dispatcher, so
-    ``--workers``/``--mode`` buy real concurrency and ``--corpus-root``
-    enables the ``corpus-*`` commands.  Responses still arrive in
-    request order and per-session ordering is unchanged (sessions are
-    shard-pinned, shards drain FIFO); ``--serial`` restores the PR 1
-    single-threaded runner exactly.
+    Batch runs go through the sharded scheduler: requests are pipelined
+    under a bounded in-flight window, ``--workers``/``--mode`` buy real
+    concurrency and ``--corpus-root`` enables the ``corpus-*`` commands.
+    Responses arrive in request order and per-session ordering holds
+    (sessions are shard-pinned, shards drain FIFO).  Duplicate in-flight
+    requests are coalesced and answer with ``"coalesced": true``.
     """
     import argparse
     import json
@@ -688,19 +684,11 @@ def _batch_main(args: List[str]) -> int:
         metavar="DIR",
         help="enable the corpus-* commands, persisting corpora under DIR",
     )
-    parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="bypass the scheduler and serve requests one at a time "
-        "through the single-threaded dispatcher (pre-corpus behaviour)",
-    )
     options = parser.parse_args(args)
     if options.workers < 1:
         parser.error("--workers must be at least 1")
     if options.window is not None and options.window < 1:
         parser.error("--window must be at least 1")
-    if options.serial and (options.workers != 1 or options.mode):
-        parser.error("--serial is single-threaded; drop --workers/--mode")
 
     from .service.protocol import encode
     from .service.server import BATCH_WINDOW, run_batch
@@ -717,29 +705,22 @@ def _batch_main(args: List[str]) -> int:
     else:
         lines = sys.stdin.readlines()
 
-    if options.serial:
-        from .service.dispatcher import Dispatcher
+    from .service.scheduler import Scheduler
 
-        handler = Dispatcher(corpus_root=options.corpus_root)
-        closer = handler.close
-    else:
-        from .service.scheduler import Scheduler
-
-        mode = options.mode or ("process" if options.workers > 1 else "thread")
-        handler = Scheduler(
-            workers=options.workers,
-            mode=mode,
-            corpus_root=options.corpus_root,
-        )
-        closer = handler.close
+    mode = options.mode or ("process" if options.workers > 1 else "thread")
+    scheduler = Scheduler(
+        workers=options.workers,
+        mode=mode,
+        corpus_root=options.corpus_root,
+    )
     try:
         responses, summary = run_batch(
             lines,
-            handler,
+            scheduler,
             window=options.window or BATCH_WINDOW,
         )
     finally:
-        closer()
+        scheduler.close()
 
     for response in responses:
         print(encode(response))

@@ -15,7 +15,6 @@ from .generator import ConventionalGenerator, GotoOnNonCompleteState, GraphContr
 from .graph import GraphStats, ItemSetGraph
 from .items import Item, Kernel, kernel_of, sorted_items
 from .lalr import compute_lalr_lookaheads, lalr_table, lalr_table_from_graph
-from .serialize import dumps, load_table, loads, save_table, table_from_dict, table_to_dict
 from .slr import slr_table, slr_table_from_graph
 from .states import ACCEPT, ItemSet, StateType
 from .table import (
@@ -58,13 +57,7 @@ __all__ = [
     "lr0_table",
     "resolve_conflicts",
     "report",
-    "dumps",
-    "load_table",
-    "loads",
-    "save_table",
     "slr_table",
     "slr_table_from_graph",
     "sorted_items",
-    "table_from_dict",
-    "table_to_dict",
 ]

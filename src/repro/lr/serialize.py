@@ -1,160 +1,25 @@
-"""Parse-table serialization.
+"""Grammar and payload serialization.
 
-Section 4: *"a parse table can be seen as a program running on an
-LR-parsing machine"* — and programs are worth saving.  A deterministic
-(or LR(0)) :class:`~repro.lr.table.ParseTable` round-trips through a plain
-JSON-able dictionary, so a batch tool can generate once and ship the table
-(the conventional Yacc deployment model, complementing IPG's interactive
-one).
-
-Graphs of item sets are deliberately *not* serialized: the lazy and
-incremental generators need kernels, whose cheapest faithful encoding is
-the grammar itself — reconstructing the graph from the grammar is exactly
-what those generators are fast at.
+Graphs of item sets and parse tables are deliberately *not* serialized:
+the lazy and incremental generators need kernels, whose cheapest faithful
+encoding is the grammar itself — reconstructing the automaton from the
+grammar, by need, is exactly what those generators are fast at.  So a
+persisted grammar is its BNF text plus sort declarations
+(:func:`grammar_to_dict`), and :func:`save_payload` writes any JSON-able
+payload (a session snapshot, a corpus manifest) crash-safely.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from ..grammar.builders import grammar_from_text
 from ..grammar.grammar import Grammar
-from ..grammar.rules import Rule
-from ..grammar.symbols import NonTerminal, Symbol, Terminal
-from .table import ParseTable, TableRow
-
-FORMAT_VERSION = 1
 
 #: Format tag for serialized grammars (text + sort declarations).
 GRAMMAR_FORMAT_VERSION = 1
-
-
-def _symbol_to_json(symbol: Symbol) -> List[str]:
-    kind = "t" if isinstance(symbol, Terminal) else "n"
-    return [kind, symbol.name]
-
-
-def _symbol_from_json(payload: List[str]) -> Symbol:
-    kind, name = payload
-    if kind == "t":
-        return Terminal(name)
-    if kind == "n":
-        return NonTerminal(name)
-    raise ValueError(f"unknown symbol kind {kind!r}")
-
-
-def _rule_to_json(rule: Rule) -> Dict[str, Any]:
-    return {
-        "lhs": rule.lhs.name,
-        "rhs": [_symbol_to_json(symbol) for symbol in rule.rhs],
-    }
-
-
-def _rule_from_json(payload: Dict[str, Any]) -> Rule:
-    return Rule(
-        NonTerminal(payload["lhs"]),
-        [_symbol_from_json(part) for part in payload["rhs"]],
-    )
-
-
-def table_to_dict(table: ParseTable) -> Dict[str, Any]:
-    """A JSON-able encoding of the table (rules inlined once, by index)."""
-    rules: List[Rule] = []
-    rule_index: Dict[Rule, int] = {}
-
-    def index_of(rule: Rule) -> int:
-        if rule not in rule_index:
-            rule_index[rule] = len(rules)
-            rules.append(rule)
-        return rule_index[rule]
-
-    rows = []
-    for position in range(len(table)):
-        row = table._rows[position]
-        rows.append(
-            {
-                "shifts": [
-                    [terminal.name, target]
-                    for terminal, target in sorted(
-                        row.shifts.items(), key=lambda kv: kv[0].name
-                    )
-                ],
-                "gotos": [
-                    [nonterminal.name, target]
-                    for nonterminal, target in sorted(
-                        row.gotos.items(), key=lambda kv: kv[0].name
-                    )
-                ],
-                "reduces": [
-                    [
-                        index_of(rule),
-                        sorted(t.name for t in lookaheads)
-                        if lookaheads is not None
-                        else None,
-                    ]
-                    for rule, lookaheads in row.reduces
-                ],
-                "accepts": row.accepts,
-            }
-        )
-
-    # Index the numbered rules *before* emitting the rule list — some
-    # numbered rules (e.g. the START rule) never occur in a reduce action.
-    rule_number_entries = [
-        [index_of(rule), number]
-        for rule, number in sorted(
-            table.rule_numbers.items(), key=lambda kv: kv[1]
-        )
-    ]
-    return {
-        "format": FORMAT_VERSION,
-        "start": table.start,
-        "terminals": [t.name for t in table.terminals],
-        "nonterminals": [nt.name for nt in table.nonterminals],
-        "rules": [_rule_to_json(rule) for rule in rules],
-        "rule_numbers": rule_number_entries,
-        "rows": rows,
-    }
-
-
-def table_from_dict(payload: Dict[str, Any]) -> ParseTable:
-    if payload.get("format") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported parse-table format {payload.get('format')!r}"
-        )
-    rules = [_rule_from_json(entry) for entry in payload["rules"]]
-    rows: List[TableRow] = []
-    for encoded in payload["rows"]:
-        row = TableRow()
-        row.shifts = {
-            Terminal(name): target for name, target in encoded["shifts"]
-        }
-        row.gotos = {
-            NonTerminal(name): target for name, target in encoded["gotos"]
-        }
-        row.reduces = [
-            (
-                rules[rule_index],
-                frozenset(Terminal(n) for n in lookaheads)
-                if lookaheads is not None
-                else None,
-            )
-            for rule_index, lookaheads in encoded["reduces"]
-        ]
-        row.accepts = encoded["accepts"]
-        rows.append(row)
-    return ParseTable(
-        rows,
-        start=payload["start"],
-        terminals=[Terminal(n) for n in payload["terminals"]],
-        nonterminals=[NonTerminal(n) for n in payload["nonterminals"]],
-        rule_numbers={
-            rules[rule_index]: number
-            for rule_index, number in payload["rule_numbers"]
-        },
-    )
 
 
 def grammar_to_dict(grammar: Grammar, sorts: Tuple[str, ...] = ()) -> Dict[str, Any]:
@@ -183,7 +48,7 @@ def grammar_from_dict(payload: Dict[str, Any]) -> Grammar:
 
 
 def save_payload(payload: Dict[str, Any], path: str) -> None:
-    """Write any JSON-able payload (table, grammar, session) to ``path``.
+    """Write any JSON-able payload (grammar, session, manifest) to ``path``.
 
     Crash-safe: the payload is written to a sibling temp file, fsynced,
     and renamed into place.  A snapshot a supervisor replays after a
@@ -214,19 +79,3 @@ def load_payload(path: str) -> Dict[str, Any]:
         raise ValueError(f"expected a JSON object in {path}, got {type(payload).__name__}")
     return payload
 
-
-def dumps(table: ParseTable) -> str:
-    return json.dumps(table_to_dict(table), indent=None, sort_keys=True)
-
-
-def loads(text: str) -> ParseTable:
-    return table_from_dict(json.loads(text))
-
-
-def save_table(table: ParseTable, path: str) -> None:
-    save_payload(table_to_dict(table), path)
-
-
-def load_table(path: str) -> ParseTable:
-    with open(path) as handle:
-        return loads(handle.read())

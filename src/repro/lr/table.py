@@ -95,9 +95,9 @@ class ParseTable:
         conflict like any other.
 
         The table is immutable, so the state × terminal scan runs once and
-        the result is cached — ``is_deterministic`` probes (snapshot
-        autosave, fast-path attachment, ``resolve_conflicts``) would
-        otherwise re-scan the full grid on every call.
+        the result is cached — repeated ``is_deterministic`` probes (the
+        Yacc baseline, ``resolve_conflicts``) would otherwise re-scan the
+        full grid on every call.
         """
         if self._conflicts is not None:
             return self._conflicts
@@ -311,8 +311,8 @@ class TableControl:
     paper says conventional LR parsers use ("only the ACTION and GOTO
     information was needed during parsing", section 5.3).  Lookups are
     served from the table's :class:`DenseTable` form (built once, cached
-    on the table), so the Yacc baseline and the service's snapshot-restore
-    SLR fast path both run on packed integer rows.
+    on the table), so the Yacc baseline and the ``dense`` engine both run
+    on packed integer rows.
     """
 
     def __init__(self, table: ParseTable) -> None:

@@ -15,8 +15,8 @@ snapshots for warm restarts.
 ``service.protocol``      request decoding, response encoding, error types
 ``service.dispatcher``    :class:`Dispatcher` — one JSON request in, one
                           JSON response (with ``time``/``cache``) out
-``service.snapshot``      session <-> JSON persistence (grammar text plus a
-                          deterministic-table fast path when conflict-free)
+``service.snapshot``      session <-> JSON persistence (grammar text, sorts
+                          and version; states regenerate lazily on restore)
 ``service.server``        the stdio serve loop and batch runner
 ``service.scheduler``     :class:`Scheduler` — session-sharded worker pool
                           (thread or process shards) with request

@@ -422,18 +422,9 @@ class Dispatcher:
         session = self.workspace.get(require(request, "session"))
         path = request.get("path")
         if path is not None:
-            payload = save_session(session, path)
-            return {
-                "saved": path,
-                "version": session.version,
-                "deterministic": payload["table"] is not None,
-            }
-        payload = session_to_dict(session)
-        return {
-            "snapshot": payload,
-            "version": session.version,
-            "deterministic": payload["table"] is not None,
-        }
+            save_session(session, path)
+            return {"saved": path, "version": session.version}
+        return {"snapshot": session_to_dict(session), "version": session.version}
 
     def _restore(self, request: Dict[str, Any]) -> Dict[str, Any]:
         name = request.get("session")
@@ -448,7 +439,6 @@ class Dispatcher:
             "restored": session.name,
             "rules": len(session.ipg.grammar),
             "version": session.version,
-            "fast_path": session.has_fast_path,
         }
 
     # -- introspection -----------------------------------------------------
@@ -459,7 +449,6 @@ class Dispatcher:
             return {
                 "version": session.version,
                 "rules": len(session.ipg.grammar),
-                "fast_path": session.has_fast_path,
                 "summary": session.summary(),
             }
         return {
@@ -543,7 +532,6 @@ class Dispatcher:
                 "rules": len(session.ipg.grammar),
                 "grammar": session.grammar_text,
                 "sorts": sorted(session.sorts),
-                "fast_path": session.has_fast_path,
             }
         from ..api import engines
 

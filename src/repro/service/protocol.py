@@ -59,7 +59,13 @@ from typing import Any, Dict, Iterator, Optional
 #: are keyed by ``max_trees``, so differently-bounded requests never
 #: alias.  ``parse`` against a recognize-only engine degrades to
 #: recognition (``"trees_built": false``) instead of erroring.
-PROTOCOL_VERSION = 7
+#: Version 8 (v7-compatible for requests): snapshots are grammar text
+#: plus version.  ``snapshot`` no longer reports ``deterministic``, and
+#: ``restore``/``metrics``/``info`` no longer report the v7 SLR
+#: fast-path flag; a restored session answers through the same engines
+#: as the session it was taken from.  Snapshot files carrying a v7
+#: ``table`` still restore (the table is ignored).
+PROTOCOL_VERSION = 8
 
 #: Commands the dispatcher understands (documented in README.md).
 COMMANDS = (

@@ -1,15 +1,15 @@
 """Session persistence: snapshot to JSON, restore for a warm restart.
 
-A snapshot records what cannot be recomputed instantly — the grammar text
-and sort declarations — plus one thing that *can* but is worth shipping:
-when the grammar's SLR(1) table is conflict-free, the fully expanded table
-rides along (via :mod:`repro.lr.serialize`) and the restored session parses
-through the deterministic LR-PARSE fast path until its first MODIFY.
+A snapshot is the grammar text, its sort declarations and the session's
+grammar version — nothing the lazy generator can rebuild.  Parse tables
+and graphs of item sets are never serialized: a restored session
+regenerates its states by need on its first parses, which is exactly
+what lazy generation is fast at, and so it answers every request
+exactly as the session it was taken from.
 
-Graphs of item sets are still never serialized (see ``lr/serialize.py``):
-the lazy generator rebuilds them by need, which is exactly what it is fast
-at.  The table is the one representation whose reconstruction requires the
-full ``expand_all`` the service wants to avoid at restart time.
+Snapshots written before tables were dropped may still carry a
+``"table"`` entry; it is ignored on restore, so files load in both
+directions under the same :data:`SESSION_FORMAT_VERSION`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from ..lr.serialize import (
     grammar_to_dict,
     load_payload,
     save_payload,
-    table_from_dict,
-    table_to_dict,
 )
 from .protocol import ServiceError
 from .workspace import ParseSession
@@ -32,20 +30,14 @@ SESSION_FORMAT_VERSION = 1
 
 
 def session_to_dict(session: ParseSession) -> Dict[str, Any]:
-    """A JSON-able snapshot of ``session`` (grammar + optional table)."""
-    grammar = session.ipg.grammar
-    payload: Dict[str, Any] = {
+    """A JSON-able snapshot of ``session``: grammar text plus version."""
+    return {
         "format": SESSION_FORMAT_VERSION,
         "kind": "ipg-session",
         "session": session.name,
         "version": session.version,
-        "grammar": grammar_to_dict(grammar, tuple(session.sorts)),
-        "table": None,
+        "grammar": grammar_to_dict(session.ipg.grammar, tuple(session.sorts)),
     }
-    table = session.deterministic_table()
-    if table is not None:
-        payload["table"] = table_to_dict(table)
-    return payload
 
 
 def session_from_dict(
@@ -67,15 +59,11 @@ def session_from_dict(
     # Continue the saved session's version counter so protocol clients
     # keying on the advertised version never see it move backwards.
     grammar.advance_revision(int(payload.get("version", 0)))
-    session = ParseSession(
+    return ParseSession(
         name or payload.get("session", "restored"),
         sorts=grammar_payload.get("sorts", ()),
         grammar=grammar,
     )
-    table_payload = payload.get("table")
-    if table_payload is not None:
-        session.attach_fast_path(table_from_dict(table_payload))
-    return session
 
 
 def save_session(session: ParseSession, path: str) -> Dict[str, Any]:

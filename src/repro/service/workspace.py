@@ -2,12 +2,11 @@
 
 A :class:`ParseSession` wraps one :class:`~repro.core.ipg.IPG` with the
 state an interactive user accumulates — declared sorts, the monotone
-grammar version, and (after a snapshot restore of a conflict-free grammar)
-a deterministic-table fast path.  A :class:`Workspace` is the paper's
-"many users" made concrete: a dictionary of named sessions sharing one
-LRU result cache, wired so that every MODIFY (observed through the
-existing :meth:`Grammar.subscribe` hook) evicts that session's cached
-results and drops its fast path.
+grammar version, and retained incremental checkpoints.  A
+:class:`Workspace` is the paper's "many users" made concrete: a
+dictionary of named sessions sharing one LRU result cache, wired so that
+every MODIFY (observed through the existing :meth:`Grammar.subscribe`
+hook) evicts that session's cached results and checkpoints.
 """
 
 from __future__ import annotations
@@ -22,19 +21,10 @@ from .. import obs
 from ..api.language import LexedInput
 from ..core.ipg import IPG, TokenInput
 from ..grammar.builders import grammar_from_text
-from ..grammar.grammar import Grammar, GrammarError
+from ..grammar.grammar import Grammar
 from ..grammar.rules import Rule
-from ..lr.slr import slr_table
-from ..lr.table import ParseTable, TableControl
-from ..runtime.errors import AmbiguousInputError, ParseError
-from ..runtime.forest import bracketed
-from ..runtime.lr_parse import SimpleLRParser
 from .cache import CacheKey, ResultCache
 from .protocol import ServiceError, SessionNotFound
-
-#: ``engine`` value payloads report when the deterministic SLR fast path
-#: (snapshot restore of a conflict-free grammar) answered the request.
-FAST_PATH_ENGINE = "slr-fast-path"
 
 #: Callback invoked (with the session) after every grammar modification.
 ModifyListener = Callable[["ParseSession"], None]
@@ -68,9 +58,6 @@ class ParseSession:
         #: the unified front door (tokenizer + engine registry); the IPG
         #: facade and this Language share one generator and control plane
         self.language = self.ipg.language
-        self.fast_table: Optional[ParseTable] = None
-        self._fast_parser: Optional[SimpleLRParser] = None
-        self._table_cache: Optional[Tuple[int, Optional[ParseTable]]] = None
         self._listeners: List[ModifyListener] = []
         #: result id -> (checkpoint-carrying ParseOutcome, response
         #: payload); the store behind ``parse {"checkpoint": true}`` and
@@ -97,11 +84,9 @@ class ParseSession:
         self._listeners.append(listener)
 
     def _on_modify(self, _grammar: Grammar, _rule: Rule, _added: bool) -> None:
-        # Any MODIFY outdates the deterministic fast path, the retained
-        # incremental checkpoints, and (via the registered listeners)
-        # every cached result for this session.
-        self.fast_table = None
-        self._fast_parser = None
+        # Any MODIFY outdates the retained incremental checkpoints and
+        # (via the registered listeners) every cached result for this
+        # session.
         self.results.clear()
         for listener in list(self._listeners):
             listener(self)
@@ -126,60 +111,6 @@ class ParseSession:
     def delete_rule(self, rule: str, sorts: Iterable[str] = ()) -> bool:
         self.declare_sorts(sorts)
         return self.ipg.delete_rule(rule, sorts=self.sorts)
-
-    # -- the deterministic fast path ---------------------------------------
-
-    def attach_fast_path(self, table: ParseTable) -> None:
-        """Parse through ``table`` until the next grammar modification.
-
-        Only snapshots of conflict-free grammars carry a table; the simple
-        LR parser over it is the service's analogue of the paper's Yacc
-        deployment mode ("about twice as fast" a parser, section 7).
-        A conflicted table is rejected outright — the deterministic parser
-        would make ``parse`` and ``recognize`` disagree on conflicted
-        states (e.g. from a corrupted snapshot file).
-        """
-        if not table.is_deterministic:
-            raise ServiceError(
-                f"cannot attach a fast path for session {self.name!r}: "
-                f"the table has {len(table.conflicts())} conflict(s)"
-            )
-        if frozenset(table.rule_numbers) != self.ipg.grammar.rules:
-            raise ServiceError(
-                f"cannot attach a fast path for session {self.name!r}: "
-                f"the table was generated from a different grammar"
-            )
-        self.fast_table = table
-        self._fast_parser = SimpleLRParser(TableControl(table), self.ipg.grammar)
-
-    def deterministic_table(self) -> Optional[ParseTable]:
-        """The conflict-free SLR(1) table for the current grammar, or None.
-
-        Memoized per grammar version: building the table costs a full
-        ``expand_all``, and periodic snapshotting (autosave) would
-        otherwise pay it on every request — for conflicted grammars
-        without ever getting a table back.
-        """
-        if self.fast_table is not None:
-            return self.fast_table
-        if self._table_cache is not None and self._table_cache[0] == self.version:
-            return self._table_cache[1]
-        candidate: Optional[ParseTable] = None
-        if self.ipg.grammar.start_rules():
-            # Work on a copy: table construction must not leak observers
-            # into (or expansion work onto) the live session's grammar.
-            try:
-                table = slr_table(self.ipg.grammar.copy())
-            except GrammarError:
-                table = None
-            if table is not None and table.is_deterministic:
-                candidate = table
-        self._table_cache = (self.version, candidate)
-        return candidate
-
-    @property
-    def has_fast_path(self) -> bool:
-        return self._fast_parser is not None
 
     # -- parsing (JSON-able payloads) --------------------------------------
 
@@ -206,25 +137,6 @@ class ParseSession:
         engine: Optional[str] = None,
         max_trees: Optional[int] = None,
     ) -> Dict[str, Any]:
-        if engine is None and self._fast_parser is not None:
-            try:
-                result = self._fast_parser.parse(list(lexed.terminals))
-                tree = result.tree
-                return {
-                    "accepted": True,
-                    "trees": [bracketed(tree)] if tree is not None else [],
-                    "engine": FAST_PATH_ENGINE,
-                    # A deterministic table admits exactly one derivation.
-                    "ambiguity": {
-                        "tree_count": 1,
-                        "enumerated": 1 if tree is not None else 0,
-                        "truncated": False,
-                    },
-                }
-            except AmbiguousInputError:
-                pass  # defensive: fall through to the forking parser
-            except ParseError:
-                pass  # rejected: the outcome path derives the diagnostics
         if not self.language.engine(engine).supports_trees:
             # Recognize-only engines degrade to recognition instead of a
             # CapabilityError: the service keeps its v6 behaviour of
@@ -245,11 +157,6 @@ class ParseSession:
     def _recognize_lexed(
         self, lexed: "LexedInput", engine: Optional[str] = None
     ) -> Dict[str, Any]:
-        if engine is None and self._fast_parser is not None:
-            if self._fast_parser.recognize(list(lexed.terminals)):
-                return {"accepted": True, "engine": FAST_PATH_ENGINE}
-            # Rejected: re-derive through the outcome path so the payload
-            # carries diagnostics (failure is the cold path by design).
         outcome = self.language.parse_lexed(
             lexed, engine=engine, build_trees=False
         )
@@ -292,7 +199,7 @@ class ParseSession:
 
         Returns ``(payload, was_cached)``; the payload's ``result`` field
         is the id ``edit-parse`` requests pass as ``base``.  Bypasses the
-        SLR fast path and the shared result cache: the retained
+        shared result cache: the retained
         checkpoint-carrying outcome *is* the cache here, and a hit must
         hand back an entry that still owns live checkpoints.  In
         ``"recognize"`` mode checkpoints carry pure state frontiers, the

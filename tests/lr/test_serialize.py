@@ -1,102 +1,48 @@
-"""Parse-table serialization round trips."""
+"""Grammar serialization round trips and crash-safe payload writes."""
 
 import json
 
 import pytest
 
-from repro.grammar.builders import grammar_from_text
-from repro.lr.generator import ConventionalGenerator
-from repro.lr.lalr import lalr_table
+from repro.core.ipg import IPG
 from repro.lr.serialize import (
-    dumps,
-    load_table,
-    loads,
-    save_table,
-    table_from_dict,
-    table_to_dict,
+    grammar_from_dict,
+    grammar_to_dict,
+    load_payload,
+    save_payload,
 )
-from repro.lr.table import TableControl, lr0_table, resolve_conflicts
-from repro.runtime.lr_parse import SimpleLRParser
-from repro.runtime.parallel import PoolParser
 
 from ..conftest import toks
 
 
-def booleans_lr0(booleans):
-    generator = ConventionalGenerator(booleans)
-    generator.generate()
-    return lr0_table(generator.graph)
-
-
 class TestRoundTrip:
     def test_dict_round_trip_preserves_behavior(self, booleans):
-        table = booleans_lr0(booleans)
-        clone = table_from_dict(table_to_dict(table))
-        parser = PoolParser(TableControl(clone), booleans)
-        assert parser.recognize(toks("true or false and true"))
-        assert not parser.recognize(toks("or"))
-
-    def test_json_text_round_trip(self, booleans):
-        table = booleans_lr0(booleans)
-        clone = loads(dumps(table))
-        assert len(clone) == len(table)
-        assert clone.start == table.start
-        assert clone.conflicts() and len(clone.conflicts()) == len(
-            table.conflicts()
-        )
+        clone = grammar_from_dict(grammar_to_dict(booleans))
+        assert clone.rules == booleans.rules
+        ipg = IPG(clone)
+        assert ipg.recognize(toks("true or false and true"))
+        assert not ipg.recognize(toks("or"))
 
     def test_file_round_trip(self, booleans, tmp_path):
-        table = booleans_lr0(booleans)
-        path = tmp_path / "booleans.table.json"
-        save_table(table, str(path))
-        clone = load_table(str(path))
-        parser = PoolParser(TableControl(clone), booleans)
-        assert parser.recognize(toks("true"))
-
-    def test_lalr_lookaheads_survive(self):
-        grammar = grammar_from_text(
-            """
-            S ::= L = R
-            S ::= R
-            L ::= * R
-            L ::= id
-            R ::= L
-            START ::= S
-            """
-        )
-        table = lalr_table(grammar)
-        clone = loads(dumps(table))
-        assert clone.is_deterministic
-        parser = SimpleLRParser(TableControl(clone), grammar)
-        assert parser.recognize(toks("* id = id"))
-        assert not parser.recognize(toks("= id"))
-
-    def test_sdf_lalr_round_trip(self):
-        from repro.sdf.corpus import corpus_tokens, sdf_grammar
-
-        grammar = sdf_grammar()
-        table, _conflicts = resolve_conflicts(lalr_table(grammar))
-        clone = loads(dumps(table))
-        parser = SimpleLRParser(TableControl(clone), grammar)
-        assert parser.parse(corpus_tokens()["Exam.sdf"]).accepted
+        path = str(tmp_path / "booleans.grammar.json")
+        save_payload(grammar_to_dict(booleans), path)
+        clone = grammar_from_dict(load_payload(path))
+        assert clone.rules == booleans.rules
+        assert IPG(clone).recognize(toks("true"))
 
     def test_output_is_stable_json(self, booleans):
-        table = booleans_lr0(booleans)
-        assert dumps(table) == dumps(table)
-        payload = json.loads(dumps(table))
-        assert payload["format"] == 1
+        first = json.dumps(grammar_to_dict(booleans), sort_keys=True)
+        second = json.dumps(
+            grammar_to_dict(grammar_from_dict(json.loads(first))), sort_keys=True
+        )
+        assert first == second
+        assert json.loads(first)["format"] == 1
 
 
 class TestErrors:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            table_from_dict({"format": 99})
-
-    def test_unknown_symbol_kind_rejected(self, booleans):
-        payload = table_to_dict(booleans_lr0(booleans))
-        payload["rules"][0]["rhs"][0][0] = "?"
-        with pytest.raises(ValueError):
-            table_from_dict(payload)
+            grammar_from_dict({"format": 99})
 
 
 class TestCrashSafeWrites:
@@ -139,10 +85,3 @@ class TestCrashSafeWrites:
         monkeypatch.undo()
         # No file appears at all — a watcher can never read a fragment.
         assert list(tmp_path.iterdir()) == []
-
-    def test_save_table_round_trips_atomically(self, tmp_path, booleans):
-        table = booleans_lr0(booleans)
-        path = str(tmp_path / "table.json")
-        save_table(table, path)
-        assert load_table(path).is_deterministic == table.is_deterministic
-        assert dumps(load_table(path)) == dumps(table)

@@ -23,6 +23,12 @@ from repro.service.retry import call_with_retries
 
 GRAMMAR = "START ::= B\nB ::= true\nB ::= false\nB ::= B or B"
 
+#: A conflict-free (SLR(1)-deterministic) expression grammar.
+DETERMINISTIC = (
+    "START ::= E\nE ::= E + T\nE ::= T\nT ::= T * F\nT ::= F\n"
+    "F ::= n\nF ::= ( E )"
+)
+
 #: Worst-case ambiguity for the deadline acceptance test: E ::= E E over
 #: n tokens has a Catalan number of parses.
 AMBIGUOUS = "START ::= E\nE ::= E E\nE ::= x"
@@ -157,6 +163,40 @@ class TestCrashRecovery:
                 entry["journal"]["compactions"] for entry in health["shards"]
             )
             assert compactions >= 1
+
+    def test_replayed_compaction_answers_like_the_live_session(self):
+        """A conflict-free session restored from a compacted journal must
+        answer through the same engine, with the same trees, as before
+        the crash."""
+        with supervised_scheduler(compact_threshold=3) as scheduler:
+            scheduler.handle(
+                {"cmd": "open", "session": "e", "grammar": DETERMINISTIC}
+            )
+            scheduler.handle({"cmd": "add-rule", "session": "e", "rule": "F ::= x"})
+            scheduler.handle({"cmd": "add-rule", "session": "e", "rule": "F ::= y"})
+            # Compaction runs on the shard's worker thread right after the
+            # batch that crossed the threshold; wait for it to land.
+            deadline = time.monotonic() + 20.0
+            while time.monotonic() < deadline:
+                health = scheduler.handle({"cmd": "health"})
+                if health["shards"][0]["journal"]["compactions"]:
+                    break
+                time.sleep(0.02)
+            assert health["shards"][0]["journal"]["compactions"] >= 1
+            request = {
+                "cmd": "parse", "session": "e", "tokens": "x + n * ( y + n )",
+                "cache": False,
+            }
+            before = scheduler.handle(dict(request))
+            assert before.get("accepted") is True, before
+            faults.arm("kill-child", times=1)
+            crashed = scheduler.handle(dict(request))
+            assert crashed["error"] == "shard-restarting"
+            assert wait_for_state(scheduler.shards[0], "ok")
+            after = call_with_retries(scheduler.handle, dict(request))
+            assert after["engine"] == before["engine"] == "compiled"
+            assert after["trees"] == before["trees"]
+            assert after["version"] == before["version"]
 
 
 class TestCircuitBreaker:

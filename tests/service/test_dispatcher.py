@@ -348,7 +348,7 @@ class TestIntrospection:
 
     def test_info(self, booleans_dispatcher):
         server = booleans_dispatcher.handle({"cmd": "info"})
-        assert server["protocol"] == 7
+        assert server["protocol"] == 8
         assert "parse" in server["commands"]
         assert "corpus-query" in server["commands"]
         assert "metrics-export" in server["commands"]
@@ -402,9 +402,10 @@ class TestWorkspaceAdoption:
         )
         ws.adopt(session)
         ws.adopt(session, force=True)      # idempotent, must not detach
-        assert session.has_fast_path
+        payload, cached = ws.parse("s", "x")
+        assert not cached and ws.parse("s", "x") == (payload, True)
         session.add_rule("B ::= y")
-        assert not session.has_fast_path   # MODIFY still drops the fast path
+        assert len(ws.cache) == 0          # MODIFY still evicts its results
         assert session.recognize_payload("y")["accepted"] is True
 
 

@@ -117,8 +117,7 @@ class TestMalformedFieldTypes:
             '{"cmd":"restore","snapshot":"not a dict"}\n'
             '{"cmd":"open","session":"a","grammar":123}\n'
             '{"cmd":"restore","session":"b","snapshot":{"format":1,'
-            '"kind":"ipg-session","grammar":{"format":1,"text":""},'
-            '"table":{"format":1}}}\n'
+            '"kind":"ipg-session","grammar":{"format":1,"text":123}}}\n'
             + OPEN + "\n"
         )
         assert all("error" in r for r in responses[:3])

@@ -1,4 +1,8 @@
-"""Snapshot persistence: round-trip equivalence and the table fast path."""
+"""Snapshot persistence: a snapshot is grammar text plus version, and a
+restored session answers exactly as the session it was taken from."""
+
+import json
+import os
 
 from repro.service import (
     Dispatcher,
@@ -11,8 +15,7 @@ from repro.service.workspace import ParseSession
 
 import pytest
 
-#: Unambiguous expression grammar — SLR(1)-deterministic, so its snapshot
-#: ships a parse table.
+#: Unambiguous expression grammar — SLR(1)-deterministic.
 EXPR = """
     START ::= E
     E ::= E + T
@@ -32,30 +35,56 @@ AMBIGUOUS = """
 
 SENTENCES = ["n", "n + n", "n + n * n", "( n + n ) * n", "n +", "* n"]
 
+#: Snapshots written while conflict-free sessions still shipped their
+#: SLR(1) table: ``deterministic`` is the EXPR session as it was saved,
+#: ``conflicted`` an AMBIGUOUS session carrying its (conflicted) table.
+V7_SNAPSHOTS = os.path.join(os.path.dirname(__file__), "data", "v7_snapshots.json")
+
+
+def span_names(span):
+    """The shape of a span tree: names only, attributes dropped."""
+    return [span["name"], [span_names(child) for child in span.get("children", ())]]
+
+
+def traced_spans(session: ParseSession, sentences):
+    """Span-name trees of one traced ``parse`` per sentence."""
+    dispatcher = Dispatcher()
+    dispatcher.workspace.adopt(session)
+    shapes = []
+    for sentence in sentences:
+        response = dispatcher.handle({
+            "cmd": "parse", "session": session.name, "tokens": sentence,
+            "trace": True, "cache": False,
+        })
+        shapes.append(span_names(response["trace"]))
+    return shapes
+
 
 def equivalent(left: ParseSession, right: ParseSession, sentences) -> None:
+    """Whole payloads (``engine``, ``trees``, ``ambiguity``,
+    ``diagnostics``) agree, and so does the shape of a traced request."""
     for sentence in sentences:
-        a = left.parse_payload(sentence)
-        b = right.parse_payload(sentence)
-        assert a["accepted"] == b["accepted"], sentence
-        assert len(a["trees"]) == len(b["trees"]), sentence
+        assert left.parse_payload(sentence) == right.parse_payload(sentence), sentence
+        assert left.recognize_payload(sentence) == right.recognize_payload(
+            sentence
+        ), sentence
+    assert traced_spans(left, sentences) == traced_spans(right, sentences)
 
 
 class TestRoundTrip:
-    def test_deterministic_grammar_ships_a_table(self):
+    def test_snapshot_is_grammar_text_plus_version(self):
         session = ParseSession("expr", EXPR)
         payload = session_to_dict(session)
-        assert payload["table"] is not None
+        assert set(payload) == {"format", "kind", "session", "version", "grammar"}
         restored = session_from_dict(payload)
-        assert restored.has_fast_path
+        assert restored.version == session.version
         equivalent(session, restored, SENTENCES)
 
     def test_ambiguous_grammar_ships_no_table(self):
         session = ParseSession("amb", AMBIGUOUS)
         payload = session_to_dict(session)
-        assert payload["table"] is None
+        assert "table" not in payload
         restored = session_from_dict(payload)
-        assert not restored.has_fast_path
         equivalent(session, restored, ["n", "n + n", "n + n + n", "+ n"])
 
     def test_ambiguous_tree_counts_survive(self):
@@ -98,30 +127,6 @@ class TestRoundTrip:
             session_from_dict({"format": 1, "kind": "something-else"})
 
 
-class TestFastPath:
-    def test_fast_path_is_dropped_on_modify(self):
-        restored = session_from_dict(session_to_dict(ParseSession("expr", EXPR)))
-        assert restored.has_fast_path
-        restored.add_rule("F ::= x")
-        assert not restored.has_fast_path
-        assert restored.recognize_payload("x + n")["accepted"] is True
-
-    def test_fast_path_agrees_with_pool_parser(self):
-        cold = ParseSession("expr", EXPR)
-        warm = session_from_dict(session_to_dict(cold))
-        equivalent(cold, warm, SENTENCES)
-        # And the trees are byte-identical, not merely equinumerous.
-        assert (
-            warm.parse_payload("n + n * n")["trees"]
-            == cold.parse_payload("n + n * n")["trees"]
-        )
-
-    def test_resnapshot_of_restored_session_reuses_table(self):
-        warm = session_from_dict(session_to_dict(ParseSession("expr", EXPR)))
-        payload = session_to_dict(warm)
-        assert payload["table"] is not None
-
-
 class TestThroughTheProtocol:
     def test_snapshot_restore_exchange(self, tmp_path):
         path = str(tmp_path / "s1.session.json")
@@ -129,21 +134,24 @@ class TestThroughTheProtocol:
         d.handle({"cmd": "open", "session": "s1", "grammar": EXPR})
         saved = d.handle({"cmd": "snapshot", "session": "s1", "path": path})
         assert saved["saved"] == path
-        assert saved["deterministic"] is True
+        assert "deterministic" not in saved
 
         restored = d.handle({"cmd": "restore", "session": "warm", "path": path})
-        assert restored["fast_path"] is True
+        assert set(restored) == {
+            "cmd", "restored", "rules", "session", "time", "version"
+        }
         assert restored["version"] == 7
 
         cold = d.handle({"cmd": "parse", "session": "s1", "tokens": "n + n"})
         warm = d.handle({"cmd": "parse", "session": "warm", "tokens": "n + n"})
         assert warm["accepted"] and warm["trees"] == cold["trees"]
+        assert warm["engine"] == cold["engine"] == "compiled"
 
     def test_inline_snapshot_payload(self):
         d = Dispatcher()
         d.handle({"cmd": "open", "session": "s1", "grammar": AMBIGUOUS})
         snap = d.handle({"cmd": "snapshot", "session": "s1"})
-        assert snap["deterministic"] is False
+        assert "deterministic" not in snap
         restored = d.handle(
             {"cmd": "restore", "session": "s2", "snapshot": snap["snapshot"]}
         )
@@ -175,48 +183,39 @@ class TestVersionContinuity:
         restored.add_rule("E ::= extra")
         assert restored.version == saved_version + 1
 
-    def test_conflicted_table_is_rejected_at_attach(self):
-        from repro.lr.slr import slr_table
-        from repro.service import ServiceError
 
-        ambiguous = ParseSession("amb", AMBIGUOUS)
-        conflicted = slr_table(ambiguous.ipg.grammar.copy())
-        assert not conflicted.is_deterministic
-        with pytest.raises(ServiceError):
-            ParseSession("victim", EXPR).attach_fast_path(conflicted)
+class TestPreChangeSnapshots:
+    """Snapshot files that still carry a ``"table"`` restore, and the
+    table is ignored: the session answers as a cold one would."""
 
-    def test_corrupted_snapshot_table_surfaces_as_protocol_error(self):
-        d = Dispatcher()
-        d.handle({"cmd": "open", "session": "det", "grammar": EXPR})
-        d.handle({"cmd": "snapshot", "session": "det"})
-        d.handle({"cmd": "open", "session": "amb", "grammar": AMBIGUOUS})
-        bad = d.handle({"cmd": "snapshot", "session": "amb"})["snapshot"]
-        # Graft the ambiguous grammar's (conflicted) table... there is none,
-        # so fabricate the corruption the other way: a conflicted table from
-        # slr_table under a deterministic-looking snapshot.
-        from repro.lr.serialize import table_to_dict
-        from repro.lr.slr import slr_table
-        from repro.grammar.builders import grammar_from_text
+    @pytest.fixture
+    def saved(self):
+        with open(V7_SNAPSHOTS) as handle:
+            return json.load(handle)
 
-        bad["table"] = table_to_dict(slr_table(grammar_from_text(AMBIGUOUS)))
-        response = d.handle({"cmd": "restore", "session": "boom", "snapshot": bad})
-        assert "error" in response and "conflict" in response["error"]
+    @pytest.mark.parametrize("which", ["deterministic", "conflicted"])
+    def test_table_is_ignored_on_restore(self, saved, which):
+        text, sentences = {
+            "deterministic": (EXPR, SENTENCES),
+            "conflicted": (AMBIGUOUS, ["n", "n + n", "n + n + n", "+ n"]),
+        }[which]
+        payload = saved[which]
+        assert payload["table"] is not None
+        restored = session_from_dict(payload)
+        assert restored.version == payload["version"]
+        equivalent(ParseSession(payload["session"], text), restored, sentences)
 
-    def test_stale_table_for_a_different_grammar_is_rejected(self):
-        session = ParseSession("det", EXPR)
-        payload = session_to_dict(session)
-        # Corrupt the snapshot: change the grammar but keep the old table.
+    def test_stale_table_is_ignored_on_restore(self, saved, tmp_path):
+        # The grammar changed after the table was generated: the table
+        # no longer matches, and restore must not care.
+        payload = saved["deterministic"]
         payload["grammar"]["text"] += "\nF ::= maybe"
-        from repro.service import ServiceError
+        path = str(tmp_path / "stale.session.json")
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        d = Dispatcher()
+        restored = d.handle({"cmd": "restore", "session": "stale", "path": path})
+        assert "error" not in restored, restored
+        cold = ParseSession("stale", EXPR + "\nF ::= maybe")
+        equivalent(cold, d.workspace.get("stale"), SENTENCES + ["maybe * n"])
 
-        with pytest.raises(ServiceError, match="different grammar"):
-            session_from_dict(payload)
-
-    def test_snapshot_table_is_memoized_per_version(self):
-        session = ParseSession("det", EXPR)
-        first = session.deterministic_table()
-        assert first is not None
-        assert session.deterministic_table() is first      # cached
-        session.add_rule("F ::= y")
-        second = session.deterministic_table()
-        assert second is not None and second is not first  # recomputed
