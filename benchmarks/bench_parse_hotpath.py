@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Hot-path benchmark: tokens/sec per control-plane tier.
 
-Measures warm PAR-PARSE throughput for the lazy (seed-equivalent and
-current), compiled, and dense-table controls on the §7 workloads, and
-writes ``BENCH_parse_hotpath.json`` at the repo root so the perf
+Measures warm throughput for the lazy (paper reference), compiled and
+dense-table controls under PAR-PARSE, and for the merged-stack gss
+parser, on the §7 workloads, and writes ``BENCH_parse_hotpath.json`` at the repo root so the perf
 trajectory is tracked across PRs:
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py
@@ -12,8 +12,9 @@ Every run also times tree rendering (``ParseForest.brackets``) for the
 429-tree booleans forest and the ASF.sdf tree.
 
 CI smoke mode — booleans workload only, checked against the committed
-floor (fails when any tier regresses more than 3x, or when rendering
-the ASF.sdf tree takes more than 1.5x the time of counting it):
+floor (fails when compiled, table or gss is less than 1.25x lazy in the
+same run, when any tier regresses more than 3x, or when rendering the
+ASF.sdf tree takes more than 1.5x the time of counting it):
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py \\
         --workload booleans --floor benchmarks/hotpath_floor.json
@@ -75,8 +76,9 @@ def main(argv=None) -> int:
         "--floor",
         type=Path,
         default=None,
-        help="floor JSON to check against (exit 1 on a >3x regression "
-        "or a render/count ratio over its ceiling)",
+        help="floor JSON to check against (exit 1 on a same-run ratio "
+        "against lazy under its floor, a >3x regression, or a render/count "
+        "ratio over its ceiling)",
     )
     args = parser.parse_args(argv)
 

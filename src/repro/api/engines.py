@@ -1,9 +1,9 @@
 """The Engine protocol and registry: one uniform way to drive every parser.
 
-The repo grew four parsing runtimes (the paper's parallel pool, its
-compiled-control variant, dense-table LR(0), the graph-structured-stack
-recognizer) plus the Earley baseline — and until now the service, the CLI,
-the benches and the tests each hand-wired their favourite.  An
+The registry holds four engines: ``lazy`` (the paper's parallel pool over the
+lazy graph, the reference), ``compiled`` (the same pool behind the
+compiled control plane, the default), ``gss`` (graph-structured-stack
+GLR) and ``earley`` (the table-free oracle).  An
 :class:`Engine` packages one runtime behind ``recognize`` / ``parse`` /
 ``invalidate``; the registry makes them discoverable
 (:func:`engines`) and selectable per call (``Language.parse(...,
@@ -12,12 +12,9 @@ engine="gss")``).
 Engines are constructed against a :class:`~repro.api.language.Language`
 and share its incremental infrastructure: the ``lazy`` and ``compiled``
 engines run over the *same* item-set graph (so laziness and MODIFY behave
-exactly as in the paper), ``gss`` runs full GLR with shared packed
-forests over the same compiled control, while ``dense`` snapshots the
-grammar into a frozen LR(0) table that ``invalidate`` throws away on
-every edit — the conventional-generator trade-off, deliberately preserved
-for comparison.  ``earley`` reads the live grammar and needs no tables at
-all.
+exactly as in the paper), and ``gss`` runs full GLR with shared packed
+forests over the same compiled control.  ``earley`` reads the live
+grammar and needs no tables at all.
 
 Each engine declares its capabilities (``supports_trees``,
 ``supports_ambiguity``, ``supports_reparse``); asking a recognizer-only
@@ -37,7 +34,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 from ..baselines.earley import EarleyParser
 from ..grammar.symbols import END, Terminal
 from ..lr.actions import Accept, Reduce, Shift
-from ..lr.table import TableControl, lr0_table
 from ..runtime.errors import CapabilityError
 from ..runtime.forest import ParseForest
 from ..runtime.gss import GSSParser
@@ -147,7 +143,7 @@ def expected_terminals(
     input) expected.  Reduce cells deliberately do not count: LR(0)
     reduces fire on every terminal, and the state the reduce leads to is
     itself part of the replayed closure.  Works against any control
-    (graph-backed, compiled, dense table): they all answer ``action``.
+    (graph-backed, compiled, table): they all answer ``action``.
     """
     states = _sweep_states(control, failure)
     expected: List[Terminal] = []
@@ -236,15 +232,6 @@ class Engine:
     def invalidate(self) -> None:
         """Called after every grammar modification (MODIFY)."""
 
-    def prepare(self) -> None:
-        """Build whatever the engine builds ahead of parsing.
-
-        A no-op for the lazy family and Earley; the dense engine
-        generates its full table here.  The bench harness calls this in
-        the §7 ``construct`` phase so up-front generation cost lands in
-        the phase the paper measures it under.
-        """
-
     # -- shared plumbing ---------------------------------------------------
 
     def _report(
@@ -323,28 +310,20 @@ class _CheckpointMixin:
 
     Lazily builds one :class:`IncrementalParser` over the engine's own
     control (so checkpoints see exactly the automaton the engine parses
-    with) and wires its outcomes through the report protocol.  The parser
-    subscribes to the grammar, so a MODIFY between parse and reparse
-    invalidates every outstanding checkpoint; ``invalidate`` additionally
-    drops the parser itself (closing its subscription), which keeps
-    engines whose control is rebuilt on edits — the dense table — honest.
+    with) and wires its outcomes through the report protocol.  Both
+    engines parse over the language's live item-set graph, so one parser
+    serves the language's lifetime: it subscribes to the grammar, and the
+    epoch every MODIFY bumps invalidates outstanding checkpoints.
     """
 
     supports_reparse = True
-    #: True for engines whose control object is rebuilt on a grammar edit
-    #: (the dense table): their checkpoint parser must be discarded with
-    #: the control it indexes.  Graph-backed engines keep one parser for
-    #: the language's lifetime; its epoch (bumped via ``Grammar.subscribe``)
-    #: already invalidates outstanding checkpoints.
-    _control_rebuilt_on_modify = False
 
     def __init__(self, language: Any) -> None:
         super().__init__(language)
         self._incremental: Optional[IncrementalParser] = None
-        # Same audit as Language._engines_lock: ``invalidate`` fires from
-        # Grammar.subscribe during an edit while another thread's first
-        # checkpointed parse constructs the parser — without the lock the
-        # racers could each subscribe a parser and leak one observer.
+        # Same audit as Language._engines_lock: two threads' first
+        # checkpointed parses (or one racing ``close_incremental``) must
+        # not each subscribe a parser and leak one observer.
         self._incremental_lock = threading.Lock()
 
     def _incremental_parser(self) -> IncrementalParser:
@@ -405,11 +384,6 @@ class _CheckpointMixin:
             outcome.reuse["fallback"] = "no-checkpoint"
         return self._incremental_report(outcome, build_trees)
 
-    def invalidate(self) -> None:
-        if self._control_rebuilt_on_modify:
-            self.close_incremental()
-        super().invalidate()
-
     def close_incremental(self) -> None:
         """Release the checkpoint parser's grammar subscription."""
         with self._incremental_lock:
@@ -419,7 +393,7 @@ class _CheckpointMixin:
 
 
 # ---------------------------------------------------------------------------
-# The five registered engines.
+# The four registered engines.
 # ---------------------------------------------------------------------------
 
 
@@ -484,68 +458,6 @@ class CompiledEngine(_CheckpointMixin, Engine):
 
     def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
         return self._report(self.pool.parse(terminals), self.pool.control)
-
-
-@register_engine
-class DenseTableEngine(_CheckpointMixin, Engine):
-    """Conventional generation into a dense integer LR(0) table.
-
-    The PG/Yacc deployment shape: the whole automaton is generated up
-    front and frozen into packed integer rows
-    (:class:`~repro.lr.table.DenseTable`); a grammar edit throws the
-    table away and the next parse regenerates it from scratch — the cost
-    profile section 7 measures for non-incremental generators.
-    """
-
-    name = "dense"
-    summary = "full LR(0) generation into a frozen dense integer table"
-    _control_rebuilt_on_modify = True
-
-    def __init__(self, language: Any) -> None:
-        super().__init__(language)
-        self._pool: Optional[PoolParser] = None
-
-    @property
-    def pool(self) -> PoolParser:
-        """The (lazily built) pool parser — the trace-capable runtime.
-
-        Exposed under the same name as the other pool-backed engines so
-        ``Language.parse(..., trace=...)`` routes through it uniformly.
-        """
-        return self._parser()
-
-    def _parser(self) -> PoolParser:
-        if self._pool is None:
-            from ..lr.generator import ConventionalGenerator
-
-            # Generate against a copy: expansion must not leak observers
-            # onto (or expansion work into) the language's live graph.
-            generator = ConventionalGenerator(self.language.grammar.copy())
-            generator.generate()
-            control = TableControl(lr0_table(generator.graph))
-            self._pool = PoolParser(
-                control,
-                self.language.grammar,
-                max_sweep_steps=self.language.max_sweep_steps,
-            )
-        return self._pool
-
-    def recognize(self, terminals: Sequence[Terminal]) -> EngineReport:
-        pool = self._parser()
-        return self._report(
-            pool.recognize_result(terminals), pool.control, build_trees=False
-        )
-
-    def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
-        pool = self._parser()
-        return self._report(pool.parse(terminals), pool.control)
-
-    def invalidate(self) -> None:
-        self._pool = None
-        super().invalidate()  # drop checkpoints tied to the discarded table
-
-    def prepare(self) -> None:
-        self._parser()
 
 
 @register_engine

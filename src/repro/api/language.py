@@ -378,7 +378,7 @@ class Language:
         layer, exactly as in the service protocol.
 
         ``trace`` records the parser's moves and is honored by every
-        pool-backed engine (lazy/compiled/dense/gss); the Earley engine
+        pool-backed engine (lazy/compiled/gss); the Earley engine
         has no LR moves to record and leaves the trace empty.
 
         With ``checkpoint=True`` (and an engine that supports re-parsing)

@@ -153,8 +153,8 @@ class EngineSystem(SystemAdapter):
     One adapter covers every registered engine: ``construct`` builds a
     :class:`~repro.api.Language` around the grammar and instantiates the
     engine, ``modify`` is one incremental ADD-RULE (each engine reacts
-    through its own ``invalidate`` — the dense table regenerates, the
-    graph engines repair), ``parse`` drives the uniform protocol.  This is
+    through its own ``invalidate`` — the graph engines repair, Earley
+    drops its chart analysis), ``parse`` drives the uniform protocol.  This is
     how new engines join the Fig. 7.1 comparison without touching the
     harness: register them and they appear as ``engine:<name>``.
     """
@@ -176,10 +176,6 @@ class EngineSystem(SystemAdapter):
 
         self.language = Language(grammar)
         self.engine = self.language.engine(self.engine_name)
-        # Up-front generation cost (the dense engine's whole table; a
-        # no-op for the lazy family and Earley) lands in this phase, as
-        # the §7 protocol prescribes.
-        self.engine.prepare()
 
     def parse(self, tokens: TokenStream) -> bool:
         assert self.engine is not None, "construct first"

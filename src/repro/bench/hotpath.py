@@ -3,14 +3,14 @@
 Measures the *warm* parse loop — the steady state the lazy/incremental
 generators put the system in — for each tier of the control plane:
 
-* ``lazy_baseline`` — the seed behaviour: :class:`LazyControl` with the
-  original O(stack-depth) tuple signatures (the pre-compiled-control hot
-  path, kept measurable via ``PoolParser(legacy_signatures=True)``);
-* ``lazy`` — :class:`LazyControl` with incremental O(1) stack signatures;
+* ``lazy`` — the paper reference: :class:`LazyControl`, every ACTION a
+  method call on the item-set graph, the denominator of the floor's
+  same-run ratios;
 * ``compiled`` — :class:`~repro.lr.compiled.CompiledControl` memoizing
   ACTION into shared tuples (what :class:`~repro.core.ipg.IPG` runs);
 * ``table`` — the dense integer :class:`~repro.lr.table.TableControl`
-  over a fully expanded LR(0) table (the kernel-free representation);
+  over a fully expanded LR(0) table (the conventional-generator
+  representation; no engine serves it);
 * ``gss`` — the merged-stack :class:`~repro.runtime.gss.GSSParser` over
   the compiled control: Tomita's graph-structured stack bounds the live
   frontier by the state count, so the heavily ambiguous booleans
@@ -51,7 +51,7 @@ from .workloads import (
     sdf_workload,
 )
 
-CONTROL_TIERS = ("lazy_baseline", "lazy", "compiled", "table", "gss")
+CONTROL_TIERS = ("lazy", "compiled", "table", "gss")
 
 #: PAR-PARSE keeps one linear stack per live parser, so heavily ambiguous
 #: sentences (the booleans medium/large inputs) are exponential in every
@@ -68,9 +68,8 @@ TIER_FEASIBLE_INPUTS: Dict[str, Dict[str, Sequence[str]]] = {
 }
 
 
-def _lazy_parser(grammar: Grammar, legacy: bool) -> PoolParser:
-    generator = IncrementalGenerator(grammar)
-    return PoolParser(generator.control, grammar, legacy_signatures=legacy)
+def _lazy_parser(grammar: Grammar) -> PoolParser:
+    return PoolParser(IncrementalGenerator(grammar).control, grammar)
 
 
 def _compiled_parser(grammar: Grammar) -> PoolParser:
@@ -92,8 +91,7 @@ def _gss_parser(grammar: Grammar) -> GSSParser:
 
 
 TIER_FACTORIES: Dict[str, Callable[[Grammar], Any]] = {
-    "lazy_baseline": lambda grammar: _lazy_parser(grammar, legacy=True),
-    "lazy": lambda grammar: _lazy_parser(grammar, legacy=False),
+    "lazy": _lazy_parser,
     "compiled": _compiled_parser,
     "table": _table_parser,
     "gss": _gss_parser,
@@ -157,7 +155,7 @@ def measure_hotpath(
 
         {"workload": ..., "repeats": ..., "mode": ...,
          "inputs": {name: {"tokens": N, "tokens_per_sec": {tier: t/s}}},
-         "speedup_compiled_vs_baseline": {name: ratio}}
+         "speedup_compiled_vs_lazy": {name: ratio}}
     """
     base = list(inputs) if inputs is not None else list(workload.input_names())
     overrides = dict(tier_inputs or {})
@@ -172,7 +170,7 @@ def measure_hotpath(
         "repeats": repeats,
         "mode": mode,
         "inputs": {},
-        "speedup_compiled_vs_baseline": {},
+        "speedup_compiled_vs_lazy": {},
     }
     for name in names:
         tokens = workload.inputs[name]
@@ -189,9 +187,9 @@ def measure_hotpath(
             "tokens": len(tokens),
             "tokens_per_sec": rates,
         }
-        if rates.get("lazy_baseline") and rates.get("compiled"):
-            report["speedup_compiled_vs_baseline"][name] = round(
-                rates["compiled"] / rates["lazy_baseline"], 2
+        if rates.get("lazy") and rates.get("compiled"):
+            report["speedup_compiled_vs_lazy"][name] = round(
+                rates["compiled"] / rates["lazy"], 2
             )
     # Workload-level aggregate: total tokens / total seconds per tier
     # (equivalently the token-weighted harmonic mean of the input rates),
@@ -213,9 +211,9 @@ def measure_hotpath(
         if total_seconds:
             aggregate[tier] = round(total_tokens / total_seconds, 1)
     report["aggregate_tokens_per_sec"] = aggregate
-    if aggregate.get("lazy_baseline") and aggregate.get("compiled"):
-        report["speedup_compiled_vs_baseline"]["aggregate"] = round(
-            aggregate["compiled"] / aggregate["lazy_baseline"], 2
+    if aggregate.get("lazy") and aggregate.get("compiled"):
+        report["speedup_compiled_vs_lazy"]["aggregate"] = round(
+            aggregate["compiled"] / aggregate["lazy"], 2
         )
     return report
 
@@ -327,7 +325,7 @@ def render_hotpath(report: Dict[str, Any]) -> str:
     for name, data in report["inputs"].items():
         rates = data["tokens_per_sec"]
         cells = "".join(f" {rates.get(tier, 0.0):>14,.0f}" for tier in tiers)
-        speedup = report["speedup_compiled_vs_baseline"].get(name)
+        speedup = report["speedup_compiled_vs_lazy"].get(name)
         suffix = f" {speedup:>8.2f}x" if speedup is not None else ""
         lines.append(f"  {name:12s} {data['tokens']:>7d}{cells}{suffix}")
     return "\n".join(lines)
@@ -365,9 +363,10 @@ def check_floor(
     * ``relative`` — machine-independent ratios *within the same run*:
       each rule ``{"input", "numerator", "denominator", "min_ratio"}``
       fails when ``numerator`` tokens/sec is less than ``min_ratio`` ×
-      ``denominator``.  This is the real regression signal: reintroducing
-      O(depth) signatures or per-call action allocation collapses the
-      compiled-vs-baseline ratio no matter how fast the runner is.
+      ``denominator``.  This is the real regression signal: losing the
+      compiled control's memoized ACTION cells or its deterministic
+      stretch collapses the compiled-vs-lazy ratio no matter how fast the
+      runner is.
     """
     problems = []
     for name, floor_rates in floor.get("tokens_per_sec", {}).items():

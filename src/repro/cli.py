@@ -76,7 +76,7 @@ Commands
 Parsing runs through :mod:`repro.api`: rejected inputs print a diagnostic
 line with the offending token's position and the expected terminal set,
 and ``engine`` switches between every registered parsing runtime
-(``lazy`` / ``compiled`` / ``dense`` / ``gss`` / ``earley``).  With
+(``lazy`` / ``compiled`` / ``gss`` / ``earley``).  With
 ``lexer scanner`` the REPL derives an ISG scanner from the grammar's own
 terminals (kept in sync with ``add``/``delete``), so punctuation no
 longer needs surrounding blanks: ``parse (n+n)*n``.
@@ -87,7 +87,7 @@ from __future__ import annotations
 import sys
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .api import ScannerTokenizer, WhitespaceTokenizer, engine_descriptions, engines
+from .api import ScannerTokenizer, WhitespaceTokenizer, engines
 from .core.ipg import IPG
 from .grammar.grammar import Grammar, GrammarError
 from .runtime.errors import CapabilityError, ParseError

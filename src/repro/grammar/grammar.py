@@ -27,7 +27,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Set,
     Tuple,
 )
 

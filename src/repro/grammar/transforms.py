@@ -26,7 +26,7 @@ from typing import Tuple
 
 from .grammar import Grammar
 from .rules import Rule
-from .symbols import NonTerminal, Symbol, Terminal
+from .symbols import NonTerminal, Symbol
 
 
 def _derived_name(base: str, suffix: str) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..grammar.rules import Rule
-from ..grammar.symbols import END, NonTerminal, Symbol, Terminal
+from ..grammar.symbols import END, NonTerminal, Terminal
 from .actions import ACCEPT_ACTION, Action, ActionSet, Reduce, Shift
 from .compiled import Step, encode_step
 from .conflicts import Conflict

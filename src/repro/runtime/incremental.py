@@ -10,8 +10,9 @@ a tuple of :class:`~repro.runtime.stacks.StackCell` pointers — an O(live
 parsers) *checkpoint* that shares every cell with the run that produced
 it.
 
-:class:`IncrementalParser` runs the same sweep algorithm as
-:class:`~repro.runtime.parallel.PoolParser` (shift-synchronized parser
+:class:`IncrementalParser` calls the same sweep function as
+:class:`~repro.runtime.parallel.PoolParser`
+(:func:`~repro.runtime.parallel.sweep_symbol`: shift-synchronized parser
 pool, duplicate elision, sweep budget) but records the pool frontier at
 every token boundary.  Given a splice edit ``(start, end, replacement)``
 over the previous input, :meth:`IncrementalParser.reparse`
@@ -62,12 +63,16 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import END, Terminal
-from ..lr.actions import Reduce, Shift
-from .deadline import CHECK_MASK, active_deadline
-from .errors import SweepLimitExceeded
+from .deadline import active_deadline
 from .forest import Forest, TreeNode
-from .lr_parse import recover_start_trees
-from .parallel import ParseFailure, ParseResult, ParseStats
+from .parallel import (
+    ParseFailure,
+    ParseResult,
+    ParseStats,
+    collect_accepted,
+    stack_depth_limit,
+    sweep_symbol,
+)
 from .stacks import StackCell
 
 __all__ = ["Edit", "IncrementalOutcome", "IncrementalParser", "splice"]
@@ -186,9 +191,13 @@ class IncrementalOutcome:
 class IncrementalParser:
     """PAR-PARSE with per-token checkpoints and splice-edit resume.
 
-    Drives the same control protocol as :class:`PoolParser`
-    (``start_state`` / ``action`` / ``goto``), so it runs over the lazy
-    graph, the compiled control plane, or a dense table unchanged.  When
+    Runs PAR-PARSE's general sweep
+    (:func:`~repro.runtime.parallel.sweep_symbol`) symbol by symbol over
+    the same control protocol as :class:`PoolParser` (``start_state`` /
+    ``action`` / ``goto``), so it runs over the lazy graph or the compiled
+    control plane unchanged, and a checkpointed parse reports the same
+    stats as a plain one.  There is no deterministic stretch: every
+    boundary needs its frontier recorded.  When
     constructed with a grammar it subscribes to it: every MODIFY bumps
     ``epoch``, which invalidates all previously issued checkpoints (a
     stale ``reparse`` silently becomes a full checkpointed parse).
@@ -351,16 +360,12 @@ class IncrementalParser:
     ) -> IncrementalOutcome:
         """Sweep from ``boundary`` to acceptance, death, or convergence."""
         n = len(sentence)
-        nonterminal_count = (
-            len(self.grammar.nonterminals) if self.grammar is not None else 0
-        )
-        # Same structural guards as PoolParser._run: the depth bound
-        # witnesses hidden left recursion, the sweep budget cyclicity.
-        max_depth = (n + 3) * max(16, nonterminal_count + 2)
+        grammar = self.grammar
+        control = self.control
+        max_depth = stack_depth_limit(n, grammar)
+        deadline = active_deadline()
 
         stats = ParseStats()
-        stats.max_live_parsers = 0
-        accepted = False
         accepted_trees: Dict[TreeNode, None] = {}
         failure: Optional[ParseFailure] = None
         converged_at: Optional[int] = None
@@ -385,19 +390,23 @@ class IncrementalParser:
                         converged_at = position
                         break
             symbol = sentence[position] if position < n else END
-            next_frontier, dead_states, accepting = self._sweep(
-                frontier, symbol, position, forest, max_depth, stats
+            stats.sweeps += 1
+            if deadline is not None and deadline.expired():
+                raise deadline.exceed(position)
+            next_frontier, dead_states, accepting = sweep_symbol(
+                frontier,
+                symbol,
+                position,
+                control,
+                forest,
+                max_depth,
+                self.max_sweep_steps,
+                stats,
+                deadline,
             )
-            for stack in accepting:
-                accepted = True
-                stats.accepting_parsers += 1
-                if build_trees and forest is not None and self.grammar is not None:
-                    for tree in recover_start_trees(
-                        stack, self.grammar.start_rules(), forest
-                    ):
-                        accepted_trees.setdefault(tree)
+            collect_accepted(accepting, grammar, forest, stats, accepted_trees)
             if not next_frontier:
-                if not accepted:
+                if not stats.accepting_parsers:
                     failure = ParseFailure(
                         position, symbol, tuple(frontier), tuple(dead_states)
                     )
@@ -407,6 +416,7 @@ class IncrementalParser:
             frontier = next_frontier
             position += 1
 
+        accepted = stats.accepting_parsers > 0
         if converged_at is not None:
             assert base is not None
             # Equal frontiers + equal remaining input => every future
@@ -449,104 +459,3 @@ class IncrementalParser:
             "stopped_at": min(position, n),
         }
         return outcome
-
-    def _sweep(
-        self,
-        frontier: Tuple[StackCell, ...],
-        symbol: Terminal,
-        position: int,
-        forest: Optional[Forest],
-        max_depth: int,
-        stats: ParseStats,
-    ) -> Tuple[Tuple[StackCell, ...], List[Any], List[StackCell]]:
-        """One shift-synchronized sweep (PAR-PARSE's inner loop).
-
-        Returns ``(next frontier, dead states, accepting stacks)``.
-        Semantics match ``PoolParser._run``'s general sweep exactly:
-        reduces feed back into the current sweep behind a seen-set seeded
-        with the initial configurations, shifts deduplicate into the next
-        frontier, empty ACTION rows record the death site.
-        """
-        control_action = self.control.action
-        control_goto = self.control.goto
-        this_sweep: List[StackCell] = list(frontier)
-        seen = set(this_sweep)
-        next_seen: set = set()
-        next_sweep: List[StackCell] = []
-        dead_states: List[Any] = []
-        accepting: List[StackCell] = []
-        stats.sweeps += 1
-        steps = 0
-        deadline = active_deadline()
-        if deadline is not None and deadline.expired():
-            raise deadline.exceed(position)
-        while this_sweep:
-            stack = this_sweep.pop()
-            steps += 1
-            if steps > self.max_sweep_steps:
-                raise SweepLimitExceeded(
-                    f"more than {self.max_sweep_steps} parser steps on one "
-                    f"input symbol (position {position}, {symbol!s}); "
-                    f"the grammar is most likely cyclic",
-                    position=position,
-                    symbol=symbol,
-                )
-            if (
-                deadline is not None
-                and (steps & CHECK_MASK) == 0
-                and deadline.expired()
-            ):
-                raise deadline.exceed(position)
-            if stack.depth > max_depth:
-                raise SweepLimitExceeded(
-                    f"parse stack exceeded depth {max_depth} at position "
-                    f"{position}; the grammar has hidden left recursion "
-                    f"or is cyclic",
-                    position=position,
-                    symbol=symbol,
-                )
-            state = stack.state
-            actions = control_action(state, symbol)
-            stats.action_calls += 1
-            if not actions:
-                if state not in dead_states:
-                    dead_states.append(state)
-                continue
-            if len(actions) > 1:
-                stats.forks += len(actions) - 1
-            for action in actions:
-                if isinstance(action, Shift):
-                    leaf = (
-                        forest.leaf(symbol, position)
-                        if forest is not None
-                        else None
-                    )
-                    new_stack = StackCell(action.target, stack, leaf)
-                    if new_stack in next_seen:
-                        stats.duplicates_dropped += 1
-                        continue
-                    next_seen.add(new_stack)
-                    next_sweep.append(new_stack)
-                    stats.shifts += 1
-                elif isinstance(action, Reduce):
-                    rule = action.rule
-                    below, children = stack.pop(len(rule.rhs))
-                    goto_state = control_goto(below.state, rule.lhs)
-                    node = (
-                        forest.node(rule, children)
-                        if forest is not None
-                        else None
-                    )
-                    new_stack = StackCell(goto_state, below, node)
-                    if new_stack in seen:
-                        stats.duplicates_dropped += 1
-                        continue
-                    seen.add(new_stack)
-                    this_sweep.append(new_stack)
-                    stats.reduces += 1
-                else:  # Accept
-                    accepting.append(stack)
-            live = len(this_sweep) + len(next_sweep)
-            if live > stats.max_live_parsers:
-                stats.max_live_parsers = live
-        return tuple(next_sweep), dead_states, accepting

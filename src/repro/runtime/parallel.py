@@ -3,9 +3,18 @@
 A dynamically varying pool of simple LR parsers runs over the input.  All
 parsers are synchronized on shift actions: the pool ``this_sweep`` holds
 parsers that still have to act on the current symbol, ``next_sweep`` those
-already waiting for the next one.  When ``ACTION`` returns several actions
-the parser is *copied* per action — an O(1) operation because parse stacks
-are shared cons chains (:mod:`repro.runtime.stacks`).
+already waiting for the next one.  The paper's LRparser object has a
+single field, its stack, so a parser here *is* its top
+:class:`~repro.runtime.stacks.StackCell`.  When ``ACTION`` returns several
+actions the parser is *copied* per action — an O(1) operation because
+parse stacks are shared cons chains (:mod:`repro.runtime.stacks`).
+
+:func:`sweep_symbol` is the one general sweep over one input symbol.
+:class:`PoolParser` runs it after an Elkhound-style deterministic stretch
+(a plain LR loop while exactly one parser is live);
+:class:`~repro.runtime.incremental.IncrementalParser` runs it at every
+token boundary it checkpoints.  Both drivers therefore take the same steps
+and report the same :class:`ParseStats`.
 
 Deviations from the paper's listing, each deliberate and documented:
 
@@ -25,7 +34,7 @@ Deviations from the paper's listing, each deliberate and documented:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import END, Terminal
@@ -35,6 +44,7 @@ from ..lr.states import ItemSet
 from .deadline import CHECK_MASK, active_deadline
 from .errors import SweepLimitExceeded
 from .forest import Forest, TreeNode
+from .lr_parse import recover_start_trees
 from .stacks import StackCell
 from .trace import Trace, TraceEvent
 
@@ -147,13 +157,193 @@ class ParseResult:
         )
 
 
-class _Parser:
-    """The paper's LRparser object: a single field, the stack."""
+def stack_depth_limit(tokens: int, grammar: Optional[Grammar]) -> int:
+    """The deepest parse stack a run over ``tokens`` input tokens may build.
 
-    __slots__ = ("stack",)
+    Structural termination guard: for a non-cyclic grammar, the LR stack
+    holds at most one cell per consumed token plus a bounded run of
+    epsilon-derived non-terminals between tokens.  A stack deeper than
+    that witnesses hidden left recursion / a cyclic grammar — the
+    configurations Tomita's algorithm excludes — and raising beats growing
+    without bound.
+    """
+    nonterminals = len(grammar.nonterminals) if grammar is not None else 0
+    return (tokens + 3) * max(16, nonterminals + 2)
 
-    def __init__(self, stack: StackCell) -> None:
-        self.stack = stack
+
+def sweep_symbol(
+    stacks: Sequence[StackCell],
+    symbol: Terminal,
+    position: int,
+    control: Any,
+    forest: Optional[Forest],
+    max_depth: int,
+    max_sweep_steps: int,
+    stats: ParseStats,
+    deadline: Any = None,
+    trace: Optional[Trace] = None,
+    prefetched: Optional[Tuple[Any, Any]] = None,
+) -> Tuple[Tuple[StackCell, ...], List[Any], List[StackCell]]:
+    """One shift-synchronized sweep of PAR-PARSE over ``symbol``.
+
+    ``stacks`` are the live parsers facing the symbol at input index
+    ``position``.  Returns ``(next frontier, dead states, accepting
+    stacks)``: the parsers that shifted the symbol, the states whose
+    ACTION row was empty on it (the death sites a diagnostic reads), and
+    the parsers that accepted.  Reduces feed back into the current sweep
+    behind a seen-set seeded with ``stacks``; shifts deduplicate into the
+    next frontier.  ``prefetched`` is a ``(state, actions)`` cell the
+    caller already computed for one of ``stacks``; ``trace`` records every
+    move.  Work counters are added to ``stats``.
+
+    The single general sweep behind both :class:`PoolParser` and
+    :class:`~repro.runtime.incremental.IncrementalParser`, so a plain and a
+    checkpointed parse of the same input take exactly the same steps.
+    """
+    control_action = control.action
+    control_goto = control.goto
+    prefetched_state, prefetched_actions = prefetched or (None, None)
+    this_sweep: List[StackCell] = list(stacks)
+    # Configurations already alive in this sweep; used to drop exact
+    # duplicates produced by converging forks.  A stack cell *is* its
+    # signature (incrementally hashed at push time), so membership tests
+    # cost O(1) instead of an O(depth) tuple walk.
+    seen = set(this_sweep)
+    next_seen: Set[StackCell] = set()
+    next_sweep: List[StackCell] = []
+    dead_states: List[Any] = []
+    accepting: List[StackCell] = []
+    # Local counters, folded into ``stats`` once at the end: attribute
+    # increments are hot-loop costs.
+    steps = 0
+    n_action_calls = 0
+    n_shifts = 0
+    n_reduces = 0
+    n_forks = 0
+    n_duplicates = 0
+    max_live = 0
+    while this_sweep:
+        stack = this_sweep.pop()
+        steps += 1
+        if steps > max_sweep_steps:
+            raise SweepLimitExceeded(
+                f"more than {max_sweep_steps} parser steps on one input "
+                f"symbol (position {position}, {symbol!s}); the grammar is "
+                f"most likely cyclic",
+                position=position,
+                symbol=symbol,
+            )
+        if deadline is not None and (steps & CHECK_MASK) == 0 and deadline.expired():
+            raise deadline.exceed(position)
+        if stack.depth > max_depth:
+            raise SweepLimitExceeded(
+                f"parse stack exceeded depth {max_depth} at position "
+                f"{position}; the grammar has hidden left recursion or is "
+                f"cyclic",
+                position=position,
+                symbol=symbol,
+            )
+        state = stack.state
+        if prefetched_actions is not None and state is prefetched_state:
+            actions = prefetched_actions
+            prefetched_actions = None
+        else:
+            actions = control_action(state, symbol)
+        n_action_calls += 1
+        if not actions:
+            # The paper's error action: this parser dies here.  The state
+            # is remembered so a rejection can report what *would* have
+            # been accepted instead.
+            if state not in dead_states:
+                dead_states.append(state)
+            continue
+        if len(actions) > 1:
+            n_forks += len(actions) - 1
+
+        for action in actions:
+            # "for each action a copy of the parser is made and the action
+            # is performed on this copy" — copying is just reusing the
+            # immutable stack pointer.
+            if isinstance(action, Shift):
+                leaf = forest.leaf(symbol, position) if forest else None
+                new_stack = StackCell(action.target, stack, leaf)
+                if new_stack in next_seen:
+                    n_duplicates += 1
+                    continue
+                next_seen.add(new_stack)
+                next_sweep.append(new_stack)
+                n_shifts += 1
+                if trace is not None:
+                    trace.record(
+                        TraceEvent(
+                            "shift",
+                            state,
+                            symbol=symbol,
+                            target=action.target,
+                            position=position,
+                        )
+                    )
+            elif isinstance(action, Reduce):
+                rule = action.rule
+                below, children = stack.pop(len(rule.rhs))
+                goto_state = control_goto(below.state, rule.lhs)
+                node = forest.node(rule, children) if forest else None
+                new_stack = StackCell(goto_state, below, node)
+                if new_stack in seen:
+                    n_duplicates += 1
+                    continue
+                seen.add(new_stack)
+                this_sweep.append(new_stack)
+                n_reduces += 1
+                if trace is not None:
+                    trace.record(
+                        TraceEvent(
+                            "reduce",
+                            state,
+                            rule=rule,
+                            target=goto_state,
+                            position=position,
+                        )
+                    )
+            else:
+                assert isinstance(action, Accept)
+                accepting.append(stack)
+                if trace is not None:
+                    trace.record(TraceEvent("accept", state, position=position))
+
+        live = len(this_sweep) + len(next_sweep)
+        if live > max_live:
+            max_live = live
+
+    stats.action_calls += n_action_calls
+    stats.shifts += n_shifts
+    stats.reduces += n_reduces
+    stats.forks += n_forks
+    stats.duplicates_dropped += n_duplicates
+    if max_live > stats.max_live_parsers:
+        stats.max_live_parsers = max_live
+    return tuple(next_sweep), dead_states, accepting
+
+
+def collect_accepted(
+    accepting: Iterable[StackCell],
+    grammar: Optional[Grammar],
+    forest: Optional[Forest],
+    stats: ParseStats,
+    trees: Dict[TreeNode, None],
+) -> None:
+    """Count accepting parsers and add their START derivations to ``trees``.
+
+    ``trees`` is keyed on the forest's hash-consed nodes themselves:
+    within one run the forest interns equal derivations into the *same*
+    object, so node identity is the dedup key, and equal trees from
+    distinct accepting parsers cannot double-report.
+    """
+    for stack in accepting:
+        stats.accepting_parsers += 1
+        if forest is not None and grammar is not None:
+            for tree in recover_start_trees(stack, grammar.start_rules(), forest):
+                trees.setdefault(tree)
 
 
 class PoolParser:
@@ -176,15 +366,10 @@ class PoolParser:
         control: Any,
         grammar: Optional[Grammar] = None,
         max_sweep_steps: int = 1_000_000,
-        legacy_signatures: bool = False,
     ) -> None:
         self.control = control
         self.grammar = grammar
         self.max_sweep_steps = max_sweep_steps
-        #: Use the original O(depth) tuple signatures instead of the O(1)
-        #: incremental cell hashes.  Only the hot-path benchmark sets
-        #: this, to keep the seed's behaviour measurable as a baseline.
-        self.legacy_signatures = legacy_signatures
 
     # -- public API ------------------------------------------------------
 
@@ -215,112 +400,88 @@ class PoolParser:
 
         stats = ParseStats()
         forest = Forest() if build_trees else None
-        accepted = False
-        # Keyed on the forest's hash-consed nodes themselves: within one
-        # run the forest interns equal derivations into the *same* object,
-        # so node identity — not a transient id() — is the dedup key, and
-        # equal trees from distinct accepting parsers cannot double-report.
+        grammar = self.grammar
         accepted_trees: Dict[TreeNode, None] = {}
+        max_depth = stack_depth_limit(len(sentence) - 1, grammar)
 
-        # Structural termination guard: for a non-cyclic grammar, the LR
-        # stack holds at most one cell per consumed token plus a bounded
-        # run of epsilon-derived non-terminals between tokens.  A stack
-        # deeper than that witnesses hidden left recursion / a cyclic
-        # grammar — the configurations Tomita's algorithm excludes — and
-        # raising beats growing without bound.
-        nonterminal_count = (
-            len(self.grammar.nonterminals) if self.grammar is not None else 0
-        )
-        max_depth = (len(sentence) + 2) * max(16, nonterminal_count + 2)
-
-        start_parser = _Parser(StackCell(self.control.start_state))
-        next_sweep: List[_Parser] = [start_parser]
+        # The live parsers facing the next symbol.  Stacks are immutable
+        # cons cells, so a frontier is O(live parsers) and shares
+        # everything; the frontier at the start of the final sweep goes
+        # into the failure record.
+        frontier: Tuple[StackCell, ...] = (StackCell(self.control.start_state),)
+        sweep_stacks = frontier
+        # States whose ACTION row came back empty during the last general
+        # sweep: if the pool dies, exactly the death sites a diagnostic
+        # reads the expected terminals off.
+        dead_states: List[Any] = []
         position = 0
 
         # Hot-loop locals: the ACTION/GOTO loop below runs once per parser
         # step under warm service traffic, so attribute lookups that are
         # invariant across the whole run are hoisted out of it.
-        control_action = self.control.action
-        control_goto = self.control.goto
+        control = self.control
+        control_action = control.action
+        control_goto = control.goto
         max_sweep_steps = self.max_sweep_steps
         sentence_length = len(sentence)
-        legacy = self.legacy_signatures
-        tracing = trace is not None
         # Cooperative request deadline (service layer).  Read once: the
         # scope installed by the dispatcher outlives the whole run, and a
         # single local makes the per-step poll a None check.
         deadline = active_deadline()
-        # The deterministic stretch (below) bails back to the general pool
-        # machinery after this many reduces on one symbol: a cyclic
-        # grammar loops without net stack growth, and only the general
-        # sweep's seen-set can converge it the way the paper's duplicate
-        # elision does.  Scaled generously so legitimate unit/epsilon
-        # cascades never bail.
-        fast_mode = not tracing and not legacy
+        # The deterministic stretch (below) bails back to the general
+        # sweep after this many reduces on one symbol: a cyclic grammar
+        # loops without net stack growth, and only the general sweep's
+        # seen-set can converge it the way the paper's duplicate elision
+        # does.  Scaled generously so legitimate unit/epsilon cascades
+        # never bail.
+        fast_mode = trace is None
+        nonterminal_count = len(grammar.nonterminals) if grammar is not None else 0
         fast_reduce_budget = 64 + 4 * (nonterminal_count + 2)
         # Zero-call probe surface: a compiled (or dense-table) control
         # exposes its pre-decoded step cells, so the fast stretch reads
         # memo dicts directly instead of paying a method call per step;
         # the hits taken this way are credited back below.
-        step_cache = getattr(self.control, "fast_step_cache", None)
-        credit_hits = getattr(self.control, "count_probe_hits", None)
+        step_cache = getattr(control, "fast_step_cache", None)
+        credit_hits = getattr(control, "count_probe_hits", None)
         steps_get = step_cache.get if step_cache is not None else None
         # A compiled control wraps graph states (ItemSets with a
         # transitions dict), so GOTO can be probed directly as well.
-        graph_states = getattr(self.control, "action_cache", None) is not None
-        # Local step counters (both loops), folded into ``stats`` before
-        # returning — attribute increments are hot-loop costs too.
+        graph_states = getattr(control, "action_cache", None) is not None
+        # Stretch step counters, folded into ``stats`` before returning
+        # (the general sweep adds its own).
         fast_calls = 0
         fast_shifts = 0
         fast_reduces = 0
         fast_hits = 0
-        n_action_calls = 0
-        n_shifts = 0
-        n_reduces = 0
-        n_forks = 0
-        n_duplicates = 0
         n_sweeps = 0
-        max_live = 1
-        # States whose ACTION row came back empty during the current
-        # general sweep.  Only the last sweep's list survives the run; if
-        # the pool dies it is exactly the set of death sites a diagnostic
-        # reads the expected terminals off.  Allocated lazily: the happy
-        # path never touches it.
-        dead_states: Optional[List[Any]] = None
-        # The stacks alive at the start of the current sweep, for the
-        # failure record.  Stacks are immutable cons cells, so keeping
-        # references is O(live parsers) per symbol and shares everything.
-        sweep_stacks: List[StackCell] = [start_parser.stack]
 
-        while next_sweep and position < sentence_length:
+        while frontier and position < sentence_length:
             symbol = sentence[position]
             position += 1
             n_sweeps += 1
             if deadline is not None and deadline.expired():
                 raise deadline.exceed(position - 1)
-            dead_states = None
-            sweep_stacks = [p.stack for p in next_sweep]
+            sweep_stacks = frontier
 
             # ACTION result carried from the stretch into the general
             # sweep on a bail, so controls without a step cache don't
             # compute the same conflicted cell twice.
             prefetched = None
-            prefetched_state = None
 
             # -- deterministic stretch --------------------------------------
             # Elkhound-style LR/GLR hybrid: while exactly one parser is
             # live and ACTION is single-valued, run a plain LR loop across
             # symbols with no forking, no signature sets, and no pool
             # bookkeeping.  Warm deterministic traffic spends almost all
-            # its steps here; the general machinery below takes over the
-            # moment a conflict, an error, or a suspected cycle appears.
-            if fast_mode and len(next_sweep) == 1:
-                stack = next_sweep[0].stack
+            # its steps here; the general sweep takes over the moment a
+            # conflict, an error, or a suspected cycle appears.
+            if fast_mode and len(frontier) == 1:
+                stack = frontier[0]
                 # Config at the start of the sweep currently being
                 # processed (one store per shift): the failure record
                 # must see the pre-reduce-chain stack, not the bail point.
                 stretch_start = stack
-                outcome = 0  # 0 = bail to the general machinery
+                accepted_here = False
                 reduces_here = 0
                 while True:
                     state = stack.state
@@ -333,8 +494,8 @@ class PoolParser:
                         if per_state is not None:
                             step = per_state.get(symbol)
                             # A False (conflicted) cell bails to the
-                            # general machinery, whose ACTION call scores
-                            # the hit — crediting it here too would
+                            # general sweep, whose ACTION call scores the
+                            # hit — crediting it here too would
                             # double-count the same logical lookup.
                             if step is not None and step is not False:
                                 fast_hits += 1
@@ -348,11 +509,10 @@ class PoolParser:
                         if step is False:
                             # Hand the computed cell to the general sweep
                             # rather than recomputing it there.
-                            prefetched = actions
-                            prefetched_state = state
+                            prefetched = (state, actions)
                             break
                     if step is False:
-                        break  # fork or error: the pool machinery decides
+                        break  # fork or error: the general sweep decides
                     fast_calls += 1
                     kind = step[0]
                     if kind == STEP_SHIFT:
@@ -417,194 +577,46 @@ class PoolParser:
                         if reduces_here > fast_reduce_budget:
                             break  # possible cycle: let the seen-set decide
                         continue
-                    # STEP_ACCEPT
-                    accepted = True
-                    stats.accepting_parsers += 1
-                    if forest is not None and self.grammar is not None:
-                        from .lr_parse import recover_start_trees
-
-                        for tree in recover_start_trees(
-                            stack, self.grammar.start_rules(), forest
-                        ):
-                            accepted_trees.setdefault(tree)
-                    outcome = 2  # parser retired on accept
+                    # STEP_ACCEPT: the parser retires
+                    collect_accepted((stack,), grammar, forest, stats, accepted_trees)
+                    accepted_here = True
                     break
-                if outcome == 2:
-                    next_sweep = []
+                if accepted_here:
+                    frontier = ()
                     continue
-                next_sweep = [_Parser(stack)]
-                sweep_stacks = [stretch_start]
-                # bail: fall through; the general sweep below re-reads
-                # ACTION for this symbol (its call is the one counted, and
-                # the direct probe above was already credited as a hit).
+                # bail: the general sweep re-reads ACTION for this symbol
+                # (its call is the one counted, and the direct probe above
+                # was already credited as a hit).
+                frontier = (stack,)
+                sweep_stacks = (stretch_start,)
 
-            this_sweep, next_sweep = next_sweep, []
-
-            # NOTE: the general sweep below is mirrored (minus the fast
-            # stretch, tracing, and legacy signatures) by
-            # IncrementalParser._sweep in repro/runtime/incremental.py —
-            # a semantic change here (seen-set seeding, budget/depth
-            # guards, dead-state recording, duplicate elision) must be
-            # applied there too, or reparse diverges from parse.
-            # tests/property/test_incremental_reparse.py pins the
-            # equivalence differentially.
-
-            # Configurations already alive in this sweep; used to drop
-            # exact duplicates produced by converging forks.  A stack cell
-            # *is* its signature (incrementally hashed at push time), so
-            # membership tests cost O(1) instead of an O(depth) tuple walk.
-            seen: Set[Any]
-            next_seen: Set[Any] = set()
-            if legacy:
-                seen = {
-                    self._legacy_signature(p.stack, build_trees) for p in this_sweep
-                }
-            else:
-                seen = {p.stack for p in this_sweep}
-
-            steps = 0
-            while this_sweep:
-                parser = this_sweep.pop()
-                steps += 1
-                if steps > max_sweep_steps:
-                    raise SweepLimitExceeded(
-                        f"more than {self.max_sweep_steps} parser steps on one "
-                        f"input symbol (position {position - 1}, {symbol!s}); "
-                        f"the grammar is most likely cyclic",
-                        position=position - 1,
-                        symbol=symbol,
-                    )
-                if (
-                    deadline is not None
-                    and (steps & CHECK_MASK) == 0
-                    and deadline.expired()
-                ):
-                    raise deadline.exceed(position - 1)
-                stack = parser.stack
-                state = stack.state
-                if stack.depth > max_depth:
-                    raise SweepLimitExceeded(
-                        f"parse stack exceeded depth {max_depth} at position "
-                        f"{position - 1}; the grammar has hidden left "
-                        f"recursion or is cyclic",
-                        position=position - 1,
-                        symbol=symbol,
-                    )
-                if prefetched is not None and state is prefetched_state:
-                    actions = prefetched
-                    prefetched = None
-                else:
-                    actions = control_action(state, symbol)
-                n_action_calls += 1
-                if not actions:
-                    # The paper's error action: this parser dies here.  The
-                    # state is remembered so a rejection can report what
-                    # *would* have been accepted instead.
-                    if dead_states is None:
-                        dead_states = []
-                    if state not in dead_states:
-                        dead_states.append(state)
-                    continue
-                if len(actions) > 1:
-                    n_forks += len(actions) - 1
-
-                for action in actions:
-                    # "for each action a copy of the parser is made and the
-                    # action is performed on this copy" — copying is just
-                    # reusing the immutable stack pointer.
-                    if isinstance(action, Shift):
-                        leaf = forest.leaf(symbol, position - 1) if forest else None
-                        new_stack = StackCell(action.target, stack, leaf)
-                        sig = (
-                            new_stack
-                            if not legacy
-                            else self._legacy_signature(new_stack, build_trees)
-                        )
-                        if sig in next_seen:
-                            n_duplicates += 1
-                            continue
-                        next_seen.add(sig)
-                        next_sweep.append(_Parser(new_stack))
-                        n_shifts += 1
-                        if tracing:
-                            trace.record(
-                                TraceEvent(
-                                    "shift",
-                                    state,
-                                    symbol=symbol,
-                                    target=action.target,
-                                    position=position - 1,
-                                )
-                            )
-                    elif isinstance(action, Reduce):
-                        rule = action.rule
-                        below, children = stack.pop(len(rule.rhs))
-                        goto_state = control_goto(below.state, rule.lhs)
-                        node = forest.node(rule, children) if forest else None
-                        new_stack = StackCell(goto_state, below, node)
-                        sig = (
-                            new_stack
-                            if not legacy
-                            else self._legacy_signature(new_stack, build_trees)
-                        )
-                        if sig in seen:
-                            n_duplicates += 1
-                            continue
-                        seen.add(sig)
-                        this_sweep.append(_Parser(new_stack))
-                        n_reduces += 1
-                        if tracing:
-                            trace.record(
-                                TraceEvent(
-                                    "reduce",
-                                    state,
-                                    rule=rule,
-                                    target=goto_state,
-                                    position=position - 1,
-                                )
-                            )
-                    else:
-                        assert isinstance(action, Accept)
-                        accepted = True
-                        stats.accepting_parsers += 1
-                        if tracing:
-                            trace.record(
-                                TraceEvent("accept", state, position=position - 1)
-                            )
-                        if forest is not None and self.grammar is not None:
-                            from .lr_parse import recover_start_trees
-
-                            for tree in recover_start_trees(
-                                parser.stack, self.grammar.start_rules(), forest
-                            ):
-                                accepted_trees.setdefault(tree)
-
-                live = len(this_sweep) + len(next_sweep)
-                if live > max_live:
-                    max_live = live
+            frontier, dead_states, accepting = sweep_symbol(
+                frontier,
+                symbol,
+                position - 1,
+                control,
+                forest,
+                max_depth,
+                max_sweep_steps,
+                stats,
+                deadline,
+                trace,
+                prefetched,
+            )
+            collect_accepted(accepting, grammar, forest, stats, accepted_trees)
 
         stats.sweeps = n_sweeps
-        stats.action_calls = n_action_calls + fast_calls
-        stats.shifts = n_shifts + fast_shifts
-        stats.reduces = n_reduces + fast_reduces
-        stats.forks = n_forks
-        stats.duplicates_dropped = n_duplicates
-        stats.max_live_parsers = max_live
+        stats.action_calls += fast_calls
+        stats.shifts += fast_shifts
+        stats.reduces += fast_reduces
         if fast_hits and credit_hits is not None:
             credit_hits(fast_hits)
         failure: Optional[ParseFailure] = None
+        accepted = stats.accepting_parsers > 0
         if not accepted:
             # position - 1 indexes the symbol of the final sweep; if that
             # symbol is the end-marker the index equals the input length.
             failure = ParseFailure(
-                position - 1,
-                symbol,
-                tuple(sweep_stacks),
-                tuple(dead_states or ()),
+                position - 1, symbol, sweep_stacks, tuple(dead_states)
             )
         return ParseResult(accepted, tuple(accepted_trees), stats, failure)
-
-    @staticmethod
-    def _legacy_signature(stack: StackCell, build_trees: bool) -> Tuple:
-        """The seed's O(depth) signature tuples (benchmark baseline only)."""
-        return stack.full_signature() if build_trees else stack.signature()

@@ -27,11 +27,10 @@ class StackCell:
     the whole chain's (state, tree) identities, combined at push time from
     the parent cell's cached value, and ``__hash__``/``__eq__`` compare
     stacks by that identity chain.  Putting the top cell in a set is
-    therefore an O(1) replacement for the O(depth)
-    :meth:`signature`/:meth:`full_signature` tuples — equality only walks
-    the chains on a genuine duplicate or hash collision, and stops at the
-    first physically shared cell (converging forks share their tail, so
-    the walk covers just the divergent prefix).
+    therefore an O(1) duplicate test — equality only walks the chains on
+    a genuine duplicate or hash collision, and stops at the first
+    physically shared cell (converging forks share their tail, so the
+    walk covers just the divergent prefix).
     """
 
     __slots__ = ("state", "tree", "below", "depth", "sig")
@@ -63,10 +62,10 @@ class StackCell:
     def __eq__(self, other: object) -> bool:
         """Whole-stack identity equality: same states *and* same trees.
 
-        For recognition (all trees ``None``) this coincides with the
-        states-only signature; for tree-building parses trees are
-        hash-consed, so identity comparison is exactly the seed's
-        ``full_signature`` semantics.
+        For recognition (all trees ``None``) this compares states only;
+        for tree-building parses trees are hash-consed, so two equal
+        stacks are completely interchangeable — same states *and* same
+        derivations — and one can be dropped without losing any parse.
         """
         if self is other:
             return True
@@ -106,38 +105,11 @@ class StackCell:
         return cell, trees
 
     def states(self) -> Tuple[Any, ...]:
-        """States from top to bottom (the stack *signature*).
-
-        Signatures identify parser configurations: the pool parser uses
-        them to drop duplicate parsers created by converging reductions.
-        """
+        """States from top to bottom."""
         result = []
         cell: Optional[StackCell] = self
         while cell is not None:
             result.append(cell.state)
-            cell = cell.below
-        return tuple(result)
-
-    def signature(self) -> Tuple[int, ...]:
-        """Hashable identity-based signature (state ids, top to bottom)."""
-        result = []
-        cell: Optional[StackCell] = self
-        while cell is not None:
-            result.append(id(cell.state))
-            cell = cell.below
-        return tuple(result)
-
-    def full_signature(self) -> Tuple[Tuple[int, int], ...]:
-        """Signature including tree identities.
-
-        Two parsers with equal full signatures are completely
-        interchangeable — same states *and* same derivations — so one can
-        be dropped without losing any parse.
-        """
-        result = []
-        cell: Optional[StackCell] = self
-        while cell is not None:
-            result.append((id(cell.state), id(cell.tree)))
             cell = cell.below
         return tuple(result)
 

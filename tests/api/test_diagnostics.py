@@ -10,13 +10,13 @@ grammar).
 
 import pytest
 
-from repro.api import Language, engines
+from repro.api import Language
 from repro.sdf.corpus import EXP_SDF, sdf_grammar
 from repro.sdf.lexer import terminal_stream
 from tests.conftest import BOOLEANS
 
 #: engines whose rejections carry a position (all of them).
-ALL_ENGINES = ("lazy", "compiled", "dense", "gss", "earley")
+ALL_ENGINES = ("lazy", "compiled", "gss", "earley")
 
 
 @pytest.fixture()

@@ -11,10 +11,10 @@ import pytest
 from repro.api import Language, create_engine, engine_descriptions, engines
 from tests.conftest import AMBIGUOUS_EXPR, BOOLEANS, EPSILON, EXPR
 
-ALL_ENGINES = ("lazy", "compiled", "dense", "gss", "earley")
+ALL_ENGINES = ("lazy", "compiled", "gss", "earley")
 
 #: engines whose ``parse`` builds derivation trees
-TREE_ENGINES = ("lazy", "compiled", "dense", "gss")
+TREE_ENGINES = ("lazy", "compiled", "gss")
 
 #: (grammar text, accepted sentences, rejected sentences)
 CORPUS = [
@@ -72,7 +72,7 @@ class TestRegistry:
         assert detail["earley"]["supports_ambiguity"] is False
         # The checkpoint family answers reparse natively; the others fall
         # back to a full parse through Language.reparse.
-        for name in ("lazy", "compiled", "dense"):
+        for name in ("lazy", "compiled"):
             assert detail[name]["supports_reparse"] is True
         assert detail["gss"]["supports_reparse"] is False
         for record in detail.values():
@@ -226,28 +226,12 @@ class TestEngineBehaviour:
         assert outcome.accepted
         assert outcome.trees_built is False
 
-    def test_dense_engine_rebuilds_after_edit(self):
-        lang = Language.from_text(BOOLEANS)
-        assert lang.recognize("true", engine="dense").accepted
-        dense = lang.engine("dense")
-        assert dense._pool is not None
-        lang.add_rule("B ::= maybe")
-        assert dense._pool is None  # invalidated by MODIFY
-        assert lang.recognize("maybe or true", engine="dense").accepted
-
     def test_lazy_and_compiled_share_one_graph(self):
         lang = Language.from_text(BOOLEANS)
         lang.recognize("true or false", engine="lazy")
         states_after_lazy = len(lang.graph)
         lang.recognize("true or false", engine="compiled")
         assert len(lang.graph) == states_after_lazy
-
-    def test_prepare_builds_dense_table_up_front(self):
-        lang = Language.from_text(EXPR)
-        dense = lang.engine("dense")
-        assert dense._pool is None
-        dense.prepare()
-        assert dense._pool is not None
 
     def test_explicit_token_sequences_accepted(self, toks):
         lang = Language.from_text(BOOLEANS)

@@ -80,7 +80,7 @@ class TestOutcome:
         assert lang.parse("true", trace=trace).accepted
         assert len(trace) > 0
 
-    @pytest.mark.parametrize("engine", ["lazy", "compiled", "dense", "gss"])
+    @pytest.mark.parametrize("engine", ["lazy", "compiled", "gss"])
     def test_trace_honored_by_every_pool_backed_engine(self, engine):
         from repro.runtime.trace import Trace
 

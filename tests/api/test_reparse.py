@@ -155,15 +155,3 @@ class TestReparse:
         scratch = language.recognize("a + b + b", engine="earley")
         assert edited.accepted == scratch.accepted is True
 
-
-class TestDenseEngineInvalidation:
-    def test_dense_checkpoints_die_with_the_table(self, language):
-        base = language.parse("a + a", checkpoint=True, engine="dense")
-        assert base.accepted
-        language.add_rule("E ::= E + c")
-        edited = language.reparse(base, 2, 3, "c")
-        scratch = language.parse("a + c", engine="dense")
-        assert edited.accepted and scratch.accepted
-        # The dense control was rebuilt: the old checkpoint is unusable
-        # (whatever the reason string, reuse must not have happened).
-        assert edited.reuse["fallback"] is not None

@@ -20,7 +20,6 @@ def report_with(rates):
 
 
 HEALTHY = {
-    "lazy_baseline": 5_000.0,
     "lazy": 7_000.0,
     "compiled": 11_000.0,
     "table": 11_000.0,
@@ -37,7 +36,7 @@ class TestCheckFloor:
                 {
                     "input": "small",
                     "numerator": "compiled",
-                    "denominator": "lazy_baseline",
+                    "denominator": "lazy",
                     "min_ratio": 1.25,
                 }
             ],
@@ -58,11 +57,11 @@ class TestCheckFloor:
         assert any("below the floor" in p for p in problems)
 
     def test_relative_regression_fails_even_on_a_fast_machine(self):
-        # compiled no faster than the baseline — the regression the job
+        # compiled barely faster than lazy — the regression the job
         # exists to catch — on a machine fast enough to clear every
         # absolute floor.
         regressed = dict(HEALTHY)
-        regressed["compiled"] = HEALTHY["lazy_baseline"] * 1.1
+        regressed["compiled"] = HEALTHY["lazy"] * 1.1
         problems = check_floor(report_with(regressed), self.floor())
         assert any("only 1.10x" in p for p in problems)
 
@@ -85,12 +84,10 @@ class TestMeasureHotpath:
         assert report["workload"] == "booleans"
         assert set(report["inputs"]) == {"tiny"}
         rates = report["inputs"]["tiny"]["tokens_per_sec"]
-        assert set(rates) == {
-            "lazy_baseline", "lazy", "compiled", "table", "gss",
-        }
+        assert set(rates) == {"lazy", "compiled", "table", "gss"}
         assert all(rate > 0 for rate in rates.values())
-        assert "tiny" in report["speedup_compiled_vs_baseline"]
-        assert "aggregate" in report["speedup_compiled_vs_baseline"]
+        assert "tiny" in report["speedup_compiled_vs_lazy"]
+        assert "aggregate" in report["speedup_compiled_vs_lazy"]
         assert set(report["aggregate_tokens_per_sec"]) == set(rates)
 
     def test_tier_inputs_extend_a_single_tier(self):
@@ -106,7 +103,7 @@ class TestMeasureHotpath:
         assert set(report["inputs"]["medium"]["tokens_per_sec"]) == {"gss"}
         assert report["inputs"]["medium"]["tokens_per_sec"]["gss"] > 0
         assert set(report["inputs"]["tiny"]["tokens_per_sec"]) == {
-            "lazy_baseline", "lazy", "compiled", "table", "gss",
+            "lazy", "compiled", "table", "gss",
         }
 
 

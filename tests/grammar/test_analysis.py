@@ -142,7 +142,6 @@ class TestFollow:
 
 class TestCachingAndInvalidation:
     def test_results_refresh_after_edit(self):
-        from repro.grammar.grammar import Grammar
         from repro.grammar.rules import Rule
 
         grammar = grammar_from_text("E ::= n\nSTART ::= E")

@@ -5,7 +5,6 @@ import pytest
 from repro.grammar.builders import grammar_from_text
 from repro.grammar.symbols import END, Terminal
 from repro.lr.graph import ItemSetGraph
-from repro.lr.items import Item
 from repro.lr.lalr import compute_lalr_lookaheads
 
 #: ASU's running example for lookahead propagation (grammar 4.20):

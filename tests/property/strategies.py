@@ -114,7 +114,7 @@ def graph_shape(graph) -> dict:
     retained garbage (a feature of the incremental generator) does not
     defeat equality checks.
     """
-    from repro.lr.states import ACCEPT, ItemSet
+    from repro.lr.states import ACCEPT
 
     def key(state):
         return frozenset(map(str, state.kernel))

@@ -3,7 +3,7 @@
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.grammar.analysis import GrammarAnalysis
-from repro.grammar.symbols import NonTerminal, Terminal
+from repro.grammar.symbols import NonTerminal
 
 from .strategies import derive_sentence, grammars
 

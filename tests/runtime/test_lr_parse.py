@@ -3,7 +3,6 @@
 import pytest
 
 from repro.grammar.builders import grammar_from_text
-from repro.grammar.rules import Rule
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.errors import AmbiguousInputError, ParseError
 from repro.runtime.forest import bracketed, tokens_of

@@ -6,6 +6,7 @@ from repro.grammar.builders import grammar_from_text
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.errors import SweepLimitExceeded
 from repro.runtime.forest import bracketed, tokens_of
+from repro.runtime.incremental import IncrementalParser
 from repro.runtime.parallel import PoolParser
 
 from ..conftest import toks
@@ -96,7 +97,7 @@ class TestSharing:
         result = parser.parse(toks("n + n + n"))
         left, right = result.trees
         # the two parses share their leaf nodes (hash-consing)
-        from repro.runtime.forest import Leaf, node_count
+        from repro.runtime.forest import node_count
 
         total_if_unshared = node_count(left) + node_count(right)
         seen = set()
@@ -104,38 +105,58 @@ class TestSharing:
         assert shared_total < total_if_unshared
 
 
+CYCLIC = """
+    A ::= A
+    A ::= a
+    START ::= A
+"""
+
+
+def pool_run(grammar, tokens, build_trees, **kwargs):
+    return pool_for(grammar, **kwargs)._run(
+        tokens, build_trees=build_trees, trace=None
+    )
+
+
+def checkpointed_run(grammar, tokens, build_trees, **kwargs):
+    control = ConventionalGenerator(grammar).generate()
+    parser = IncrementalParser(control, grammar, **kwargs)
+    return parser.parse(tokens, build_trees=build_trees).result
+
+
+#: Both PAR-PARSE drivers run the one general sweep, so both reach its
+#: guards: the plain pool and the checkpointing incremental parser.
+DRIVERS = (pool_run, checkpointed_run)
+
+
 class TestGuards:
     def test_cyclic_grammar_detected(self):
-        cyclic = grammar_from_text(
-            """
-            A ::= A
+        # A ::= A builds a new tree per turn (the step budget fires); the
+        # nullable E hides left recursion, so the stack grows without
+        # consuming input (the depth bound fires).
+        hidden = """
+            A ::= E A a
             A ::= a
+            E ::=
             START ::= A
-            """
-        )
-        parser = pool_for(cyclic, max_sweep_steps=10_000)
-        with pytest.raises(SweepLimitExceeded):
-            parser.parse(toks("a"))
+        """
+        cases = ((CYCLIC, "parser steps"), (hidden, "exceeded depth"))
+        for run in DRIVERS:
+            for text, guard in cases:
+                grammar = grammar_from_text(text)
+                with pytest.raises(SweepLimitExceeded, match=guard):
+                    run(grammar, toks("a"), True, max_sweep_steps=10_000)
 
     def test_cyclic_recognition_terminates_with_state_dedup(self):
         # In recognition mode signatures ignore trees, so the A ::= A loop
         # converges instead of spinning.
-        cyclic = grammar_from_text(
-            """
-            A ::= A
-            A ::= a
-            START ::= A
-            """
-        )
-        parser = pool_for(cyclic)
-        assert parser.recognize(toks("a"))
+        for run in DRIVERS:
+            assert run(grammar_from_text(CYCLIC), toks("a"), False).accepted
 
     def test_duplicate_parsers_dropped_in_recognition(self, ambiguous_expr):
         # In recognition mode signatures ignore trees, so the ambiguous
         # derivations converge onto identical stacks and get merged.
-        parser = pool_for(ambiguous_expr)
-        result = parser._run(
-            toks("n + n + n + n"), build_trees=False, trace=None
-        )
-        assert result.accepted
-        assert result.stats.duplicates_dropped > 0
+        for run in DRIVERS:
+            result = run(ambiguous_expr, toks("n + n + n + n"), False)
+            assert result.accepted
+            assert result.stats.duplicates_dropped > 0

@@ -1,4 +1,4 @@
-"""Cons-cell parse stacks: sharing, popping, signatures."""
+"""Cons-cell parse stacks: sharing, popping, cells as signature keys."""
 
 import pytest
 
@@ -92,25 +92,6 @@ class TestSharing:
 
 
 class TestSignatures:
-    def test_signature_equal_for_same_cells(self):
-        stack = build(0, 1)
-        assert stack.signature() == stack.signature()
-
-    def test_signature_distinguishes_structurally_equal_ints(self):
-        # identity-based: distinct state objects differ even if equal
-        class State:
-            pass
-
-        a, b = State(), State()
-        assert StackCell(a).signature() != StackCell(b).signature()
-
-    def test_full_signature_includes_trees(self):
-        base = StackCell(0)
-        with_tree = base.push(1, tree="t1")
-        with_other = base.push(1, tree="t2")
-        assert with_tree.signature() == with_other.signature()
-        assert with_tree.full_signature() != with_other.full_signature()
-
     def test_iteration(self):
         assert [cell.state for cell in build(0, 1, 2)] == [2, 1, 0]
 

@@ -18,8 +18,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 #: Unambiguous on purpose: every accepted document has exactly one tree,
 #: so a thousand documents parse in seconds instead of exploding into
 #: Catalan-many trees under ``B ::= B or B``.

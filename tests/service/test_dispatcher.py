@@ -267,7 +267,7 @@ class TestDiagnosticsAndEngines:
         assert set(after["diagnostics"]["expected"]) == {"true", "false", "not"}
 
     def test_engine_selection_per_call(self, booleans_dispatcher):
-        for engine in ("lazy", "dense", "gss", "earley"):
+        for engine in ("lazy", "gss", "earley"):
             response = booleans_dispatcher.handle(
                 {"cmd": "recognize", "session": "s1", "tokens": "true or false",
                  "engine": engine}
@@ -276,11 +276,13 @@ class TestDiagnosticsAndEngines:
             assert response["engine"] == engine
 
     def test_unknown_engine_is_an_error(self, booleans_dispatcher):
-        response = booleans_dispatcher.handle(
-            {"cmd": "parse", "session": "s1", "tokens": "true",
-             "engine": "warp-drive"}
-        )
-        assert "unknown engine" in response["error"]
+        # "dense" was a registered engine once; it is now unknown too.
+        for engine in ("warp-drive", "dense"):
+            response = booleans_dispatcher.handle(
+                {"cmd": "parse", "session": "s1", "tokens": "true",
+                 "engine": engine}
+            )
+            assert "unknown engine" in response["error"], engine
 
     def test_diagnostics_not_served_across_spellings(self, booleans_dispatcher):
         # Same token names, different source text: the cached rejection's
@@ -307,7 +309,7 @@ class TestDiagnosticsAndEngines:
     def test_batch_parse_with_engine_and_diagnostics(self, booleans_dispatcher):
         response = booleans_dispatcher.handle(
             {"cmd": "batch-parse", "session": "s1",
-             "inputs": ["true", "or"], "engine": "dense"}
+             "inputs": ["true", "or"], "engine": "lazy"}
         )
         good, bad = response["results"]
         assert good["accepted"] and not bad["accepted"]
