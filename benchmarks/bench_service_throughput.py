@@ -127,20 +127,21 @@ def run_concurrent(
     requests: List[Dict[str, Any]],
     workers: int,
     clients: int = CLIENTS,
-    mode: str = "process",
     cache_capacity: int = 4096,
 ) -> Dict[str, Any]:
-    """Concurrent clients driving a sharded scheduler; returns a result dict.
+    """Concurrent clients driving a process-sharded scheduler.
 
     Every client thread is a synchronous caller (one request in flight at
     a time, like a blocking socket client); concurrency comes from having
-    ``clients`` of them against ``workers`` shards.
+    ``clients`` of them against ``workers`` shards.  Every worker count,
+    1 included, runs process shards, so the ratio compares like with like.
+    Returns a result dict.
     """
     slices = _partition_by_client(requests, clients)
     total = sum(len(chunk) for chunk in slices)
     scheduler = Scheduler(
         workers=workers,
-        mode=mode,
+        mode="process",
         max_depth=4096,
         cache_capacity=cache_capacity,
     )
@@ -180,7 +181,7 @@ def run_concurrent(
         cache = metrics.get("cache", {})
         return {
             "workers": workers,
-            "mode": mode,
+            "mode": scheduler.mode,
             "clients": len(slices),
             "requests": total,
             "errors": sum(errors_by_client),
@@ -302,10 +303,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"concurrent client threads (default: {CLIENTS})",
     )
     parser.add_argument(
-        "--mode", choices=("process", "thread"), default="process",
-        help="shard flavour for the concurrent mode (default: process)",
-    )
-    parser.add_argument(
         "--skip-dispatcher", action="store_true",
         help="skip the single-threaded dispatcher baseline modes",
     )
@@ -357,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         f"concurrent mode — {CONCURRENT_SESSIONS} sessions × "
         f"{CONCURRENT_REQUESTS} requests over {options.clients} client "
-        f"threads, {options.mode} shards ({os.cpu_count()} cores)"
+        f"threads, process shards ({os.cpu_count()} cores)"
     )
     by_workers: Dict[int, Dict[str, Any]] = {}
     for workers in worker_counts:
@@ -365,7 +362,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             concurrent_traffic,
             workers=workers,
             clients=options.clients,
-            mode=options.mode,
         )
         by_workers[workers] = result
         report["concurrent"][str(workers)] = {

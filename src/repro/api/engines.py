@@ -321,9 +321,11 @@ class _CheckpointMixin:
     def __init__(self, language: Any) -> None:
         super().__init__(language)
         self._incremental: Optional[IncrementalParser] = None
-        # Same audit as Language._engines_lock: two threads' first
-        # checkpointed parses (or one racing ``close_incremental``) must
-        # not each subscribe a parser and leak one observer.
+        # Same threads as Language._engines_lock (a corpus ParseJob
+        # thread and the caller's thread on one Dispatcher): two first
+        # checkpointed parses, or one racing the ``close_incremental`` of
+        # a session close, must not each subscribe a parser and leak one
+        # observer.
         self._incremental_lock = threading.Lock()
 
     def _incremental_parser(self) -> IncrementalParser:

@@ -208,15 +208,17 @@ class LexedInput:
 class Language:
     """A grammar + a tokenizer + the engine registry, live and editable.
 
-    Threading contract (audited for the sharded parse service): a
-    ``Language`` is **single-writer** — all parses and grammar edits must
-    come from one thread at a time (the service guarantees this by
-    pinning each session to one shard).  The one structure that crosses
-    that line is the engine map: :meth:`engine` lazily instantiates
-    engines while :meth:`_on_modify` (fired from ``Grammar.subscribe``
-    during an edit) iterates it to invalidate them, so both run under
-    ``_engines_lock`` — without it an edit concurrent with a first-use
-    ``create_engine`` on another thread could miss the new engine's
+    Threading contract: a ``Language`` is **single-writer** — all parses
+    and grammar edits must come from one thread at a time (the service
+    drives each session from one thread).  The one structure that crosses
+    that line is the engine map.  A ``corpus-parse`` job on a
+    ``Dispatcher(corpus_root=...)`` parses its worker sessions on its own
+    :class:`~repro.corpus.pipeline.ParseJob` thread, where :meth:`engine`
+    lazily instantiates engines, while the caller's thread may edit or
+    ``close`` the same session — :meth:`_on_modify` (fired from
+    ``Grammar.subscribe`` during an edit) and :meth:`close` iterate the
+    map.  So all three run under ``_engines_lock``: without it an edit
+    racing a first-use ``create_engine`` could miss the new engine's
     invalidation and leave it serving tables from the pre-edit grammar.
     Everything else (graph, control plane, tokenizer) is intentionally
     lock-free under the single-writer rule.

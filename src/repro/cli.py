@@ -43,7 +43,7 @@ Besides the REPL there are two service subcommands (see
 
 ``python -m repro obs [file...]``
     Drive JSON requests (from files, ``-`` for stdin, or a built-in
-    demo workload) through a thread-mode scheduler and print the
+    demo workload) through a one-shard inline scheduler and print the
     unified :mod:`repro.obs` metrics registry as Prometheus text or
     JSON (``--format``), optionally with recent span trees
     (``--spans N``) and a slow-request log (``--slow-ms``).
@@ -400,17 +400,17 @@ subcommands:
   (none) | repl     the interactive grammar-definition REPL
   serve             answer line-delimited JSON requests on stdin, or —
                     with --tcp HOST:PORT / --unix PATH — over a socket
-                    via the sharded concurrent scheduler (--workers N,
-                    --mode thread|process, --queue-depth, --batch,
+                    via the sharded concurrent scheduler (--workers N:
+                    N > 1 runs process shards; --queue-depth, --batch,
                     --ready-file; see README "Serving")
   batch [file...]   run JSON requests from files (or stdin) through the
-                    sharded scheduler (--workers, --mode, --window) and
-                    print responses plus a throughput summary on stderr
+                    sharded scheduler (--workers, --window) and print
+                    responses plus a throughput summary on stderr
   corpus VERB ...   manage persistent corpora under --root DIR:
                     create | ingest | parse | status | query | info
                     (see README "Corpus service")
   obs [file...]     drive JSON requests (or a built-in demo workload)
-                    through a thread-mode scheduler and print the obs
+                    through a one-shard scheduler and print the obs
                     metrics registry (--format prometheus|json,
                     --spans N, --slow-ms MS)
   help              this message"""
@@ -458,15 +458,15 @@ def _serve_main(args: List[str]) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker shards; sessions are partitioned across them "
-        "(default: 1)",
+        help="worker shards; sessions are partitioned across them, and "
+        "N > 1 runs one child process per shard (default: 1)",
     )
     parser.add_argument(
         "--mode",
         choices=("thread", "process"),
-        help="shard flavour: 'process' gives true CPU parallelism, "
-        "'thread' shares one in-process workspace "
-        "(default: process when --workers > 1, else thread)",
+        help="shard flavour: 'thread' is one inline shard, 'process' "
+        "one child process per shard (default: process when "
+        "--workers > 1, else thread)",
     )
     parser.add_argument(
         "--queue-depth",
@@ -608,21 +608,21 @@ def _serve_main(args: List[str]) -> int:
     from .service.net import run_server
     from .service.scheduler import Scheduler
 
-    mode = options.mode
-    if mode is None:
-        mode = "process" if options.workers > 1 else "thread"
-    scheduler = Scheduler(
-        workers=options.workers,
-        mode=mode,
-        max_depth=options.queue_depth,
-        max_batch=options.batch,
-        cache_capacity=options.cache_capacity,
-        deadline_ms=options.deadline_ms,
-        max_restarts=options.max_restarts,
-        restart_window=options.restart_window,
-        backoff_ms=options.backoff_ms,
-        corpus_root=options.corpus_root,
-    )
+    try:
+        scheduler = Scheduler(
+            workers=options.workers,
+            mode=options.mode,
+            max_depth=options.queue_depth,
+            max_batch=options.batch,
+            cache_capacity=options.cache_capacity,
+            deadline_ms=options.deadline_ms,
+            max_restarts=options.max_restarts,
+            restart_window=options.restart_window,
+            backoff_ms=options.backoff_ms,
+            corpus_root=options.corpus_root,
+        )
+    except ValueError as error:  # refused before any child is spawned
+        parser.error(str(error))
     return run_server(
         scheduler,
         host=host,
@@ -636,8 +636,8 @@ def _batch_main(args: List[str]) -> int:
     """``repro batch`` — run JSON requests non-interactively.
 
     Batch runs go through the sharded scheduler: requests are pipelined
-    under a bounded in-flight window, ``--workers``/``--mode`` buy real
-    concurrency and ``--corpus-root`` enables the ``corpus-*`` commands.
+    under a bounded in-flight window, ``--workers N`` (N > 1) parses on N
+    child processes and ``--corpus-root`` enables the ``corpus-*`` commands.
     Responses arrive in request order and per-session ordering holds
     (sessions are shard-pinned, shards drain FIFO).  Duplicate in-flight
     requests are coalesced and answer with ``"coalesced": true``.
@@ -664,13 +664,8 @@ def _batch_main(args: List[str]) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="scheduler shards to pipeline across (default: 1)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("thread", "process"),
-        help="shard flavour (default: process when --workers > 1, "
-        "else thread)",
+        help="scheduler shards to pipeline across; N > 1 runs one child "
+        "process per shard (default: 1)",
     )
     parser.add_argument(
         "--window",
@@ -707,11 +702,8 @@ def _batch_main(args: List[str]) -> int:
 
     from .service.scheduler import Scheduler
 
-    mode = options.mode or ("process" if options.workers > 1 else "thread")
     scheduler = Scheduler(
-        workers=options.workers,
-        mode=mode,
-        corpus_root=options.corpus_root,
+        workers=options.workers, corpus_root=options.corpus_root
     )
     try:
         responses, summary = run_batch(
@@ -768,7 +760,7 @@ def _obs_main(args: List[str]) -> int:
         prog="repro obs",
         description=(
             "Drive JSON requests (files, '-' for stdin, or a built-in "
-            "demo workload) through a thread-mode scheduler and print "
+            "demo workload) through a one-shard scheduler and print "
             "the unified telemetry registry: Prometheus text or JSON, "
             "optionally with recent span trees."
         ),
@@ -794,14 +786,6 @@ def _obs_main(args: List[str]) -> int:
         "driven requests)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="thread-mode shards to drive (default: 2, so per-shard "
-        "latency series appear)",
-    )
-    parser.add_argument(
         "--slow-ms",
         type=float,
         metavar="MS",
@@ -809,8 +793,6 @@ def _obs_main(args: List[str]) -> int:
         "indented span trees (same knob as REPRO_OBS_SLOW_MS)",
     )
     options = parser.parse_args(args)
-    if options.workers < 1:
-        parser.error("--workers must be at least 1")
     if options.spans < 0:
         parser.error("--spans must be non-negative")
     if options.slow_ms is not None and options.slow_ms < 0:
@@ -846,9 +828,9 @@ def _obs_main(args: List[str]) -> int:
         for request in requests:
             request.setdefault("trace", True)
 
-    # Thread mode: one shared workspace, and the export carries both the
-    # dispatcher-side series and this scheduler's per-shard histograms.
-    scheduler = Scheduler(workers=options.workers, mode="thread")
+    # One inline shard: the export carries both the dispatcher-side
+    # series and this scheduler's per-shard histograms (shard "0").
+    scheduler = Scheduler()
     errors = 0
     try:
         checkpoint_id = None
@@ -927,13 +909,8 @@ def _corpus_main(args: List[str]) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="scheduler shards to parse across (default: 1)",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("thread", "process"),
-        help="shard flavour (default: process when --workers > 1, "
-        "else thread)",
+        help="scheduler shards to parse across; N > 1 runs one child "
+        "process per shard (default: 1)",
     )
     verbs = parser.add_subparsers(dest="verb", required=True)
 
@@ -1063,10 +1040,7 @@ def _corpus_main(args: List[str]) -> int:
 
     from .service.scheduler import Scheduler
 
-    mode = options.mode or ("process" if options.workers > 1 else "thread")
-    scheduler = Scheduler(
-        workers=options.workers, mode=mode, corpus_root=options.root
-    )
+    scheduler = Scheduler(workers=options.workers, corpus_root=options.root)
     try:
         response = scheduler.handle(request)
     finally:

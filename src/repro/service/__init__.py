@@ -19,7 +19,7 @@ snapshots for warm restarts.
                           and version; states regenerate lazily on restore)
 ``service.server``        the stdio serve loop and batch runner
 ``service.scheduler``     :class:`Scheduler` — session-sharded worker pool
-                          (thread or process shards) with request
+                          (one inline shard or N process shards) with request
                           coalescing, bounded backpressure, per-shard
                           p50/p99 metrics and graceful drain
 ``service.net``           asyncio TCP/UNIX front end over the scheduler

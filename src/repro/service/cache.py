@@ -63,12 +63,15 @@ class CacheStats:
 class ResultCache:
     """A bounded LRU mapping cache keys to response payloads.
 
-    Thread-safe: under the sharded scheduler, sessions on different worker
-    threads share one cache, and cross-session operations (``close``,
-    ``metrics``) touch it from yet another thread.  Every operation that
-    reads or mutates the entry map runs under one re-entrant lock — the
-    critical sections are dict operations, far cheaper than the parses
-    being cached, so a single lock is not a throughput concern.
+    Thread-safe: one dispatcher's cache can be reached from two threads.
+    A ``corpus-parse`` job on a ``Dispatcher(corpus_root=...)`` runs on
+    its own :class:`~repro.corpus.pipeline.ParseJob` thread and parses
+    through ``Dispatcher.handle``, while the caller's thread keeps
+    serving — and its ``close``/``metrics`` touch this cache too.  Every
+    operation that reads or mutates the entry map runs under one
+    re-entrant lock — the critical sections are dict operations, far
+    cheaper than the parses being cached, so a single lock is not a
+    throughput concern.
     """
 
     def __init__(self, capacity: int = 1024) -> None:

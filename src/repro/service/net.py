@@ -3,7 +3,7 @@
 Same wire format as the stdio loop — newline-delimited JSON, protocol
 v2 — served concurrently: the event loop owns all sockets, every decoded
 request is submitted to a :class:`~repro.service.scheduler.Scheduler`
-(which shards sessions across worker threads or processes), and a
+(one inline shard, or sessions sharded across child processes), and a
 per-connection writer task emits responses **in request order**, so a
 client may pipeline any number of requests on one connection and still
 correlate responses by position, exactly as over stdin.
@@ -433,7 +433,7 @@ class BackgroundServer:
 
     ::
 
-        with BackgroundServer(Scheduler(workers=2)) as server:
+        with BackgroundServer(Scheduler()) as server:
             sock = socket.create_connection(("127.0.0.1", server.port))
             ...
 

@@ -2,22 +2,23 @@
 
 The PR 1 service answered one request at a time.  This module is the
 concurrency layer between any transport (stdin, TCP, tests) and the
-dispatcher: a :class:`Scheduler` partitions sessions across a pool of
-worker *shards*, so that each session's grammar, item-set graph, compiled
-tables and caches stay **single-writer** — the locking audited into
-:mod:`repro.service.workspace` only covers the shared registry and result
-cache, everything session-internal stays lock-free by ownership.
+dispatcher: a :class:`Scheduler` partitions sessions across worker
+*shards*, so that each session's grammar, item-set graph, compiled
+tables and caches stay **single-writer**: one shard thread drives each
+session.  The only other thread here is the transport's (the
+:mod:`repro.service.net` front end, or any caller of ``submit``): it
+enqueues under each shard's condition lock and answers ``health``,
+``ready`` and ``corpus-*`` itself.
 
-Two shard flavours share one parent-side worker loop:
+A scheduler runs one of two configurations, picked from ``workers``:
 
-``mode="thread"``
-    Every shard executes batches inline against one shared
-    :class:`~repro.service.dispatcher.Dispatcher`.  Cheap (no IPC), fully
-    shared state — but the GIL serializes the actual parse work, so this
-    mode buys *concurrency* (no head-of-line blocking across sessions),
-    not CPU parallelism.
+``mode="thread"`` (the default for ``workers=1``)
+    One inline shard executes batches against an in-process
+    :class:`~repro.service.dispatcher.Dispatcher`: no IPC, for embedding
+    and tests.  Only one, because the GIL serializes pure-Python parse
+    work: more thread shards over one workspace would only add contention.
 
-``mode="process"``
+``mode="process"`` (the default for ``workers > 1``)
     Every shard owns a child process running the existing stdio serve
     loop (``python -m repro serve``) and speaks the line-delimited JSON
     protocol over its pipes — the transport-independent core reused a
@@ -25,7 +26,7 @@ Two shard flavours share one parent-side worker loop:
     scales with cores; cross-shard commands (``sessions``/``metrics``/
     ``info``) are broadcast to every shard and merged.
 
-Independently of the flavour, every shard applies:
+In both configurations every shard applies:
 
 * **batching** — the worker drains up to ``max_batch`` queued requests
   at once and serves them as one unit;
@@ -103,6 +104,26 @@ def _error_response(request: Any, message: str, **extra: Any) -> Response:
     response.update(extra)
     response["time"] = 0.0
     return response
+
+
+def _settle(
+    future: "Future[Response]", request: Any, compute: Callable[[], Response]
+) -> None:
+    """Resolve ``future`` with ``compute()`` (an error response if it raises).
+
+    A TCP client that disconnects mid-pipeline cancels its futures;
+    ``set_result`` then raises ``InvalidStateError``, and letting that
+    escape would kill the resolving worker thread for every other client.
+    """
+    try:
+        response = compute()
+    except Exception as error:  # noqa: BLE001 — CancelledError is one
+        response = _error_response(request, f"{type(error).__name__}: {error}")
+    if not future.cancelled():
+        try:
+            future.set_result(response)
+        except Exception:  # noqa: BLE001 — cancel/set race
+            pass
 
 
 def _resolved(request: Any, message: str, **extra: Any) -> "Future[Response]":
@@ -195,7 +216,7 @@ def plan_batch(
 
 
 class InlineExecutor:
-    """Thread-mode shard body: batches run on the shared dispatcher."""
+    """Thread-mode shard body: batches run on an in-process dispatcher."""
 
     def __init__(self, dispatcher: Dispatcher) -> None:
         self.dispatcher = dispatcher
@@ -367,8 +388,8 @@ class Shard:
         self.largest_batch = 0
         # Supervision plumbing.  Without a factory the shard keeps the
         # pre-supervision behaviour: the first executor failure is
-        # permanent (thread-mode InlineExecutor "crashes" are dispatcher
-        # bugs, not recoverable infrastructure faults).
+        # permanent (an InlineExecutor "crash" is a dispatcher bug, not
+        # a recoverable infrastructure fault).
         self.executor_factory = executor_factory
         self.journal = journal if journal is not None else MutationJournal()
         self.backoff = backoff if backoff is not None else BackoffPolicy()
@@ -541,9 +562,9 @@ class Shard:
                     response["coalesced"] = True
                     self.coalesced += 1
                 if self.supervised:
-                    # Journal only under supervision: an unsupervised
-                    # (thread-mode) shard never replays, and an unbounded
-                    # log would just leak.
+                    # Journal only under supervision: the unsupervised
+                    # inline shard never replays, and an unbounded log
+                    # would just leak.
                     self.journal.record(request, response)
             response = self._annotate_trace(response, kind, queue_wait)
             cmd = request.get("cmd") if isinstance(request, dict) else None
@@ -554,15 +575,7 @@ class Shard:
             self._obs_wait.observe(queue_wait)
             self._obs_request.observe(finished - enqueued)
             self.completed += 1
-            # The future may have been cancelled while queued (a TCP
-            # client that disconnected mid-pipeline); setting a result
-            # then raises InvalidStateError, and letting that escape
-            # would kill this worker thread for every other client.
-            if not future.cancelled():
-                try:
-                    future.set_result(response)
-                except Exception:  # noqa: BLE001 — cancel/set race
-                    pass
+            _settle(future, request, lambda: response)
         if crashed and self.supervised:
             self._recover()
         elif responses is not None:
@@ -864,9 +877,16 @@ class Scheduler:
             # Validated before any executor exists: raising after the
             # process-mode spawns would leak live children.
             raise ValueError("max_depth and max_batch must be positive")
-        self.mode = mode if mode is not None else "thread"
+        self.mode = mode if mode is not None else (
+            "process" if workers > 1 else "thread"
+        )
         if self.mode not in ("thread", "process"):
             raise ValueError(f"unknown scheduler mode {self.mode!r}")
+        if self.mode == "thread" and workers > 1:
+            raise ValueError(
+                f"thread mode runs one inline shard; workers={workers} "
+                f"needs mode='process'"
+            )
         self.deadline_ms = deadline_ms
         self.dispatcher: Optional[Dispatcher] = None
         factory: Optional[Callable[[], Any]] = None
@@ -879,9 +899,7 @@ class Scheduler:
                     default_deadline_ms=deadline_ms,
                 )
             )
-            executors: List[Any] = [
-                InlineExecutor(self.dispatcher) for _ in range(workers)
-            ]
+            executors: List[Any] = [InlineExecutor(self.dispatcher)]
         else:
             if dispatcher is not None:
                 raise ValueError(
@@ -967,7 +985,7 @@ class Scheduler:
 
     @property
     def workspace(self):
-        """The shared workspace (thread mode only; None for process mode)."""
+        """The inline shard's workspace (None in process mode)."""
         return self.dispatcher.workspace if self.dispatcher is not None else None
 
     def shard_of(self, session: str) -> int:
@@ -1043,11 +1061,7 @@ class Scheduler:
             inner["format"] = "json"
             inner.pop("trace", None)
             return self._finish_metrics_export(request, self._broadcast(inner))
-        if (
-            cmd in GLOBAL_COMMANDS
-            and self.mode == "process"
-            and len(self.shards) > 1
-        ):
+        if cmd in GLOBAL_COMMANDS and len(self.shards) > 1:
             future = self._broadcast(request)
         else:
             future = self.shards[0].submit(request)
@@ -1070,17 +1084,11 @@ class Scheduler:
                 remaining["count"] -= 1
                 if remaining["count"]:
                     return
-            try:
-                merged = merge_global(request, [f.result() for f in futures])
-            except BaseException as error:  # noqa: BLE001 — CancelledError
-                merged = _error_response(
-                    request, f"{type(error).__name__}: {error}"
-                )
-            if not result.cancelled():
-                try:
-                    result.set_result(merged)
-                except Exception:  # noqa: BLE001 — cancel/set race
-                    pass
+            _settle(
+                result,
+                request,
+                lambda: merge_global(request, [f.result() for f in futures]),
+            )
 
         for future in futures:
             future.add_done_callback(finish)
@@ -1096,15 +1104,9 @@ class Scheduler:
         laziness ratio (child fractions must not be summed), and renders
         the caller's requested format.
         """
-        wrapped: "Future[Response]" = Future()
 
-        def finish(done: "Future[Response]") -> None:
-            try:
-                response = dict(done.result())
-            except BaseException as error:  # noqa: BLE001 — CancelledError
-                response = _error_response(
-                    request, f"{type(error).__name__}: {error}"
-                )
+        def finish(response: Response) -> Response:
+            response = dict(response)
             if "error" not in response:
                 parent = obs.REGISTRY.snapshot()
                 merged = obs.MetricsRegistry.merge(
@@ -1133,13 +1135,12 @@ class Scheduler:
                     response.pop("shards", None)
                     response.pop("parent", None)
             response.setdefault("cmd", "metrics-export")
-            if not wrapped.cancelled():
-                try:
-                    wrapped.set_result(response)
-                except Exception:  # noqa: BLE001 — cancel/set race
-                    pass
+            return response
 
-        future.add_done_callback(finish)
+        wrapped: "Future[Response]" = Future()
+        future.add_done_callback(
+            lambda done: _settle(wrapped, request, lambda: finish(done.result()))
+        )
         return wrapped
 
     def _with_scheduler_metrics(
@@ -1148,24 +1149,17 @@ class Scheduler:
         """Attach per-shard scheduler metrics to a global metrics response."""
         if isinstance(request, dict) and "session" in request:
             return future
-        wrapped: "Future[Response]" = Future()
 
-        def enrich(done: "Future[Response]") -> None:
-            try:
-                response = dict(done.result())
-            except BaseException as error:  # noqa: BLE001 — CancelledError
-                response = _error_response(
-                    request, f"{type(error).__name__}: {error}"
-                )
+        def enrich(response: Response) -> Response:
+            response = dict(response)
             if "error" not in response:
                 response["scheduler"] = self.metrics()
-            if not wrapped.cancelled():
-                try:
-                    wrapped.set_result(response)
-                except Exception:  # noqa: BLE001 — cancel/set race
-                    pass
+            return response
 
-        future.add_done_callback(enrich)
+        wrapped: "Future[Response]" = Future()
+        future.add_done_callback(
+            lambda done: _settle(wrapped, request, lambda: enrich(done.result()))
+        )
         return wrapped
 
     # -- introspection -----------------------------------------------------

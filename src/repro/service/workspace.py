@@ -316,13 +316,16 @@ class ParseSession:
 class Workspace:
     """The registry of sessions plus the shared result cache.
 
-    The registry dict is guarded by a re-entrant lock: under the sharded
-    scheduler, each *session* is only ever driven by its owning shard
-    (single-writer — parse/edit calls on a session need no lock), but
-    registry operations (``open``/``close``/``sessions``/``metrics``)
-    cross shards and would otherwise race with each other and with the
+    The registry dict is guarded by a re-entrant lock.  Each *session* is
+    driven by one thread at a time (single-writer — parse/edit calls on a
+    session need no lock), but the registry is shared by two: a
+    ``corpus-parse`` job on a ``Dispatcher(corpus_root=...)`` runs on its
+    own :class:`~repro.corpus.pipeline.ParseJob` thread and calls
+    ``Dispatcher.handle`` for its worker sessions, while the caller's
+    thread opens, closes and lists the others.  Without the lock those
+    registry operations would race with each other and with the
     per-request ``get`` lookups.  Session-internal state stays lock-free
-    by shard ownership; only the shared structures (this registry and the
+    by ownership; only the shared structures (this registry and the
     :class:`ResultCache`) take locks.
     """
 
@@ -373,7 +376,7 @@ class Workspace:
     ) -> ParseSession:
         # Fast-fail duplicate check, then build OUTSIDE the lock: a large
         # grammar takes real time to build, and holding the registry lock
-        # through it would stall every other shard's get() lookups.  A
+        # through it would stall the other thread's get() lookups.  A
         # losing racer (same name opened concurrently) is caught again by
         # adopt's locked check-and-insert.
         with self._lock:

@@ -1,15 +1,16 @@
 """Property: concurrent sessions never observe a torn grammar version.
 
-Each session is pinned to one shard (single-writer), so from any one
-session's point of view its request stream is strictly sequential even
-while other sessions' streams run on other threads.  The observable
-contract: every ``parse``/``recognize`` response's ``version`` equals
-exactly the version produced by the edits that session had issued before
-it — never a neighbour's version, never a half-applied one, never a stale
-one.  Hypothesis drives randomized per-session scripts of unique-rule
-edits and parses, executed concurrently (one client thread per session,
-like real connections), and the invariant is checked per session against
-the version arithmetic of the sequential semantics.
+Each session is driven by one shard thread (single-writer), so from any
+one session's point of view its request stream is strictly sequential
+even while other sessions' clients submit from other threads.  The
+observable contract: every ``parse``/``recognize`` response's
+``version`` equals exactly the version produced by the edits that
+session had issued before it — never a neighbour's version, never a
+half-applied one, never a stale one.  Hypothesis drives randomized
+per-session scripts of unique-rule edits and parses, executed
+concurrently (one client thread per session, like real connections,
+all queueing into one inline shard), and the invariant is checked per
+session against the version arithmetic of the sequential semantics.
 """
 
 import threading
@@ -38,7 +39,7 @@ scripts = st.lists(
 @settings(max_examples=15, deadline=None)
 @given(scripts)
 def test_versions_are_never_torn(session_scripts):
-    with Scheduler(workers=3, max_depth=4096) as scheduler:
+    with Scheduler(max_depth=4096) as scheduler:
         observations = {}
         failures = []
 

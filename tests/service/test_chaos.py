@@ -226,8 +226,8 @@ class TestCircuitBreaker:
 
 class TestDeadlineUnderTraffic:
     def test_deadline_exceeded_while_other_sessions_are_served(self):
-        # Session names chosen to land on different shards of 2.
-        with Scheduler(workers=2, mode="thread") as scheduler:
+        # Session names chosen to land on different process shards of 2.
+        with Scheduler(workers=2, mode="process") as scheduler:
             shard_of = scheduler.shard_of
             names = [f"d{i}" for i in range(16)]
             slow = next(n for n in names if shard_of(n) == 0)

@@ -1,18 +1,20 @@
 """Thread-safety regressions: the shared cache, the registry, the pool.
 
-The PR 1 structures were written for one thread; under the sharded
-scheduler the result cache and the session registry are touched from
-every worker plus the transport thread.  These tests hammer exactly the
+The PR 1 structures were written for one thread.  One dispatcher is
+still driven from two threads at once: a ``corpus-parse`` job runs on
+its own ``ParseJob`` thread and calls ``Dispatcher.handle`` while the
+caller's thread keeps serving.  These tests hammer exactly the
 operations that used to race (LRU put/evict vs invalidate, registry
-open/close vs names) and then check the internal invariants that a torn
-update breaks.
+open/close vs names), drive that corpus job against session churn, and
+then check the internal invariants that a torn update breaks.
 """
 
 import random
+import sys
 import threading
 
 from repro.bench.workloads import service_requests
-from repro.service import ResultCache, Scheduler, Workspace
+from repro.service import Dispatcher, ResultCache, Scheduler, Workspace
 
 GRAMMAR = "START ::= B\nB ::= true\nB ::= false\nB ::= B or B"
 
@@ -125,8 +127,66 @@ class TestWorkspaceThreadSafety:
         workspace.cache.check_consistency()
 
 
+class TestCorpusJobThread:
+    """The thread the registry and cache locks still exist for."""
+
+    def test_corpus_parse_races_session_churn(self, tmp_path):
+        # Every true/false sentence of 1..5 operands: 62 distinct docs.
+        documents = []
+        for length in range(1, 6):
+            for bits in range(2 ** length):
+                documents.append(
+                    " or ".join(
+                        "true" if bits >> i & 1 else "false"
+                        for i in range(length)
+                    )
+                )
+        dispatcher = Dispatcher(corpus_root=str(tmp_path / "corpora"))
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per second
+
+        def call(request):
+            response = dispatcher.handle(request)
+            if "error" in response:
+                errors.append(response)
+            return response
+
+        try:
+            call({"cmd": "corpus-create", "corpus": "race", "grammar": GRAMMAR})
+            call({"cmd": "corpus-ingest", "corpus": "race",
+                  "documents": documents})
+            # Returns at once; the ParseJob thread drains the corpus
+            # through Dispatcher.handle while this thread churns below.
+            call({"cmd": "corpus-parse", "corpus": "race", "wait": False})
+            rounds = 0
+            status = call({"cmd": "corpus-status", "corpus": "race"})
+            while status["job"]["state"] in ("pending", "running"):
+                name = f"churn{rounds}"
+                call({"cmd": "open", "session": name, "grammar": GRAMMAR})
+                call({"cmd": "parse", "session": name,
+                      "tokens": "true or false"})
+                call({"cmd": "sessions"})
+                call({"cmd": "metrics"})
+                call({"cmd": "close", "session": name})
+                rounds += 1
+                assert rounds < 100_000, "corpus job never finished"
+                status = call({"cmd": "corpus-status", "corpus": "race"})
+            assert not errors
+            assert rounds >= 1  # the churn really overlapped the job
+            job = status["job"]
+            assert job["state"] == "done"
+            assert job["done"] == job["accepted"] == len(documents)
+            assert job["parsed_this_run"] == len(documents)
+            assert dispatcher.workspace.names() == ("corpus:race:0",)
+            dispatcher.workspace.cache.check_consistency()
+        finally:
+            sys.setswitchinterval(interval)
+            dispatcher.close()
+
+
 class TestSchedulerHammer:
-    """The generated multi-session workload under real concurrency."""
+    """The generated multi-session workload from concurrent clients."""
 
     def test_interleaved_traffic_with_global_scans(self):
         requests = service_requests(sessions=8, requests_per_session=6, seed=3)
@@ -136,7 +196,9 @@ class TestSchedulerHammer:
         globals_only = per_session.pop(None, [])
         errors = []
 
-        with Scheduler(workers=4, max_depth=1024) as scheduler:
+        # One inline shard: many client threads queue into it while a
+        # scanner interleaves global commands.
+        with Scheduler(max_depth=1024) as scheduler:
             def client(chunk):
                 def body():
                     for request in chunk:

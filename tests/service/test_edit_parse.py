@@ -217,7 +217,9 @@ class TestCheckpointRecognize:
 
 class TestSchedulerRouting:
     def test_edit_parse_routes_through_the_sharded_scheduler(self):
-        scheduler = Scheduler(workers=2, mode="thread")
+        # Process shards: the checkpoint lives in the owning child, and
+        # the edit-parse must be routed back to it by session.
+        scheduler = Scheduler(workers=2, mode="process")
         try:
             scheduler.submit(
                 {"cmd": "open", "session": "s", "grammar": GRAMMAR}

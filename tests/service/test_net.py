@@ -319,8 +319,6 @@ class TestSigtermSubprocess:
                 "127.0.0.1:0",
                 "--workers",
                 "2",
-                "--mode",
-                "thread",
                 "--ready-file",
                 str(ready),
             ],

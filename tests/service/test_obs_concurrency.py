@@ -103,7 +103,9 @@ def _assert_counters_monotone(exports):
 def test_exports_race_parses_and_counters_stay_monotone(mode):
     sessions = [f"obs-c-{mode}-{i}" for i in range(6)]
     exports, errors = [], []
-    with Scheduler(workers=2, mode=mode) as scheduler:
+    # Thread mode is one inline shard; process mode shards across two.
+    workers = 2 if mode == "process" else 1
+    with Scheduler(workers=workers, mode=mode) as scheduler:
         for name in sessions:
             assert "error" not in scheduler.handle(
                 {"cmd": "open", "session": name, "grammar": GRAMMAR}

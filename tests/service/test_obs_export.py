@@ -185,7 +185,7 @@ class TestRequestTracing:
 
 class TestSchedulerExport:
     def test_thread_mode_export_includes_shard_series(self):
-        with Scheduler(workers=2, mode="thread") as scheduler:
+        with Scheduler(mode="thread") as scheduler:
             scheduler.handle(
                 {"cmd": "open", "session": "s1", "grammar": BOOLEANS}
             )
@@ -198,9 +198,10 @@ class TestSchedulerExport:
         shard_keys = [key for key in metrics if key.startswith("repro.shard.")]
         assert any("submitted" in key for key in shard_keys)
         assert any("repro.shard.request.seconds" in key for key in shard_keys)
+        assert 'repro.shard.request.seconds{shard="0"}' in metrics
 
     def test_traced_response_names_its_shard(self):
-        with Scheduler(workers=2, mode="thread") as scheduler:
+        with Scheduler(workers=2, mode="process") as scheduler:
             scheduler.handle(
                 {"cmd": "open", "session": "s1", "grammar": BOOLEANS}
             )

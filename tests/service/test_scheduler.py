@@ -121,7 +121,33 @@ class TestPlanBatch:
         assert len(execute) == 2
 
 
+class FakeChild:
+    """A ProcessExecutor stand-in that spawns nothing (never run)."""
+
+    def __init__(self, **_kwargs):
+        pass
+
+    def close(self):
+        pass
+
+    def terminate(self):
+        pass
+
+
+def forbid_executors(monkeypatch):
+    """Make building either shard executor fail the test."""
+    from repro.service import scheduler as scheduler_module
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("built an executor before validating arguments")
+
+    monkeypatch.setattr(scheduler_module, "ProcessExecutor", forbidden)
+    monkeypatch.setattr(scheduler_module, "InlineExecutor", forbidden)
+
+
 class TestRouting:
+    """Routing across several shards: process mode, one child each."""
+
     def test_shard_assignment_is_stable_and_in_range(self):
         with Scheduler(workers=3) as scheduler:
             for name in ("alpha", "beta", "gamma", "s000", "s001"):
@@ -163,20 +189,37 @@ class TestRouting:
         with pytest.raises(ValueError):
             Scheduler(workers=0)
 
-    def test_unknown_mode_is_refused(self):
-        with pytest.raises(ValueError):
+    def test_unknown_mode_is_refused(self, monkeypatch):
+        forbid_executors(monkeypatch)
+        with pytest.raises(ValueError, match="unknown scheduler mode"):
             Scheduler(mode="fibers")
+        # Thread mode is one inline shard; more is refused, not built.
+        with pytest.raises(ValueError, match="one inline shard"):
+            Scheduler(workers=2, mode="thread")
 
     def test_bad_bounds_are_refused_before_any_spawn(self, monkeypatch):
+        forbid_executors(monkeypatch)
+        for kwargs in (
+            {"workers": 2, "mode": "process", "max_depth": 0},
+            {"workers": 2, "mode": "process", "max_batch": 0},
+            {"workers": 1, "max_depth": 0},
+            {"workers": 4, "mode": "thread"},
+        ):
+            with pytest.raises(ValueError):
+                Scheduler(**kwargs)
+
+    def test_mode_defaults_from_workers(self, monkeypatch):
         from repro.service import scheduler as scheduler_module
 
-        def forbidden(*_args, **_kwargs):
-            raise AssertionError("spawned a child before validating bounds")
-
-        monkeypatch.setattr(scheduler_module, "ProcessExecutor", forbidden)
-        for kwargs in ({"max_depth": 0}, {"max_batch": 0}):
-            with pytest.raises(ValueError):
-                Scheduler(workers=2, mode="process", **kwargs)
+        monkeypatch.setattr(scheduler_module, "ProcessExecutor", FakeChild)
+        with Scheduler(workers=2) as scheduler:
+            assert scheduler.mode == "process"
+            assert len(scheduler.shards) == 2
+            assert scheduler.workspace is None
+        with Scheduler() as scheduler:
+            assert scheduler.mode == "thread"
+            assert len(scheduler.shards) == 1
+            assert scheduler.workspace is not None
 
 
 class TestBackpressure:
@@ -269,11 +312,11 @@ class TestDrainAndMetrics:
             scheduler.handle(parse_request("m"))
             response = scheduler.handle({"cmd": "metrics"})
             section = response["scheduler"]
-            assert section["mode"] == "thread"
+            assert section["mode"] == "process"
             assert section["workers"] == 2
             assert len(section["shards"]) == 2
-            # open + parse + the metrics request itself
-            assert sum(s["completed"] for s in section["shards"]) == 3
+            # open + parse, plus the metrics request broadcast to both
+            assert sum(s["completed"] for s in section["shards"]) == 4
 
     def test_dispatcher_compatible_with_serve_loop(self):
         import io

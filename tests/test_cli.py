@@ -352,3 +352,30 @@ class TestServeFlagValidation:
         with pytest.raises(SystemExit):
             main(["serve", "--slow-ms", "-0.5"])
         assert "--slow-ms must be non-negative" in capsys.readouterr().err
+
+    def test_thread_mode_with_several_workers_is_refused(self, capsys):
+        # Refused by the Scheduler before any socket or child exists.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--tcp", "127.0.0.1:0", "--workers", "2",
+                  "--mode", "thread"])
+        assert exit_info.value.code == 2
+        assert "one inline shard" in capsys.readouterr().err
+
+
+class TestDeletedShardFlags:
+    """Only ``serve`` still takes ``--mode``; ``obs`` runs one shard."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "--mode", "thread"],
+            ["corpus", "--root", "unused", "info", "--mode", "process"],
+            ["obs", "--workers", "2"],
+        ],
+        ids=["batch-mode", "corpus-mode", "obs-workers"],
+    )
+    def test_deleted_shard_flags_are_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
