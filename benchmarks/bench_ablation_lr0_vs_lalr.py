@@ -22,7 +22,7 @@ from repro.lr.generator import ConventionalGenerator
 from repro.lr.graph import ItemSetGraph
 from repro.lr.lalr import lalr_table
 from repro.lr.slr import slr_table
-from repro.lr.table import TableControl, resolve_conflicts
+from repro.lr.table import resolve_conflicts
 from repro.runtime.lr_parse import SimpleLRParser
 from repro.runtime.parallel import PoolParser
 
@@ -67,7 +67,7 @@ def test_parse_lalr_deterministic(benchmark, workload, tokens):
     """LALR(1) table + simple LR parser (the Yacc runtime)."""
     grammar = workload.fresh_grammar()
     table, _ = resolve_conflicts(lalr_table(grammar))
-    parser = SimpleLRParser(TableControl(table), grammar)
+    parser = SimpleLRParser(table, grammar)
     stream = tokens["ASF.sdf"]
     result = benchmark(lambda: parser.parse(stream))
     assert result.accepted
@@ -92,7 +92,7 @@ def test_tradeoff_shape(benchmark, workload, tokens):
 
         pool = PoolParser(ConventionalGenerator(grammar).generate(), grammar)
         det = SimpleLRParser(
-            TableControl(resolve_conflicts(table)[0]), grammar
+            resolve_conflicts(table)[0], grammar
         )
         pool.parse(stream)  # warm
         start = time.perf_counter()

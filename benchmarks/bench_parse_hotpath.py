@@ -2,7 +2,7 @@
 """Hot-path benchmark: tokens/sec per control-plane tier.
 
 Measures warm throughput for the lazy (paper reference), compiled and
-dense-table controls under PAR-PARSE, and for the merged-stack gss
+parse-table controls under PAR-PARSE, and for the merged-stack gss
 parser, on the §7 workloads, and writes ``BENCH_parse_hotpath.json`` at the repo root so the perf
 trajectory is tracked across PRs:
 

@@ -35,7 +35,7 @@ from ..grammar.grammar import Grammar
 from ..grammar.rules import Rule
 from ..lr.generator import ConventionalGenerator
 from ..lr.lalr import lalr_table
-from ..lr.table import TableControl, resolve_conflicts
+from ..lr.table import resolve_conflicts
 from ..runtime.lr_parse import SimpleLRParser
 from ..runtime.parallel import PoolParser
 from .workloads import Fig71Workload, TokenStream
@@ -82,7 +82,7 @@ class YaccSystem(SystemAdapter):
         self.grammar = grammar
         table, conflicts = resolve_conflicts(lalr_table(grammar))
         self.conflicts = len(conflicts)
-        self.parser = SimpleLRParser(TableControl(table), grammar)
+        self.parser = SimpleLRParser(table, grammar)
 
     def parse(self, tokens: TokenStream) -> bool:
         assert self.parser is not None, "construct first"

@@ -8,9 +8,9 @@ generators put the system in — for each tier of the control plane:
   same-run ratios;
 * ``compiled`` — :class:`~repro.lr.compiled.CompiledControl` memoizing
   ACTION into shared tuples (what :class:`~repro.core.ipg.IPG` runs);
-* ``table`` — the dense integer :class:`~repro.lr.table.TableControl`
-  over a fully expanded LR(0) table (the conventional-generator
-  representation; no engine serves it);
+* ``table`` — a :class:`~repro.lr.table.ParseTable` decided once from a
+  fully expanded LR(0) graph, run as its own control (the
+  conventional-generator representation; no engine serves it);
 * ``gss`` — the merged-stack :class:`~repro.runtime.gss.GSSParser` over
   the compiled control: Tomita's graph-structured stack bounds the live
   frontier by the state count, so the heavily ambiguous booleans
@@ -39,7 +39,7 @@ from ..core.incremental import IncrementalGenerator
 from ..grammar.grammar import Grammar
 from ..lr.compiled import CompiledControl
 from ..lr.graph import ItemSetGraph
-from ..lr.table import TableControl, lr0_table
+from ..lr.table import lr0_table
 from ..runtime.forest import ParseForest
 from ..runtime.gss import GSSParser
 from ..runtime.parallel import PoolParser
@@ -81,7 +81,7 @@ def _compiled_parser(grammar: Grammar) -> PoolParser:
 def _table_parser(grammar: Grammar) -> PoolParser:
     graph = ItemSetGraph(grammar)
     graph.expand_all()
-    return PoolParser(TableControl(lr0_table(graph)), grammar)
+    return PoolParser(lr0_table(graph), grammar)
 
 
 def _gss_parser(grammar: Grammar) -> GSSParser:

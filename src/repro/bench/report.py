@@ -20,7 +20,7 @@ from ..grammar.builders import grammar_from_text
 from ..grammar.symbols import Terminal
 from ..lr.generator import ConventionalGenerator
 from ..lr.lalr import lalr_table
-from ..lr.table import TableControl, resolve_conflicts
+from ..lr.table import resolve_conflicts
 from ..runtime.lr_parse import SimpleLRParser
 from ..runtime.parallel import PoolParser
 from .harness import PHASES, ProtocolResult
@@ -214,7 +214,7 @@ def capability_matrix(scale: int = 150) -> Tuple[Dict[str, Capability], float]:
     except Exception:  # pragma: no cover - defensive
         lalr.handles_left_recursion = False
     table, _ = resolve_conflicts(lalr_table(sdf))
-    det = SimpleLRParser(TableControl(table), sdf)
+    det = SimpleLRParser(table, sdf)
     lalr.parse_seconds = timed(lambda: det.parse(sdf_input))
     lalr.modify_ratio = 1.0  # a change costs a full reconstruction
     rows[lalr.name] = lalr

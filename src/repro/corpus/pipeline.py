@@ -38,6 +38,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Any, Callable, Dict, List, Optional
 
 from .. import obs
+from ..service.retry import is_retryable
 from .store import DocumentStore, ParseJournal, ResultStore
 
 #: In-flight documents per worker session (i.e. per shard) — small by
@@ -85,16 +86,6 @@ def distill(response: Dict[str, Any]) -> Dict[str, Any]:
         if diagnostics is not None:
             payload["diagnostics"] = diagnostics
     return payload
-
-
-def is_retryable(response: Dict[str, Any]) -> bool:
-    """Transient infrastructure answers worth re-queueing the document for."""
-    if "error" not in response:
-        return False
-    return (
-        response["error"] == "shard-restarting"
-        or bool(response.get("overloaded"))
-    )
 
 
 class ParseJob:

@@ -3,7 +3,8 @@
 * :mod:`repro.lr.graph` — CLOSURE/EXPAND and the graph object (section 4).
 * :mod:`repro.lr.generator` — the conventional generator PG plus the
   graph-backed ACTION/GOTO control.
-* :mod:`repro.lr.table` — tabular parse tables (Fig. 4.1(b)).
+* :mod:`repro.lr.table` — tabular parse tables (Fig. 4.1(b)), each its own
+  parser control, built for every table kind by ``table_from_graph``.
 * :mod:`repro.lr.slr` / :mod:`repro.lr.lalr` — SLR(1) and LALR(1)
   constructions (the Yacc baseline of section 7).
 """
@@ -17,14 +18,7 @@ from .items import Item, Kernel, kernel_of, sorted_items
 from .lalr import compute_lalr_lookaheads, lalr_table, lalr_table_from_graph
 from .slr import slr_table, slr_table_from_graph
 from .states import ACCEPT, ItemSet, StateType
-from .table import (
-    DenseTable,
-    ParseTable,
-    TableControl,
-    TableRow,
-    lr0_table,
-    resolve_conflicts,
-)
+from .table import ParseTable, TableRow, lr0_table, resolve_conflicts, table_from_graph
 
 __all__ = [
     "ACCEPT",
@@ -36,7 +30,6 @@ __all__ = [
     "CompiledStats",
     "Conflict",
     "ConventionalGenerator",
-    "DenseTable",
     "GotoOnNonCompleteState",
     "GraphControl",
     "GraphStats",
@@ -48,7 +41,6 @@ __all__ = [
     "Reduce",
     "Shift",
     "StateType",
-    "TableControl",
     "TableRow",
     "compute_lalr_lookaheads",
     "kernel_of",
@@ -60,4 +52,5 @@ __all__ = [
     "slr_table",
     "slr_table_from_graph",
     "sorted_items",
+    "table_from_graph",
 ]

@@ -26,7 +26,7 @@ current grammar.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..grammar.grammar import Grammar
 from ..grammar.rules import Rule
@@ -35,13 +35,8 @@ from .actions import ActionSet, Reduce, Shift
 from .graph import ItemSetGraph
 from .states import ItemSet
 
-#: uid -> (state object, per-terminal memo of shared action tuples).  The
-#: stored state reference both pins the object (uids are never reused, ids
-#: could be) and lets the flush re-check the state's life-cycle type.
-_StateEntry = Tuple[ItemSet, Dict[Terminal, ActionSet]]
-
 #: Pre-decoded single-action cells (the *step cache* protocol shared with
-#: :class:`~repro.lr.table.TableControl`): a deterministic cell is stored
+#: :class:`~repro.lr.table.ParseTable`): a deterministic cell is stored
 #: as ``(STEP_SHIFT, target)``, ``(STEP_REDUCE, rule, arity, lhs)`` or
 #: ``(STEP_ACCEPT,)``; a conflicted or empty cell as ``False``.  Runtime
 #: fast paths dispatch on the leading int without touching the action
@@ -115,16 +110,17 @@ class CompiledControl:
         self.inner = inner
         self.graph: ItemSetGraph = inner.graph
         self.stats = CompiledStats()
-        #: The memo itself, exposed read-only as the zero-call probe
-        #: surface for runtime fast paths: a parser loop may look up
-        #: ``action_cache.get(state.uid)`` and, after verifying the entry's
-        #: state identity, read the per-terminal dict directly — reporting
-        #: the hits it took via :meth:`count_probe_hits`.  Misses must go
-        #: through :meth:`action`.
-        self.action_cache: Dict[int, _StateEntry] = {}
-        #: state -> {terminal -> pre-decoded step}; keyed by the state
-        #: object itself (identity hash) and kept in lock-step with
-        #: :attr:`action_cache` by both the miss path and the flush.
+        #: state -> {terminal -> shared action tuple}: the memo itself,
+        #: keyed by the state object (identity hash; the key also pins the
+        #: state, and the flush re-checks its life-cycle type).  Runtime
+        #: fast paths read :attr:`fast_step_cache` instead, reporting the
+        #: hits they took via :meth:`count_probe_hits`; misses must go
+        #: through :meth:`action`.  Its presence tells a runtime that the
+        #: states are graph item sets, whose GOTO it may probe directly.
+        self.action_cache: Dict[ItemSet, Dict[Terminal, ActionSet]] = {}
+        #: state -> {terminal -> pre-decoded step}; same keys as
+        #: :attr:`action_cache`, kept in lock-step with it by both the miss
+        #: path and the flush.
         self.fast_step_cache: Dict[ItemSet, Dict[Terminal, Step]] = {}
         if grammar is None:
             grammar = self.graph.grammar
@@ -141,16 +137,14 @@ class CompiledControl:
         return self.inner.start_state
 
     def action(self, state: ItemSet, symbol: Terminal) -> ActionSet:
-        entry = self.action_cache.get(state.uid)
-        if entry is not None and entry[0] is state:
-            per_state = entry[1]
+        per_state = self.action_cache.get(state)
+        if per_state is None:
+            per_state = self.action_cache[state] = {}
+        else:
             cached = per_state.get(symbol)
             if cached is not None:
                 self.stats.action_cache_hits += 1
                 return cached
-        else:
-            per_state = {}
-            self.action_cache[state.uid] = (state, per_state)
         self.stats.action_cache_misses += 1
         # Delegation expands initial/dirty states on demand (section 5/6),
         # so after this call the state is complete and the result stable
@@ -195,12 +189,12 @@ class CompiledControl:
         """
         graph = self.graph
         stale = [
-            uid
-            for uid, (state, _) in self.action_cache.items()
+            state
+            for state in self.action_cache
             if state.needs_expansion or state not in graph
         ]
-        for uid in stale:
-            state = self.action_cache.pop(uid)[0]
+        for state in stale:
+            del self.action_cache[state]
             self.fast_step_cache.pop(state, None)
         self.stats.action_cache_flushes += 1
         self.stats.action_cache_evicted += len(stale)
@@ -211,7 +205,7 @@ class CompiledControl:
         return len(self.action_cache)
 
     def cached_cells(self) -> int:
-        return sum(len(entry[1]) for entry in self.action_cache.values())
+        return sum(len(per_state) for per_state in self.action_cache.values())
 
     def __repr__(self) -> str:
         return (

@@ -29,8 +29,8 @@ from ..grammar.rules import Rule
 from ..grammar.symbols import END, NonTerminal, Terminal
 from .graph import ItemSetGraph
 from .items import Item
-from .states import ACCEPT, ItemSet
-from .table import ParseTable, TableRow, _index_graph
+from .states import ItemSet
+from .table import ParseTable, Reduces, table_from_graph
 
 #: Dummy lookahead used to detect propagation; the NUL prefix keeps it from
 #: colliding with any user terminal.
@@ -129,18 +129,7 @@ def lalr_table_from_graph(graph: ItemSetGraph) -> ParseTable:
     analysis = GrammarAnalysis(grammar)
     kernel_lookaheads = compute_lalr_lookaheads(graph)
 
-    mapping, states = _index_graph(graph)
-    rows: List[TableRow] = []
-    for state in states:
-        row = TableRow()
-        for symbol, target in state.transitions.items():
-            if target is ACCEPT:
-                row.accepts = True
-            elif isinstance(symbol, Terminal):
-                row.shifts[symbol] = mapping[target.uid]
-            else:
-                row.gotos[symbol] = mapping[target.uid]
-
+    def reduces(state: ItemSet) -> Reduces:
         # Reduce lookaheads come from the LR(1) closure of the kernel with
         # its final LALR lookahead sets (this also covers epsilon rules,
         # whose completed items only ever appear in closures).
@@ -152,19 +141,11 @@ def lalr_table_from_graph(graph: ItemSetGraph) -> ParseTable:
         for item, la in _lr1_closure(seeds, grammar, analysis):
             if item.at_end and item.rule.lhs != grammar.start and la != _DUMMY:
                 reduce_lookaheads.setdefault(item.rule, set()).add(la)
-        row.reduces = [
+        return [
             (rule, frozenset(las))
             for rule, las in sorted(
                 reduce_lookaheads.items(), key=lambda kv: kv[0].sort_key()
             )
         ]
-        rows.append(row)
 
-    rule_numbers = {rule: i for i, rule in enumerate(sorted(grammar.rules))}
-    return ParseTable(
-        rows,
-        start=mapping[graph.start.uid],
-        terminals=sorted(grammar.terminals),
-        nonterminals=sorted(grammar.nonterminals - {grammar.start}),
-        rule_numbers=rule_numbers,
-    )
+    return table_from_graph(graph, reduces)

@@ -9,14 +9,10 @@ the generation-time/parse-determinism trade-off the Postscript discusses.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..grammar.analysis import GrammarAnalysis
 from ..grammar.grammar import Grammar
-from ..grammar.symbols import Terminal
 from .graph import ItemSetGraph
-from .states import ACCEPT
-from .table import ParseTable, TableRow, _index_graph
+from .table import ParseTable, table_from_graph
 
 
 def slr_table(grammar: Grammar) -> ParseTable:
@@ -27,30 +23,8 @@ def slr_table(grammar: Grammar) -> ParseTable:
 
 
 def slr_table_from_graph(graph: ItemSetGraph) -> ParseTable:
-    grammar = graph.grammar
-    analysis = GrammarAnalysis(grammar)
-    mapping, states = _index_graph(graph)
-    rows: List[TableRow] = []
-    for state in states:
-        if state.needs_expansion:
-            raise ValueError(f"state #{state.uid} not expanded")
-        row = TableRow()
-        for symbol, target in state.transitions.items():
-            if target is ACCEPT:
-                row.accepts = True
-            elif isinstance(symbol, Terminal):
-                row.shifts[symbol] = mapping[target.uid]
-            else:
-                row.gotos[symbol] = mapping[target.uid]
-        row.reduces = [
-            (rule, analysis.follow(rule.lhs)) for rule in state.reductions
-        ]
-        rows.append(row)
-    rule_numbers = {rule: i for i, rule in enumerate(sorted(grammar.rules))}
-    return ParseTable(
-        rows,
-        start=mapping[graph.start.uid],
-        terminals=sorted(grammar.terminals),
-        nonterminals=sorted(grammar.nonterminals - {grammar.start}),
-        rule_numbers=rule_numbers,
+    analysis = GrammarAnalysis(graph.grammar)
+    return table_from_graph(
+        graph,
+        lambda state: [(rule, analysis.follow(rule.lhs)) for rule in state.reductions],
     )

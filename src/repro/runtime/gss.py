@@ -134,8 +134,8 @@ class GSSParser:
     Parameters
     ----------
     control:
-        ``start_state`` / ``action`` / ``goto`` provider; a compiled (or
-        dense-table) control additionally exposes the step-cache probe
+        ``start_state`` / ``action`` / ``goto`` provider; a compiled control
+        (or a parse table) additionally exposes the step-cache probe
         surface the deterministic stretch reads.
     max_steps_per_token:
         Work budget per input symbol (cyclic-grammar guard).

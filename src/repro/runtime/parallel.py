@@ -437,7 +437,7 @@ class PoolParser:
         fast_mode = trace is None
         nonterminal_count = len(grammar.nonterminals) if grammar is not None else 0
         fast_reduce_budget = 64 + 4 * (nonterminal_count + 2)
-        # Zero-call probe surface: a compiled (or dense-table) control
+        # Zero-call probe surface: a compiled control (or a parse table)
         # exposes its pre-decoded step cells, so the fast stretch reads
         # memo dicts directly instead of paying a method call per step;
         # the hits taken this way are credited back below.

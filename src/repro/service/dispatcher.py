@@ -322,7 +322,7 @@ class Dispatcher:
             )
         start = edit.get("start")
         end = edit.get("end")
-        if not isinstance(start, int) or not isinstance(end, int):
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (start, end)):
             raise ProtocolError(
                 "'edit-parse' needs integer 'start' and 'end' in the edit"
             )

@@ -5,8 +5,9 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.corpus.pipeline import ParseJob, distill, is_retryable
+from repro.corpus.pipeline import ParseJob, distill
 from repro.corpus.store import DocumentStore, ParseJournal, ResultStore
+from repro.service.retry import is_retryable
 
 
 class TestDistill:

@@ -1,4 +1,4 @@
-"""The compiled control plane: memoization, invalidation, dense tables."""
+"""The compiled control plane: memoization, invalidation, table controls."""
 
 import pytest
 
@@ -12,9 +12,10 @@ from repro.lr.compiled import (
     CompiledControl,
     encode_step,
 )
+from repro.lr.actions import Reduce, Shift
 from repro.lr.graph import ItemSetGraph
 from repro.lr.slr import slr_table
-from repro.lr.table import DenseTable, TableControl, lr0_table
+from repro.lr.table import lr0_table
 from repro.grammar.symbols import END, NonTerminal, Terminal
 from repro.runtime.parallel import PoolParser
 
@@ -145,7 +146,6 @@ class TestEncodeStep:
         graph = ItemSetGraph(grammar)
         graph.expand_all()
         table = lr0_table(graph)
-        control = TableControl(table)
         conflicted = [
             (state, terminal)
             for state in range(len(table))
@@ -154,14 +154,14 @@ class TestEncodeStep:
         ]
         assert conflicted  # LR(0) booleans has shift/reduce conflicts
         state, terminal = conflicted[0]
-        assert control.fast_step_cache[state][terminal] is False
+        assert table.fast_step_cache[state][terminal] is False
 
     def test_kinds(self):
         grammar = booleans()
         table = lr0_table_of(grammar)
         kinds = {
             step[0]
-            for steps in TableControl(table).fast_step_cache.values()
+            for steps in table.fast_step_cache.values()
             for step in steps.values()
             if step is not False
         }
@@ -174,7 +174,9 @@ def lr0_table_of(grammar):
     return lr0_table(graph)
 
 
-class TestDenseTable:
+class TestTableAsControl:
+    """A :class:`ParseTable` is its own parser control."""
+
     def grammar(self):
         return grammar_from_text(
             """
@@ -185,55 +187,39 @@ class TestDenseTable:
             """
         )
 
-    def test_dense_action_matches_sparse(self):
-        table = slr_table(self.grammar())
-        dense = table.dense()
-        columns = list(table.terminals) + [END]
-        for state in range(len(table)):
-            for terminal in columns:
-                assert dense.action(state, terminal) == table.action(state, terminal)
-
-    def test_unknown_terminal_matches_sparse(self):
-        table = lr0_table_of(self.grammar())
-        dense = table.dense()
+    def test_unknown_terminal_gets_lookahead_free_reduces(self):
+        # A terminal outside the grammar gets the state's lookahead-free
+        # reduces: every LR(0) reduce, and nothing in an SLR(1) table.
         stranger = Terminal("stranger")
+        table = lr0_table_of(self.grammar())
         for state in range(len(table)):
-            assert dense.action(state, stranger) == table.action(state, stranger)
-
-    def test_dense_goto_matches_sparse(self):
-        table = slr_table(self.grammar())
-        dense = table.dense()
-        for state in range(len(table)):
-            for nonterminal in table.nonterminals:
-                try:
-                    expected = table.goto(state, nonterminal)
-                except LookupError:
-                    with pytest.raises(LookupError):
-                        dense.goto(state, nonterminal)
-                else:
-                    assert dense.goto(state, nonterminal) == expected
+            reduces = tuple(a for a in table.action(state, END) if isinstance(a, Reduce))
+            assert table.action(state, stranger) == reduces
+        assert any(table.action(state, stranger) for state in range(len(table)))
+        slr = slr_table(self.grammar())
+        assert all(slr.action(state, stranger) == () for state in range(len(slr)))
 
     def test_goto_unknown_nonterminal_raises(self):
-        dense = slr_table(self.grammar()).dense()
-        with pytest.raises(LookupError):
-            dense.goto(0, NonTerminal("GHOST"))
-
-    def test_dense_form_is_cached_on_the_table(self):
         table = slr_table(self.grammar())
-        assert table.dense() is table.dense()
-        assert isinstance(table.dense(), DenseTable)
+        with pytest.raises(LookupError):
+            table.goto(0, NonTerminal("GHOST"))
 
     def test_action_tuples_are_shared_across_calls(self):
         table = slr_table(self.grammar())
-        control = TableControl(table)
-        a = control.action(table.start, Terminal("n"))
-        b = control.action(table.start, Terminal("n"))
+        a = table.action(table.start_state, Terminal("n"))
+        b = table.action(table.start_state, Terminal("n"))
         assert a is b
+        # Equal cells anywhere in the grid are one tuple.
+        cells = {}
+        for state in range(len(table)):
+            for terminal in list(table.terminals) + [END]:
+                cell = table.action(state, terminal)
+                assert cells.setdefault(cell, cell) is cell
 
-    def test_default_only_pool_entries_keep_step_pool_in_sync(self):
+    def test_default_only_cells_keep_steps_in_sync(self):
         # Regression: a state whose lookahead-less reduce + full shift row
-        # makes its *defaults* tuple a brand-new pool entry used to desync
-        # the parallel step pool and crash construction with IndexError.
+        # makes its *defaults* tuple a brand-new shared cell used to desync
+        # the pre-decoded steps and crash construction with IndexError.
         grammar = grammar_from_text(
             """
             START ::= S
@@ -243,22 +229,33 @@ class TestDenseTable:
             Z ::= S a
             """
         )
-        table = lr0_table_of(grammar)
-        control = TableControl(table)  # must not raise
-        for state, steps in control.fast_step_cache.items():
+        table = lr0_table_of(grammar)  # must not raise
+        for state, steps in table.fast_step_cache.items():
             for symbol, step in steps.items():
-                assert step == encode_step(control.action(state, symbol))
+                assert step == encode_step(table.action(state, symbol))
 
     def test_state_objects_are_interned(self):
         # Duplicate elision keys on state identity, so every occurrence of
-        # a state number must be the same int object.
-        table = slr_table(self.grammar())
-        dense = table.dense()
+        # a state number must be the same int object — also past CPython's
+        # small-int cache, which a 300-symbol rule's states reach.
+        grammar = grammar_from_text(
+            "S ::= " + " ".join(f"t{i}" for i in range(300)) + "\nSTART ::= S"
+        )
+        table = lr0_table_of(grammar)
+        assert len(table) > 300
+        interned = {state: state for state in table.fast_step_cache}
+        assert table.start_state is interned[table.start_state]
         for state in range(len(table)):
             for terminal in list(table.terminals) + [END]:
-                for action in dense.action(state, terminal):
-                    if hasattr(action, "target"):
-                        assert action.target is dense._state_objects[action.target]
+                for action in table.action(state, terminal):
+                    if isinstance(action, Shift):
+                        assert action.target is interned[action.target]
+            for nonterminal in table.nonterminals:
+                try:
+                    target = table.goto(state, nonterminal)
+                except LookupError:
+                    continue
+                assert target is interned[target]
 
 
 class TestConflictCaching:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.grammar.builders import grammar_from_text
 from repro.grammar.symbols import END, Terminal
+from repro.lr.actions import Reduce
 from repro.lr.graph import ItemSetGraph
 from repro.lr.lalr import compute_lalr_lookaheads
 
@@ -24,6 +25,16 @@ def graph():
     graph = ItemSetGraph(grammar_from_text(PROPAGATION))
     graph.expand_all()
     return graph
+
+
+def reduce_lookaheads(table, state):
+    """Each rule's reduce lookaheads in one state, read off its ACTION cells."""
+    found = {}
+    for terminal in list(table.terminals) + [END]:
+        for action in table.action(state, terminal):
+            if isinstance(action, Reduce):
+                found.setdefault(action.rule, set()).add(terminal)
+    return found
 
 
 def lookaheads_for(graph, lookaheads, lhs_name, rhs_texts, dot):
@@ -67,9 +78,9 @@ class TestLookaheads:
         table = lalr_table_from_graph(graph)
         analysis = GrammarAnalysis(grammar)
         for index in range(len(table)):
-            row = table._rows[index]
-            for rule, las in row.reduces:
-                assert las is not None
+            # no lookahead-free reduce: a stranger terminal gets nothing
+            assert table.action(index, Terminal("stranger")) == ()
+            for rule, las in reduce_lookaheads(table, index).items():
                 assert las <= analysis.follow(rule.lhs), (
                     f"LALR lookaheads must refine SLR's FOLLOW for {rule}"
                 )
@@ -85,7 +96,7 @@ class TestLookaheads:
         analysis = GrammarAnalysis(grammar)
         strictly_smaller = False
         for index in range(len(table)):
-            for rule, las in table._rows[index].reduces:
+            for rule, las in reduce_lookaheads(table, index).items():
                 if las < analysis.follow(rule.lhs):
                     strictly_smaller = True
         assert strictly_smaller

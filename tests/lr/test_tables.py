@@ -5,13 +5,14 @@ import pytest
 from repro.grammar.builders import grammar_from_text
 from repro.grammar.symbols import NonTerminal, Terminal
 from repro.lr.generator import ConventionalGenerator
-from repro.lr.lalr import lalr_table
-from repro.lr.slr import slr_table
-from repro.lr.table import TableControl, lr0_table, resolve_conflicts
+from repro.lr.graph import ItemSetGraph
+from repro.lr.lalr import lalr_table, lalr_table_from_graph
+from repro.lr.slr import slr_table, slr_table_from_graph
+from repro.lr.table import lr0_table, resolve_conflicts
 from repro.runtime.lr_parse import SimpleLRParser
 from repro.runtime.errors import AmbiguousInputError, ParseError
 
-from ..conftest import toks
+from ..conftest import BOOLEANS, EPSILON, toks
 
 #: LR(0)-conflicting but SLR(1)-clean grammar (ASU's expression grammar:
 #: the state {E ::= T •, T ::= T • * F} has a shift/reduce on '*').
@@ -45,6 +46,190 @@ NON_LALR_GRAMMAR = """
     B ::= c
     START ::= S
 """
+
+
+#: The left-recursive sum grammar of the golden tables.
+PLUS_GRAMMAR = """
+    E ::= E + T
+    E ::= T
+    T ::= n
+    START ::= E
+"""
+
+GOLDEN_GRAMMARS = {"booleans": BOOLEANS, "plus": PLUS_GRAMMAR, "epsilon": EPSILON}
+
+GOLDEN_BUILDERS = {
+    "lr0": lr0_table,
+    "slr": slr_table_from_graph,
+    "lalr": lalr_table_from_graph,
+}
+
+#: ``render()`` and the ``(state, terminal)`` conflict list of every table
+#: kind, written from the per-kind builders that preceded the shared one.
+GOLDEN_TABLES = {
+    ("booleans", "lr0"): (
+        """\
+state  and    false  or     true  $    B
+0             s3            s2         1
+1      s4            s5           acc
+2      r1     r1     r1     r1    r1
+3      r0     r0     r0     r0    r0
+4             s3            s2         6
+5             s3            s2         7
+6      r2/s4  r2     r2/s5  r2    r2
+7      r3/s4  r3     r3/s5  r3    r3
+""",
+        [(6, "and"), (6, "or"), (7, "and"), (7, "or")],
+    ),
+    ("booleans", "slr"): (
+        """\
+state  and    false  or     true  $    B
+0             s3            s2         1
+1      s4            s5           acc
+2      r1            r1           r1
+3      r0            r0           r0
+4             s3            s2         6
+5             s3            s2         7
+6      r2/s4         r2/s5        r2
+7      r3/s4         r3/s5        r3
+""",
+        [(6, "and"), (6, "or"), (7, "and"), (7, "or")],
+    ),
+    ("booleans", "lalr"): (
+        """\
+state  and    false  or     true  $    B
+0             s3            s2         1
+1      s4            s5           acc
+2      r1            r1           r1
+3      r0            r0           r0
+4             s3            s2         6
+5             s3            s2         7
+6      r2/s4         r2/s5        r2
+7      r3/s4         r3/s5        r3
+""",
+        [(6, "and"), (6, "or"), (7, "and"), (7, "or")],
+    ),
+    ("plus", "lr0"): (
+        """\
+state  +   n   $    E  T
+0          s3       1  2
+1      s4      acc
+2      r1  r1  r1
+3      r3  r3  r3
+4          s3          5
+5      r0  r0  r0
+""",
+        [],
+    ),
+    ("plus", "slr"): (
+        """\
+state  +   n   $    E  T
+0          s3       1  2
+1      s4      acc
+2      r1      r1
+3      r3      r3
+4          s3          5
+5      r0      r0
+""",
+        [],
+    ),
+    ("plus", "lalr"): (
+        """\
+state  +   n   $    E  T
+0          s3       1  2
+1      s4      acc
+2      r1      r1
+3      r3      r3
+4          s3          5
+5      r0      r0
+""",
+        [],
+    ),
+    ("epsilon", "lr0"): (
+        """\
+state  a      b   c      $    A  C  S
+0      r0/s3  r0  r0     r0   2     1
+1                        acc
+2             s4
+3      r1     r1  r1     r1
+4      r2     r2  r2/s6  r2      5
+5      r4     r4  r4     r4
+6      r3     r3  r3     r3
+""",
+        [(0, "a"), (4, "c")],
+    ),
+    ("epsilon", "slr"): (
+        """\
+state  a   b   c   $    A  C  S
+0      s3  r0           2     1
+1                  acc
+2          s4
+3          r1
+4              s6  r2      5
+5                  r4
+6                  r3
+""",
+        [],
+    ),
+    ("epsilon", "lalr"): (
+        """\
+state  a   b   c   $    A  C  S
+0      s3  r0           2     1
+1                  acc
+2          s4
+3          r1
+4              s6  r2      5
+5                  r4
+6                  r3
+""",
+        [],
+    ),
+}
+
+GOLDEN_RESOLVED = {
+    ("booleans", "lr0"): """\
+state  and  false  or  true  $    B
+0           s3         s2         1
+1      s4          s5        acc
+2      r1   r1     r1  r1    r1
+3      r0   r0     r0  r0    r0
+4           s3         s2         6
+5           s3         s2         7
+6      s4   r2     s5  r2    r2
+7      s4   r3     s5  r3    r3
+""",
+    ("booleans", "lalr"): """\
+state  and  false  or  true  $    B
+0           s3         s2         1
+1      s4          s5        acc
+2      r1          r1        r1
+3      r0          r0        r0
+4           s3         s2         6
+5           s3         s2         7
+6      s4          s5        r2
+7      s4          s5        r3
+""",
+    ("epsilon", "lr0"): """\
+state  a   b   c   $    A  C  S
+0      s3  r0  r0  r0   2     1
+1                  acc
+2          s4
+3      r1  r1  r1  r1
+4      r2  r2  s6  r2      5
+5      r4  r4  r4  r4
+6      r3  r3  r3  r3
+""",
+    ("epsilon", "lalr"): """\
+state  a   b   c   $    A  C  S
+0      s3  r0           2     1
+1                  acc
+2          s4
+3          r1
+4              s6  r2      5
+5                  r4
+6                  r3
+""",
+}
 
 
 def _graph(text):
@@ -87,7 +272,7 @@ class TestSLRTable:
     def test_slr_parses(self):
         grammar = grammar_from_text(SLR_GRAMMAR)
         table = slr_table(grammar)
-        parser = SimpleLRParser(TableControl(table), grammar)
+        parser = SimpleLRParser(table, grammar)
         assert parser.parse(toks("n + n + n")).accepted
         assert not parser.recognize(toks("n +"))
 
@@ -104,7 +289,7 @@ class TestLALRTable:
     def test_lalr_parses_lalr_grammar(self):
         grammar = grammar_from_text(LALR_GRAMMAR)
         parser = SimpleLRParser(
-            TableControl(lalr_table(grammar)), grammar
+            lalr_table(grammar), grammar
         )
         assert parser.recognize(toks("id = id"))
         assert parser.recognize(toks("* id = * * id"))
@@ -119,7 +304,7 @@ class TestLALRTable:
 
     def test_lalr_handles_epsilon_rules(self, epsilon_grammar):
         table = lalr_table(epsilon_grammar)
-        parser = SimpleLRParser(TableControl(table), epsilon_grammar)
+        parser = SimpleLRParser(table, epsilon_grammar)
         assert parser.recognize(toks("b"))
         assert parser.recognize(toks("a b c"))
         assert not parser.recognize(toks("a c"))
@@ -132,7 +317,7 @@ class TestLALRTable:
             START ::= S
             """
         )
-        parser = SimpleLRParser(TableControl(lalr_table(grammar)), grammar)
+        parser = SimpleLRParser(lalr_table(grammar), grammar)
         assert parser.recognize([])
         assert parser.recognize(toks("a a"))
 
@@ -152,7 +337,7 @@ class TestConflictResolution:
         resolved, conflicts = resolve_conflicts(table)
         assert resolved.is_deterministic
         assert conflicts
-        parser = SimpleLRParser(TableControl(resolved), grammar)
+        parser = SimpleLRParser(resolved, grammar)
         # prefer-shift binds the else to the inner if (C semantics)
         assert parser.recognize(toks("if if x else x"))
 
@@ -174,16 +359,36 @@ class TestDeterministicParserErrors:
         generator = ConventionalGenerator(booleans)
         generator.generate()
         table = lr0_table(generator.graph)
-        parser = SimpleLRParser(TableControl(table), booleans)
+        parser = SimpleLRParser(table, booleans)
         with pytest.raises(AmbiguousInputError):
             parser.parse(toks("true or true or true"))
 
     def test_error_carries_position(self):
         grammar = grammar_from_text(SLR_GRAMMAR)
         parser = SimpleLRParser(
-            TableControl(slr_table(grammar)), grammar
+            slr_table(grammar), grammar
         )
         with pytest.raises(ParseError) as excinfo:
             parser.parse(toks("n + +"))
         assert excinfo.value.position == 2
         assert excinfo.value.symbol == Terminal("+")
+
+
+def _expanded(name):
+    graph = ItemSetGraph(grammar_from_text(GOLDEN_GRAMMARS[name]))
+    graph.expand_all()
+    return graph
+
+
+class TestGoldenTables:
+    @pytest.mark.parametrize("name, kind", sorted(GOLDEN_TABLES))
+    def test_render_and_conflicts(self, name, kind):
+        table = GOLDEN_BUILDERS[kind](_expanded(name))
+        rendered, conflicts = GOLDEN_TABLES[name, kind]
+        assert table.render() + "\n" == rendered
+        assert [(c.state, c.terminal.name) for c in table.conflicts()] == conflicts
+
+    @pytest.mark.parametrize("name, kind", sorted(GOLDEN_RESOLVED))
+    def test_resolved_render(self, name, kind):
+        table, _ = resolve_conflicts(GOLDEN_BUILDERS[kind](_expanded(name)))
+        assert table.render() + "\n" == GOLDEN_RESOLVED[name, kind]

@@ -1,9 +1,9 @@
-"""Differential tests: CompiledControl ≡ LazyControl ≡ dense TableControl.
+"""Differential tests: CompiledControl ≡ LazyControl ≡ LR(0) ParseTable.
 
 Every control tier must accept the same sentences and produce the same
 number of distinct parse trees, on random grammars, both on the initial
 grammar and across interleaved add/delete-rule edits (where the compiled
-cache's invalidation has to keep pace with MODIFY while the dense table
+cache's invalidation has to keep pace with MODIFY while the LR(0) table
 is rebuilt from scratch as the ground truth).  The merged-stack GSS
 engine rides along as a fourth tier: same acceptance, and its packed
 forest must count the same number of distinct derivations the pool
@@ -17,7 +17,7 @@ from repro.core.incremental import IncrementalGenerator
 from repro.grammar.grammar import Grammar
 from repro.lr.compiled import CompiledControl
 from repro.lr.graph import ItemSetGraph
-from repro.lr.table import TableControl, lr0_table
+from repro.lr.table import lr0_table
 from repro.runtime.errors import CyclicForestError, SweepLimitExceeded
 from repro.runtime.gss import GSSParser
 from repro.runtime.parallel import PoolParser
@@ -39,11 +39,11 @@ def compiled_parser(grammar: Grammar) -> PoolParser:
 
 
 def table_parser(grammar: Grammar) -> PoolParser:
-    """Ground truth: a dense table built from scratch for this grammar."""
+    """Ground truth: an LR(0) table built from scratch for this grammar."""
     graph = ItemSetGraph(grammar.copy())
     graph.expand_all()
     return PoolParser(
-        TableControl(lr0_table(graph)), grammar, max_sweep_steps=MAX_STEPS
+        lr0_table(graph), grammar, max_sweep_steps=MAX_STEPS
     )
 
 
@@ -118,7 +118,7 @@ def test_three_tiers_agree_on_random_grammars(data):
 @given(data=st.data())
 def test_compiled_tracks_interleaved_edits(data):
     """Edits must flush exactly the stale ACTION entries — a compiled
-    parse after MODIFY agrees with a from-scratch dense table."""
+    parse after MODIFY agrees with a from-scratch LR(0) table."""
     grammar = data.draw(grammars(max_rules=8))
     if not is_pool_safe(grammar):
         return

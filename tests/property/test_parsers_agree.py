@@ -80,11 +80,10 @@ def test_deterministic_lalr_agrees_when_clean(grammar, sentence):
     """When LALR(1) is conflict-free, its deterministic parser must agree
     with Earley — the Yacc baseline is only used under this condition."""
     from repro.lr.lalr import lalr_table
-    from repro.lr.table import TableControl
     from repro.runtime.lr_parse import SimpleLRParser
 
     table = lalr_table(grammar)
     assume(table.is_deterministic)
-    det = SimpleLRParser(TableControl(table), grammar)
+    det = SimpleLRParser(table, grammar)
     earley = EarleyParser(grammar)
     assert det.recognize(sentence) == earley.recognize(sentence)

@@ -134,6 +134,9 @@ class TestEditParse:
             ({"edit": "nope"}, "object in the 'edit' field"),
             ({"edit": {"start": "x", "end": 1}}, "integer 'start' and 'end'"),
             ({"edit": {"start": 0, "end": 0, "replacement": 5}}, "string or"),
+            # JSON booleans are Python ints too; positions must be numbers.
+            ({"edit": {"start": True, "end": True}}, "integer 'start' and 'end'"),
+            ({"edit": {"start": 0, "end": False}}, "integer 'start' and 'end'"),
         ],
     )
     def test_malformed_requests(self, dispatcher, request_patch, fragment):
