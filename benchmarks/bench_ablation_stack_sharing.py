@@ -16,8 +16,8 @@ Two measurements:
 from __future__ import annotations
 
 
+from repro.api import Language
 from repro.bench.workloads import ambiguous_expression_grammar, ambiguous_sentence
-from repro.core.ipg import IPG
 from repro.runtime.stacks import StackCell, shared_cells
 
 DEPTH = 4096
@@ -56,12 +56,11 @@ def test_sharing_in_ambiguous_parse(benchmark):
     tokens = ambiguous_sentence(8)  # Catalan(8) = 1430 parses
 
     def parse():
-        ipg = IPG(grammar.copy())
-        return ipg.parse(tokens)
+        return Language(grammar.copy()).parse(tokens)
 
-    result = benchmark(parse)
-    assert result.accepted
-    assert len(result.trees) == 1430
-    benchmark.extra_info["trees"] = len(result.trees)
-    benchmark.extra_info["max_live_parsers"] = result.stats.max_live_parsers
-    benchmark.extra_info["forks"] = result.stats.forks
+    outcome = benchmark(parse)
+    assert outcome.accepted
+    assert outcome.ambiguity == 1430
+    benchmark.extra_info["trees"] = outcome.ambiguity
+    benchmark.extra_info["max_live_parsers"] = outcome.stats["max_live_parsers"]
+    benchmark.extra_info["forks"] = outcome.stats["forks"]

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro.baselines.earley import EarleyParser
-from repro.core.ipg import IPG
+from repro.api import Language
 
 INPUTS = ("Exam.sdf", "SDF.sdf", "ASF.sdf")
 
@@ -38,10 +38,10 @@ def test_earley_parse(benchmark, workload, tokens, input_name):
 
 @pytest.mark.parametrize("input_name", INPUTS)
 def test_ipg_parse_warm(benchmark, workload, tokens, input_name):
-    ipg = IPG(workload.fresh_grammar())
+    lang = Language(workload.fresh_grammar())
     stream = tokens[input_name]
-    assert ipg.parse(stream).accepted  # warm the lazy table
-    benchmark(lambda: ipg.recognize(stream))
+    assert lang.parse(stream).accepted  # warm the lazy table
+    benchmark(lambda: lang.recognize(stream))
 
 
 def test_prediction_holds(benchmark, workload, tokens):
@@ -50,15 +50,15 @@ def test_prediction_holds(benchmark, workload, tokens):
 
     def measure():
         earley = EarleyParser(workload.fresh_grammar())
-        ipg = IPG(workload.fresh_grammar())
-        ipg.recognize(stream)  # generation happens here (lazily)
+        lang = Language(workload.fresh_grammar())
+        lang.recognize(stream)  # generation happens here (lazily)
 
         start = time.perf_counter()
         assert earley.recognize(stream)
         earley_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        assert ipg.recognize(stream)
+        assert lang.recognize(stream)
         ipg_time = time.perf_counter() - start
         return earley_time, ipg_time
 

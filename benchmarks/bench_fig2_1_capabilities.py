@@ -73,7 +73,7 @@ def test_parse_time_probe(benchmark, row):
     """The raw timing probe behind the "fast" column, benchmarked."""
     from repro.baselines.earley import EarleyParser
     from repro.bench.report import UNAMBIGUOUS, _expression_input
-    from repro.core.ipg import IPG
+    from repro.api import Language
     from repro.grammar.builders import grammar_from_text
 
     grammar = grammar_from_text(UNAMBIGUOUS)
@@ -82,6 +82,6 @@ def test_parse_time_probe(benchmark, row):
         parser = EarleyParser(grammar)
         benchmark(lambda: parser.recognize(tokens))
     else:
-        ipg = IPG(grammar)
-        ipg.parse(tokens)  # warm the lazy table first
-        benchmark(lambda: ipg.recognize(tokens))
+        lang = Language(grammar)
+        lang.parse(tokens)  # warm the lazy table first
+        benchmark(lambda: lang.recognize(tokens))

@@ -3,7 +3,7 @@
 *"for a larger grammar like that of SDF only 60 percent of the parse table
 had to be generated to parse the SDF definition of SDF itself"*.
 
-The benchmark lazily parses each corpus input with a fresh IPG and reports
+The benchmark lazily parses each corpus input with a fresh ``Language`` and reports
 the fraction of the full LR(0) table that was actually expanded.  The
 shape claims: the fraction is well below 1 for every input, grows with
 input coverage, and — for SDF.sdf specifically — lands in the paper's
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.ipg import IPG
+from repro.api import Language
 from repro.core.metrics import table_fraction
 
 INPUTS = ("exp.sdf", "Exam.sdf", "SDF.sdf", "ASF.sdf")
@@ -26,15 +26,15 @@ def test_lazy_fraction(benchmark, workload, tokens, input_name):
     stream = tokens[input_name]
 
     def parse_lazily():
-        ipg = IPG(workload.fresh_grammar())
-        assert ipg.parse(stream).accepted
-        return ipg
+        lang = Language(workload.fresh_grammar())
+        assert lang.parse(stream).accepted
+        return lang
 
-    ipg = benchmark(parse_lazily)
-    fraction = table_fraction(ipg.graph, ipg.grammar)
+    lang = benchmark(parse_lazily)
+    fraction = table_fraction(lang.graph, lang.grammar)
     benchmark.extra_info["table_fraction"] = round(fraction, 4)
     benchmark.extra_info["states_expanded"] = sum(
-        1 for s in ipg.graph.states() if s.is_complete
+        1 for s in lang.graph.states() if s.is_complete
     )
     assert fraction < 1.0, "laziness should never expand the whole table"
     if input_name == "SDF.sdf":
@@ -49,9 +49,9 @@ def test_fraction_report(benchmark, workload, tokens):
     def fractions():
         rows = []
         for input_name in INPUTS:
-            ipg = IPG(workload.fresh_grammar())
-            assert ipg.parse(tokens[input_name]).accepted
-            rows.append((input_name, table_fraction(ipg.graph, ipg.grammar)))
+            lang = Language(workload.fresh_grammar())
+            assert lang.parse(tokens[input_name]).accepted
+            rows.append((input_name, table_fraction(lang.graph, lang.grammar)))
         return rows
 
     rows = benchmark.pedantic(fractions, rounds=1, iterations=1)

@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Collect every paper-vs-measured number for EXPERIMENTS.md in one run.
+"""Print every paper-vs-measured number in one run.
 
-Not a pytest bench — a plain script whose output is pasted into
-EXPERIMENTS.md (and re-runnable by anyone questioning those numbers):
+Not a pytest bench — a plain script that prints the tables the README
+quotes (re-runnable by anyone questioning those numbers); it writes no
+file.  The committed ``BENCH_*.json`` files each have their own producer
+in this directory (``bench_parse_hotpath.py`` for the hot-path tiers):
 
     python benchmarks/collect_experiments.py
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
+from repro.api import Language
 from repro.baselines.earley import EarleyParser
 from repro.bench.harness import run_figure_7_1
 from repro.bench.hotpath import collect_hotpath_report, render_hotpath
@@ -23,13 +24,9 @@ from repro.bench.report import (
     render_figure_7_1,
 )
 from repro.bench.workloads import sdf_workload
-from repro.core.ipg import IPG
 from repro.core.metrics import table_fraction
 from repro.lexing import scanner_from_sdf
 from repro.sdf.corpus import CORPUS, corpus_tokens, sdf_definition
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-HOTPATH_JSON = REPO_ROOT / "BENCH_parse_hotpath.json"
 
 
 def main() -> None:
@@ -49,9 +46,9 @@ def main() -> None:
     print("E5 / §5.2 — fraction of the full LR(0) table generated lazily")
     print("=" * 72)
     for name, stream in tokens.items():
-        ipg = IPG(workload.fresh_grammar())
-        assert ipg.parse(stream).accepted
-        fraction = table_fraction(ipg.graph, ipg.grammar)
+        lang = Language(workload.fresh_grammar())
+        assert lang.parse(stream).accepted
+        fraction = table_fraction(lang.graph, lang.grammar)
         print(f"  {name:10s} {fraction * 100:5.1f}%   (paper: ~60% for SDF.sdf)")
 
     print()
@@ -72,12 +69,12 @@ def main() -> None:
     print("=" * 72)
     stream = tokens["SDF.sdf"]
     earley = EarleyParser(workload.fresh_grammar())
-    ipg = IPG(workload.fresh_grammar())
-    ipg.recognize(stream)  # lazy generation happens here
+    lang = Language(workload.fresh_grammar())
+    lang.recognize(stream)  # lazy generation happens here
     best_earley = min(
         _timed(lambda: earley.recognize(stream)) for _ in range(3)
     )
-    best_ipg = min(_timed(lambda: ipg.recognize(stream)) for _ in range(3))
+    best_ipg = min(_timed(lambda: lang.recognize(stream)) for _ in range(3))
     print(f"  Earley parse of SDF.sdf:    {best_earley * 1000:8.2f} ms")
     print(f"  IPG (warm) parse of SDF.sdf:{best_ipg * 1000:8.2f} ms")
     print(f"  ratio: {best_earley / best_ipg:.1f}x "
@@ -91,8 +88,8 @@ def main() -> None:
     for report in hotpath["workloads"].values():
         print(render_hotpath(report))
         print()
-    HOTPATH_JSON.write_text(json.dumps(hotpath, indent=2) + "\n")
-    print(f"  wrote {HOTPATH_JSON} (tracked across PRs)")
+    print("  (the tracked BENCH_parse_hotpath.json comes from "
+          "bench_parse_hotpath.py)")
 
     print()
     print("=" * 72)

@@ -13,7 +13,7 @@ exactly this tolerance.
 Run:  python examples/ambiguous_expressions.py
 """
 
-from repro import IPG
+from repro import Language
 from repro.runtime.forest import bracketed, node_count
 
 
@@ -25,7 +25,7 @@ def catalan(n: int) -> int:
 
 
 def main() -> None:
-    ipg = IPG.from_text(
+    lang = Language.from_text(
         """
         E ::= n
         E ::= E + E
@@ -34,39 +34,38 @@ def main() -> None:
     )
 
     print("all parses of n + n + n:")
-    result = ipg.parse("n + n + n")
-    for tree in result.trees:
-        print("  ", bracketed(tree))
+    for tree in lang.parse("n + n + n").brackets():
+        print("  ", tree)
 
     print("\nparse counts follow the Catalan numbers:")
     for operators in range(1, 8):
         sentence = " ".join(["n"] + ["+ n"] * operators)
-        result = ipg.parse(sentence)
+        result = lang.parse(sentence)
         expected = catalan(operators)
         print(
-            f"  {operators} operators: {len(result.trees):4d} parses "
+            f"  {operators} operators: {result.ambiguity:4d} parses "
             f"(Catalan {expected}), "
-            f"max parallel parsers {result.stats.max_live_parsers}"
+            f"max parallel parsers {result.stats['max_live_parsers']}"
         )
-        assert len(result.trees) == expected
+        assert result.ambiguity == expected
 
     print("\nforest sharing (5 operators):")
-    result = ipg.parse("n + n + n + n + n + n")
+    trees = list(lang.parse("n + n + n + n + n + n").forest.trees())
     seen = set()
-    shared_nodes = sum(node_count(t, seen) for t in result.trees)
-    unshared_nodes = sum(node_count(t) for t in result.trees)
+    shared_nodes = sum(node_count(t, seen) for t in trees)
+    unshared_nodes = sum(node_count(t) for t in trees)
     print(f"  nodes if each tree were private: {unshared_nodes}")
     print(f"  nodes actually allocated:        {shared_nodes}")
 
     print("\ndisambiguating by grammar refinement (left-associative):")
-    ipg.delete_rule("E ::= E + E")
-    ipg.add_rule("T ::= n")
-    ipg.add_rule("E ::= E + T")
-    ipg.add_rule("E ::= T")
-    ipg.delete_rule("E ::= n")
-    result = ipg.parse("n + n + n")
-    print(f"  'n + n + n' now has {len(result.trees)} parse:")
-    print("  ", bracketed(result.trees[0]))
+    lang.delete_rule("E ::= E + E")
+    lang.add_rule("T ::= n")
+    lang.add_rule("E ::= E + T")
+    lang.add_rule("E ::= T")
+    lang.delete_rule("E ::= n")
+    result = lang.parse("n + n + n")
+    print(f"  'n + n + n' now has {result.ambiguity} parse:")
+    print("  ", bracketed(result.tree))
 
 
 if __name__ == "__main__":

@@ -14,19 +14,19 @@ always available immediately.
 Run:  python examples/interactive_language_design.py
 """
 
-from repro import IPG
+from repro import Language
 from repro.grammar.builders import GrammarBuilder
 
 
-def check(ipg: IPG, program: str, expected: bool) -> None:
-    verdict = ipg.recognize(program)
+def check(lang: Language, program: str, expected: bool) -> None:
+    verdict = lang.recognize(program).accepted
     marker = "ok " if verdict == expected else "?! "
     print(f"    {marker} {'accepts' if verdict else 'rejects'}: {program!r}")
     assert verdict == expected
 
 
-def report(ipg: IPG, step: str) -> None:
-    summary = ipg.summary()
+def report(lang: Language, step: str) -> None:
+    summary = lang.summary()
     print(
         f"  [{step}] states={summary['states']} "
         f"complete={summary['complete']} "
@@ -44,53 +44,53 @@ def main() -> None:
         .start("PROGRAM")
         .build()
     )
-    ipg = IPG(grammar)
+    lang = Language(grammar)
     print("v1: single commands")
-    check(ipg, "go", True)
-    check(ipg, "go go", False)
-    report(ipg, "v1")
+    check(lang, "go", True)
+    check(lang, "go go", False)
+    report(lang, "v1")
 
     # Day two: sequencing.
     print("\nv2: add sequencing  PROGRAM ::= PROGRAM ; PROGRAM")
-    ipg.add_rule("PROGRAM ::= PROGRAM ; PROGRAM")
-    check(ipg, "go ; stop", True)
-    check(ipg, "go ; ; stop", False)
-    report(ipg, "v2")
+    lang.add_rule("PROGRAM ::= PROGRAM ; PROGRAM")
+    check(lang, "go ; stop", True)
+    check(lang, "go ; ; stop", False)
+    report(lang, "v2")
 
     # Day three: a numeric argument — needs a new sort.  The new sort is
     # named in 'sorts' because nothing defines N yet when the first rule
     # mentioning it arrives (SDF has the same declare-your-sorts rule).
     print("\nv3: add  CMD ::= turn N ,  N ::= 1 | 2 | 3")
-    ipg.add_rule("CMD ::= turn N", sorts={"N"})
-    ipg.add_rule("N ::= 1")
-    ipg.add_rule("N ::= 2")
-    ipg.add_rule("N ::= 3")
-    check(ipg, "turn 2 ; go", True)
-    check(ipg, "turn", False)
-    report(ipg, "v3")
+    lang.add_rule("CMD ::= turn N", sorts={"N"})
+    lang.add_rule("N ::= 1")
+    lang.add_rule("N ::= 2")
+    lang.add_rule("N ::= 3")
+    check(lang, "turn 2 ; go", True)
+    check(lang, "turn", False)
+    report(lang, "v3")
 
     # Day four: design reversal — 'stop' becomes 'halt'.
     print("\nv4: rename: delete CMD ::= stop, add CMD ::= halt")
-    ipg.delete_rule("CMD ::= stop")
-    ipg.add_rule("CMD ::= halt")
-    check(ipg, "halt", True)
-    check(ipg, "stop", False)
-    check(ipg, "turn 3 ; halt", True)
-    report(ipg, "v4")
+    lang.delete_rule("CMD ::= stop")
+    lang.add_rule("CMD ::= halt")
+    check(lang, "halt", True)
+    check(lang, "stop", False)
+    check(lang, "turn 3 ; halt", True)
+    report(lang, "v4")
 
     # Day five: loops, with bodies in brackets.
     print("\nv5: add  CMD ::= repeat N [ PROGRAM ]")
-    ipg.add_rule("CMD ::= repeat N [ PROGRAM ]")
-    check(ipg, "repeat 3 [ go ; turn 1 ]", True)
-    check(ipg, "repeat [ go ]", False)
-    check(ipg, "repeat 2 [ repeat 2 [ go ] ]", True)
-    report(ipg, "v5")
+    lang.add_rule("CMD ::= repeat N [ PROGRAM ]")
+    check(lang, "repeat 3 [ go ; turn 1 ]", True)
+    check(lang, "repeat [ go ]", False)
+    check(lang, "repeat 2 [ repeat 2 [ go ] ]", True)
+    report(lang, "v5")
 
     # Housekeeping: after many edits, reclaim orphaned table parts.
-    removed = ipg.collect_garbage(force_sweep=True)
+    removed = lang.collect_garbage(force_sweep=True)
     print(f"\ngarbage collection reclaimed {removed} item sets")
-    report(ipg, "final")
-    check(ipg, "repeat 3 [ halt ]", True)
+    report(lang, "final")
+    check(lang, "repeat 3 [ halt ]", True)
 
 
 if __name__ == "__main__":

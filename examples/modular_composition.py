@@ -16,7 +16,7 @@ module.
 Run:  python examples/modular_composition.py
 """
 
-from repro import IPG
+from repro import Language
 from repro.grammar.builders import GrammarBuilder
 
 
@@ -58,13 +58,13 @@ LISTS = module(
 )
 
 
-def import_module(ipg: IPG, mod) -> None:
+def import_module(lang: Language, mod) -> None:
     name, rules = mod
-    expansions_before = ipg.summary()["expansions"]
-    added = sum(1 for rule in rules if ipg.add_rule(rule))
+    expansions_before = lang.summary()["expansions"]
+    added = sum(1 for rule in rules if lang.add_rule(rule))
     print(f"  import {name}: {added} rules added "
           f"(no regeneration — expansions still "
-          f"{ipg.summary()['expansions'] - expansions_before} extra)")
+          f"{lang.summary()['expansions'] - expansions_before} extra)")
 
 
 def main() -> None:
@@ -76,37 +76,37 @@ def main() -> None:
         .start("PROGRAM")
         .build()
     )
-    ipg = IPG(base)
+    lang = Language(base)
     print("base module: PROGRAM ::= eval EXPR   (EXPR still empty)")
-    print("  accepts 'eval num'?", ipg.recognize("eval num"))
+    print("  accepts 'eval num'?", lang.recognize("eval num").accepted)
 
     print("\nimporting modules one by one:")
-    import_module(ipg, NUMBERS)
-    assert ipg.recognize("eval num plus num")
+    import_module(lang, NUMBERS)
+    assert lang.recognize("eval num plus num").accepted
     print("    'eval num plus num' ok")
 
-    import_module(ipg, BOOLEANS)
-    assert ipg.recognize("eval if tt then num else num plus num")
+    import_module(lang, BOOLEANS)
+    assert lang.recognize("eval if tt then num else num plus num").accepted
     print("    'eval if tt then num else num plus num' ok")
 
-    import_module(ipg, LISTS)
-    assert ipg.recognize("eval cons num nil")
-    assert ipg.recognize("eval head cons tt nil")
+    import_module(lang, LISTS)
+    assert lang.recognize("eval cons num nil").accepted
+    assert lang.recognize("eval head cons tt nil").accepted
     print("    list expressions ok")
 
     # cross-module mixing comes for free: one combined graph of item sets
-    assert ipg.recognize("eval if num eq num then head nil else num")
-    print("\ncross-module sentence accepted; final state:", ipg.summary())
+    assert lang.recognize("eval if num eq num then head nil else num").accepted
+    print("\ncross-module sentence accepted; final state:", lang.summary())
 
     # un-importing works the same way (the asymmetry the paper notes:
     # removal must name the module's rules, composition is not tracked)
     name, rules = LISTS
     for rule in rules:
-        ipg.delete_rule(rule)
+        lang.delete_rule(rule)
     print(f"\nremoved {name}; 'eval cons num nil' accepted?",
-          ipg.recognize("eval cons num nil"))
-    assert not ipg.recognize("eval cons num nil")
-    assert ipg.recognize("eval num plus num")
+          lang.recognize("eval cons num nil").accepted)
+    assert not lang.recognize("eval cons num nil").accepted
+    assert lang.recognize("eval num plus num").accepted
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ context-free syntax, priorities — and runs the complete front end:
 Run:  python examples/priorities_and_associativity.py
 """
 
-from repro import IPG
+from repro import Language
 from repro.grammar.symbols import Terminal
 from repro.lexing import scanner_from_sdf
 from repro.runtime.forest import bracketed
@@ -48,7 +48,7 @@ def main() -> None:
     definition = parse_sdf(CALCULATOR)
     grammar, metadata = normalize_with_metadata(definition)
     scanner = scanner_from_sdf(definition)
-    ipg = IPG(grammar)
+    lang = Language(grammar)
     print("calculator grammar:", len(grammar), "rules;", metadata.filter)
 
     def tokens_of_text(text):
@@ -62,9 +62,9 @@ def main() -> None:
 
     for text in ("1 + 2 * 3", "1 + 2 + 3", "2 ^ 3 ^ 4", "(1 + 2) * 3",
                  "1 + 2 * 3 ^ 4 + 5"):
-        result = ipg.parse(tokens_of_text(text))
-        survivors = metadata.filter.filter(result.trees)
-        print(f"\n{text!r}: {len(result.trees)} parses, "
+        trees = tuple(lang.parse(tokens_of_text(text)).forest.trees())
+        survivors = metadata.filter.filter(trees)
+        print(f"\n{text!r}: {len(trees)} parses, "
               f"{len(survivors)} after disambiguation")
         assert len(survivors) == 1, "priorities must fully disambiguate"
         print("  ", bracketed(survivors[0]))
@@ -78,14 +78,14 @@ def main() -> None:
     EXP = NonTerminal("EXP")
     minus = Rule(EXP, [EXP, Terminal("-"), EXP])
     times = next(r for r in grammar.rules if Terminal("*") in r.rhs)
-    ipg.add_rule(minus)
+    lang.add_rule(minus)
     metadata.filter.left_assoc(minus)
     metadata.filter.priority_chain([times], [minus])
     scanner.add_token("lit:-", __import__("repro.lexing", fromlist=["literal"]).literal("-"))
 
-    result = ipg.parse(tokens_of_text("9 - 2 - 3 * 2"))
-    survivors = metadata.filter.filter(result.trees)
-    print(f"'9 - 2 - 3 * 2': {len(result.trees)} parses, "
+    trees = tuple(lang.parse(tokens_of_text("9 - 2 - 3 * 2")).forest.trees())
+    survivors = metadata.filter.filter(trees)
+    print(f"'9 - 2 - 3 * 2': {len(trees)} parses, "
           f"{len(survivors)} after disambiguation")
     assert len(survivors) == 1
     print("  ", bracketed(survivors[0]))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: the booleans grammar of Fig. 4.1, end to end.
 
-Shows the three headline behaviours of IPG:
+Shows the three headline behaviours of IPG, through ``repro.Language``:
 
 1. construction is free — the parse table is generated *while parsing*;
 2. the grammar can be modified mid-session and only the affected parts of
@@ -11,12 +11,11 @@ Shows the three headline behaviours of IPG:
 Run:  python examples/quickstart.py
 """
 
-from repro import IPG
-from repro.runtime.forest import bracketed
+from repro import Language
 
 
 def main() -> None:
-    ipg = IPG.from_text(
+    lang = Language.from_text(
         """
         B ::= true
         B ::= false
@@ -25,33 +24,33 @@ def main() -> None:
         START ::= B
         """
     )
-    print("freshly constructed:", ipg.summary())
+    print("freshly constructed:", lang.summary())
 
     # --- lazy generation: the table grows as sentences need it ---------
-    result = ipg.parse("true and true")
+    result = lang.parse("true and true")
     print("\n'true and true' accepted:", result.accepted)
-    print("after one sentence:     ", ipg.summary())
-    print("fraction of full table: ", f"{ipg.table_fraction():.0%}")
+    print("after one sentence:     ", lang.summary())
+    print("fraction of full table: ", f"{lang.table_fraction():.0%}")
 
-    result = ipg.parse("false or false")
+    result = lang.parse("false or false")
     print("\n'false or false' accepted:", result.accepted)
-    print("after covering 'or'/'false':", f"{ipg.table_fraction():.0%}")
+    print("after covering 'or'/'false':", f"{lang.table_fraction():.0%}")
 
     # --- incremental modification (section 6) ---------------------------
     print("\nadding rule: B ::= unknown")
-    ipg.add_rule("B ::= unknown")
-    result = ipg.parse("true and unknown")
+    lang.add_rule("B ::= unknown")
+    result = lang.parse("true and unknown")
     print("'true and unknown' accepted:", result.accepted)
 
     print("deleting it again")
-    ipg.delete_rule("B ::= unknown")
-    print("'unknown' accepted now:", ipg.recognize("unknown"))
+    lang.delete_rule("B ::= unknown")
+    print("'unknown' accepted now:", lang.recognize("unknown").accepted)
 
     # --- ambiguity: every parse comes back -------------------------------
-    result = ipg.parse("true or false and true")
-    print(f"\n'true or false and true' has {len(result.trees)} parses:")
-    for tree in result.trees:
-        print("  ", bracketed(tree))
+    result = lang.parse("true or false and true")
+    print(f"\n'true or false and true' has {result.ambiguity} parses:")
+    for tree in result.brackets():
+        print("  ", tree)
 
 
 if __name__ == "__main__":

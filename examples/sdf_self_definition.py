@@ -15,7 +15,7 @@ Reproduces the full section-7 pipeline interactively:
 Run:  python examples/sdf_self_definition.py
 """
 
-from repro import IPG
+from repro import Language
 from repro.grammar.symbols import Terminal
 from repro.lexing import scanner_from_sdf
 from repro.sdf import (
@@ -44,17 +44,17 @@ def main() -> None:
           f"{len(grammar.nonterminals)} non-terminals")
 
     scanner = scanner_from_sdf(definition)
-    ipg = IPG(grammar)
+    lang = Language(grammar)
 
     print("\nscanning + parsing the corpus (table generated on the fly):")
     for name, text in CORPUS.items():
         lexemes = scanner.scan(text)
         tokens = [lexeme_terminal(l) for l in lexemes]
-        result = ipg.parse(tokens)
-        assert result.accepted and len(result.trees) == 1
+        result = lang.parse(tokens)
+        assert result.accepted and result.ambiguity == 1
         print(
             f"  {name:10s} {len(tokens):4d} tokens -> accepted; "
-            f"table now {ipg.table_fraction():5.0%} generated"
+            f"table now {lang.table_fraction():5.0%} generated"
         )
 
     print("\nscanner laziness:", scanner.stats())
@@ -62,14 +62,14 @@ def main() -> None:
     print("\napplying the section-7 modification: "
           '"(" CF-ELEM+ ")?" -> CF-ELEM')
     rule = modification_rule(grammar)
-    ipg.add_rule(rule)
-    summary = ipg.summary()
+    lang.add_rule(rule)
+    summary = lang.summary()
     print(f"  after MODIFY: {summary['dirty']} dirty states, "
           f"{summary['complete']} still complete")
 
     for name, text in CORPUS.items():
         tokens = [lexeme_terminal(l) for l in scanner.scan(text)]
-        assert ipg.parse(tokens).accepted
+        assert lang.parse(tokens).accepted
     print("  corpus re-parsed successfully (affected states re-expanded "
           "by need)")
 

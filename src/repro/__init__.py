@@ -11,7 +11,7 @@ together with every substrate and baseline its evaluation relies on:
 ``repro.grammar``         symbols, rules, mutable grammars, FIRST/FOLLOW
 ``repro.lr``              item sets, CLOSURE/EXPAND, PG, SLR(1), LALR(1)
 ``repro.runtime``         LR-PARSE, PAR-PARSE (pool), GSS GLR, parse forests
-``repro.core``            lazy generation, incremental MODIFY, GC, **IPG**
+``repro.core``            lazy generation, incremental MODIFY, GC
 ``repro.baselines``       Earley, Cigale-style trie, OBJ-style backtracking
                           recursive descent, LL(1)
 ``repro.sdf``             the SDF front end and the section-7 corpus
@@ -35,12 +35,11 @@ Quickstart::
     outcome = lang.parse("true or false")
     assert outcome.accepted
 
-(:class:`repro.IPG` remains available as a thin compatibility facade over
-:class:`Language`.)
+:class:`Language` is the one front door: the REPL, the parse service's
+sessions and the bench harness all hold one.
 """
 
 from .api import Diagnostic, Language, ParseOutcome, engines
-from .core.ipg import IPG
 from .grammar import (
     Grammar,
     GrammarBuilder,
@@ -56,7 +55,6 @@ __all__ = [
     "Diagnostic",
     "Grammar",
     "GrammarBuilder",
-    "IPG",
     "Language",
     "NonTerminal",
     "ParseOutcome",

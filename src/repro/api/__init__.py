@@ -13,8 +13,9 @@ Three pillars (one PR, one protocol, every front end):
   trees, ambiguity, timing, and on rejection a :class:`Diagnostic` with
   token index, line/column and the expected terminal set.
 
-The library facade (:class:`repro.IPG`), the parse service, the CLI REPL
-and the bench harness all drive their parsing through this package.
+The parse service, the CLI REPL and the bench harness all drive their
+parsing through this package; each of their sessions holds one
+:class:`Language`.
 """
 
 from .diagnostics import Diagnostic, ParseOutcome

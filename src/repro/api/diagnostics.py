@@ -1,7 +1,7 @@
 """Structured parse outcomes and rejection diagnostics.
 
-``IPG.parse`` historically answered a rejection with a bare
-``accepted=False`` — fine for the §7 measurements, useless for the
+A raw :class:`~repro.runtime.parallel.ParseResult` answers a rejection
+with a bare ``accepted=False`` — fine for the §7 measurements, useless for the
 interactive language-definition environment the paper is actually about.
 :class:`ParseOutcome` is the uniform answer every front end (library,
 service, CLI, bench) receives: acceptance, the derivations, ambiguity,

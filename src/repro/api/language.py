@@ -22,8 +22,11 @@ discoverable via :func:`repro.api.engines`; tokenizers are swappable via
 definition's *lexical* syntax and is not affected by context-free rule
 edits — for a scanner that follows grammar edits live, use
 :meth:`ScannerTokenizer.from_grammar <repro.api.tokenizers.ScannerTokenizer.from_grammar>`.
-The classic :class:`~repro.core.ipg.IPG` facade is now a thin wrapper
-over this class.
+Service sessions and the REPL each hold one ``Language``; its ``sorts``
+set is the one place declared forward references live, and every
+grammar edit goes through :meth:`Language.add_rule` /
+:meth:`Language.delete_rule` (a ``modify`` span plus the
+``repro.generator.modify`` counter).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ diagnostics) and maps every lexeme onto the
 
 Three implementations cover the repo's scenarios:
 
-* :class:`WhitespaceTokenizer` — the historical ``IPG.parse`` convention
-  (whitespace-separated terminal names), now with real offsets;
+* :class:`WhitespaceTokenizer` — the token-stream convention of the
+  paper's examples (whitespace-separated terminal names), with offsets;
 * :class:`ScannerTokenizer` via :meth:`ScannerTokenizer.from_sdf` — the
   ISG scanner compiled from an SDF definition's lexical syntax, so
   ``Language.from_sdf(text).parse(raw)`` runs end to end;
@@ -73,11 +73,11 @@ class Tokenizer:
 class WhitespaceTokenizer(Tokenizer):
     """Split on whitespace; every run of non-blank characters is a token.
 
-    This is the tokenizer the classic ``IPG.parse("true and true")``
-    convention implies, upgraded to carry character offsets so rejected
-    parses can still point at a line and column.  An empty (or blank)
-    text is simply the empty sentence — with a real tokenizer there is no
-    ambiguity between "no input" and "empty program".
+    This is the tokenizer ``Language.parse("true and true")`` uses by
+    default, carrying character offsets so rejected parses can still
+    point at a line and column.  An empty (or blank) text is simply the
+    empty sentence — with a real tokenizer there is no ambiguity between
+    "no input" and "empty program".
     """
 
     name = "whitespace"

@@ -16,8 +16,9 @@ adapters mirror the paper's three systems:
 * :class:`YaccSystem` — full LALR(1) table generation (conflicts resolved
   the Yacc way) + deterministic LR parsing; a modification means complete
   regeneration.  (Real Yacc additionally paid a C-compile-and-link step of
-  ~8.3 s on the paper's SUN 3/60, which has no in-process equivalent;
-  EXPERIMENTS.md accounts for it when comparing shapes.)
+  ~8.3 s on the paper's SUN 3/60, which has no in-process equivalent,
+  so only the shapes of the results are compared; see README and
+  :func:`~repro.bench.report.check_figure_7_1_shape`.)
 * :class:`PGSystem` — full LR(0) graph generation (section 4) + parallel
   parsing; modification = regenerate from scratch.
 * :class:`IPGSystem` — lazy generation (section 5) + parallel parsing +

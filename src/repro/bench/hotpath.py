@@ -7,7 +7,8 @@ generators put the system in — for each tier of the control plane:
   method call on the item-set graph, the denominator of the floor's
   same-run ratios;
 * ``compiled`` — :class:`~repro.lr.compiled.CompiledControl` memoizing
-  ACTION into shared tuples (what :class:`~repro.core.ipg.IPG` runs);
+  ACTION into shared tuples (what every :class:`~repro.api.Language`
+  runs by default);
 * ``table`` — a :class:`~repro.lr.table.ParseTable` decided once from a
   fully expanded LR(0) graph, run as its own control (the
   conventional-generator representation; no engine serves it);

@@ -11,11 +11,11 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..api.language import Language
 from ..baselines.cigale import CigaleParser
 from ..baselines.earley import EarleyParser
 from ..baselines.ll1 import LL1Parser, NotLL1Error
 from ..baselines.rd_backtrack import BacktrackBudgetExceeded, BacktrackingParser
-from ..core.ipg import IPG
 from ..grammar.builders import grammar_from_text
 from ..grammar.symbols import Terminal
 from ..lr.generator import ConventionalGenerator
@@ -297,15 +297,16 @@ def capability_matrix(scale: int = 150) -> Tuple[Dict[str, Capability], float]:
 
     # -- IPG -----------------------------------------------------------------
     ipg_row = Capability("IPG")
-    ipg = IPG(ambiguous.copy())
-    ipg_row.handles_ambiguity = len(ipg.parse(small_ambiguous).trees) > 1
+    ipg_row.handles_ambiguity = (
+        Language(ambiguous.copy()).parse(small_ambiguous).ambiguity > 1
+    )
     ipg_row.handles_left_recursion = True
-    ipg_timing = IPG(sdf.copy())
-    ipg_timing.recognize(sdf_input)  # warm the table, as the paper notes
-    ipg_row.parse_seconds = timed(lambda: ipg_timing.recognize(sdf_input))
+    timing_language = Language(sdf.copy())
+    timing_language.recognize(sdf_input)  # warm the table, as the paper notes
+    ipg_row.parse_seconds = timed(lambda: timing_language.recognize(sdf_input))
     construct_cost = timed(lambda: ConventionalGenerator(sdf).generate())
     modify_cost = timed(
-        lambda: ipg_timing.add_rule("CF-ELEM ::= probe-terminal")
+        lambda: timing_language.add_rule("CF-ELEM ::= probe-terminal")
     )
     ipg_row.modify_ratio = (
         modify_cost / construct_cost if construct_cost > 0 else 0.0

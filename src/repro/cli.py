@@ -87,9 +87,8 @@ from __future__ import annotations
 import sys
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .api import ScannerTokenizer, WhitespaceTokenizer, engines
-from .core.ipg import IPG
-from .grammar.grammar import Grammar, GrammarError
+from .api import Language, ScannerTokenizer, WhitespaceTokenizer, engines
+from .grammar.grammar import GrammarError
 from .runtime.errors import CapabilityError, ParseError
 from .runtime.forest import bracketed
 
@@ -124,9 +123,7 @@ class ReplSession:
     """The command interpreter; IO-free for testability."""
 
     def __init__(self) -> None:
-        self.ipg = IPG(Grammar())
-        self.language = self.ipg.language
-        self.declared_sorts: set = set()
+        self.language = Language()
         self.print_trees = True
         self.finished = False
         #: the last parse/recognize outcome — the base the ``edit``
@@ -173,19 +170,19 @@ class ReplSession:
     # -- commands ------------------------------------------------------
 
     def _add(self, text: str) -> List[str]:
-        if self.ipg.add_rule(text, sorts=self.declared_sorts):
-            return [f"added: {self.ipg.coerce_rule(text, self.declared_sorts)}"]
+        if self.language.add_rule(text):
+            return [f"added: {self.language.coerce_rule(text)}"]
         return ["(rule already present)"]
 
     def _sort(self, text: str) -> List[str]:
         names = text.split()
         if not names:
             return ["usage: sort <names...>"]
-        self.declared_sorts.update(names)
-        return [f"sorts declared: {' '.join(sorted(self.declared_sorts))}"]
+        self.language.sorts.update(names)
+        return [f"sorts declared: {' '.join(sorted(self.language.sorts))}"]
 
     def _delete(self, text: str) -> List[str]:
-        if self.ipg.delete_rule(text, sorts=self.declared_sorts):
+        if self.language.delete_rule(text):
             return ["deleted"]
         return ["(no such rule)"]
 
@@ -354,22 +351,22 @@ class ReplSession:
         return [f"lexer: {self.language.tokenizer.describe()}"]
 
     def _show(self, _argument: str) -> List[str]:
-        listing = self.ipg.grammar.pretty()
+        listing = self.language.grammar.pretty()
         return listing.splitlines() if listing else ["(empty grammar)"]
 
     def _summary(self, _argument: str) -> List[str]:
-        summary = self.ipg.summary()
+        summary = self.language.summary()
         return [
             ", ".join(f"{key}={value}" for key, value in summary.items())
         ]
 
     def _fraction(self, _argument: str) -> List[str]:
-        if not self.ipg.grammar.start_rules():
+        if not self.language.grammar.start_rules():
             return ["no START rule yet"]
-        return [f"{self.ipg.table_fraction():.0%} of the full table generated"]
+        return [f"{self.language.table_fraction():.0%} of the full table generated"]
 
     def _gc(self, _argument: str) -> List[str]:
-        removed = self.ipg.collect_garbage(force_sweep=True)
+        removed = self.language.collect_garbage(force_sweep=True)
         return [f"reclaimed {removed} item sets"]
 
     def _trees(self, argument: str) -> List[str]:

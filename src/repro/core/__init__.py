@@ -2,7 +2,6 @@
 
 from .gc import GarbageCollector, GCStats
 from .incremental import IncrementalGenerator
-from .ipg import IPG
 from .lazy import LazyControl, LazyGenerator
 from .metrics import (
     AppendixAViolation,
@@ -16,7 +15,6 @@ __all__ = [
     "ControlProbe",
     "GCStats",
     "GarbageCollector",
-    "IPG",
     "IncrementalGenerator",
     "LazyControl",
     "LazyGenerator",

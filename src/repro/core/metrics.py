@@ -5,7 +5,8 @@ Two consumers:
 * tests — :class:`ControlProbe` wraps any parser control and records every
   ACTION/GOTO call, asserting the Appendix A invariant (GOTO only on
   complete states) as a side effect;
-* benches/EXPERIMENTS.md — :func:`table_fraction` measures how much of the
+* benchmarks and the committed ``BENCH_*.json`` files (see README,
+  "Observability") — :func:`table_fraction` measures how much of the
   full parse table a lazy run actually generated (the §5.2 "60 percent"
   statistic), and :func:`graph_summary` condenses a graph's state counts.
 """

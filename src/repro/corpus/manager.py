@@ -30,7 +30,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..service.protocol import ProtocolError, ServiceError, require
+from ..service.protocol import ProtocolError, ServiceError, require, sorts_of
 from ..service.retry import call_with_retries
 from .pipeline import ParseJob
 from .query import DEFAULT_PAGE_SIZE, QueryEngine
@@ -164,13 +164,8 @@ class CorpusManager:
                 raise ProtocolError(
                     f"unknown engine {engine!r} — known: {', '.join(engines())}"
                 )
-        sorts = request.get("sorts", ())
-        if not isinstance(sorts, (list, tuple)) or not all(
-            isinstance(sort, str) for sort in sorts
-        ):
-            raise ProtocolError("'sorts' must be a list of sort names")
         entry = self.registry.create(
-            name, grammar, sorts=list(sorts), engine=engine
+            name, grammar, sorts=sorts_of(request), engine=engine
         )
         obs.counter("repro.corpus.requests", cmd="corpus-create").inc()
         return {"corpus": name, "created": entry["created"]}

@@ -147,7 +147,7 @@ def rule_from_text(
 
     A body name is a non-terminal iff it is in ``known_nonterminals`` or
     it is the rule's own left-hand side; everything else is a terminal.
-    This is the coercion the IPG/Language ``add_rule``/``delete_rule``
+    This is the coercion the Language ``add_rule``/``delete_rule``
     text forms use.
     """
     if not isinstance(text, str):

@@ -22,6 +22,10 @@ Laziness and incremental MODIFY are preserved exactly:
 Only complete states ever have cache entries (ACTION completes a state
 before returning), so a surviving entry is always consistent with the
 current grammar.
+
+Every :class:`~repro.api.Language` builds one of these over its lazy
+generator (``language.control``), so every service session and the REPL
+run through it.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def encode_step(actions: ActionSet) -> Step:
 
 
 class CompiledStats:
-    """ACTION-cache counters, merged into ``IPG.summary()`` and the
+    """ACTION-cache counters, merged into ``Language.summary()`` and the
     service ``metrics`` command."""
 
     __slots__ = (

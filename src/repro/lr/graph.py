@@ -27,7 +27,7 @@ from .states import ACCEPT, ItemSet, StateType
 
 
 class GraphStats:
-    """Counters the benchmarks and EXPERIMENTS.md report on.
+    """Counters the benchmarks and the committed ``BENCH_*.json`` report on.
 
     ``expansions`` counts every EXPAND call (including re-expansions after
     a grammar modification); ``states_created`` counts item sets ever

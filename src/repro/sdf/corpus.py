@@ -13,7 +13,8 @@ Two further artifacts of the protocol live here:
 * :func:`sdf_grammar` — *"The test grammar we used is an LR(1) version of
   the grammar of the syntax definition formalism SDF"*: the grammar
   obtained by parsing ``SDF.sdf`` (whose priority section is written in
-  the conflict-free formulation; see EXPERIMENTS.md) and normalizing it;
+  the conflict-free formulation; see the ``SDF_SDF`` comment below) and
+  normalizing it;
 * :func:`modification_function` / :func:`modification_rule` — the rule the
   experiment adds: ``"(" CF-ELEM+ ")?" -> CF-ELEM``.
 """

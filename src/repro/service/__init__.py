@@ -9,7 +9,7 @@ snapshots for warm restarts.
 
 ========================  ====================================================
 ``service.workspace``     :class:`Workspace` — the registry of named
-                          :class:`ParseSession` objects (IPG + version)
+                          :class:`ParseSession` objects (a Language each)
 ``service.cache``         :class:`ResultCache` — LRU over
                           ``(session, version, mode, tokens)`` keys
 ``service.protocol``      request decoding, response encoding, error types

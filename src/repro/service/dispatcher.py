@@ -24,6 +24,7 @@ from .protocol import (
     ProtocolError,
     ServiceError,
     require,
+    sorts_of,
 )
 from .snapshot import (
     load_session,
@@ -221,15 +222,18 @@ class Dispatcher:
 
     def _open(self, request: Dict[str, Any]) -> Dict[str, Any]:
         name = require(request, "session")
+        grammar = request.get("grammar", "")
+        if not isinstance(grammar, str):
+            raise ProtocolError("'open' needs the grammar text as a string")
         session = self.workspace.open(
             name,
-            grammar_text=request.get("grammar", ""),
-            sorts=request.get("sorts", ()),
+            grammar_text=grammar,
+            sorts=sorts_of(request),
             force=bool(request.get("force", False)),
         )
         return {
             "opened": name,
-            "rules": len(session.ipg.grammar),
+            "rules": len(session.language.grammar),
             "version": session.version,
         }
 
@@ -245,14 +249,14 @@ class Dispatcher:
     def _add_rule(self, request: Dict[str, Any]) -> Dict[str, Any]:
         session = self.workspace.get(require(request, "session"))
         added = session.add_rule(
-            require(request, "rule"), sorts=request.get("sorts", ())
+            require(request, "rule"), sorts=sorts_of(request)
         )
         return {"added": added, "version": session.version}
 
     def _delete_rule(self, request: Dict[str, Any]) -> Dict[str, Any]:
         session = self.workspace.get(require(request, "session"))
         deleted = session.delete_rule(
-            require(request, "rule"), sorts=request.get("sorts", ())
+            require(request, "rule"), sorts=sorts_of(request)
         )
         return {"deleted": deleted, "version": session.version}
 
@@ -437,7 +441,7 @@ class Dispatcher:
         self.workspace.adopt(session, force=bool(request.get("force", False)))
         return {
             "restored": session.name,
-            "rules": len(session.ipg.grammar),
+            "rules": len(session.language.grammar),
             "version": session.version,
         }
 
@@ -448,7 +452,7 @@ class Dispatcher:
             session = self.workspace.get(request["session"])
             return {
                 "version": session.version,
-                "rules": len(session.ipg.grammar),
+                "rules": len(session.language.grammar),
                 "summary": session.summary(),
             }
         return {
@@ -529,9 +533,9 @@ class Dispatcher:
             session = self.workspace.get(request["session"])
             return {
                 "version": session.version,
-                "rules": len(session.ipg.grammar),
+                "rules": len(session.language.grammar),
                 "grammar": session.grammar_text,
-                "sorts": sorted(session.sorts),
+                "sorts": sorted(session.language.sorts),
             }
         from ..api import engines
 

@@ -15,7 +15,7 @@ yields each object in order.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 #: Version of the request/response protocol, reported by ``info``.
 #: Version 2: parse/recognize accept an optional ``engine`` field
@@ -112,6 +112,20 @@ def require(request: Dict[str, Any], field: str) -> Any:
         cmd = request.get("cmd", "?")
         raise ProtocolError(f"{cmd!r} request is missing the {field!r} field")
     return request[field]
+
+
+def sorts_of(request: Dict[str, Any]) -> List[str]:
+    """The optional ``sorts`` field: a list of sort names (default none).
+
+    A bare string is refused, not iterated: ``"sorts": "NUM"`` would
+    otherwise declare the three sorts N, U and M.
+    """
+    sorts = request.get("sorts", ())
+    if not isinstance(sorts, (list, tuple)) or not all(
+        isinstance(sort, str) for sort in sorts
+    ):
+        raise ProtocolError("'sorts' must be a list of sort names")
+    return list(sorts)
 
 
 def encode(response: Dict[str, Any]) -> str:

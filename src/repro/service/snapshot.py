@@ -36,7 +36,9 @@ def session_to_dict(session: ParseSession) -> Dict[str, Any]:
         "kind": "ipg-session",
         "session": session.name,
         "version": session.version,
-        "grammar": grammar_to_dict(session.ipg.grammar, tuple(session.sorts)),
+        "grammar": grammar_to_dict(
+            session.language.grammar, tuple(session.language.sorts)
+        ),
     }
 
 

@@ -1,8 +1,9 @@
-"""Named IPG sessions and the registry that owns them.
+"""Named grammar-definition sessions and the registry that owns them.
 
-A :class:`ParseSession` wraps one :class:`~repro.core.ipg.IPG` with the
-state an interactive user accumulates — declared sorts, the monotone
-grammar version, and retained incremental checkpoints.  A
+A :class:`ParseSession` holds one :class:`~repro.api.Language` (which
+owns the grammar, its declared sorts and the monotone grammar version)
+plus the state the service keeps per user: retained incremental
+checkpoints and the modify listeners.  A
 :class:`Workspace` is the paper's "many users" made concrete: a
 dictionary of named sessions sharing one LRU result cache, wired so that
 every MODIFY (observed through the existing :meth:`Grammar.subscribe`
@@ -18,8 +19,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
-from ..api.language import LexedInput
-from ..core.ipg import IPG, TokenInput
+from ..api.language import Language, LexedInput, TokenInput
 from ..grammar.builders import grammar_from_text
 from ..grammar.grammar import Grammar
 from ..grammar.rules import Rule
@@ -37,7 +37,7 @@ CHECKPOINT_CAPACITY = 16
 
 
 class ParseSession:
-    """One named grammar-definition session: an IPG plus user state."""
+    """One named grammar-definition session: a Language plus user state."""
 
     def __init__(
         self,
@@ -47,17 +47,15 @@ class ParseSession:
         grammar: Optional[Grammar] = None,
     ) -> None:
         self.name = name
-        self.sorts = set(sorts)
+        sorts = set(sorts)
         if grammar is None:
             grammar = (
-                grammar_from_text(grammar_text, sorts=self.sorts)
+                grammar_from_text(grammar_text, sorts=sorts)
                 if grammar_text.strip()
                 else Grammar()
             )
-        self.ipg = IPG(grammar)
-        #: the unified front door (tokenizer + engine registry); the IPG
-        #: facade and this Language share one generator and control plane
-        self.language = self.ipg.language
+        #: grammar, declared sorts, tokenizer and engine registry
+        self.language = Language(grammar, sorts=sorts)
         self._listeners: List[ModifyListener] = []
         #: result id -> (checkpoint-carrying ParseOutcome, response
         #: payload); the store behind ``parse {"checkpoint": true}`` and
@@ -70,7 +68,7 @@ class ParseSession:
         #: surfaced as ``repro.checkpoints.evictions`` so clients whose
         #: ``edit-parse`` bases keep disappearing can see why.
         self.checkpoint_evictions = 0
-        self._unsubscribe = self.ipg.grammar.subscribe(self._on_modify)
+        self._unsubscribe = self.language.grammar.subscribe(self._on_modify)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -95,22 +93,17 @@ class ParseSession:
 
     @property
     def version(self) -> int:
-        return self.ipg.version
+        return self.language.version
 
     @property
     def grammar_text(self) -> str:
-        return self.ipg.grammar.pretty()
-
-    def declare_sorts(self, names: Iterable[str]) -> None:
-        self.sorts.update(names)
+        return self.language.grammar.pretty()
 
     def add_rule(self, rule: str, sorts: Iterable[str] = ()) -> bool:
-        self.declare_sorts(sorts)
-        return self.ipg.add_rule(rule, sorts=self.sorts)
+        return self.language.add_rule(rule, sorts=sorts)
 
     def delete_rule(self, rule: str, sorts: Iterable[str] = ()) -> bool:
-        self.declare_sorts(sorts)
-        return self.ipg.delete_rule(rule, sorts=self.sorts)
+        return self.language.delete_rule(rule, sorts=sorts)
 
     # -- parsing (JSON-able payloads) --------------------------------------
 
@@ -304,11 +297,11 @@ class ParseSession:
         return payload, False
 
     def summary(self) -> Dict[str, int]:
-        return self.ipg.summary()
+        return self.language.summary()
 
     def __repr__(self) -> str:
         return (
-            f"ParseSession({self.name!r}, {len(self.ipg.grammar)} rules, "
+            f"ParseSession({self.name!r}, {len(self.language.grammar)} rules, "
             f"version={self.version})"
         )
 
@@ -451,7 +444,7 @@ class Workspace:
             sessions = list(self._sessions.values())
         total: Dict[str, int] = {}
         for session in sessions:
-            for key, value in session.ipg.control.stats.snapshot().items():
+            for key, value in session.language.control.stats.snapshot().items():
                 total[key] = total.get(key, 0) + value
         return total
 

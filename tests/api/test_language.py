@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import IPG, Language
+from repro import Language
 from repro.api import ScannerTokenizer, WhitespaceTokenizer
 from repro.grammar.grammar import GrammarError
 from repro.sdf.corpus import EXP_SDF
@@ -151,25 +151,3 @@ class TestTokenizerIntegration:
         lang.add_rule("B ::= ε")
         assert lang.parse("").accepted
 
-
-class TestIpgFacade:
-    """IPG delegates to Language; both views stay consistent."""
-
-    def test_shared_infrastructure(self):
-        ipg = IPG.from_text(BOOLEANS)
-        assert ipg.language.grammar is ipg.grammar
-        assert ipg.language.generator is ipg.generator
-        assert ipg.language.control is ipg.control
-
-    def test_edit_through_either_view(self):
-        ipg = IPG.from_text(BOOLEANS)
-        ipg.add_rule("B ::= maybe")
-        assert ipg.language.parse("maybe").accepted
-        ipg.language.add_rule("B ::= surely")
-        assert ipg.recognize("surely or maybe")
-
-    def test_facade_keeps_parseresult_shape(self):
-        result = IPG.from_text(BOOLEANS).parse("true or false")
-        assert result.accepted
-        assert len(result.trees) == 1
-        assert result.stats.sweeps > 0

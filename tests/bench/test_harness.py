@@ -123,6 +123,6 @@ class TestWorkloads:
         grammar = ambiguous_expression_grammar()
         sentence = ambiguous_sentence(3)
         assert len(sentence) == 7
-        from repro.core.ipg import IPG
+        from repro import Language
 
-        assert len(IPG(grammar).parse(sentence).trees) == 5  # Catalan(3)
+        assert Language(grammar).parse(sentence).ambiguity == 5  # Catalan(3)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import Language
 from repro.core.incremental import IncrementalGenerator
-from repro.core.ipg import IPG
 from repro.grammar.builders import grammar_from_text
 from repro.lr.compiled import (
     STEP_ACCEPT,
@@ -96,7 +96,7 @@ class TestInvalidation:
         _, control = compiled_setup(grammar)
         parser = PoolParser(control, grammar)
         assert not parser.recognize(toks("true or unknown"))
-        grammar.add_rule(IPG(booleans()).coerce_rule("B ::= unknown"))
+        grammar.add_rule(Language(booleans()).coerce_rule("B ::= unknown"))
         assert parser.recognize(toks("true or unknown"))
 
     def test_delete_rule_is_visible_through_the_cache(self):
@@ -124,17 +124,15 @@ class TestInvalidation:
         assert parser.recognize(toks("x z"))
         cached_before = control.cached_states()
         assert cached_before > 0
-        grammar.add_rule(
-            IPG(grammar.copy()).coerce_rule("C ::= zz")
-        )
+        grammar.add_rule(Language(grammar.copy()).coerce_rule("C ::= zz"))
         evicted = control.stats.action_cache_evicted
         assert 0 < evicted < cached_before
         assert parser.recognize(toks("x zz"))
 
     def test_summary_reports_cache_counters(self):
-        ipg = IPG.from_text(BOOLEANS)
-        ipg.parse("true and true")
-        summary = ipg.summary()
+        lang = Language.from_text(BOOLEANS)
+        lang.parse("true and true")
+        summary = lang.summary()
         assert "action_cache_hits" in summary
         assert "action_cache_misses" in summary
         assert summary["action_cache_misses"] > 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.ipg import IPG
+from repro import Language
 from repro.lr.serialize import (
     grammar_from_dict,
     grammar_to_dict,
@@ -19,16 +19,16 @@ class TestRoundTrip:
     def test_dict_round_trip_preserves_behavior(self, booleans):
         clone = grammar_from_dict(grammar_to_dict(booleans))
         assert clone.rules == booleans.rules
-        ipg = IPG(clone)
-        assert ipg.recognize(toks("true or false and true"))
-        assert not ipg.recognize(toks("or"))
+        lang = Language(clone)
+        assert lang.recognize(toks("true or false and true"))
+        assert not lang.recognize(toks("or"))
 
     def test_file_round_trip(self, booleans, tmp_path):
         path = str(tmp_path / "booleans.grammar.json")
         save_payload(grammar_to_dict(booleans), path)
         clone = grammar_from_dict(load_payload(path))
         assert clone.rules == booleans.rules
-        assert IPG(clone).recognize(toks("true"))
+        assert Language(clone).recognize(toks("true"))
 
     def test_output_is_stable_json(self, booleans):
         first = json.dumps(grammar_to_dict(booleans), sort_keys=True)

@@ -1,9 +1,11 @@
-"""Cross-engine agreement: Earley ≡ GSS ≡ pool (≡ IPG) on recognition.
+"""Cross-engine agreement: Earley ≡ GSS ≡ pool on recognition.
 
 Earley is grammar-driven with no generation phase; the GSS and pool
-engines run off LR(0) tables (conventional or lazy).  Agreement across
-random grammars and inputs is therefore a strong end-to-end check on the
-entire table-generation stack.
+runtimes run off LR(0) tables, conventional (PG) or lazy (the tables
+IPG generates).  Agreement across random grammars and inputs is
+therefore a strong end-to-end check on the entire table-generation
+stack.  The same agreement through :class:`repro.api.Language`'s engine
+registry is checked in ``tests/api/test_engines.py``.
 """
 
 from hypothesis import assume, given, settings, strategies as st

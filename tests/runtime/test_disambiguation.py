@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ipg import IPG
+from repro import Language
 from repro.grammar.builders import grammar_from_text
 from repro.grammar.rules import Rule
 from repro.grammar.symbols import NonTerminal, Terminal
@@ -23,38 +23,43 @@ GRAMMAR = """
 """
 
 
+def trees(lang, text):
+    """Every derivation of ``text``, straight off the parse forest."""
+    return tuple(lang.parse(text).forest.trees())
+
+
 @pytest.fixture()
-def ipg():
-    return IPG(grammar_from_text(GRAMMAR))
+def lang():
+    return Language(grammar_from_text(GRAMMAR))
 
 
 class TestAssociativity:
-    def test_left_assoc_keeps_left_leaning_tree(self, ipg):
+    def test_left_assoc_keeps_left_leaning_tree(self, lang):
         filt = DisambiguationFilter().left_assoc(PLUS)
-        result = ipg.parse("n + n + n")
-        assert len(result.trees) == 2
-        survivors = filt.filter(result.trees)
+        derivations = trees(lang, "n + n + n")
+        assert len(derivations) == 2
+        survivors = filt.filter(derivations)
         assert len(survivors) == 1
         assert bracketed(survivors[0]) == "START(E(E(E(n) + E(n)) + E(n)))"
 
-    def test_right_assoc_keeps_right_leaning_tree(self, ipg):
+    def test_right_assoc_keeps_right_leaning_tree(self, lang):
         filt = DisambiguationFilter().right_assoc(PLUS)
-        survivors = filt.filter(ipg.parse("n + n + n").trees)
+        survivors = filt.filter(trees(lang, "n + n + n"))
         assert [bracketed(t) for t in survivors] == [
             "START(E(E(n) + E(E(n) + E(n))))"
         ]
 
-    def test_non_assoc_rejects_chains_entirely(self, ipg):
+    def test_non_assoc_rejects_chains_entirely(self, lang):
         filt = DisambiguationFilter().non_assoc(PLUS)
-        assert filt.filter(ipg.parse("n + n + n").trees) == ()
+        assert filt.filter(trees(lang, "n + n + n")) == ()
         # single application is still fine
-        assert len(filt.filter(ipg.parse("n + n").trees)) == 1
+        assert len(filt.filter(trees(lang, "n + n"))) == 1
 
     def test_assoc_on_non_recursive_rule_rejected(self):
         with pytest.raises(ValueError):
             DisambiguationFilter().left_assoc(NUM)
 
-    def test_assoc_group(self, ipg):
+    def test_assoc_group(self, lang):
         # '+' and '*' mutually left-associative: 'n + n * n' read
         # left-to-right when both at the same level
         filt = (
@@ -62,16 +67,16 @@ class TestAssociativity:
             .left_assoc(PLUS, group=[TIMES])
             .left_assoc(TIMES, group=[PLUS])
         )
-        survivors = filt.filter(ipg.parse("n + n * n").trees)
+        survivors = filt.filter(trees(lang, "n + n * n"))
         assert [bracketed(t) for t in survivors] == [
             "START(E(E(E(n) + E(n)) * E(n)))"
         ]
 
 
 class TestPriorities:
-    def test_times_binds_tighter(self, ipg):
+    def test_times_binds_tighter(self, lang):
         filt = DisambiguationFilter().priority_chain([TIMES], [PLUS])
-        survivors = filt.filter(ipg.parse("n + n * n").trees)
+        survivors = filt.filter(trees(lang, "n + n * n"))
         assert [bracketed(t) for t in survivors] == [
             "START(E(E(n) + E(E(n) * E(n))))"
         ]
@@ -88,31 +93,31 @@ class TestPriorities:
         )
         power = Rule(E, [E, Terminal("^"), E])
         filt = DisambiguationFilter().priority_chain([power], [TIMES], [PLUS])
-        ipg = IPG(grammar)
-        survivors = filt.filter(ipg.parse("n + n ^ n").trees)
+        lang = Language(grammar)
+        survivors = filt.filter(trees(lang, "n + n ^ n"))
         assert [bracketed(t) for t in survivors] == [
             "START(E(E(n) + E(E(n) ^ E(n))))"
         ]
 
-    def test_full_expression_disambiguation(self, ipg):
+    def test_full_expression_disambiguation(self, lang):
         filt = (
             DisambiguationFilter()
             .priority_chain([TIMES], [PLUS])
             .left_assoc(PLUS)
             .left_assoc(TIMES)
         )
-        result = ipg.parse("n + n * n + n")
-        survivors = filt.filter(result.trees)
+        derivations = trees(lang, "n + n * n + n")
+        survivors = filt.filter(derivations)
         assert len(survivors) == 1
         assert bracketed(survivors[0]) == (
             "START(E(E(E(n) + E(E(n) * E(n))) + E(n)))"
         )
 
-    def test_empty_filter_keeps_everything(self, ipg):
+    def test_empty_filter_keeps_everything(self, lang):
         filt = DisambiguationFilter()
         assert filt.is_empty
-        result = ipg.parse("n + n + n")
-        assert filt.filter(result.trees) == result.trees
+        derivations = trees(lang, "n + n + n")
+        assert filt.filter(derivations) == derivations
 
 
 class TestFromSdf:
@@ -139,10 +144,10 @@ end calc
         from repro.sdf.parser import parse_sdf
 
         grammar, metadata = normalize_with_metadata(parse_sdf(self.TEXT))
-        ipg = IPG(grammar)
-        result = ipg.parse("NUM + NUM * NUM + NUM")
-        assert len(result.trees) > 1
-        survivors = metadata.filter.filter(result.trees)
+        lang = Language(grammar)
+        derivations = trees(lang, "NUM + NUM * NUM + NUM")
+        assert len(derivations) > 1
+        survivors = metadata.filter.filter(derivations)
         assert len(survivors) == 1
         tree = bracketed(survivors[0])
         assert tree == (
@@ -188,9 +193,9 @@ end calc
         from repro.sdf.parser import parse_sdf
 
         grammar, metadata = normalize_with_metadata(parse_sdf(text))
-        ipg = IPG(grammar)
-        result = ipg.parse("NUM ^ NUM + NUM")
-        survivors = metadata.filter.filter(result.trees)
+        lang = Language(grammar)
+        derivations = trees(lang, "NUM ^ NUM + NUM")
+        survivors = metadata.filter.filter(derivations)
         assert [bracketed(t) for t in survivors] == [
             "START(EXP(EXP(EXP(NUM) ^ EXP(NUM)) + EXP(NUM)))"
         ]

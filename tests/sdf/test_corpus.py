@@ -7,7 +7,7 @@ by the grammar derived from itself), and the single-rule modification.
 
 import pytest
 
-from repro.core.ipg import IPG
+from repro import Language
 from repro.grammar.symbols import NonTerminal, Terminal
 from repro.sdf.corpus import (
     CORPUS,
@@ -50,21 +50,21 @@ class TestWellFormedness:
 
 class TestSelfDescription:
     @pytest.fixture(scope="class")
-    def ipg(self):
-        return IPG(sdf_grammar())
+    def lang(self):
+        return Language(sdf_grammar())
 
     @pytest.mark.parametrize("name", list(CORPUS))
-    def test_corpus_accepted_unambiguously(self, ipg, name):
-        result = ipg.parse(corpus_tokens()[name])
+    def test_corpus_accepted_unambiguously(self, lang, name):
+        result = lang.parse(corpus_tokens()[name])
         assert result.accepted
-        assert len(result.trees) == 1
+        assert result.ambiguity == 1
 
-    def test_nonsense_rejected(self, ipg):
-        assert not ipg.recognize([Terminal("end"), Terminal("module")])
+    def test_nonsense_rejected(self, lang):
+        assert not lang.recognize([Terminal("end"), Terminal("module")])
 
-    def test_truncated_input_rejected(self, ipg):
+    def test_truncated_input_rejected(self, lang):
         tokens = corpus_tokens()["exp.sdf"][:-2]
-        assert not ipg.recognize(tokens)
+        assert not lang.recognize(tokens)
 
 
 class TestModification:
@@ -87,16 +87,16 @@ class TestModification:
 
     def test_inputs_still_parse_after_modification(self):
         grammar = sdf_grammar()
-        ipg = IPG(grammar)
+        lang = Language(grammar)
         tokens = corpus_tokens()
-        assert ipg.parse(tokens["Exam.sdf"]).accepted
-        ipg.add_rule(modification_rule(grammar))
+        assert lang.parse(tokens["Exam.sdf"]).accepted
+        lang.add_rule(modification_rule(grammar))
         for name, stream in tokens.items():
-            assert ipg.parse(stream).accepted, name
+            assert lang.parse(stream).accepted, name
 
     def test_modification_extends_language(self):
         grammar = sdf_grammar()
-        ipg = IPG(grammar)
+        lang = Language(grammar)
         # a function definition using the new optional group
         sentence = terminal_stream(
             """
@@ -111,9 +111,9 @@ begin
 end m
 """
         )
-        assert not ipg.recognize(sentence)
-        ipg.add_rule(modification_rule(grammar))
-        assert ipg.recognize(sentence)
+        assert not lang.recognize(sentence)
+        lang.add_rule(modification_rule(grammar))
+        assert lang.recognize(sentence)
 
 
 class TestLexicalSection:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.ipg import IPG
+from repro import Language
 from repro.grammar.symbols import NonTerminal, Terminal
 from repro.sdf.ast import CfIter, CfLiteral, Function
 from repro.sdf.normalize import NormalizationError, normalize, rule_for_function
@@ -56,13 +56,13 @@ class TestIterators:
         assert grammar.defines(NonTerminal("DECL-;-list?"))
 
     def test_language(self, grammar):
-        ipg = IPG(grammar)
-        assert ipg.recognize("program let ID = ID end")
-        assert ipg.recognize("program let ID = ID let ID = ID end")
-        assert ipg.recognize("program block end end")
-        assert ipg.recognize("program block let ID = ID ; let ID = ID end end")
-        assert not ipg.recognize("program end")
-        assert not ipg.recognize("program block let ID = ID ; end end")
+        lang = Language(grammar)
+        assert lang.recognize("program let ID = ID end")
+        assert lang.recognize("program let ID = ID let ID = ID end")
+        assert lang.recognize("program block end end")
+        assert lang.recognize("program block let ID = ID ; let ID = ID end end")
+        assert not lang.recognize("program end")
+        assert not lang.recognize("program block let ID = ID ; end end")
 
 
 class TestStartSortSelection:
@@ -103,8 +103,8 @@ class TestRuleForFunction:
         # DECL+ already exists, so nothing was added yet
         assert len(grammar) == size_before
         grammar.add_rule(rule)
-        ipg = IPG(grammar)
-        assert ipg.recognize("program ( let ID = ID ) end")
+        lang = Language(grammar)
+        assert lang.recognize("program ( let ID = ID ) end")
 
     def test_new_iterator_creates_support_rules(self, grammar):
         definition = parse_sdf(TEXT)

@@ -102,6 +102,34 @@ class TestOpenParse:
         )
         assert response["accepted"] is True
 
+    @pytest.mark.parametrize("sorts", ["NUM", [1], {"N": 1}, [["N"]]])
+    def test_sorts_must_be_a_list_of_names(self, dispatcher, sorts):
+        # A bare string is refused, not iterated into the sorts N, U, M.
+        opened = dispatcher.handle(
+            {"cmd": "open", "session": "fwd",
+             "grammar": "START ::= CMD\nCMD ::= turn NUM", "sorts": sorts}
+        )
+        assert opened["error"] == "'sorts' must be a list of sort names"
+        version = dispatcher.handle(
+            {"cmd": "open", "session": "s", "grammar": "START ::= x"}
+        )["version"]
+        for cmd in ("add-rule", "delete-rule"):
+            edited = dispatcher.handle(
+                {"cmd": cmd, "session": "s", "rule": "START ::= NUM",
+                 "sorts": sorts}
+            )
+            assert "'sorts' must be a list" in edited["error"], cmd
+        info = dispatcher.handle({"cmd": "info", "session": "s"})
+        assert (info["version"], info["sorts"]) == (version, [])
+
+    @pytest.mark.parametrize("grammar", [5, ["START ::= x"], None])
+    def test_open_rejects_a_non_string_grammar(self, dispatcher, grammar):
+        response = dispatcher.handle(
+            {"cmd": "open", "session": "s", "grammar": grammar}
+        )
+        assert "grammar text as a string" in response["error"]
+        assert dispatcher.handle({"cmd": "sessions"})["sessions"] == []
+
 
 class TestCaching:
     def test_repeat_parse_hits_cache(self, booleans_dispatcher):

@@ -169,6 +169,33 @@ class TestRequestTracing:
         assert render["attributes"] == {"trees": 2, "chars": chars}
         assert rendered() == (trees_before + 2, chars_before + chars)
 
+    @pytest.mark.parametrize("cmd, op, rule", [
+        ("add-rule", "add", "B ::= maybe"),
+        ("delete-rule", "delete", "B ::= B and B"),
+    ])
+    def test_grammar_edits_have_a_modify_span_and_counter(
+        self, worked_dispatcher, cmd, op, rule
+    ):
+        key = f'repro.generator.modify{{op="{op}"}}'
+
+        def modifies():
+            return _counter_value(
+                worked_dispatcher.handle(
+                    {"cmd": "metrics-export", "format": "json"}
+                )["metrics"],
+                key,
+            )
+
+        before = modifies()
+        response = worked_dispatcher.handle(
+            {"cmd": cmd, "session": "s1", "rule": rule, "trace": True}
+        )
+        assert "error" not in response
+        (modify,) = [c for c in response["trace"]["children"]
+                     if c["name"] == "modify"]
+        assert modify["attributes"]["op"] == op
+        assert modifies() == before + 1
+
     def test_untraced_requests_carry_no_tree(self, worked_dispatcher):
         response = worked_dispatcher.handle(
             {"cmd": "parse", "session": "s1", "tokens": "true"}

@@ -94,7 +94,7 @@ class TestRoundTrip:
 
     def test_empty_session_round_trips(self):
         restored = session_from_dict(session_to_dict(ParseSession("empty")))
-        assert len(restored.ipg.grammar) == 0
+        assert len(restored.language.grammar) == 0
         assert restored.parse_payload("x")["accepted"] is False
 
     def test_sorts_survive_the_round_trip(self):

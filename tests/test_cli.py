@@ -71,6 +71,20 @@ class TestSession:
         )
         assert output[-1] == "accepted"
 
+    def test_sorts_and_edits_live_on_the_language(self):
+        from repro import obs
+
+        added = obs.counter("repro.generator.modify", op="add")
+        deleted = obs.counter("repro.generator.modify", op="delete")
+        adds, deletes = added.value, deleted.value
+        session = ReplSession()
+        for line in ("sort N", "add START ::= turn N", "add N ::= left",
+                     "add N ::= left", "delete N ::= left"):
+            session.execute(line)
+        assert session.language.sorts == {"N"}
+        # the repeated add is a no-op: only applied edits count
+        assert (added.value, deleted.value) == (adds + 2, deletes + 1)
+
     def test_show_and_summary_and_fraction(self):
         output = run_session(
             [

@@ -8,14 +8,14 @@ parsing component."*  This test drives the full loop:
         → bootstrap parse → AST
         → normalize        → grammar (+ disambiguation metadata)
         → ISG bridge       → scanner (lazy DFA)
-        → IPG              → parser (lazy LR(0) table)
+        → IPG (Language)   → parser (lazy LR(0) table)
     then *edits the language definition* and keeps parsing, with both the
     scanner and the parser updated incrementally.
 """
 
 import pytest
 
-from repro.core.ipg import IPG
+from repro import Language
 from repro.grammar.symbols import Terminal
 from repro.lexing import literal, scanner_from_sdf
 from repro.runtime.forest import bracketed
@@ -56,7 +56,7 @@ class EditorSession:
         self.definition = parse_sdf(definition_text)
         self.grammar, self.metadata = normalize_with_metadata(self.definition)
         self.scanner = scanner_from_sdf(self.definition)
-        self.ipg = IPG(self.grammar)
+        self.language = Language(self.grammar)
 
     def tokens(self, program: str):
         out = []
@@ -68,16 +68,17 @@ class EditorSession:
         return out
 
     def parse(self, program: str):
-        result = self.ipg.parse(self.tokens(program))
-        trees = self.metadata.filter.filter(result.trees)
-        return result.accepted, trees
+        outcome = self.language.parse(self.tokens(program))
+        if not outcome.accepted:
+            return False, ()
+        return True, self.metadata.filter.filter(tuple(outcome.forest.trees()))
 
     def add_function(self, function: Function) -> None:
         """A language-definition edit: one new SDF function."""
         rule = rule_for_function(
             self.grammar, function, self.definition.contextfree.sorts
         )
-        self.ipg.add_rule(rule)
+        self.language.add_rule(rule)
         # new keywords must outrank the identifier sort on length ties
         anchor = next(
             (s for s in self.scanner.sorts if not s.startswith("lit:")), None
@@ -113,11 +114,11 @@ class TestProgramEditing:
         )
 
     def test_table_grows_lazily(self, session):
-        before = session.ipg.summary()["complete"]
+        before = session.language.summary()["complete"]
         session.parse("skip")
-        mid = session.ipg.summary()["complete"]
+        mid = session.language.summary()["complete"]
         session.parse("while x < y do x := y od")
-        after = session.ipg.summary()["complete"]
+        after = session.language.summary()["complete"]
         assert before == 0 < mid <= after
 
 
@@ -144,12 +145,12 @@ class TestLanguageEditing:
 
     def test_edit_keeps_warm_regions(self, session):
         session.parse("x := 1 ; skip")
-        expansions_before = session.ipg.summary()["expansions"]
+        expansions_before = session.language.summary()["expansions"]
         session.add_function(
             Function(elems=(CfLiteral("abort"),), sort="STMT")
         )
         # the edit itself expands nothing (lazy re-expansion)
-        assert session.ipg.summary()["expansions"] == expansions_before
+        assert session.language.summary()["expansions"] == expansions_before
         accepted, _ = session.parse("abort ; x := 2")
         assert accepted
 
