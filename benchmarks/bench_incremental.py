@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Incremental re-parsing benchmark: edit-size × input-size grid.
 
-Measures ``IncrementalParser.reparse`` against a full re-parse of the
-spliced input (compiled-control PoolParser, the production hot path) over
-the SDF corpus, and writes ``BENCH_incremental.json`` at the repo root so
-the incremental-parsing trajectory is tracked across PRs:
+Measures ``repro.runtime.incremental.reparse`` against a full re-parse of
+the spliced input over the SDF corpus.  Both run the same compiled-control
+``PoolParser`` loop (the production hot path); the reparse adds checkpoint
+resume and the convergence stop.  Writes ``BENCH_incremental.json`` at the
+repo root so the incremental-parsing trajectory is tracked across PRs:
 
     PYTHONPATH=src python benchmarks/bench_incremental.py
 

@@ -12,8 +12,8 @@ in a 475-token SDF module that is typically a 2-token re-parse.
 The loop below drives splice edits over the paper's own §7 workload (the
 SDF-definition-of-SDF grammar and the corpus token streams), prints how
 much of each input was actually re-parsed, and finishes with a grammar
-edit — which invalidates every checkpoint via ``Grammar.subscribe`` and
-falls back to a (correct) full parse.
+edit — which moves the grammar revision every checkpoint was taken at,
+so the next reparse falls back to a (correct) full parse.
 
 Run:  python examples/incremental_editing.py
 """

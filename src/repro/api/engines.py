@@ -11,10 +11,12 @@ engine="gss")``).
 
 Engines are constructed against a :class:`~repro.api.language.Language`
 and share its incremental infrastructure: the ``lazy`` and ``compiled``
-engines run over the *same* item-set graph (so laziness and MODIFY behave
-exactly as in the paper), and ``gss`` runs full GLR with shared packed
-forests over the same compiled control.  ``earley`` reads the live
-grammar and needs no tables at all.
+engines are one :class:`PoolEngine` — the same
+:class:`~repro.runtime.parallel.PoolParser` loop over the *same* item-set
+graph (so laziness and MODIFY behave exactly as in the paper), differing
+only in whether ACTION goes through the compiled control plane — and
+``gss`` runs full GLR with shared packed forests over the same compiled
+control.  ``earley`` reads the live grammar and needs no tables at all.
 
 Each engine declares its capabilities (``supports_trees``,
 ``supports_ambiguity``, ``supports_reparse``); asking a recognizer-only
@@ -28,7 +30,6 @@ died in, which is where the diagnostics layer gets its *expected set*.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..baselines.earley import EarleyParser
@@ -37,7 +38,7 @@ from ..lr.actions import Accept, Reduce, Shift
 from ..runtime.errors import CapabilityError
 from ..runtime.forest import ParseForest
 from ..runtime.gss import GSSParser
-from ..runtime.incremental import Edit, IncrementalOutcome, IncrementalParser
+from ..runtime.incremental import Edit, IncrementalOutcome, checkpointed_parse, reparse
 from ..runtime.parallel import ParseFailure, ParseResult, PoolParser
 from ..runtime.stacks import StackCell
 from .diagnostics import expected_names
@@ -224,10 +225,13 @@ class Engine:
         ``base`` is the ``incremental`` handle of a previous report from
         this engine (or ``None``).  The default implementation is the
         correct-by-construction fallback: a full parse of the spliced
-        token sequence, ignoring the handle.
+        token sequence, ignoring the handle, whose ``reuse`` names the
+        ``engine-without-reparse`` fallback.
         """
         del base, edit
-        return self.parse(spliced) if build_trees else self.recognize(spliced)
+        report = self.parse(spliced) if build_trees else self.recognize(spliced)
+        report.reuse = {"fallback": "engine-without-reparse"}
+        return report
 
     def invalidate(self) -> None:
         """Called after every grammar modification (MODIFY)."""
@@ -305,69 +309,48 @@ def create_engine(name: str, language: Any) -> Engine:
     return cls(language)
 
 
-class _CheckpointMixin:
-    """Incremental re-parsing for pool-backed engines.
+class PoolEngine(Engine):
+    """PAR-PARSE (section 3.2) over one control, with checkpointed reparse.
 
-    Lazily builds one :class:`IncrementalParser` over the engine's own
-    control (so checkpoints see exactly the automaton the engine parses
-    with) and wires its outcomes through the report protocol.  Both
-    engines parse over the language's live item-set graph, so one parser
-    serves the language's lifetime: it subscribes to the grammar, and the
-    epoch every MODIFY bumps invalidates outstanding checkpoints.
+    Every call — plain, checkpointed or resumed — runs the one
+    :meth:`PoolParser.run <repro.runtime.parallel.PoolParser.run>` loop;
+    :mod:`repro.runtime.incremental` supplies the checkpoint policy.
+    Subclasses only pick the control.  The pool keeps no per-run state and
+    is built once, so checkpoints stay valid across calls until a MODIFY
+    moves the grammar's revision.
     """
 
     supports_reparse = True
 
-    def __init__(self, language: Any) -> None:
+    def __init__(self, language: Any, control: Any) -> None:
         super().__init__(language)
-        self._incremental: Optional[IncrementalParser] = None
-        # Same threads as Language._engines_lock (a corpus ParseJob
-        # thread and the caller's thread on one Dispatcher): two first
-        # checkpointed parses, or one racing the ``close_incremental`` of
-        # a session close, must not each subscribe a parser and leak one
-        # observer.
-        self._incremental_lock = threading.Lock()
-
-    def _incremental_parser(self) -> IncrementalParser:
-        with self._incremental_lock:
-            if self._incremental is None:
-                self._incremental = IncrementalParser(
-                    self.pool.control,
-                    self.language.grammar,
-                    max_sweep_steps=self.language.max_sweep_steps,
-                )
-            return self._incremental
-
-    def _incremental_report(
-        self, outcome: IncrementalOutcome, build_trees: bool = True
-    ) -> EngineReport:
-        result = outcome.result
-        failure = None
-        if not result.accepted and result.failure is not None:
-            control = self._incremental_parser().control
-            failure = (
-                result.failure.token_index,
-                self._expected(control, result.failure),
-            )
-        forest = None
-        if build_trees and result.accepted:
-            forest = ParseForest(result.trees)
-        return EngineReport(
-            result.accepted,
-            forest,
-            result.stats.snapshot(),
-            failure,
-            incremental=outcome,
-            reuse=dict(outcome.reuse),
+        self.pool = PoolParser(
+            control, language.grammar, max_sweep_steps=language.max_sweep_steps
         )
+
+    def _checkpoint_report(
+        self, outcome: IncrementalOutcome, build_trees: bool
+    ) -> EngineReport:
+        report = self._report(outcome.result, self.pool.control, build_trees)
+        report.incremental = outcome
+        report.reuse = dict(outcome.reuse)
+        return report
+
+    def recognize(self, terminals: Sequence[Terminal]) -> EngineReport:
+        return self._report(
+            self.pool.recognize_result(terminals),
+            self.pool.control,
+            build_trees=False,
+        )
+
+    def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
+        return self._report(self.pool.parse(terminals), self.pool.control)
 
     def parse_incremental(
         self, terminals: Sequence[Terminal], build_trees: bool = True
     ) -> EngineReport:
-        outcome = self._incremental_parser().parse(
-            tuple(terminals), build_trees=build_trees
-        )
-        return self._incremental_report(outcome, build_trees)
+        outcome = checkpointed_parse(self.pool, terminals, build_trees)
+        return self._checkpoint_report(outcome, build_trees)
 
     def reparse(
         self,
@@ -376,22 +359,14 @@ class _CheckpointMixin:
         spliced: Sequence[Terminal],
         build_trees: bool = True,
     ) -> EngineReport:
-        parser = self._incremental_parser()
         if isinstance(base, IncrementalOutcome):
-            outcome = parser.reparse(
-                base, edit, build_trees=build_trees, spliced=spliced
+            outcome = reparse(
+                self.pool, base, edit, build_trees=build_trees, spliced=spliced
             )
         else:
-            outcome = parser.parse(tuple(spliced), build_trees=build_trees)
+            outcome = checkpointed_parse(self.pool, spliced, build_trees)
             outcome.reuse["fallback"] = "no-checkpoint"
-        return self._incremental_report(outcome, build_trees)
-
-    def close_incremental(self) -> None:
-        """Release the checkpoint parser's grammar subscription."""
-        with self._incremental_lock:
-            if self._incremental is not None:
-                self._incremental.close()
-                self._incremental = None
+        return self._checkpoint_report(outcome, build_trees)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +375,7 @@ class _CheckpointMixin:
 
 
 @register_engine
-class LazyEngine(_CheckpointMixin, Engine):
+class LazyEngine(PoolEngine):
     """The paper's system as presented: lazy generation + parallel parsing.
 
     Runs the pool parser directly over the lazy/incremental graph control
@@ -413,26 +388,11 @@ class LazyEngine(_CheckpointMixin, Engine):
     summary = "parallel LR over the lazy/incremental graph (sections 5-6)"
 
     def __init__(self, language: Any) -> None:
-        super().__init__(language)
-        self.pool = PoolParser(
-            language.generator.control,
-            language.grammar,
-            max_sweep_steps=language.max_sweep_steps,
-        )
-
-    def recognize(self, terminals: Sequence[Terminal]) -> EngineReport:
-        return self._report(
-            self.pool.recognize_result(terminals),
-            self.pool.control,
-            build_trees=False,
-        )
-
-    def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
-        return self._report(self.pool.parse(terminals), self.pool.control)
+        super().__init__(language, language.generator.control)
 
 
 @register_engine
-class CompiledEngine(_CheckpointMixin, Engine):
+class CompiledEngine(PoolEngine):
     """Lazy + incremental generation behind the compiled control plane.
 
     The default engine: ACTION results are memoized into shared tuples
@@ -444,22 +404,7 @@ class CompiledEngine(_CheckpointMixin, Engine):
     summary = "the default: lazy graph + memoized ACTION + fast-path LR"
 
     def __init__(self, language: Any) -> None:
-        super().__init__(language)
-        self.pool = PoolParser(
-            language.control,
-            language.grammar,
-            max_sweep_steps=language.max_sweep_steps,
-        )
-
-    def recognize(self, terminals: Sequence[Terminal]) -> EngineReport:
-        return self._report(
-            self.pool.recognize_result(terminals),
-            self.pool.control,
-            build_trees=False,
-        )
-
-    def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
-        return self._report(self.pool.parse(terminals), self.pool.control)
+        super().__init__(language, language.control)
 
 
 @register_engine

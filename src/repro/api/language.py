@@ -217,10 +217,10 @@ class Language:
     that line is the engine map.  A ``corpus-parse`` job on a
     ``Dispatcher(corpus_root=...)`` parses its worker sessions on its own
     :class:`~repro.corpus.pipeline.ParseJob` thread, where :meth:`engine`
-    lazily instantiates engines, while the caller's thread may edit or
-    ``close`` the same session — :meth:`_on_modify` (fired from
-    ``Grammar.subscribe`` during an edit) and :meth:`close` iterate the
-    map.  So all three run under ``_engines_lock``: without it an edit
+    lazily instantiates engines, while the caller's thread may edit the
+    same session — :meth:`_on_modify` (fired from ``Grammar.subscribe``
+    during an edit) iterates the map.  So both run under
+    ``_engines_lock``: without it an edit
     racing a first-use ``create_engine`` could miss the new engine's
     invalidation and leave it serving tables from the pre-edit grammar.
     Everything else (graph, control plane, tokenizer) is intentionally
@@ -451,11 +451,7 @@ class Language:
         build_trees = prev.trees_built
         handle = prev.incremental if engine is None or engine == prev.engine else None
         with obs.span("reparse", engine=engine_name) as sp:
-            if selected.supports_reparse:
-                report = selected.reparse(handle, edit, spliced, build_trees)
-            else:
-                report = selected.reparse(None, edit, spliced, build_trees)
-                report.reuse = {"fallback": "engine-without-reparse"}
+            report = selected.reparse(handle, edit, spliced, build_trees)
             if sp.recording and report.reuse is not None:
                 sp.set(**{k: v for k, v in report.reuse.items() if v is not None})
         lexed = LexedInput(None, (), spliced)
@@ -691,13 +687,6 @@ class Language:
     def close(self) -> None:
         """Detach from the grammar's observer chain."""
         self._unsubscribe()
-        with self._engines_lock:
-            # Engines may hold grammar subscriptions of their own (the
-            # incremental checkpoint layer); release them.
-            for instance in self._engines.values():
-                release = getattr(instance, "close_incremental", None)
-                if release is not None:
-                    release()
         close = getattr(self.tokenizer, "close", None)
         if close is not None:
             close()

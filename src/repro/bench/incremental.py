@@ -1,10 +1,11 @@
 """Incremental re-parsing benchmark: edit-size × input-size grid.
 
 Measures, for every SDF corpus input and a grid of splice edits, the
-same-run cost of ``IncrementalParser.reparse`` against a full re-parse of
-the spliced tokens through the production hot path
-(:class:`~repro.runtime.parallel.PoolParser` over the compiled control —
-the strongest available baseline, fast-stretch and all).
+same-run cost of :func:`~repro.runtime.incremental.reparse` against a full
+re-parse of the spliced tokens through the production hot path.  Both
+sides run the one :class:`~repro.runtime.parallel.PoolParser` loop over
+the compiled control, deterministic stretch and all; the reparse only
+adds the checkpoint resume and the convergence stop.
 
 Edits are realistic editor operations on the SDF token streams, chosen so
 the edited input stays in the language (asserted — an accidental
@@ -37,7 +38,7 @@ from ..core.incremental import IncrementalGenerator
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Terminal
 from ..lr.compiled import CompiledControl
-from ..runtime.incremental import Edit, IncrementalParser
+from ..runtime.incremental import Edit, checkpointed_parse, reparse
 from ..runtime.parallel import PoolParser
 
 #: Input-fraction positions each edit kind is tried at.
@@ -118,13 +119,12 @@ def _measure_input(
     generator = IncrementalGenerator(grammar)
     control = CompiledControl(generator.control, grammar)
     pool = PoolParser(control, grammar)
-    incremental = IncrementalParser(control, grammar)
 
     tokens = tuple(tokens)
     full_run = pool.parse if build_trees else pool.recognize
     if not full_run(tokens):  # warm-up doubling as the acceptance check
         raise ValueError("corpus input rejected — workload is broken")
-    base = incremental.parse(tokens, build_trees=build_trees)
+    base = checkpointed_parse(pool, tokens, build_trees=build_trees)
 
     report: Dict[str, Any] = {"tokens": len(tokens), "edits": {}}
     for kind, edits in edit_grid(tokens).items():
@@ -133,12 +133,12 @@ def _measure_input(
             spliced = edit.apply(tokens)
             # Both sides must accept: a rejecting edit would let the full
             # baseline stop early and inflate the reported speedup.
-            fresh = incremental.reparse(base, edit, build_trees=build_trees)
+            fresh = reparse(pool, base, edit, build_trees=build_trees)
             if not fresh.result.accepted or not full_run(spliced):
                 continue
             full_seconds = _best(lambda s=spliced: full_run(s), repeats)
             inc_seconds = _best(
-                lambda e=edit: incremental.reparse(base, e, build_trees=build_trees),
+                lambda e=edit: reparse(pool, base, e, build_trees=build_trees),
                 repeats,
             )
             cell = {

@@ -30,7 +30,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
-from ..service.protocol import ProtocolError, ServiceError, require, sorts_of
+from ..service.protocol import ProtocolError, ServiceError, flag_of, require, sorts_of
 from ..service.retry import call_with_retries
 from .pipeline import ParseJob
 from .query import DEFAULT_PAGE_SIZE, QueryEngine
@@ -130,7 +130,7 @@ class CorpusManager:
             handler = self._handler_map.get(cmd)  # type: ignore[arg-type]
             if handler is None:
                 raise ProtocolError(f"unknown corpus command {cmd!r}")
-            if request.get("trace"):
+            if flag_of(request, "trace"):
                 with obs.trace("request", cmd=cmd) as root:
                     response = handler(request)
             else:
@@ -193,6 +193,7 @@ class CorpusManager:
         name = self._name_of(request)
         entry = self._definition_of(name)
         docs, results, journal = self._stores_of(name)
+        wait = flag_of(request, "wait")
         obs.counter("repro.corpus.requests", cmd="corpus-parse").inc()
         with self._lock:
             job = self._jobs.get(name)
@@ -220,7 +221,7 @@ class CorpusManager:
                 obs.counter("repro.corpus.jobs_started", corpus=name).inc()
                 job.start()
                 self._jobs[name] = job
-        if request.get("wait"):
+        if wait:
             timeout = request.get("timeout")
             if timeout is not None and not isinstance(timeout, (int, float)):
                 raise ProtocolError(
@@ -270,11 +271,7 @@ class CorpusManager:
         # common case for match queries.
         if "nonterminal" in request and "nonterminal" not in params:
             params = dict(params, nonterminal=request["nonterminal"])
-        use_cache = request.get("cache", True)
-        if not isinstance(use_cache, bool):
-            raise ProtocolError(
-                f"'cache' must be a boolean, got {type(use_cache).__name__}"
-            )
+        use_cache = flag_of(request, "cache", True)
         with obs.span("corpus.query", corpus=name, kind=str(kind)):
             started = time.perf_counter()
             response = self.queries.query(

@@ -20,7 +20,7 @@ from .forest import (
     tokens_of,
 )
 from .gss import GSSNode, GSSParser
-from .incremental import Edit, IncrementalOutcome, IncrementalParser, splice
+from .incremental import Edit, IncrementalOutcome
 from .lr_parse import DetParseResult, SimpleLRParser, recover_start_trees
 from .parallel import ParseResult, ParseStats, PoolParser
 from .stacks import StackCell, shared_cells
@@ -35,7 +35,6 @@ __all__ = [
     "GSSNode",
     "GSSParser",
     "IncrementalOutcome",
-    "IncrementalParser",
     "Leaf",
     "ParseError",
     "ParseNode",
@@ -54,6 +53,5 @@ __all__ = [
     "pretty",
     "recover_start_trees",
     "shared_cells",
-    "splice",
     "tokens_of",
 ]

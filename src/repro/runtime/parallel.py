@@ -9,12 +9,15 @@ single field, its stack, so a parser here *is* its top
 actions the parser is *copied* per action — an O(1) operation because
 parse stacks are shared cons chains (:mod:`repro.runtime.stacks`).
 
-:func:`sweep_symbol` is the one general sweep over one input symbol.
-:class:`PoolParser` runs it after an Elkhound-style deterministic stretch
-(a plain LR loop while exactly one parser is live);
-:class:`~repro.runtime.incremental.IncrementalParser` runs it at every
-token boundary it checkpoints.  Both drivers therefore take the same steps
-and report the same :class:`ParseStats`.
+:func:`sweep_symbol` is the one general sweep over one input symbol, and
+:meth:`PoolParser.run` is the one loop that drives it, after an
+Elkhound-style deterministic stretch (a plain LR loop while exactly one
+parser is live).  Given :class:`Checkpoints`, the same loop starts at a
+recorded token boundary, records the frontier at every boundary it
+reaches, and stops once that frontier matches the base run's — the
+mechanism behind :mod:`repro.runtime.incremental`.  A plain and a
+checkpointed parse therefore take the same steps and report the same
+:class:`ParseStats`.
 
 Deviations from the paper's listing, each deliberate and documented:
 
@@ -196,9 +199,7 @@ def sweep_symbol(
     caller already computed for one of ``stacks``; ``trace`` records every
     move.  Work counters are added to ``stats``.
 
-    The single general sweep behind both :class:`PoolParser` and
-    :class:`~repro.runtime.incremental.IncrementalParser`, so a plain and a
-    checkpointed parse of the same input take exactly the same steps.
+    The single general sweep behind :meth:`PoolParser.run`.
     """
     control_action = control.action
     control_goto = control.goto
@@ -346,6 +347,66 @@ def collect_accepted(
                 trees.setdefault(tree)
 
 
+#: Frontier at one token boundary: the live stacks *before* consuming the
+#: token at that index (``None`` marks boundaries the run never reached).
+Frontier = Optional[Tuple[StackCell, ...]]
+
+
+class Checkpoints:
+    """The frontier log of one checkpointed :meth:`PoolParser.run`.
+
+    ``frontiers[i]`` holds the live stacks before input token ``i``; the
+    run starts from ``frontiers[start]`` (the start state at boundary 0)
+    and records every boundary it reaches.  With ``base_frontiers`` (the
+    log of an earlier run over the input before an edit that shifted
+    later positions by ``delta``), from boundary ``watch_from`` on the run
+    stops as soon as its frontier equals the base's at the matching
+    boundary, and ``converged_at`` names that boundary.
+    """
+
+    __slots__ = (
+        "frontiers",
+        "start",
+        "base_frontiers",
+        "delta",
+        "watch_from",
+        "converged_at",
+    )
+
+    def __init__(
+        self,
+        frontiers: List[Frontier],
+        start: int = 0,
+        base_frontiers: Sequence[Frontier] = (),
+        delta: int = 0,
+        watch_from: int = 0,
+    ) -> None:
+        self.frontiers = frontiers
+        self.start = start
+        self.base_frontiers = base_frontiers
+        self.delta = delta
+        self.watch_from = watch_from
+        self.converged_at: Optional[int] = None
+
+    def reached(self, boundary: int, frontier: Tuple[StackCell, ...]) -> bool:
+        """Record ``frontier`` at ``boundary``; True once it re-converges.
+
+        Convergence is cheap because a :class:`StackCell` *is* its own
+        O(1) signature: comparing frontiers is a small set comparison,
+        and the underlying ``__eq__`` walk stops at the first physically
+        shared cell.
+        """
+        self.frontiers[boundary] = frontier
+        old_index = boundary - self.delta
+        if boundary < self.watch_from or not 0 <= old_index < len(self.base_frontiers):
+            return False
+        old = self.base_frontiers[old_index]
+        if old is None or len(old) != len(frontier) or set(old) != set(frontier):
+            return False
+        self.converged_at = boundary
+        return True
+
+
 class PoolParser:
     """PAR-PARSE packaged as a reusable engine.
 
@@ -374,32 +435,44 @@ class PoolParser:
     # -- public API ------------------------------------------------------
 
     def recognize(self, tokens: Iterable[Terminal]) -> bool:
-        return self._run(tokens, build_trees=False, trace=None).accepted
+        return self.run(tokens, build_trees=False).accepted
 
     def recognize_result(self, tokens: Iterable[Terminal]) -> ParseResult:
         """Recognition that keeps the full result (stats and failure)."""
-        return self._run(tokens, build_trees=False, trace=None)
+        return self.run(tokens, build_trees=False)
 
     def parse(
         self,
         tokens: Iterable[Terminal],
         trace: Optional[Trace] = None,
     ) -> ParseResult:
-        return self._run(tokens, build_trees=True, trace=trace)
+        return self.run(tokens, build_trees=True, trace=trace)
 
     # -- the algorithm ---------------------------------------------------
 
-    def _run(
+    def run(
         self,
         tokens: Iterable[Terminal],
         build_trees: bool,
-        trace: Optional[Trace],
+        trace: Optional[Trace] = None,
+        forest: Optional[Forest] = None,
+        checkpoints: Optional[Checkpoints] = None,
     ) -> ParseResult:
+        """PAR-PARSE over ``tokens``: the one loop behind every pool parse.
+
+        ``forest`` is the hash-consing forest a tree-mode run builds into,
+        fresh by default.  With ``checkpoints`` the run starts at
+        ``checkpoints.start``, records the frontier at every token
+        boundary, and stops early when it re-converges with the base run
+        (see :class:`Checkpoints`); a converged result carries neither
+        acceptance nor a failure record — the caller adopts the base's.
+        """
         sentence: List[Terminal] = list(tokens)
         sentence.append(END)
 
         stats = ParseStats()
-        forest = Forest() if build_trees else None
+        if build_trees and forest is None:
+            forest = Forest()
         grammar = self.grammar
         accepted_trees: Dict[TreeNode, None] = {}
         max_depth = stack_depth_limit(len(sentence) - 1, grammar)
@@ -408,13 +481,17 @@ class PoolParser:
         # cons cells, so a frontier is O(live parsers) and shares
         # everything; the frontier at the start of the final sweep goes
         # into the failure record.
-        frontier: Tuple[StackCell, ...] = (StackCell(self.control.start_state),)
+        position = 0 if checkpoints is None else checkpoints.start
+        frontier = (
+            checkpoints.frontiers[position]
+            if checkpoints is not None and position
+            else (StackCell(self.control.start_state),)
+        )
         sweep_stacks = frontier
         # States whose ACTION row came back empty during the last general
         # sweep: if the pool dies, exactly the death sites a diagnostic
         # reads the expected terminals off.
         dead_states: List[Any] = []
-        position = 0
 
         # Hot-loop locals: the ACTION/GOTO loop below runs once per parser
         # step under warm service traffic, so attribute lookups that are
@@ -456,6 +533,10 @@ class PoolParser:
         n_sweeps = 0
 
         while frontier and position < sentence_length:
+            # A token boundary: the one place (with the shift in the
+            # stretch below) a checkpointed run records and converges.
+            if checkpoints is not None and checkpoints.reached(position, frontier):
+                break
             symbol = sentence[position]
             position += 1
             n_sweeps += 1
@@ -481,7 +562,8 @@ class PoolParser:
                 # processed (one store per shift): the failure record
                 # must see the pre-reduce-chain stack, not the bail point.
                 stretch_start = stack
-                accepted_here = False
+                # The parser accepted, or a checkpointed run converged.
+                retired = False
                 reduces_here = 0
                 while True:
                     state = stack.state
@@ -519,6 +601,11 @@ class PoolParser:
                         leaf = forest.leaf(symbol, position - 1) if forest else None
                         stack = StackCell(step[1], stack, leaf)
                         fast_shifts += 1
+                        if checkpoints is not None and checkpoints.reached(
+                            position, (stack,)
+                        ):
+                            retired = True
+                            break
                         # A shift never consumes the end-marker ($ cannot
                         # occur in a rule), so the next position is valid:
                         # stay in the stretch and fetch the next symbol.
@@ -579,9 +666,9 @@ class PoolParser:
                         continue
                     # STEP_ACCEPT: the parser retires
                     collect_accepted((stack,), grammar, forest, stats, accepted_trees)
-                    accepted_here = True
+                    retired = True
                     break
-                if accepted_here:
+                if retired:
                     frontier = ()
                     continue
                 # bail: the general sweep re-reads ACTION for this symbol
@@ -613,7 +700,7 @@ class PoolParser:
             credit_hits(fast_hits)
         failure: Optional[ParseFailure] = None
         accepted = stats.accepting_parsers > 0
-        if not accepted:
+        if not accepted and (checkpoints is None or checkpoints.converged_at is None):
             # position - 1 indexes the symbol of the final sweep; if that
             # symbol is the end-marker the index equals the input length.
             failure = ParseFailure(

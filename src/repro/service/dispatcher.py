@@ -23,6 +23,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     ServiceError,
+    flag_of,
     require,
     sorts_of,
 )
@@ -106,7 +107,7 @@ class Dispatcher:
         try:
             deadline_ms = self._deadline_of(request)
             with deadline_scope(deadline_ms):
-                if isinstance(request, dict) and request.get("trace"):
+                if isinstance(request, dict) and flag_of(request, "trace"):
                     with obs.trace(
                         "request", cmd=cmd if isinstance(cmd, str) else "?"
                     ) as root:
@@ -229,7 +230,7 @@ class Dispatcher:
             name,
             grammar_text=grammar,
             sorts=sorts_of(request),
-            force=bool(request.get("force", False)),
+            force=flag_of(request, "force"),
         )
         return {
             "opened": name,
@@ -277,16 +278,6 @@ class Dispatcher:
         return engine
 
     @staticmethod
-    def _cache_flag(request: Dict[str, Any]) -> bool:
-        """The protocol v6 ``cache`` field: ``false`` bypasses the LRU."""
-        value = request.get("cache", True)
-        if not isinstance(value, bool):
-            raise ProtocolError(
-                f"'cache' must be a boolean, got {type(value).__name__}"
-            )
-        return value
-
-    @staticmethod
     def _max_trees_of(request: Dict[str, Any]) -> Optional[int]:
         """The validated v7 ``max_trees`` bound, or None for unbounded."""
         value = request.get("max_trees")
@@ -304,8 +295,8 @@ class Dispatcher:
             name,
             require(request, "tokens"),
             engine=self._engine_of(request),
-            checkpoint=bool(request.get("checkpoint", False)),
-            use_cache=self._cache_flag(request),
+            checkpoint=flag_of(request, "checkpoint"),
+            use_cache=flag_of(request, "cache", True),
             max_trees=self._max_trees_of(request),
         )
         return self._parse_response(name, payload, cached)
@@ -374,8 +365,8 @@ class Dispatcher:
             name,
             require(request, "tokens"),
             engine=self._engine_of(request),
-            checkpoint=bool(request.get("checkpoint", False)),
-            use_cache=self._cache_flag(request),
+            checkpoint=flag_of(request, "checkpoint"),
+            use_cache=flag_of(request, "cache", True),
         )
         obs.annotate(cache=cached)
         response = dict(payload)
@@ -438,7 +429,7 @@ class Dispatcher:
             session = session_from_dict(request["snapshot"], name=name)
         else:
             raise ProtocolError("'restore' needs a 'path' or 'snapshot' field")
-        self.workspace.adopt(session, force=bool(request.get("force", False)))
+        self.workspace.adopt(session, force=flag_of(request, "force"))
         return {
             "restored": session.name,
             "rules": len(session.language.grammar),

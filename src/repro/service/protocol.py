@@ -128,6 +128,20 @@ def sorts_of(request: Dict[str, Any]) -> List[str]:
     return list(sorts)
 
 
+def flag_of(request: Dict[str, Any], field: str, default: bool = False) -> bool:
+    """The optional boolean ``field`` (``default`` when absent).
+
+    Only a JSON boolean counts: ``"force": "false"`` is refused, not read
+    as a truthy string.
+    """
+    value = request.get(field, default)
+    if not isinstance(value, bool):
+        raise ProtocolError(
+            f"{field!r} must be a boolean, got {type(value).__name__}"
+        )
+    return value
+
+
 def encode(response: Dict[str, Any]) -> str:
     """One response as compact, key-sorted JSON (no trailing newline)."""
     return json.dumps(response, separators=(",", ":"), sort_keys=True)

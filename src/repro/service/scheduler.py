@@ -171,7 +171,14 @@ def plan_batch(
         key: Optional[Tuple[Any, ...]] = None
         if cmd in COALESCIBLE_COMMANDS:
             tokens = _token_key(request.get("tokens"))
-            if tokens is not None:
+            flags = (
+                request.get("checkpoint", False),
+                request.get("trace", False),
+                request.get("cache", True),
+            )
+            # A non-boolean flag is a protocol error: the request runs on
+            # its own to get that answer, never a copy of a valid one.
+            if tokens is not None and all(isinstance(f, bool) for f in flags):
                 # ``checkpoint`` participates: a checkpointed parse's
                 # response carries a ``result`` id (and retains session
                 # state) that a plain parse's copy would lack.
@@ -189,10 +196,8 @@ def plan_batch(
                     session,
                     cmd,
                     request.get("engine"),
-                    bool(request.get("checkpoint", False)),
-                    bool(request.get("trace", False)),
+                    flags,
                     request.get("deadline_ms"),
-                    bool(request.get("cache", True)),
                     request.get("max_trees"),
                     tokens,
                 )

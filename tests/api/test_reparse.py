@@ -47,6 +47,34 @@ class TestCheckpointedParse:
         with pytest.raises(ValueError, match="mutually exclusive"):
             language.parse("a + a", trace=Trace(), checkpoint=True)
 
+    def test_checkpoints_keep_the_deterministic_stretch(self, monkeypatch):
+        # A checkpointed parse runs the plain parse's loop, stretch
+        # included: on a conflict-free grammar, once warm, neither makes
+        # an ACTION call (the stretch reads the step cache directly).
+        from repro.lr.compiled import CompiledControl
+
+        language = Language.from_text("START ::= L\nL ::= x\nL ::= L x")
+        text = " ".join(["x"] * 50)
+        language.parse(text)
+        calls = []
+        action = CompiledControl.action
+
+        def counted(self, state, symbol):
+            calls.append(symbol)
+            return action(self, state, symbol)
+
+        monkeypatch.setattr(CompiledControl, "action", counted)
+        counts = []
+        for run in (
+            lambda: language.parse(text),
+            lambda: language.parse(text, checkpoint=True),
+            lambda: language.recognize(text, checkpoint=True),
+        ):
+            del calls[:]
+            assert run().accepted
+            counts.append(len(calls))
+        assert counts[1] <= counts[0] and counts[2] <= counts[0], counts
+
 
 class TestReparse:
     def test_equivalent_to_scratch_parse(self, language):

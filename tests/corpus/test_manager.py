@@ -143,6 +143,24 @@ class TestCommands:
         assert dispatcher.handle(dict(request))["cache"] is True
         assert dispatcher.handle(dict(request, cache=False))["cache"] is False
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_flags_must_be_booleans(self, dispatcher, value):
+        dispatcher.handle(CREATE)
+        ingest(dispatcher, ["true"])
+        parse = {"cmd": "corpus-parse", "corpus": "demo", "wait": value}
+        query = {"cmd": "corpus-query", "corpus": "demo", "kind": "errors"}
+        for request, field in (
+            (parse, "wait"),
+            (dict(query, cache=value), "cache"),
+            (dict(query, trace=value), "trace"),
+        ):
+            response = dispatcher.handle(request)
+            assert response["error"] == (
+                f"'{field}' must be a boolean, got {type(value).__name__}"
+            ), field
+        status = dispatcher.handle({"cmd": "corpus-status", "corpus": "demo"})
+        assert "job" not in status  # the refused parse started no job
+
     def test_parse_validates_window(self, dispatcher):
         dispatcher.handle(CREATE)
         ingest(dispatcher, ["true"])

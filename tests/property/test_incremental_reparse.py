@@ -5,8 +5,8 @@ a from-scratch parse of the edited input — trees (bracketed forms),
 ambiguity counts, acceptance, and rejection diagnostics (token index +
 expected set) must all match, for random grammars, random inputs, random
 splice edits, chained edits, and edits interleaved with grammar
-modifications (which must invalidate checkpoints via the
-``Grammar.subscribe`` epoch).  The bulk suites below are deterministic
+modifications (which must invalidate checkpoints: each MODIFY moves the
+grammar revision a checkpoint was taken at).  The bulk suites below are deterministic
 seeded sweeps (hundreds of cases, no shrinking overhead); a hypothesis
 pass adds shape diversity on top.
 """
@@ -221,7 +221,7 @@ class TestReparseEquivalence:
             assert fingerprint(edited) == fingerprint(scratch)
             if changed:
                 # The checkpoints predate the MODIFY: the reparse must
-                # have refused them (Grammar.subscribe bumped the epoch).
+                # have refused them (the grammar revision moved on).
                 assert edited.reuse is not None
                 assert edited.reuse.get("fallback") == "grammar-modified"
                 fallbacks += 1

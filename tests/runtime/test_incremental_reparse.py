@@ -9,7 +9,7 @@ from repro.grammar.builders import grammar_from_text, rule_from_text
 from repro.grammar.symbols import Terminal
 from repro.lr.compiled import CompiledControl
 from repro.runtime.forest import bracketed
-from repro.runtime.incremental import Edit, IncrementalParser, splice
+from repro.runtime.incremental import Edit, checkpointed_parse, reparse
 from repro.runtime.parallel import PoolParser
 
 GRAMMAR_TEXT = """
@@ -30,9 +30,8 @@ def setup():
     grammar = grammar_from_text(GRAMMAR_TEXT)
     generator = IncrementalGenerator(grammar)
     control = CompiledControl(generator.control, grammar)
-    parser = IncrementalParser(control, grammar)
     pool = PoolParser(control, grammar)
-    return grammar, parser, pool
+    return grammar, pool
 
 
 class TestEdit:
@@ -47,7 +46,6 @@ class TestEdit:
         delete = Edit(0, 2)
         assert delete.apply(base) == tokens("a + b")
         assert delete.delta == -2
-        assert splice(base, edit) == edit.apply(base)
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -64,8 +62,8 @@ class TestEdit:
 
 class TestCheckpoints:
     def test_full_parse_records_every_boundary(self, setup):
-        _grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + a + b"))
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + a + b"))
         assert base.result.accepted
         assert len(base.frontiers) == 6
         assert all(frontier is not None for frontier in base.frontiers)
@@ -73,8 +71,8 @@ class TestCheckpoints:
         assert base.reuse["parsed_tokens"] == 5
 
     def test_rejected_parse_stops_recording_at_death(self, setup):
-        _grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + + b"))
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + + b"))
         assert not base.result.accepted
         assert base.result.failure.token_index == 2
         # Boundaries up to the fatal sweep exist; nothing after it.
@@ -82,25 +80,25 @@ class TestCheckpoints:
         assert base.frontiers[3] is None
 
     def test_resume_skips_the_prefix(self, setup):
-        _grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + a + b + a + b"))
-        out = parser.reparse(base, Edit(6, 7, tokens("a")))
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + a + b + a + b"))
+        out = reparse(pool, base, Edit(6, 7, tokens("a")))
         assert out.result.accepted
         assert out.reuse["resumed_at"] == 6
         assert out.reuse["reused_prefix"] == 6
 
     def test_recognition_converges_after_the_damage(self, setup):
-        _grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + a + b + a + b"), build_trees=False)
-        out = parser.reparse(base, Edit(2, 3, tokens("b")))
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + a + b + a + b"), build_trees=False)
+        out = reparse(pool, base, Edit(2, 3, tokens("b")))
         assert out.result.accepted
         assert out.reuse["converged_at"] is not None
         assert out.reuse["parsed_tokens"] < 4
 
     def test_identity_edit_converges_instantly_in_tree_mode(self, setup):
-        _grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + a + b"))
-        out = parser.reparse(base, Edit(2, 2))  # no-op splice
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + a + b"))
+        out = reparse(pool, base, Edit(2, 2))  # no-op splice
         assert out.result.accepted
         assert out.reuse["converged_at"] == 2
         assert out.reuse["parsed_tokens"] == 0
@@ -110,57 +108,57 @@ class TestCheckpoints:
 
     def test_converged_outcome_chains(self, setup):
         """Checkpoints adopted from the base stay valid resume points."""
-        _grammar, parser, pool = setup
+        _grammar, pool = setup
         stream = tokens("a + a + b + a + b")
-        base = parser.parse(stream, build_trees=False)
-        first = parser.reparse(base, Edit(2, 3, tokens("b")))
+        base = checkpointed_parse(pool, stream, build_trees=False)
+        first = reparse(pool, base, Edit(2, 3, tokens("b")))
         assert first.reuse["converged_at"] is not None
         # Second edit lands *after* the adopted suffix checkpoints.
-        second = parser.reparse(first, Edit(6, 7, tokens("b")))
+        second = reparse(pool, first, Edit(6, 7, tokens("b")))
         spliced = Edit(6, 7, tokens("b")).apply(first.tokens)
         assert second.result.accepted == pool.recognize(list(spliced))
 
     def test_edit_beyond_a_dead_base_reproduces_the_failure(self, setup):
-        _grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + + b + a"), build_trees=False)
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + + b + a"), build_trees=False)
         assert not base.result.accepted
-        out = parser.reparse(base, Edit(4, 5, tokens("b")))
+        out = reparse(pool, base, Edit(4, 5, tokens("b")))
         assert not out.result.accepted
         assert out.result.failure.token_index == 2
         assert out.reuse["resumed_at"] <= 2
 
     def test_length_changing_rejection_shifts_the_failure_index(self, setup):
-        _grammar, parser, pool = setup
+        _grammar, pool = setup
         stream = tokens("a + a + + b")
-        base = parser.parse(stream, build_trees=False)
+        base = checkpointed_parse(pool, stream, build_trees=False)
         assert base.result.failure.token_index == 4
         # Insert two tokens before the error: index must shift by +2.
         edit = Edit(0, 0, tokens("a +"))
-        out = parser.reparse(base, edit)
+        out = reparse(pool, base, edit)
         scratch = pool.recognize_result(list(edit.apply(stream)))
         assert not out.result.accepted
         assert out.result.failure.token_index == scratch.failure.token_index == 6
 
     def test_empty_input_edits(self, setup):
-        _grammar, parser, pool = setup
-        base = parser.parse(())
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, ())
         assert base.result.accepted == pool.recognize([])
-        grown = parser.reparse(base, Edit(0, 0, tokens("a")))
+        grown = reparse(pool, base, Edit(0, 0, tokens("a")))
         assert grown.result.accepted
-        shrunk = parser.reparse(grown, Edit(0, 1))
+        shrunk = reparse(pool, grown, Edit(0, 1))
         assert shrunk.result.accepted == pool.recognize([])
 
 
 class TestForestCap:
     def test_long_edit_chains_do_not_grow_the_forest_unboundedly(self, setup):
-        _grammar, parser, pool = setup
+        _grammar, pool = setup
         stream = tokens("a" + " + a" * 20)
-        outcome = parser.parse(stream)
+        outcome = checkpointed_parse(pool, stream)
         cap = 64 * (len(stream) + 16)
         for index in range(220):
             site = 2 * (index % 20)
             replacement = tokens("b" if index % 2 == 0 else "a")
-            outcome = parser.reparse(outcome, Edit(site, site + 1, replacement))
+            outcome = reparse(pool, outcome, Edit(site, site + 1, replacement))
             assert outcome.result.accepted
             assert outcome.forest.size <= cap + 4 * len(stream)
         # Still equivalent to a from-scratch parse after the chain.
@@ -172,40 +170,31 @@ class TestForestCap:
 
 class TestInvalidation:
     def test_grammar_edit_bumps_epoch_and_falls_back(self, setup):
-        grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + a"))
-        epoch = parser.epoch
+        grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + a"))
         grammar.add_rule(rule_from_text("E ::= E + c", {"E"}))
-        assert parser.epoch == epoch + 1
-        out = parser.reparse(base, Edit(2, 3, tokens("c")))
+        assert base.version != grammar.revision
+        out = reparse(pool, base, Edit(2, 3, tokens("c")))
         assert out.reuse["fallback"] == "grammar-modified"
         assert out.result.accepted
 
     def test_foreign_checkpoint_falls_back(self, setup):
-        grammar, parser, _pool = setup
-        other = IncrementalParser(parser.control, grammar)
-        base = other.parse(tokens("a + a"))
-        out = parser.reparse(base, Edit(0, 1, tokens("b")))
+        grammar, pool = setup
+        other = PoolParser(pool.control, grammar)
+        base = checkpointed_parse(other, tokens("a + a"))
+        out = reparse(pool, base, Edit(0, 1, tokens("b")))
         assert out.reuse["fallback"] == "foreign-checkpoint"
         assert out.result.accepted
-        other.close()
 
     def test_mode_change_falls_back(self, setup):
-        _grammar, parser, _pool = setup
-        base = parser.parse(tokens("a + a"), build_trees=False)
-        out = parser.reparse(base, Edit(0, 1, tokens("b")), build_trees=True)
+        _grammar, pool = setup
+        base = checkpointed_parse(pool, tokens("a + a"), build_trees=False)
+        out = reparse(pool, base, Edit(0, 1, tokens("b")), build_trees=True)
         assert out.reuse["fallback"] == "mode-changed"
         assert out.result.accepted
         assert out.result.trees
 
-    def test_close_detaches_the_observer(self, setup):
-        grammar, parser, _pool = setup
-        parser.close()
-        epoch = parser.epoch
-        grammar.add_rule(rule_from_text("E ::= d", {"E"}))
-        assert parser.epoch == epoch
-
     def test_reparse_requires_an_outcome(self, setup):
-        _grammar, parser, _pool = setup
+        _grammar, pool = setup
         with pytest.raises(TypeError):
-            parser.reparse(None, Edit(0, 0))
+            reparse(pool, None, Edit(0, 0))

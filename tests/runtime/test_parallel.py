@@ -6,7 +6,7 @@ from repro.grammar.builders import grammar_from_text
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.errors import SweepLimitExceeded
 from repro.runtime.forest import bracketed, tokens_of
-from repro.runtime.incremental import IncrementalParser
+from repro.runtime.incremental import checkpointed_parse
 from repro.runtime.parallel import PoolParser
 
 from ..conftest import toks
@@ -113,19 +113,16 @@ CYCLIC = """
 
 
 def pool_run(grammar, tokens, build_trees, **kwargs):
-    return pool_for(grammar, **kwargs)._run(
-        tokens, build_trees=build_trees, trace=None
-    )
+    return pool_for(grammar, **kwargs).run(tokens, build_trees=build_trees)
 
 
 def checkpointed_run(grammar, tokens, build_trees, **kwargs):
-    control = ConventionalGenerator(grammar).generate()
-    parser = IncrementalParser(control, grammar, **kwargs)
-    return parser.parse(tokens, build_trees=build_trees).result
+    pool = pool_for(grammar, **kwargs)
+    return checkpointed_parse(pool, tokens, build_trees=build_trees).result
 
 
-#: Both PAR-PARSE drivers run the one general sweep, so both reach its
-#: guards: the plain pool and the checkpointing incremental parser.
+#: A plain and a checkpointed parse run the one PAR-PARSE loop, so both
+#: reach its guards.
 DRIVERS = (pool_run, checkpointed_run)
 
 

@@ -122,6 +122,32 @@ class TestOpenParse:
         info = dispatcher.handle({"cmd": "info", "session": "s"})
         assert (info["version"], info["sorts"]) == (version, [])
 
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_boolean_flags_must_be_booleans(self, dispatcher, value):
+        # "false" is a truthy string: read as a flag, it would force-open
+        # over the live session and drop its edits.
+        dispatcher.handle({"cmd": "open", "session": "s", "grammar": "START ::= x"})
+        dispatcher.handle({"cmd": "add-rule", "session": "s", "rule": "START ::= y"})
+        snapshot = dispatcher.handle({"cmd": "snapshot", "session": "s"})["snapshot"]
+        requests = [
+            ({"cmd": "open", "grammar": "START ::= x"}, "force"),
+            ({"cmd": "restore", "snapshot": snapshot}, "force"),
+            ({"cmd": "parse", "tokens": "y"}, "checkpoint"),
+            ({"cmd": "recognize", "tokens": "y"}, "checkpoint"),
+            ({"cmd": "parse", "tokens": "y"}, "trace"),
+            ({"cmd": "parse", "tokens": "y"}, "cache"),
+        ]
+        for request, field in requests:
+            response = dispatcher.handle(dict(request, session="s", **{field: value}))
+            assert response["error"] == (
+                f"'{field}' must be a boolean, got {type(value).__name__}"
+            ), (request["cmd"], field)
+            assert "trace" not in response and "result" not in response
+        info = dispatcher.handle({"cmd": "info", "session": "s"})
+        assert info["version"] == 2
+        parsed = dispatcher.handle({"cmd": "parse", "session": "s", "tokens": "y"})
+        assert parsed["accepted"] is True
+
     @pytest.mark.parametrize("grammar", [5, ["START ::= x"], None])
     def test_open_rejects_a_non_string_grammar(self, dispatcher, grammar):
         response = dispatcher.handle(

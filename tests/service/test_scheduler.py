@@ -73,6 +73,16 @@ class TestPlanBatch:
             ("copy", 0),
         ]
 
+    def test_a_non_boolean_flag_never_shares_an_answer(self):
+        """``"checkpoint": 1`` hashes like ``True``; the request must run
+        on its own and get its protocol error, not a copy."""
+        checkpointed = dict(parse_request("a"), checkpoint=True)
+        odd = [dict(parse_request("a"), checkpoint=1),
+               dict(parse_request("a"), trace="false")]
+        execute, placements = plan_batch([checkpointed, *odd, dict(odd[0])])
+        assert len(execute) == 4
+        assert [kind for kind, _ in placements] == ["run"] * 4
+
     def test_text_and_token_list_never_share_an_answer(self):
         as_text = parse_request("a", "true or false")
         as_list = {
