@@ -9,12 +9,18 @@ trajectory is tracked across PRs:
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py
 
 Every run also times tree rendering (``ParseForest.brackets``) for the
-429-tree booleans forest and the ASF.sdf tree.
+429-tree booleans forest and the ASF.sdf tree, counts the forks of the
+ASF.sdf parse on ``compiled`` next to its same-run ``compiled``/``lazy``
+ratio (the SLR(1) step cells), and times ``compiled`` and ``gss`` on 500
+and 2,000 tokens of the right-recursive ``L ::= x L``.
 
 CI smoke mode — booleans workload only, checked against the committed
 floor (fails when compiled, table or gss is less than 1.25x lazy in the
-same run, when any tier regresses more than 3x, or when rendering the
-ASF.sdf tree takes more than 1.5x the time of counting it):
+same run, when any tier regresses more than 3x, when rendering the
+ASF.sdf tree takes more than 1.5x the time of counting it, when the
+ASF.sdf parse forks more than the ceiling on ``compiled`` or ``compiled``
+falls under its floor against ``lazy`` there, or when the right-recursive
+parse time grows more than its ceiling from 500 to 2,000 tokens):
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py \\
         --workload booleans --floor benchmarks/hotpath_floor.json
@@ -33,8 +39,10 @@ try:
     from repro.bench.hotpath import (
         check_floor,
         check_render_floor,
+        check_step_cell_floor,
         collect_hotpath_report,
         render_hotpath,
+        render_step_cells,
         render_tree_timings,
     )
 except ImportError:  # standalone invocation without PYTHONPATH=src
@@ -42,8 +50,10 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
     from repro.bench.hotpath import (
         check_floor,
         check_render_floor,
+        check_step_cell_floor,
         collect_hotpath_report,
         render_hotpath,
+        render_step_cells,
         render_tree_timings,
     )
 
@@ -77,8 +87,9 @@ def main(argv=None) -> int:
         type=Path,
         default=None,
         help="floor JSON to check against (exit 1 on a same-run ratio "
-        "against lazy under its floor, a >3x regression, or a render/count "
-        "ratio over its ceiling)",
+        "against lazy under its floor, a >3x regression, a render/count "
+        "ratio over its ceiling, or a step-cell fork count or "
+        "right-recursion growth over its ceiling)",
     )
     args = parser.parse_args(argv)
 
@@ -89,6 +100,8 @@ def main(argv=None) -> int:
         print(render_hotpath(report["workloads"][name]))
         print()
     print(render_tree_timings(report["render"]))
+    print()
+    print(render_step_cells(report))
     print()
 
     if not args.no_output:
@@ -102,9 +115,13 @@ def main(argv=None) -> int:
         if measured is None:
             print(f"floor check: workload {workload_name!r} was not measured")
             return 1
-        problems = check_floor(
-            measured, floor, max_regression=floor.get("max_regression", 3.0)
-        ) + check_render_floor(report["render"], floor)
+        problems = (
+            check_floor(
+                measured, floor, max_regression=floor.get("max_regression", 3.0)
+            )
+            + check_render_floor(report["render"], floor)
+            + check_step_cell_floor(report, floor)
+        )
         if problems:
             print("floor check: FAIL")
             for problem in problems:

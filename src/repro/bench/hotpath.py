@@ -28,6 +28,14 @@ throughput is the best of ``repeats`` timed warm parses.
 429-tree booleans forest and the ASF.sdf tree.  Its floor is a same-run
 ratio against counting the same forest, so a renderer that builds
 intermediate trees again fails on any machine.
+
+Two more sections guard the compiled control's SLR(1) step cells:
+:func:`measure_lookahead` counts the forks of the ASF.sdf parse on
+``compiled`` (the LR(0) conflicts FOLLOW left standing) next to the
+same-run ``compiled``/``lazy`` ratio on that input, and
+:func:`measure_right_recursion` times ``compiled`` and ``gss`` on a
+right-recursive list at two lengths, whose ratio tells linear from
+quadratic on any machine.
 """
 
 from __future__ import annotations
@@ -37,7 +45,9 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..api import Language
 from ..core.incremental import IncrementalGenerator
+from ..grammar.builders import grammar_from_text
 from ..grammar.grammar import Grammar
+from ..grammar.symbols import Terminal
 from ..lr.compiled import CompiledControl
 from ..lr.graph import ItemSetGraph
 from ..lr.table import lr0_table
@@ -286,6 +296,72 @@ def measure_render(repeats: int = 5) -> Dict[str, Any]:
     return report
 
 
+#: The SDF corpus input of the ``lookahead`` section (the largest one).
+LOOKAHEAD_INPUT = "ASF.sdf"
+
+
+def measure_lookahead(repeats: int = 5) -> Dict[str, Any]:
+    """Forks and same-run recognition tok/s of ASF.sdf, lazy vs compiled.
+
+    ``lazy`` is pure LR(0) (the paper's automaton): every conflicted cell
+    forks a parser.  ``compiled`` reads FOLLOW-filtered step cells, so
+    only the conflicts SLR(1) keeps fork.  Returns::
+
+        {"input", "tokens", "forks": {tier: n},
+         "tokens_per_sec": {tier: t/s}, "compiled_vs_lazy": ratio}
+    """
+    workload = sdf_workload()
+    tokens = workload.inputs[LOOKAHEAD_INPUT]
+    parsers = {
+        tier: TIER_FACTORIES[tier](workload.fresh_grammar())
+        for tier in ("lazy", "compiled")
+    }
+    rates = _throughputs(parsers, tokens, repeats, "recognize")
+    return {
+        "input": LOOKAHEAD_INPUT,
+        "tokens": len(tokens),
+        "forks": {
+            tier: parser.recognize_result(tokens).stats.forks
+            for tier, parser in parsers.items()
+        },
+        "tokens_per_sec": {tier: round(rate, 1) for tier, rate in rates.items()},
+        "compiled_vs_lazy": round(rates["compiled"] / rates["lazy"], 2),
+    }
+
+
+RIGHT_RECURSION_GRAMMAR = "START ::= L\nL ::= x\nL ::= x L"
+
+#: Lengths of the ``right_recursion`` inputs: linear work grows their
+#: time ratio by 4x, quadratic work by 16x.
+RIGHT_RECURSION_TOKENS = (500, 2000)
+
+
+def measure_right_recursion(repeats: int = 5) -> Dict[str, Any]:
+    """Best-of-``repeats`` ms per tree-mode parse of ``x``^n on ``L ::= x L``.
+
+    Returns ``{"grammar", "unit", "engines": {tier: {"ms": {n: ms},
+    "growth": ms(longest) / ms(shortest)}}}``, for ``compiled`` and ``gss``.
+    """
+    report: Dict[str, Any] = {
+        "grammar": RIGHT_RECURSION_GRAMMAR,
+        "unit": "ms per parse (best of warm repeats, tree mode)",
+        "engines": {},
+    }
+    shortest, longest = str(RIGHT_RECURSION_TOKENS[0]), str(RIGHT_RECURSION_TOKENS[-1])
+    for tier in ("compiled", "gss"):
+        ms: Dict[str, float] = {}
+        for length in RIGHT_RECURSION_TOKENS:
+            parser = TIER_FACTORIES[tier](grammar_from_text(RIGHT_RECURSION_GRAMMAR))
+            tokens = [Terminal("x")] * length
+            rate = _throughputs({tier: parser}, tokens, repeats, "parse")[tier]
+            ms[str(length)] = round(length / rate * 1e3, 3)
+        report["engines"][tier] = {
+            "ms": ms,
+            "growth": round(ms[longest] / ms[shortest], 2),
+        }
+    return report
+
+
 def collect_hotpath_report(
     repeats: int = 5, workload_names: Optional[Sequence[str]] = None
 ) -> Dict[str, Any]:
@@ -295,8 +371,8 @@ def collect_hotpath_report(
     input lists — both ``benchmarks/bench_parse_hotpath.py`` and
     ``benchmarks/collect_experiments.py`` write the repo-root JSON through
     this function, so the tracked artifact never depends on which entry
-    point ran last.  The ``render`` section is measured whatever
-    ``workload_names`` selects.
+    point ran last.  The ``render``, ``lookahead`` and ``right_recursion``
+    sections are measured whatever ``workload_names`` selects.
     """
     factories = {"sdf": sdf_workload, "booleans": booleans_workload}
     names = list(workload_names) if workload_names is not None else list(factories)
@@ -313,6 +389,8 @@ def collect_hotpath_report(
             for name in names
         },
         "render": measure_render(repeats=repeats),
+        "lookahead": measure_lookahead(repeats=repeats),
+        "right_recursion": measure_right_recursion(repeats=repeats),
     }
 
 
@@ -345,6 +423,28 @@ def render_tree_timings(report: Dict[str, Any]) -> str:
             f" {data['render_us']:>10,.1f} {data['count_us']:>10,.1f}"
             f" {data['render_vs_count']:>6.2f}"
         )
+    return "\n".join(lines)
+
+
+def render_step_cells(report: Dict[str, Any]) -> str:
+    """ASCII rendering of the ``lookahead`` and ``right_recursion``
+    sections of a :func:`collect_hotpath_report` payload."""
+    lookahead = report["lookahead"]
+    lines = [
+        f"SLR(1) step cells ({lookahead['input']}, {lookahead['tokens']} "
+        f"tokens, recognition)",
+    ]
+    for tier in ("lazy", "compiled"):
+        lines.append(
+            f"  {tier:9s} {lookahead['forks'][tier]:>5d} forks"
+            f" {lookahead['tokens_per_sec'][tier]:>12,.0f} tok/s"
+        )
+    lines.append(f"  compiled/lazy {lookahead['compiled_vs_lazy']:.2f}x")
+    right = report["right_recursion"]
+    lines.append(f"right recursion ({right['unit']})")
+    for tier, data in right["engines"].items():
+        cells = "  ".join(f"n={n}: {ms:,.2f}" for n, ms in data["ms"].items())
+        lines.append(f"  {tier:9s} {cells}  growth {data['growth']:.2f}x")
     return "\n".join(lines)
 
 
@@ -426,4 +526,53 @@ def check_render_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
                 f"{measured['render_vs_count']:.2f}x the time of counting "
                 f"the same forest (floor allows <= {max_ratio}x)"
             )
+    return problems
+
+
+def check_step_cell_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
+    """Failure strings for the ``lookahead`` and ``right_recursion``
+    sections of a :func:`collect_hotpath_report` payload.
+
+    Rules read from the floor file, all machine-independent:
+    ``lookahead.max_compiled_forks`` (a count),
+    ``lookahead.min_compiled_vs_lazy`` (a same-run ratio) and
+    ``right_recursion.max_growth`` per engine (the same-run time ratio of
+    the longest to the shortest input).
+    """
+    problems = []
+    rules = floor.get("lookahead", {})
+    lookahead = report.get("lookahead")
+    if rules and lookahead is None:
+        problems.append("lookahead section missing from the report")
+    elif rules:
+        forks = lookahead["forks"]["compiled"]
+        ceiling = rules.get("max_compiled_forks")
+        if ceiling is not None and forks > ceiling:
+            problems.append(
+                f"lookahead: {lookahead['input']} forks {forks} times on "
+                f"compiled (ceiling {ceiling})"
+            )
+        ratio = lookahead["compiled_vs_lazy"]
+        minimum = rules.get("min_compiled_vs_lazy")
+        if minimum is not None and ratio < minimum:
+            problems.append(
+                f"lookahead: compiled is only {ratio:.2f}x lazy on "
+                f"{lookahead['input']} in this run (floor requires >= "
+                f"{minimum}x)"
+            )
+    rules = floor.get("right_recursion", {})
+    right = report.get("right_recursion")
+    if rules and right is None:
+        problems.append("right_recursion section missing from the report")
+    elif rules:
+        for tier, ceiling in rules.get("max_growth", {}).items():
+            data = right["engines"].get(tier)
+            if data is None:
+                problems.append(f"right_recursion/{tier}: engine missing")
+            elif data["growth"] > ceiling:
+                problems.append(
+                    f"right_recursion/{tier}: time grows {data['growth']:.2f}x "
+                    f"from the shortest to the longest input (ceiling "
+                    f"{ceiling}x; linear is 4x)"
+                )
     return problems

@@ -84,6 +84,7 @@ longer needs surrounding blanks: ``parse (n+n)*n``.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -551,8 +552,8 @@ def _serve_main(args: List[str]) -> int:
         parser.error("--queue-depth and --batch must be at least 1")
     if options.cache_capacity < 1:
         parser.error("--cache-capacity must be at least 1")
-    if options.deadline_ms is not None and options.deadline_ms <= 0:
-        parser.error("--deadline-ms must be positive")
+    if options.deadline_ms is not None and not 0 < options.deadline_ms < math.inf:
+        parser.error("--deadline-ms must be positive and finite")
     if options.max_restarts < 1:
         parser.error("--max-restarts must be at least 1")
     if options.restart_window <= 0:

@@ -17,7 +17,7 @@ stale data to the incremental generator's test harness.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .grammar import Grammar
 from .rules import Rule
@@ -86,6 +86,12 @@ class GrammarAnalysis:
         """FOLLOW set; the start symbol's always contains the end-marker."""
         self._refresh()
         return self._follow.get(nonterminal, frozenset())
+
+    def follow_sets(self) -> Dict[NonTerminal, FrozenSet[Terminal]]:
+        """Every FOLLOW set at once: a fresh mapping per grammar revision,
+        so a caller may keep it to diff against the next one."""
+        self._refresh()
+        return self._follow
 
     # -- structural well-formedness --------------------------------------
 
@@ -210,27 +216,47 @@ def _compute_nullable(grammar: Grammar) -> FrozenSet[NonTerminal]:
     return frozenset(nullable)
 
 
+def _propagate(
+    sets: Dict[NonTerminal, Set[Terminal]],
+    edges: Iterable[Tuple[NonTerminal, NonTerminal]],
+) -> None:
+    """Close ``sets`` under ``edges``: each ``(source, target)`` pair makes
+    everything in ``sets[source]`` flow into ``sets[target]``.
+
+    The rule bodies are walked once to build the edges; only the (few)
+    edges are iterated to the fixpoint.
+    """
+    edges = list(dict.fromkeys(edge for edge in edges if edge[0] != edge[1]))
+    changed = True
+    while changed:
+        changed = False
+        for source, target in edges:
+            into = sets[target]
+            before = len(into)
+            into |= sets[source]
+            if len(into) != before:
+                changed = True
+
+
 def _compute_first(
     grammar: Grammar, nullable: FrozenSet[NonTerminal]
 ) -> Dict[NonTerminal, FrozenSet[Terminal]]:
     first: Dict[NonTerminal, Set[Terminal]] = {
         nt: set() for nt in grammar.nonterminals
     }
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            target = first.setdefault(rule.lhs, set())
-            before = len(target)
-            for sym in rule.rhs:
-                if isinstance(sym, Terminal):
-                    target.add(sym)
-                    break
-                target |= first.get(sym, set())
-                if sym not in nullable:
-                    break
-            if len(target) != before:
-                changed = True
+    # (B, A) for A ::= alpha B beta with alpha nullable: FIRST(B) ⊆ FIRST(A)
+    edges: List[Tuple[NonTerminal, NonTerminal]] = []
+    for rule in grammar.rules:
+        target = first.setdefault(rule.lhs, set())
+        for sym in rule.rhs:
+            if isinstance(sym, Terminal):
+                target.add(sym)
+                break
+            first.setdefault(sym, set())
+            edges.append((sym, rule.lhs))
+            if sym not in nullable:
+                break
+    _propagate(first, edges)
     return {nt: frozenset(ts) for nt, ts in first.items()}
 
 
@@ -243,28 +269,23 @@ def _compute_follow(
         nt: set() for nt in grammar.nonterminals
     }
     follow.setdefault(grammar.start, set()).add(END)
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            body = rule.rhs
-            for i, sym in enumerate(body):
-                if not isinstance(sym, NonTerminal):
-                    continue
-                target = follow.setdefault(sym, set())
-                before = len(target)
-                tail = body[i + 1 :]
-                for t in tail:
-                    if isinstance(t, Terminal):
-                        target.add(t)
-                        break
-                    target |= first.get(t, frozenset())
-                    if t not in nullable:
-                        break
-                else:
-                    # the whole tail is nullable (or empty):
-                    # FOLLOW(lhs) flows into FOLLOW(sym)
-                    target |= follow.setdefault(rule.lhs, set())
-                if len(target) != before:
-                    changed = True
+    # (A, B) for A ::= alpha B beta with beta nullable: FOLLOW(A) ⊆ FOLLOW(B)
+    edges: List[Tuple[NonTerminal, NonTerminal]] = []
+    for rule in grammar.rules:
+        body = rule.rhs
+        for i, sym in enumerate(body):
+            if not isinstance(sym, NonTerminal):
+                continue
+            target = follow.setdefault(sym, set())
+            for t in body[i + 1 :]:
+                if isinstance(t, Terminal):
+                    target.add(t)
+                    break
+                target |= first.get(t, frozenset())
+                if t not in nullable:
+                    break
+            else:
+                follow.setdefault(rule.lhs, set())
+                edges.append((rule.lhs, sym))
+    _propagate(follow, edges)
     return {nt: frozenset(ts) for nt, ts in follow.items()}

@@ -23,6 +23,20 @@ Only complete states ever have cache entries (ACTION completes a state
 before returning), so a surviving entry is always consistent with the
 current grammar.
 
+**Step cells are SLR(1); ACTION stays LR(0).**  The pre-decoded step
+cells the runtimes' deterministic stretches read drop every ``Reduce``
+whose lookahead is outside FOLLOW of its left-hand side (the lookahead
+Horspool adds to incremental generation).  Such a reduce can never lead
+to shifting that lookahead or to accept, so the parser it would fork
+dies within the same sweep: the frontier at every token boundary, the
+trees and the checkpoints are those of the unfiltered run, and only the
+work counters shrink.  :meth:`CompiledControl.action` itself keeps
+returning the unfiltered LR(0) cell, so the general sweep, failure
+records and diagnostics never see the filter.  FOLLOW is computed on the
+first conflicted cell (a conflict-free grammar never pays for it) and,
+once computed, recomputed on every edit; the cells of states reducing a
+non-terminal whose FOLLOW set moved are re-encoded.
+
 Every :class:`~repro.api.Language` builds one of these over its lazy
 generator (``language.control``), so every service session and the REPL
 run through it.
@@ -30,8 +44,9 @@ run through it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, FrozenSet, Optional
 
+from ..grammar.analysis import GrammarAnalysis
 from ..grammar.grammar import Grammar
 from ..grammar.rules import Rule
 from ..grammar.symbols import NonTerminal, Terminal
@@ -97,6 +112,11 @@ class CompiledStats:
 class CompiledControl:
     """Memoizing ACTION/GOTO wrapper around a graph-backed control.
 
+    :meth:`action` answers the wrapped control's LR(0) cell;
+    :attr:`fast_step_cache` holds the same cell filtered by FOLLOW (see
+    the module docstring), so an LR(0) conflict that SLR(1) resolves is a
+    single step for the runtimes' deterministic stretches.
+
     Parameters
     ----------
     inner:
@@ -124,10 +144,14 @@ class CompiledControl:
         self.action_cache: Dict[ItemSet, Dict[Terminal, ActionSet]] = {}
         #: state -> {terminal -> pre-decoded step}; same keys as
         #: :attr:`action_cache`, kept in lock-step with it by both the miss
-        #: path and the flush.
+        #: path and the flush.  A conflicted cell is encoded after the
+        #: FOLLOW filter.
         self.fast_step_cache: Dict[ItemSet, Dict[Terminal, Step]] = {}
         if grammar is None:
             grammar = self.graph.grammar
+        self._analysis = GrammarAnalysis(grammar)
+        #: FOLLOW per non-terminal; ``None`` until a conflicted cell needs it.
+        self._follow: Optional[Dict[NonTerminal, FrozenSet[Terminal]]] = None
         self._unsubscribe: Callable[[], None] = grammar.subscribe(self._on_edit)
 
     def close(self) -> None:
@@ -159,8 +183,25 @@ class CompiledControl:
         if steps is None:
             steps = {}
             self.fast_step_cache[state] = steps
-        steps[symbol] = encode_step(actions)
+        steps[symbol] = self._step(actions, symbol)
         return actions
+
+    def _step(self, actions: ActionSet, symbol: Terminal) -> Step:
+        """The step cell of ``actions`` on ``symbol``: a conflict keeps
+        only the reduces whose lhs FOLLOW contains ``symbol``."""
+        if len(actions) < 2:
+            return encode_step(actions)
+        follow = self._follow
+        if follow is None:
+            follow = self._follow = self._analysis.follow_sets()
+        return encode_step(
+            tuple(
+                action
+                for action in actions
+                if not isinstance(action, Reduce)
+                or symbol in follow.get(action.rule.lhs, ())
+            )
+        )
 
     def count_probe_hits(self, hits: int) -> None:
         """Credit ``hits`` direct :attr:`action_cache` probes to the stats.
@@ -189,7 +230,10 @@ class CompiledControl:
         The generator's own observer already ran (it subscribed first), so
         every affected state is dirty/initial — or gone from the graph —
         by now.  Entries of untouched complete states survive: a MODIFY
-        only costs the cache what it cost the graph.
+        only costs the cache what it cost the graph.  If FOLLOW was ever
+        computed, it is recomputed, and the step cells of surviving
+        states that reduce a non-terminal whose FOLLOW set moved are
+        re-encoded from their (still valid) LR(0) cells.
         """
         graph = self.graph
         stale = [
@@ -202,6 +246,22 @@ class CompiledControl:
             self.fast_step_cache.pop(state, None)
         self.stats.action_cache_flushes += 1
         self.stats.action_cache_evicted += len(stale)
+        old = self._follow
+        if old is None:
+            return
+        follow = self._follow = self._analysis.follow_sets()
+        moved = {
+            nonterminal
+            for nonterminal in old.keys() | follow.keys()
+            if old.get(nonterminal) != follow.get(nonterminal)
+        }
+        if not moved:
+            return
+        for state, steps in self.fast_step_cache.items():
+            if any(rule.lhs in moved for rule in state.reductions):
+                for symbol, actions in self.action_cache[state].items():
+                    if len(actions) > 1:  # only conflicts are filtered
+                        steps[symbol] = self._step(actions, symbol)
 
     # -- introspection -----------------------------------------------------
 

@@ -21,10 +21,11 @@ parse mode:
   polynomial even when the tree count is exponential, and alternatives
   discovered late are visible to parents built earlier.
 * **Deterministic stretch.**  While exactly one stack top is live and
-  ACTION is single-valued (probed through the compiled step cache), the
-  parser runs a plain LR loop — Elkhound's LR/GLR hybrid — and only falls
-  back to the general graph sweep on a conflict, an empty cell, a merged
-  stack region, or a suspected cycle.
+  the compiled step cache holds a single step (its cells are SLR(1):
+  reduces outside FOLLOW are filtered out), the parser runs a plain LR
+  loop — Elkhound's LR/GLR hybrid — and only falls back to the general
+  graph sweep on a conflict, an empty cell, a merged stack region, or a
+  suspected cycle.
 * **Failure records.**  A rejected input carries a
   :class:`~repro.runtime.parallel.ParseFailure` listing the states the
   fatal sweep visited; since LR(0) reductions are lookahead-independent,
@@ -250,8 +251,13 @@ class GSSParser:
                             if step is not None and step is not False:
                                 fast_hits += 1
                     if step is None:
+                        # Cold cell: read the (FOLLOW-filtered) step the
+                        # compiled control's ACTION just cached.
                         actions = control_action(state, symbol)
-                        step = encode_step(actions)
+                        if graph_states:
+                            step = steps_get(state)[symbol]
+                        else:
+                            step = encode_step(actions)
                         if step is False:
                             prefetched = actions
                             prefetched_state = state
@@ -321,11 +327,14 @@ class GSSParser:
                         edges_created += 1
                         reductions_applied += 1
                         node = target
-                        reduces_here += 1
-                        if reduces_here > fast_reduce_budget:
-                            # Possible cycle: only the general sweep's
-                            # applied-set can converge it.
-                            break
+                        # Only reduces of arity < 2 can loop without
+                        # shrinking the chain (see PoolParser.run).
+                        if arity < 2:
+                            reduces_here += 1
+                            if reduces_here > fast_reduce_budget:
+                                # Possible cycle: only the general sweep's
+                                # applied-set can converge it.
+                                break
                         continue
                     # STEP_ACCEPT
                     accepted = True

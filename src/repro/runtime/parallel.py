@@ -12,12 +12,13 @@ parse stacks are shared cons chains (:mod:`repro.runtime.stacks`).
 :func:`sweep_symbol` is the one general sweep over one input symbol, and
 :meth:`PoolParser.run` is the one loop that drives it, after an
 Elkhound-style deterministic stretch (a plain LR loop while exactly one
-parser is live).  Given :class:`Checkpoints`, the same loop starts at a
-recorded token boundary, records the frontier at every boundary it
-reaches, and stops once that frontier matches the base run's — the
-mechanism behind :mod:`repro.runtime.incremental`.  A plain and a
-checkpointed parse therefore take the same steps and report the same
-:class:`ParseStats`.
+parser is live; over a compiled control it reads SLR(1) step cells, see
+:mod:`repro.lr.compiled`).  Given :class:`Checkpoints`, the same loop
+starts at a recorded token boundary, records the frontier at every
+boundary it reaches, and stops once that frontier matches the base
+run's — the mechanism behind :mod:`repro.runtime.incremental`.  A plain
+and a checkpointed parse therefore take the same steps and report the
+same :class:`ParseStats`.
 
 Deviations from the paper's listing, each deliberate and documented:
 
@@ -506,11 +507,14 @@ class PoolParser:
         # single local makes the per-step poll a None check.
         deadline = active_deadline()
         # The deterministic stretch (below) bails back to the general
-        # sweep after this many reduces on one symbol: a cyclic grammar
-        # loops without net stack growth, and only the general sweep's
-        # seen-set can converge it the way the paper's duplicate elision
-        # does.  Scaled generously so legitimate unit/epsilon cascades
-        # never bail.
+        # sweep after this many reduces of arity < 2 on one symbol: a
+        # cyclic grammar loops through unit and epsilon reduces without
+        # net stack growth, and only the general sweep's seen-set can
+        # converge it the way the paper's duplicate elision does.  A
+        # reduce of arity >= 2 shrinks the stack, so it cannot loop and
+        # is not counted: unwinding a right-recursive list at the
+        # end-marker stays in the stretch.  Scaled generously so
+        # legitimate unit/epsilon cascades never bail.
         fast_mode = trace is None
         nonterminal_count = len(grammar.nonterminals) if grammar is not None else 0
         fast_reduce_budget = 64 + 4 * (nonterminal_count + 2)
@@ -583,11 +587,16 @@ class PoolParser:
                                 fast_hits += 1
                     if step is None:
                         # Cold cell (or a control without a step cache):
-                        # the ACTION call populates compiled caches as a
-                        # side effect, and the inline encode keeps the
-                        # stretch available to every control.
+                        # the ACTION call populates a compiled control's
+                        # step cache as a side effect, so the stretch
+                        # reads that (FOLLOW-filtered) cell; the inline
+                        # encode keeps the stretch available to every
+                        # other control.
                         actions = control_action(state, symbol)
-                        step = encode_step(actions)
+                        if graph_states:
+                            step = steps_get(state)[symbol]
+                        else:
+                            step = encode_step(actions)
                         if step is False:
                             # Hand the computed cell to the general sweep
                             # rather than recomputing it there.
@@ -652,7 +661,8 @@ class PoolParser:
                             goto_state = control_goto(below.state, lhs)
                         stack = StackCell(goto_state, below, node)
                         fast_reduces += 1
-                        reduces_here += 1
+                        if arity < 2:
+                            reduces_here += 1
                         if stack.depth > max_depth:
                             raise SweepLimitExceeded(
                                 f"parse stack exceeded depth {max_depth} at "

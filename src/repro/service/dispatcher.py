@@ -10,6 +10,7 @@ so one bad line never takes the serve loop down.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Any, Callable, Dict, Optional
 
@@ -160,9 +161,12 @@ class Dispatcher:
                 f"'deadline_ms' must be a number of milliseconds, got "
                 f"{type(value).__name__}"
             )
-        if value <= 0:
+        # ``not 0 < value`` also catches NaN, which the serve loop's JSON
+        # decoder accepts (as it does Infinity) and which compares false
+        # with everything — a NaN or infinite budget would never expire.
+        if not 0 < value < math.inf:
             raise ProtocolError(
-                f"'deadline_ms' must be positive, got {value}"
+                f"'deadline_ms' must be positive and finite, got {value}"
             )
         return float(value)
 

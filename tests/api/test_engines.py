@@ -215,6 +215,32 @@ class TestGssAtScale:
             assert gss.brackets() == lazy.brackets()
 
 
+class TestRightRecursion:
+    """``L ::= x L`` unwinds n stacked reduces at the end-marker.
+
+    FOLLOW(L) = {$}, so the compiled step cells shift every ``x`` instead
+    of forking a dead ``L ::= x`` reduce, and the stretches do not count
+    the stack-shrinking ``L ::= x L`` reduces against their cycle budget:
+    the unwinding stays in the stretch.  Before, each ``x`` forked a
+    branch that reduced the whole right spine (about n²/2 reduces), and
+    the unwinding bailed into the general sweeps.
+    """
+
+    TOKENS = 2000
+
+    @pytest.mark.parametrize("build_trees", [False, True])
+    def test_work_is_linear_in_the_input(self, build_trees):
+        lang = Language.from_text("START ::= L\nL ::= x\nL ::= x L")
+        sentence = " ".join(["x"] * self.TOKENS)
+        run = lang.parse if build_trees else lang.recognize
+        compiled = run(sentence, engine="compiled")
+        gss = run(sentence, engine="gss")
+        assert compiled.accepted and gss.accepted
+        assert compiled.stats["reduces"] <= 2 * self.TOKENS
+        assert compiled.stats["forks"] == 0
+        assert gss.stats["reductions_applied"] <= 2 * self.TOKENS
+
+
 class TestEngineBehaviour:
     def test_earley_parse_is_a_capability_error(self):
         from repro.api import CapabilityError

@@ -3,8 +3,12 @@
 from repro.bench.hotpath import (
     check_floor,
     check_render_floor,
+    check_step_cell_floor,
     measure_hotpath,
+    measure_lookahead,
     measure_render,
+    measure_right_recursion,
+    render_step_cells,
     render_tree_timings,
 )
 from repro.bench.workloads import booleans_workload
@@ -134,3 +138,59 @@ class TestRender:
             assert data["render_us"] > 0 and data["count_us"] > 0
             assert data["render_vs_count"] > 0
         assert "ASF.sdf" in render_tree_timings(report)
+
+
+class TestStepCells:
+    FLOOR = {
+        "lookahead": {"max_compiled_forks": 20, "min_compiled_vs_lazy": 3.0},
+        "right_recursion": {"max_growth": {"compiled": 8.0, "gss": 8.0}},
+    }
+
+    def report_with(self, forks=6, ratio=4.4, growth=4.3):
+        return {
+            "lookahead": {
+                "input": "ASF.sdf",
+                "forks": {"lazy": 328, "compiled": forks},
+                "compiled_vs_lazy": ratio,
+            },
+            "right_recursion": {
+                "engines": {
+                    "compiled": {"growth": growth},
+                    "gss": {"growth": growth},
+                }
+            },
+        }
+
+    def test_healthy_run_passes(self):
+        assert check_step_cell_floor(self.report_with(), self.FLOOR) == []
+
+    def test_lr0_forks_fail(self):
+        problems = check_step_cell_floor(self.report_with(forks=328), self.FLOOR)
+        assert any("forks 328 times" in p for p in problems)
+
+    def test_ratio_under_floor_fails(self):
+        problems = check_step_cell_floor(self.report_with(ratio=2.0), self.FLOOR)
+        assert any("only 2.00x lazy" in p for p in problems)
+
+    def test_quadratic_growth_fails(self):
+        problems = check_step_cell_floor(self.report_with(growth=16.0), self.FLOOR)
+        assert len([p for p in problems if "grows 16.00x" in p]) == 2
+
+    def test_missing_sections_reported(self):
+        problems = check_step_cell_floor({}, self.FLOOR)
+        assert len(problems) == 2 and all("missing" in p for p in problems)
+
+    def test_report_shape(self):
+        report = {
+            "lookahead": measure_lookahead(repeats=1),
+            "right_recursion": measure_right_recursion(repeats=1),
+        }
+        lookahead = report["lookahead"]
+        assert lookahead["forks"]["lazy"] > lookahead["forks"]["compiled"]
+        assert lookahead["compiled_vs_lazy"] > 0
+        engines = report["right_recursion"]["engines"]
+        assert set(engines) == {"compiled", "gss"}
+        for data in engines.values():
+            assert set(data["ms"]) == {"500", "2000"}
+            assert data["growth"] > 0
+        assert "growth" in render_step_cells(report)

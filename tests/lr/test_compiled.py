@@ -138,6 +138,70 @@ class TestInvalidation:
         assert summary["action_cache_misses"] > 0
 
 
+class TestFollowFilter:
+    """Step cells are SLR(1); ``action()`` stays LR(0)."""
+
+    def test_conflict_that_follow_resolves_is_one_step(self):
+        # After an x, L ::= x . reduces on any terminal in LR(0), but
+        # FOLLOW(L) = {$}: on another x only the shift survives.
+        grammar = grammar_from_text("START ::= L\nL ::= x\nL ::= x L")
+        _, control = compiled_setup(grammar)
+        result = PoolParser(control, grammar).recognize_result(toks("x x x"))
+        assert result.accepted and result.stats.forks == 0
+        x = Terminal("x")
+        [state] = [
+            state
+            for state, cells in control.action_cache.items()
+            if len(cells.get(x, ())) > 1
+        ]
+        actions = control.action(state, x)
+        assert {type(action) for action in actions} == {Reduce, Shift}
+        assert control.fast_step_cache[state][x][0] == STEP_SHIFT
+
+    def test_follow_is_computed_on_the_first_conflicted_cell(self, monkeypatch):
+        from repro.grammar.analysis import GrammarAnalysis
+
+        calls = []
+        original = GrammarAnalysis.follow_sets
+        monkeypatch.setattr(
+            GrammarAnalysis,
+            "follow_sets",
+            lambda self: calls.append(1) or original(self),
+        )
+        free = grammar_from_text("START ::= A C\nA ::= x\nC ::= z")
+        _, control = compiled_setup(free)
+        assert PoolParser(control, free).recognize(toks("x z"))
+        free.add_rule(Language(free.copy()).coerce_rule("C ::= zz"))
+        assert calls == []  # conflict-free: never computed, not on edits
+        grammar = booleans()
+        _, control = compiled_setup(grammar)
+        assert calls == []  # not in the constructor
+        assert PoolParser(control, grammar).recognize(toks("true or true or true"))
+        assert calls == [1]
+        grammar.add_rule(Language(booleans()).coerce_rule("B ::= unknown"))
+        assert calls == [1, 1]  # once computed, recomputed on every edit
+
+    def test_edit_that_moves_follow_reencodes_surviving_cells(self):
+        # FOLLOW(A) = {$} resolves the A ::= x . / A ::= x . y conflict
+        # on y to the shift; START ::= A y puts y into FOLLOW(A), so the
+        # cell (whose state survives the edit) must fork again.
+        grammar = grammar_from_text("START ::= A\nA ::= x\nA ::= x y")
+        _, control = compiled_setup(grammar)
+        parser = PoolParser(control, grammar)
+        assert len(parser.parse(toks("x y")).trees) == 1
+        y = Terminal("y")
+        [state] = [
+            state
+            for state, cells in control.action_cache.items()
+            if len(cells.get(y, ())) > 1
+        ]
+        assert control.fast_step_cache[state][y][0] == STEP_SHIFT
+        grammar.add_rule(Language(grammar.copy()).coerce_rule("START ::= A y"))
+        assert state in control.fast_step_cache  # not flushed by MODIFY
+        assert control.fast_step_cache[state][y] is False
+        assert len(parser.parse(toks("x y")).trees) == 2
+
+
 class TestEncodeStep:
     def test_multi_action_cells_encode_false(self):
         grammar = booleans()

@@ -148,6 +148,23 @@ class TestOpenParse:
         parsed = dispatcher.handle({"cmd": "parse", "session": "s", "tokens": "y"})
         assert parsed["accepted"] is True
 
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "0", "-5"]
+    )
+    def test_deadline_must_be_positive_and_finite(self, dispatcher, literal):
+        # The serve loop's decoder accepts the NaN and Infinity literals; a
+        # NaN or infinite budget would never expire.
+        dispatcher.handle({"cmd": "open", "session": "s", "grammar": "START ::= x"})
+        request = parse_request(
+            '{"cmd": "parse", "session": "s", "tokens": "x", '
+            f'"deadline_ms": {literal}}}'
+        )
+        response = dispatcher.handle(request)
+        assert response["error"].startswith(
+            "'deadline_ms' must be positive and finite, got "
+        ), response
+        assert "accepted" not in response
+
     @pytest.mark.parametrize("grammar", [5, ["START ::= x"], None])
     def test_open_rejects_a_non_string_grammar(self, dispatcher, grammar):
         response = dispatcher.handle(

@@ -367,6 +367,15 @@ class TestServeFlagValidation:
             main(["serve", "--slow-ms", "-0.5"])
         assert "--slow-ms must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_deadline_must_be_positive_and_finite(self, capsys, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", f"--deadline-ms={value}"])
+        assert exit_info.value.code == 2
+        assert "--deadline-ms must be positive and finite" in (
+            capsys.readouterr().err
+        )
+
     def test_thread_mode_with_several_workers_is_refused(self, capsys):
         # Refused by the Scheduler before any socket or child exists.
         with pytest.raises(SystemExit) as exit_info:
