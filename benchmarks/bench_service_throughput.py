@@ -189,7 +189,6 @@ def run_concurrent(
             "seconds": elapsed,
             "requests_per_second": total / elapsed if elapsed else 0.0,
             "cache_hit_rate": cache.get("hit_rate", 0.0),
-            "coalesced": shard_metrics.get("coalesced", 0),
             "overloaded": shard_metrics.get("overloaded", 0),
         }
     finally:
@@ -370,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         }
         print(
             f"  workers={workers}: {result['requests_per_second']:>8.1f} req/s"
-            f"   errors {result['errors']}   coalesced {result['coalesced']}"
+            f"   errors {result['errors']}"
             f"   overloaded {result['overloaded']}"
         )
 

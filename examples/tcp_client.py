@@ -22,8 +22,8 @@ backoff, honoring the server's ``retry_after_ms`` hint when present.
 ``shard-degraded`` is terminal and is never retried.
 
 With no ``--requests FILE`` a small demo script runs: open a session,
-parse twice (the second answer comes from the result cache or is
-coalesced with the first), edit the grammar, parse again.
+parse twice (the second answer comes from the result cache, with
+``"cache": true``), edit the grammar, parse again.
 """
 
 from __future__ import annotations

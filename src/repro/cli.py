@@ -439,7 +439,7 @@ def _serve_main(args: List[str]) -> int:
         description=(
             "Serve the line-delimited JSON parse protocol: on stdin by "
             "default, or concurrently over TCP/UNIX sockets with session "
-            "sharding, request coalescing, bounded backpressure, and "
+            "sharding, request batching, bounded backpressure, and "
             "graceful SIGTERM drain."
         ),
     )
@@ -479,7 +479,7 @@ def _serve_main(args: List[str]) -> int:
         type=int,
         default=16,
         metavar="N",
-        help="max requests a shard drains and coalesces at once "
+        help="max requests a shard drains at once and serves in order "
         "(default: 16)",
     )
     parser.add_argument(
@@ -637,8 +637,8 @@ def _batch_main(args: List[str]) -> int:
     under a bounded in-flight window, ``--workers N`` (N > 1) parses on N
     child processes and ``--corpus-root`` enables the ``corpus-*`` commands.
     Responses arrive in request order and per-session ordering holds
-    (sessions are shard-pinned, shards drain FIFO).  Duplicate in-flight
-    requests are coalesced and answer with ``"coalesced": true``.
+    (sessions are shard-pinned, shards drain FIFO).  A repeated parse is
+    answered by the result cache, with ``"cache": true``.
     """
     import argparse
     import json

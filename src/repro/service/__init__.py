@@ -19,8 +19,8 @@ snapshots for warm restarts.
                           and version; states regenerate lazily on restore)
 ``service.server``        the stdio serve loop and batch runner
 ``service.scheduler``     :class:`Scheduler` — session-sharded worker pool
-                          (one inline shard or N process shards) with request
-                          coalescing, bounded backpressure, per-shard
+                          (one inline shard or N process shards) with
+                          batching, bounded backpressure, per-shard
                           p50/p99 metrics and graceful drain
 ``service.net``           asyncio TCP/UNIX front end over the scheduler
                           (pipelined connections, ordered responses,
@@ -49,7 +49,7 @@ from .protocol import (
     iter_requests,
 )
 from .net import BackgroundServer, ParseServer, run_server
-from .scheduler import Scheduler, merge_global, plan_batch
+from .scheduler import Scheduler, merge_global
 from .server import decode_line, run_batch, serve
 from .snapshot import (
     SESSION_FORMAT_VERSION,
@@ -79,7 +79,6 @@ __all__ = [
     "iter_requests",
     "load_session",
     "merge_global",
-    "plan_batch",
     "run_batch",
     "run_server",
     "save_session",

@@ -29,12 +29,9 @@ A scheduler runs one of two configurations, picked from ``workers``:
 In both configurations every shard applies:
 
 * **batching** — the worker drains up to ``max_batch`` queued requests
-  at once and serves them as one unit;
-* **coalescing** — inside a batch, ``parse``/``recognize`` requests for
-  the same ``(session, engine, tokens)`` with no intervening grammar
-  modification execute once; duplicates get a copy of the answer marked
-  ``"coalesced": true`` (their grammar version is necessarily identical:
-  the shard is the session's only writer);
+  at once and serves them as one unit, in arrival order (a repeated
+  ``parse``/``recognize`` in the batch is answered by the dispatcher's
+  result cache, the one place that decides two requests are the same);
 * **bounded backpressure** — a full shard queue answers immediately with
   an ``overloaded`` error instead of growing without bound;
 * **metrics** — queue depth, batch sizes, and p50/p99 latency per shard
@@ -67,20 +64,9 @@ from .supervision import BackoffPolicy, CircuitBreaker
 
 __all__ = [
     "GLOBAL_COMMANDS",
-    "MUTATING_COMMANDS",
     "Scheduler",
     "merge_global",
-    "plan_batch",
 ]
-
-#: Commands that modify a session's grammar or registry entry — they end
-#: every coalescing run for their session (the grammar version moves).
-MUTATING_COMMANDS = frozenset(
-    {"open", "close", "add-rule", "delete-rule", "restore"}
-)
-
-#: Commands eligible for within-batch coalescing.
-COALESCIBLE_COMMANDS = frozenset({"parse", "recognize"})
 
 #: Commands addressing the whole workspace rather than one session; in
 #: process mode these are broadcast to every shard and merged.
@@ -130,91 +116,6 @@ def _resolved(request: Any, message: str, **extra: Any) -> "Future[Response]":
     future: "Future[Response]" = Future()
     future.set_result(_error_response(request, message, **extra))
     return future
-
-
-def _token_key(tokens: Any) -> Optional[Tuple[str, Any]]:
-    """A hashable identity for a request's ``tokens`` field, or None.
-
-    Only exact spellings coalesce: raw text and a token list that merely
-    lex to the same terminals produce different rejection diagnostics, so
-    they must not share an answer (same rule as the result-cache key).
-    """
-    if isinstance(tokens, str):
-        return ("text", tokens)
-    if isinstance(tokens, list) and all(isinstance(t, str) for t in tokens):
-        return ("list", tuple(tokens))
-    return None
-
-
-def plan_batch(
-    requests: List[Request],
-) -> Tuple[List[Request], List[Tuple[str, int]]]:
-    """Coalescing plan for one drained batch.
-
-    Returns ``(execute, placements)``: the deduplicated requests to run,
-    and for each input request either ``("run", i)`` (it is ``execute[i]``)
-    or ``("copy", i)`` (answer with a copy of ``execute[i]``'s response).
-
-    A ``parse``/``recognize`` duplicates an earlier one when session,
-    command, engine and token spelling all match **and** no grammar
-    modification for that session sits between them — a mutation ends the
-    session's coalescing runs, an unroutable mutation (no session) ends
-    all of them.  Order is preserved: ``execute`` keeps the first
-    occurrence of every run in arrival order.
-    """
-    execute: List[Request] = []
-    placements: List[Tuple[str, int]] = []
-    live: Dict[Tuple[Any, ...], int] = {}
-    for request in requests:
-        cmd = request.get("cmd") if isinstance(request, dict) else None
-        session = request.get("session") if isinstance(request, dict) else None
-        key: Optional[Tuple[Any, ...]] = None
-        if cmd in COALESCIBLE_COMMANDS:
-            tokens = _token_key(request.get("tokens"))
-            flags = (
-                request.get("checkpoint", False),
-                request.get("trace", False),
-                request.get("cache", True),
-            )
-            # A non-boolean flag is a protocol error: the request runs on
-            # its own to get that answer, never a copy of a valid one.
-            if tokens is not None and all(isinstance(f, bool) for f in flags):
-                # ``checkpoint`` participates: a checkpointed parse's
-                # response carries a ``result`` id (and retains session
-                # state) that a plain parse's copy would lack.
-                # ``trace`` participates too: a traced request must get
-                # its own span tree, not a copy of an untraced answer
-                # (and vice versa).  So does ``deadline_ms``: a request
-                # with a longer budget must not receive a copy of a
-                # ``deadline-exceeded`` answer computed under a shorter
-                # one.  And ``cache`` (v6): a cache-bypassing corpus
-                # request and a cached interactive one answer with
-                # different ``cache`` fields.  And ``max_trees`` (v7):
-                # differently-bounded requests enumerate different
-                # ``trees`` lists.
-                key = (
-                    session,
-                    cmd,
-                    request.get("engine"),
-                    flags,
-                    request.get("deadline_ms"),
-                    request.get("max_trees"),
-                    tokens,
-                )
-        elif cmd in MUTATING_COMMANDS or not isinstance(cmd, str):
-            if isinstance(session, str):
-                live = {k: v for k, v in live.items() if k[0] != session}
-            else:
-                live.clear()
-        if key is not None:
-            hit = live.get(key)
-            if hit is not None:
-                placements.append(("copy", hit))
-                continue
-            live[key] = len(execute)
-        placements.append(("run", len(execute)))
-        execute.append(request)
-    return execute, placements
 
 
 # -- executors -------------------------------------------------------------
@@ -349,6 +250,10 @@ class ProcessExecutor:
 class Shard:
     """One worker: a bounded queue, a batching loop, and its executor.
 
+    The loop drains up to ``max_batch`` queued requests and hands them to
+    the executor exactly as drained; responses come back in the same
+    order, one per request.
+
     When built with an ``executor_factory`` the shard is *supervised*:
     an executor crash answers the in-flight batch with a retryable
     ``shard-restarting`` error, then the worker thread respawns the
@@ -386,7 +291,6 @@ class Shard:
         self.latency = LatencyStats(window=stats_window)
         self.submitted = 0
         self.completed = 0
-        self.coalesced = 0
         self.overloaded = 0
         self.batches = 0
         self.batched_requests = 0
@@ -516,13 +420,13 @@ class Shard:
         self, batch: List[Tuple[Any, "Future[Response]", float]]
     ) -> None:
         faults.sleep_if_armed("delay")
-        execute, placements = plan_batch([item[0] for item in batch])
+        requests = [request for request, _future, _enqueued in batch]
         started = time.perf_counter()
         responses: Optional[List[Response]] = None
         crashed = False
         if self._failure is None or (self.supervised and self._state == "ok"):
             try:
-                responses = self.executor.run(execute)
+                responses = self.executor.run(requests)
             except Exception as error:  # noqa: BLE001 — worker boundary
                 self._failure = f"{type(error).__name__}: {error}"
                 crashed = True
@@ -530,48 +434,17 @@ class Shard:
         self.batched_requests += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
         finished = time.perf_counter()
-        for (request, future, enqueued), (kind, position) in zip(
-            batch, placements
-        ):
+        served = responses is not None
+        if responses is None:
+            responses = [self._failed(request) for request in requests]
+        # Journal only under supervision: the unsupervised inline shard
+        # never replays, and an unbounded log would just leak.
+        journal = served and self.supervised
+        for (request, future, enqueued), response in zip(batch, responses):
             queue_wait = max(0.0, started - enqueued)
-            if responses is None:
-                if self.supervised and self.state == "degraded":
-                    response = _error_response(
-                        request,
-                        "shard-degraded",
-                        shard=self.index,
-                        detail=(
-                            f"shard {self.index} tripped its circuit "
-                            f"breaker; last failure: {self._failure}"
-                        ),
-                    )
-                elif self.supervised:
-                    # The whole batch — including any request the dead
-                    # executor may have half-applied but never answered —
-                    # is retryable: replay only reproduces *acknowledged*
-                    # mutations, so a client retry cannot double-apply.
-                    response = _error_response(
-                        request,
-                        "shard-restarting",
-                        shard=self.index,
-                        retry_after_ms=round(self._retry_after_ms, 1),
-                    )
-                else:
-                    response = _error_response(
-                        request, f"shard {self.index} failed: {self._failure}"
-                    )
-            else:
-                response = responses[position]
-                if kind == "copy":
-                    response = dict(response)
-                    response["coalesced"] = True
-                    self.coalesced += 1
-                if self.supervised:
-                    # Journal only under supervision: the unsupervised
-                    # inline shard never replays, and an unbounded log
-                    # would just leak.
-                    self.journal.record(request, response)
-            response = self._annotate_trace(response, kind, queue_wait)
+            if journal:
+                self.journal.record(request, response)
+            response = self._annotate_trace(response, queue_wait)
             cmd = request.get("cmd") if isinstance(request, dict) else None
             self.latency.record(
                 cmd if isinstance(cmd, str) else "<invalid>",
@@ -583,8 +456,35 @@ class Shard:
             _settle(future, request, lambda: response)
         if crashed and self.supervised:
             self._recover()
-        elif responses is not None:
+        elif served:
             self._maybe_compact()
+
+    def _failed(self, request: Any) -> Response:
+        """The answer to a request whose batch the executor never served."""
+        if self.supervised and self.state == "degraded":
+            return _error_response(
+                request,
+                "shard-degraded",
+                shard=self.index,
+                detail=(
+                    f"shard {self.index} tripped its circuit "
+                    f"breaker; last failure: {self._failure}"
+                ),
+            )
+        if self.supervised:
+            # The whole batch — including any request the dead executor
+            # may have half-applied but never answered — is retryable:
+            # replay only reproduces *acknowledged* mutations, so a
+            # client retry cannot double-apply.
+            return _error_response(
+                request,
+                "shard-restarting",
+                shard=self.index,
+                retry_after_ms=round(self._retry_after_ms, 1),
+            )
+        return _error_response(
+            request, f"shard {self.index} failed: {self._failure}"
+        )
 
     # -- supervision -------------------------------------------------------
 
@@ -705,16 +605,12 @@ class Shard:
             report["pid"] = pid
         return report
 
-    def _annotate_trace(
-        self, response: Response, kind: str, queue_wait: float
-    ) -> Response:
+    def _annotate_trace(self, response: Response, queue_wait: float) -> Response:
         """Stamp shard context onto a traced response's span tree.
 
         The dispatcher's root span cannot see the queue (it starts after
-        the dequeue), so the shard adds what only it knows: its index,
-        the queue wait, and whether the answer was coalesced.  The trace
-        dict is copied first — a coalesced copy must not mutate the tree
-        shared with the original response.
+        the dequeue), so the shard adds what only it knows: its index and
+        the queue wait.  The trace dict is copied, not mutated in place.
         """
         if not isinstance(response, dict):
             return response
@@ -725,8 +621,6 @@ class Shard:
         attributes = dict(tree.get("attributes", ()))
         attributes["shard"] = self.index
         attributes["queue_wait"] = round(queue_wait, 6)
-        if kind == "copy":
-            attributes["coalesced"] = True
         tree["attributes"] = attributes
         response = dict(response)
         response["trace"] = tree
@@ -740,7 +634,6 @@ class Shard:
             "queue_depth": self.queue_depth(),
             "submitted": self.submitted,
             "completed": self.completed,
-            "coalesced": self.coalesced,
             "overloaded": self.overloaded,
             "batches": self.batches,
             "mean_batch": (
@@ -974,7 +867,6 @@ class Scheduler:
             labels = {"shard": str(shard.index)}
             yield ("repro.shard.submitted", labels, "counter", shard.submitted)
             yield ("repro.shard.completed", labels, "counter", shard.completed)
-            yield ("repro.shard.coalesced", labels, "counter", shard.coalesced)
             yield ("repro.shard.overloaded", labels, "counter", shard.overloaded)
             yield ("repro.shard.batches", labels, "counter", shard.batches)
             yield ("repro.shard.queue_depth", labels, "gauge", shard.queue_depth())
@@ -1214,7 +1106,6 @@ class Scheduler:
             "mode": self.mode,
             "workers": len(self.shards),
             "queue_depth": sum(s.queue_depth() for s in self.shards),
-            "coalesced": sum(s.coalesced for s in self.shards),
             "overloaded": sum(s.overloaded for s in self.shards),
             "shards": [shard.metrics() for shard in self.shards],
         }

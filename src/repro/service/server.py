@@ -67,7 +67,7 @@ def serve(
 
 
 #: In-flight bound of the pipelined batch runner: enough to keep every
-#: shard's coalescing batches full, small enough never to trip the
+#: shard's batches full, small enough never to trip the
 #: per-shard queue bound (default depth 256) on a single-tenant run.
 BATCH_WINDOW = 64
 
@@ -79,15 +79,16 @@ def run_batch(
 ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
     """Serve every request in ``lines``; returns (responses, summary).
 
-    Originally (PR 1) this drove the serial dispatcher one request at a
-    time.  When ``dispatcher`` exposes the scheduler's non-blocking
-    ``submit`` contract, requests are now pipelined through it under a
-    bounded in-flight ``window`` instead — so ``repro batch`` gets shard
-    concurrency, per-session coalescing, and (in process mode) real CPU
-    parallelism, while responses still come back in request order.
-    Ordering semantics are preserved: shards drain their queues FIFO and
+    A plain dispatcher serves the requests one at a time.  When
+    ``dispatcher`` exposes the scheduler's non-blocking ``submit``
+    contract, requests are pipelined through it under a bounded in-flight
+    ``window`` instead — so ``repro batch`` gets shard concurrency,
+    per-shard batching, and (in process mode) real CPU parallelism, while
+    responses still come back in request order.  The answers equal the
+    serial runner's, ``time`` aside: shards drain their queues FIFO and
     sessions are shard-pinned, so two requests naming the same session
-    execute in submission order, exactly as the serial runner did.
+    execute in submission order, and a repeat is answered by the same
+    result cache (``benchmarks/answer_hash.py`` checks this).
 
     The summary reports what a throughput run cares about: request count,
     error count, total service time (sum of per-request ``time``), wall

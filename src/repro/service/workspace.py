@@ -158,6 +158,11 @@ class ParseSession:
         payload.pop("trees_built", None)
         return payload
 
+    def _engine_key(self, engine: Optional[str]) -> Optional[str]:
+        """``engine`` as cache keys and result ids spell it: naming the
+        default engine is the same request as naming none."""
+        return None if engine == self.language.default_engine else engine
+
     # -- incremental re-parsing (checkpoint store) -------------------------
 
     def _result_id(self, *parts: Any) -> str:
@@ -202,7 +207,7 @@ class ParseSession:
         result_id = self._result_id(
             mode,
             self.version,
-            engine or "",
+            self._engine_key(engine) or "",
             [t.name for t in lexed.terminals],
             lexed.text,
             max_trees,
@@ -274,7 +279,7 @@ class ParseSession:
         result_id = self._result_id(
             "edit",
             self.version,
-            engine or "",
+            self._engine_key(engine) or "",
             base,
             start,
             end,
@@ -460,6 +465,7 @@ class Workspace:
         max_trees: Optional[int] = None,
     ) -> Tuple[Dict[str, Any], bool]:
         session = self.get(name)
+        engine = session._engine_key(engine)
         lexed = session.language.lex(tokens)
         if not use_cache:
             # Korp's ``cache=false``: bulk/corpus traffic must neither
@@ -473,7 +479,8 @@ class Workspace:
             return payload, False
         # The engine participates in the key: payloads differ across
         # engines (tree availability, reported engine name), so a cached
-        # answer for one engine must never serve another.  So does the
+        # answer for one engine must never serve another (the default
+        # engine, named or not, is one key).  So does the
         # raw source text: two inputs whose tokens merely match by name
         # ("true\nor" vs "true or", or a token list) produce different
         # line/column/offset diagnostics, and a cached rejection must

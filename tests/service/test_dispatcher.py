@@ -195,6 +195,15 @@ class TestCaching:
         after = booleans_dispatcher.handle(request)
         assert after["cache"] is False
         assert after["version"] == edit["version"]
+        # Replacing the session evicts too, even when the new grammar
+        # lands on the version number of a cached entry.
+        booleans_dispatcher.handle(
+            {"cmd": "open", "session": "s1", "force": True,
+             "grammar": BOOLEANS.replace("B or B", "B and B")}
+        )
+        replaced = booleans_dispatcher.handle(request)
+        assert replaced["version"] == before["version"]
+        assert replaced["cache"] is False
 
     def test_delete_rule_also_evicts(self, booleans_dispatcher):
         request = {"cmd": "recognize", "session": "s1", "tokens": "true or true"}
@@ -368,14 +377,44 @@ class TestDiagnosticsAndEngines:
         assert one_line["cache"] is False
         assert one_line["diagnostics"]["line"] == 1
         assert one_line["diagnostics"]["column"] == 9
+        # A token list with the same names is one more spelling.
+        as_list = booleans_dispatcher.handle(
+            {"cmd": "parse", "session": "s1", "tokens": ["true", "or", "or"]}
+        )
+        assert as_list["cache"] is False
 
     def test_engine_results_cached_separately(self, booleans_dispatcher):
+        # Another engine, a recognition and a checkpointed parse each
+        # answer differently from a plain parse of the same tokens.
         default = {"cmd": "parse", "session": "s1", "tokens": "true"}
-        earley = {**default, "engine": "earley"}
         booleans_dispatcher.handle(default)
-        first = booleans_dispatcher.handle(earley)
-        assert first["cache"] is False      # not served the default's entry
-        assert booleans_dispatcher.handle(earley)["cache"] is True
+        for variant in ({"engine": "earley"}, {"cmd": "recognize"},
+                        {"checkpoint": True}):
+            request = {**default, **variant}
+            first = booleans_dispatcher.handle(request)
+            assert first["cache"] is False, variant  # not the default's entry
+            assert booleans_dispatcher.handle(request)["cache"] is True, variant
+        assert "result" in first                # the checkpointed parse's id
+        assert "result" not in booleans_dispatcher.handle(default)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [{"cmd": "parse"}, {"cmd": "recognize"},
+         {"cmd": "parse", "checkpoint": True},
+         {"cmd": "recognize", "checkpoint": True}],
+        ids=["parse", "recognize", "checkpoint-parse", "checkpoint-recognize"],
+    )
+    def test_naming_the_default_engine_shares_the_cache(
+        self, booleans_dispatcher, variant
+    ):
+        request = {"session": "s1", "tokens": "true or false", **variant}
+        named = booleans_dispatcher.handle({**request, "engine": "compiled"})
+        unnamed = booleans_dispatcher.handle(request)
+        assert named["cache"] is False
+        assert unnamed["cache"] is True
+        for response in (named, unnamed):
+            del response["time"], response["cache"]
+        assert named == unnamed                 # including any result id
 
     def test_batch_parse_with_engine_and_diagnostics(self, booleans_dispatcher):
         response = booleans_dispatcher.handle(

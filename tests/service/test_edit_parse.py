@@ -69,6 +69,14 @@ class TestEditParse:
         assert response["trees"] == ["START(E(E(E(a) + b) + b))"]
         assert response["tree_count"] == 1
 
+    def test_naming_the_default_engine_keeps_the_result_id(self, dispatcher):
+        base = checkpoint_parse(dispatcher, "a + a + b")["result"]
+        named = edit_parse(dispatcher, base, 2, 3, "b", engine="compiled")
+        unnamed = edit_parse(dispatcher, base, 2, 3, "b")
+        assert named["cache"] is False
+        assert unnamed["cache"] is True
+        assert unnamed["result"] == named["result"]
+
     def test_matches_a_scratch_parse(self, dispatcher):
         base = checkpoint_parse(dispatcher, "a + a + b")["result"]
         edited = edit_parse(dispatcher, base, 0, 1, "b")

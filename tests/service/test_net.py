@@ -40,10 +40,10 @@ class TestTcpRoundTrip:
                 opened, first, second = exchange(stream, OPEN, PARSE, PARSE)
                 assert opened["opened"] == "s1"
                 assert first["accepted"] is True
-                # The duplicate was answered without a second parse: either
-                # coalesced in the same batch or served from the cache.
+                # The duplicate was answered without a second parse: the
+                # result cache served it, even inside the same batch.
                 assert second["accepted"] is True
-                assert second.get("coalesced") or second.get("cache")
+                assert second["cache"] is True
             finally:
                 sock.close()
 

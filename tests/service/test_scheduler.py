@@ -1,10 +1,10 @@
-"""The sharded scheduler: routing, coalescing, backpressure, drain."""
+"""The sharded scheduler: routing, batching, backpressure, drain."""
 
 import threading
 
 import pytest
 
-from repro.service import Dispatcher, Scheduler, merge_global, plan_batch
+from repro.service import Dispatcher, Scheduler, merge_global
 
 GRAMMAR = "START ::= B\nB ::= true\nB ::= false\nB ::= B or B"
 
@@ -18,9 +18,14 @@ def parse_request(name, tokens="true or false"):
 
 
 class RecordingStub:
-    """A dispatcher stand-in whose handle() can be paused by a test."""
+    """A dispatcher stand-in whose handle() can be paused by a test.
 
-    def __init__(self):
+    With an ``inner`` dispatcher it answers through it; without, every
+    request gets a canned ``ok`` answer.
+    """
+
+    def __init__(self, inner=None):
+        self.inner = inner
         self.calls = []
         self.release = threading.Event()
         self.started = threading.Event()
@@ -32,103 +37,9 @@ class RecordingStub:
             self.block_next = False
             self.started.set()
             assert self.release.wait(timeout=30)
+        if self.inner is not None:
+            return self.inner.handle(request)
         return {"ok": True, "cmd": request.get("cmd"), "time": 0.0}
-
-
-class TestPlanBatch:
-    def test_identical_parses_coalesce(self):
-        requests = [parse_request("a"), parse_request("a"), parse_request("a")]
-        execute, placements = plan_batch(requests)
-        assert len(execute) == 1
-        assert placements == [("run", 0), ("copy", 0), ("copy", 0)]
-
-    def test_different_tokens_do_not_coalesce(self):
-        execute, placements = plan_batch(
-            [parse_request("a", "true"), parse_request("a", "false")]
-        )
-        assert len(execute) == 2
-        assert [kind for kind, _ in placements] == ["run", "run"]
-
-    def test_engine_participates_in_the_key(self):
-        base = parse_request("a")
-        with_engine = dict(parse_request("a"), engine="gss")
-        execute, placements = plan_batch([base, with_engine, dict(base)])
-        assert len(execute) == 2
-        assert placements == [("run", 0), ("run", 1), ("copy", 0)]
-
-    def test_checkpoint_participates_in_the_key(self):
-        """A checkpointed parse must never be answered with a plain
-        parse's copy: the copy would lack the ``result`` id and the
-        session would retain no checkpoint for a later edit-parse."""
-        plain = parse_request("a")
-        checkpointed = dict(parse_request("a"), checkpoint=True)
-        execute, placements = plan_batch(
-            [plain, checkpointed, dict(checkpointed), dict(plain)]
-        )
-        assert len(execute) == 2
-        assert placements == [
-            ("run", 0),
-            ("run", 1),
-            ("copy", 1),
-            ("copy", 0),
-        ]
-
-    def test_a_non_boolean_flag_never_shares_an_answer(self):
-        """``"checkpoint": 1`` hashes like ``True``; the request must run
-        on its own and get its protocol error, not a copy."""
-        checkpointed = dict(parse_request("a"), checkpoint=True)
-        odd = [dict(parse_request("a"), checkpoint=1),
-               dict(parse_request("a"), trace="false")]
-        execute, placements = plan_batch([checkpointed, *odd, dict(odd[0])])
-        assert len(execute) == 4
-        assert [kind for kind, _ in placements] == ["run"] * 4
-
-    def test_text_and_token_list_never_share_an_answer(self):
-        as_text = parse_request("a", "true or false")
-        as_list = {
-            "cmd": "parse",
-            "session": "a",
-            "tokens": ["true", "or", "false"],
-        }
-        execute, _ = plan_batch([as_text, as_list])
-        assert len(execute) == 2
-
-    def test_edit_breaks_the_run_for_its_session_only(self):
-        requests = [
-            parse_request("a"),
-            parse_request("b"),
-            {"cmd": "add-rule", "session": "a", "rule": "B ::= maybe"},
-            parse_request("a"),  # must re-run: the grammar moved
-            parse_request("b"),  # may still coalesce: b was untouched
-        ]
-        execute, placements = plan_batch(requests)
-        assert placements == [
-            ("run", 0),
-            ("run", 1),
-            ("run", 2),
-            ("run", 3),
-            ("copy", 1),
-        ]
-        assert len(execute) == 4
-
-    def test_unroutable_mutation_breaks_every_run(self):
-        requests = [
-            parse_request("a"),
-            {"cmd": "restore", "path": "/tmp/x"},  # no session named
-            parse_request("a"),
-        ]
-        execute, placements = plan_batch(requests)
-        assert [kind for kind, _ in placements] == ["run", "run", "run"]
-        assert len(execute) == 3
-
-    def test_recognize_and_parse_do_not_mix(self):
-        execute, _ = plan_batch(
-            [
-                parse_request("a"),
-                {"cmd": "recognize", "session": "a", "tokens": "true or false"},
-            ]
-        )
-        assert len(execute) == 2
 
 
 class FakeChild:
@@ -264,31 +175,35 @@ class TestBackpressure:
         assert "shutting down" in response["error"]
 
 
-class TestCoalescingIntegration:
-    def test_queued_duplicates_execute_once(self):
-        stub = RecordingStub()
-        stub.block_next = True
+class TestBatching:
+    def test_queued_duplicates_drain_as_one_batch_and_hit_the_cache(self):
+        stub = RecordingStub(Dispatcher())
         scheduler = Scheduler(
             workers=1, dispatcher=stub, max_depth=64, max_batch=16
         )
         try:
+            assert scheduler.handle(open_request("a"))["opened"] == "a"
+            stub.block_next = True
             first = scheduler.submit({"cmd": "info"})
             assert stub.started.wait(timeout=30)
             # These four queue up behind the blocker and drain as one batch.
-            futures = [scheduler.submit(parse_request("a")) for _ in range(3)]
-            futures.append(scheduler.submit(parse_request("b")))
+            futures = [scheduler.submit(parse_request("a")) for _ in range(4)]
             stub.release.set()
             responses = [future.result(timeout=30) for future in futures]
-            assert first.result(timeout=30)["ok"]
-            copies = [r for r in responses if r.get("coalesced")]
-            assert len(copies) == 2  # a's duplicates; b ran on its own
+            assert "error" not in first.result(timeout=30)
+            # Each one ran: the repeats were answered by the result cache.
             parse_calls = [
                 call for call in stub.calls if call.get("cmd") == "parse"
             ]
-            assert len(parse_calls) == 2  # one per distinct (session, tokens)
-            metrics = scheduler.metrics()
-            assert metrics["coalesced"] == 2
-            shard = metrics["shards"][0]
+            assert len(parse_calls) == 4
+            assert [r["cache"] for r in responses] == [False, True, True, True]
+            answers = [
+                {k: v for k, v in r.items() if k not in ("time", "cache")}
+                for r in responses
+            ]
+            assert all(answer == answers[0] for answer in answers)
+            assert answers[0]["accepted"] is True
+            shard = scheduler.metrics()["shards"][0]
             assert shard["largest_batch"] >= 4
             assert shard["latency"]["parse"]["count"] == 4
             assert "p50" in shard["latency"]["parse"]
