@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..grammar.grammar import Grammar
 from ..grammar.rules import Rule
 from ..grammar.symbols import NonTerminal, Symbol, Terminal
-from ..runtime.forest import Forest, TreeNode
+from ..runtime.forest import Forest, Tree, TreeNode
 
 #: Mutual-recursion cut-off: greedy traversal that descends this many
 #: non-terminals without consuming input is going nowhere (no backtracking
@@ -163,7 +163,7 @@ class CigaleParser:
         position: int,
         sentence: List[Terminal],
         forest: Forest,
-        collected: List[TreeNode],
+        collected: List[Tree],
         depth: int,
     ) -> Optional[Tuple[TreeNode, int]]:
         # Greedy terminal step first — this *is* the lookahead Cigale has.
@@ -176,7 +176,7 @@ class CigaleParser:
                     position + 1,
                     sentence,
                     forest,
-                    collected + [forest.leaf(token, position)],
+                    collected + [token],
                     depth,
                 )
                 if result is not None:

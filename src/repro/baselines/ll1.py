@@ -20,7 +20,7 @@ from ..grammar.grammar import Grammar
 from ..grammar.rules import Rule
 from ..grammar.symbols import END, NonTerminal, Symbol, Terminal
 from ..runtime.errors import ParseError
-from ..runtime.forest import Forest, TreeNode
+from ..runtime.forest import Forest, Tree, TreeNode
 
 
 class LL1Conflict:
@@ -104,7 +104,7 @@ class LL1Parser:
         def next_token() -> Terminal:
             return sentence[position]
 
-        def parse_symbol(symbol: Symbol) -> TreeNode:
+        def parse_symbol(symbol: Symbol) -> Tree:
             nonlocal position
             if isinstance(symbol, Terminal):
                 if next_token() != symbol:
@@ -114,9 +114,8 @@ class LL1Parser:
                         position=position,
                         symbol=next_token(),
                     )
-                leaf = forest.leaf(symbol, position)
                 position += 1
-                return leaf
+                return symbol
             assert isinstance(symbol, NonTerminal)
             rule = self.table.table.get(symbol, {}).get(next_token())
             if rule is None:

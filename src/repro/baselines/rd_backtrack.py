@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from ..grammar.analysis import GrammarAnalysis
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import NonTerminal, Symbol, Terminal
-from ..runtime.forest import Forest, TreeNode
+from ..runtime.forest import Forest, Tree, TreeNode
 
 
 class BacktrackBudgetExceeded(Exception):
@@ -77,7 +77,7 @@ class BacktrackingParser:
         sentence: List[Terminal],
         forest: Forest,
         in_progress: frozenset,
-    ) -> Iterator[Tuple[TreeNode, int]]:
+    ) -> Iterator[Tuple[Tree, int]]:
         self._steps += 1
         if self._steps > self.max_steps:
             raise BacktrackBudgetExceeded(
@@ -85,7 +85,7 @@ class BacktrackingParser:
             )
         if isinstance(symbol, Terminal):
             if position < len(sentence) and sentence[position] == symbol:
-                yield forest.leaf(symbol, position), position + 1
+                yield symbol, position + 1
             return
 
         assert isinstance(symbol, NonTerminal)
@@ -110,7 +110,7 @@ class BacktrackingParser:
         sentence: List[Terminal],
         forest: Forest,
         in_progress: frozenset,
-    ) -> Iterator[Tuple[List[TreeNode], int]]:
+    ) -> Iterator[Tuple[List[Tree], int]]:
         if index == len(body):
             yield [], position
             return

@@ -10,13 +10,10 @@ from .disambiguation import DisambiguationFilter
 from .errors import AmbiguousInputError, ParseError, SweepLimitExceeded
 from .forest import (
     Forest,
-    Leaf,
     ParseNode,
     TreeNode,
     bracketed,
-    depth,
     node_count,
-    pretty,
     tokens_of,
 )
 from .gss import GSSNode, GSSParser
@@ -35,7 +32,6 @@ __all__ = [
     "GSSNode",
     "GSSParser",
     "IncrementalOutcome",
-    "Leaf",
     "ParseError",
     "ParseNode",
     "ParseResult",
@@ -48,9 +44,7 @@ __all__ = [
     "TraceEvent",
     "TreeNode",
     "bracketed",
-    "depth",
     "node_count",
-    "pretty",
     "recover_start_trees",
     "shared_cells",
     "tokens_of",

@@ -2,10 +2,17 @@
 
 The measurements footnote of section 7: *"after a suggestion of B. Lang, we
 improved the sharing of parse trees."*  We realize that sharing with a
-hash-consing factory: requesting the same leaf or the same
-``(rule, children)`` node twice returns the *same object*.  Sub-derivations
-common to several parallel parsers are therefore represented once, and
-duplicate accepting parses collapse by object identity.
+hash-consing factory: requesting the same ``(rule, children)`` node twice
+returns the *same object*.  Sub-derivations common to several parallel
+parsers are therefore represented once, and duplicate accepting parses
+collapse by object identity.
+
+A leaf is the interned :class:`~repro.grammar.symbols.Terminal` the parser
+shifted: symbols are already hash-consed, so a tree is identified by its
+rules and its terminals alone.  Nothing in a tree records where it sits in
+the input; its leaves spell its tokens in order, so positions follow from
+the context.  Only :class:`PackedNode` carries a ``(symbol, start, end)``
+span, because the GSS engine packs derivations by span.
 
 Leaves and parse nodes are immutable; ambiguity appears either as several
 distinct root nodes (the pool parser reports all of them) or, for the GSS
@@ -20,7 +27,7 @@ the output, with no intermediate tree.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..grammar.rules import Rule
 from ..grammar.symbols import Symbol, Terminal
@@ -33,7 +40,11 @@ ENUMERATION_CAP = 10_000
 
 
 class TreeNode:
-    """Base class for forest nodes; all nodes know their grammar symbol."""
+    """Base class for the inner forest nodes; all know their grammar symbol.
+
+    Leaves are not tree nodes: a leaf is its :class:`Terminal` (see
+    :data:`Tree`).
+    """
 
     __slots__ = ()
 
@@ -41,32 +52,9 @@ class TreeNode:
     def symbol(self) -> Symbol:
         raise NotImplementedError
 
-    def width(self) -> int:
-        """Number of token leaves under the node."""
-        raise NotImplementedError
 
-
-class Leaf(TreeNode):
-    """A shifted token: terminal plus input position."""
-
-    __slots__ = ("terminal", "position")
-
-    def __init__(self, terminal: Terminal, position: int) -> None:
-        object.__setattr__(self, "terminal", terminal)
-        object.__setattr__(self, "position", position)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Leaf is immutable")
-
-    @property
-    def symbol(self) -> Symbol:
-        return self.terminal
-
-    def width(self) -> int:
-        return 1
-
-    def __repr__(self) -> str:
-        return f"Leaf({self.terminal!s}@{self.position})"
+#: A parse tree: a terminal leaf or an inner node.
+Tree = Union[Terminal, TreeNode]
 
 
 class ParseNode(TreeNode):
@@ -74,7 +62,7 @@ class ParseNode(TreeNode):
 
     __slots__ = ("rule", "children")
 
-    def __init__(self, rule: Rule, children: Tuple[TreeNode, ...]) -> None:
+    def __init__(self, rule: Rule, children: Tuple[Tree, ...]) -> None:
         if len(children) != len(rule.rhs):
             raise ValueError(
                 f"rule {rule} wants {len(rule.rhs)} children, got {len(children)}"
@@ -88,9 +76,6 @@ class ParseNode(TreeNode):
     @property
     def symbol(self) -> Symbol:
         return self.rule.lhs
-
-    def width(self) -> int:
-        return sum(child.width() for child in self.children)
 
     def __repr__(self) -> str:
         return f"ParseNode({self.rule.lhs!s}, {len(self.children)} children)"
@@ -121,9 +106,6 @@ class PackedNode(TreeNode):
     def symbol(self) -> Symbol:
         return self.packed_symbol
 
-    def width(self) -> int:
-        return self.end - self.start
-
     def add(self, tree: TreeNode) -> bool:
         """Record a derivation; returns True if it was new to this node."""
         if id(tree) in self._alt_ids:
@@ -140,22 +122,13 @@ class PackedNode(TreeNode):
 
 
 class Forest:
-    """Hash-consing factory for leaves, parse nodes and packed nodes."""
+    """Hash-consing factory for parse nodes and packed nodes."""
 
     def __init__(self) -> None:
-        self._leaves: Dict[Tuple[Terminal, int], Leaf] = {}
         self._nodes: Dict[Tuple[Rule, Tuple[int, ...]], ParseNode] = {}
         self._packed: Dict[Tuple[Symbol, int, int], PackedNode] = {}
 
-    def leaf(self, terminal: Terminal, position: int) -> Leaf:
-        key = (terminal, position)
-        node = self._leaves.get(key)
-        if node is None:
-            node = Leaf(terminal, position)
-            self._leaves[key] = node
-        return node
-
-    def node(self, rule: Rule, children: Sequence[TreeNode]) -> ParseNode:
+    def node(self, rule: Rule, children: Sequence[Tree]) -> ParseNode:
         children_tuple = tuple(children)
         key = (rule, tuple(id(child) for child in children_tuple))
         node = self._nodes.get(key)
@@ -176,40 +149,26 @@ class Forest:
     @property
     def size(self) -> int:
         """Distinct nodes allocated (a sharing metric for the benches)."""
-        return len(self._leaves) + len(self._nodes) + len(self._packed)
+        return len(self._nodes) + len(self._packed)
 
 
 # -- tree utilities ----------------------------------------------------------
 
 
-def tokens_of(tree: TreeNode) -> Tuple[Terminal, ...]:
-    """The terminal yield of a tree, left to right."""
+def tokens_of(tree: Tree) -> Tuple[Terminal, ...]:
+    """The terminal yield of a tree, left to right (iterative)."""
     result: List[Terminal] = []
-    _collect_tokens(tree, result)
+    stack: List[Tree] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Terminal):
+            result.append(node)
+        else:
+            stack.extend(reversed(node.children))
     return tuple(result)
 
 
-def _collect_tokens(tree: TreeNode, out: List[Terminal]) -> None:
-    if isinstance(tree, Leaf):
-        out.append(tree.terminal)
-        return
-    assert isinstance(tree, ParseNode)
-    for child in tree.children:
-        _collect_tokens(child, out)
-
-
-def pretty(tree: TreeNode, indent: str = "") -> str:
-    """Indented one-node-per-line rendering."""
-    if isinstance(tree, Leaf):
-        return f"{indent}{tree.terminal!s}"
-    assert isinstance(tree, ParseNode)
-    lines = [f"{indent}{tree.rule!s}"]
-    for child in tree.children:
-        lines.append(pretty(child, indent + "  "))
-    return "\n".join(lines)
-
-
-def bracketed(tree: TreeNode) -> str:
+def bracketed(tree: Tree) -> str:
     """Compact  ``A(b c(d))``  rendering, convenient in tests.
 
     Iterative (see :func:`_render`), so deep trees render fine; a packed
@@ -218,31 +177,26 @@ def bracketed(tree: TreeNode) -> str:
     return _render(tree, 0, {})
 
 
-def node_count(tree: TreeNode, _seen: Optional[set] = None) -> int:
-    """Distinct nodes in the (possibly shared) tree."""
+def node_count(tree: Tree, _seen: Optional[set] = None) -> int:
+    """Distinct nodes in the (possibly shared) tree, leaves included."""
     seen = _seen if _seen is not None else set()
-    if id(tree) in seen:
-        return 0
-    seen.add(id(tree))
-    if isinstance(tree, Leaf):
-        return 1
-    assert isinstance(tree, ParseNode)
-    return 1 + sum(node_count(child, seen) for child in tree.children)
-
-
-def depth(tree: TreeNode) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    assert isinstance(tree, ParseNode)
-    if not tree.children:
-        return 1
-    return 1 + max(depth(child) for child in tree.children)
+    count = 0
+    stack: List[Tree] = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += 1
+        if not isinstance(node, Terminal):
+            stack.extend(node.children)
+    return count
 
 
 # -- packed-forest counting and enumeration ----------------------------------
 
 
-def _children_of(node: TreeNode) -> Sequence[TreeNode]:
+def _children_of(node: Tree) -> Sequence[Tree]:
     if isinstance(node, ParseNode):
         return node.children
     if isinstance(node, PackedNode):
@@ -258,14 +212,14 @@ def _count_into(root: TreeNode, memo: Dict[int, int]) -> int:
     forest has infinitely many trees and we raise instead of looping.
     """
     gray: set = set()
-    stack: List[TreeNode] = [root]
+    stack: List[Tree] = [root]
     while stack:
         node = stack[-1]
         nid = id(node)
         if nid in memo:
             stack.pop()
             continue
-        if isinstance(node, Leaf):
+        if node.__class__ is Terminal:
             memo[nid] = 1
             stack.pop()
             continue
@@ -314,7 +268,7 @@ def _nth_tree(root: TreeNode, index: int, counts: Dict[int, int]) -> TreeNode:
     Only :meth:`ParseForest.trees` decodes; rendering walks the forest
     directly (:func:`_render`).
     """
-    results: Dict[int, TreeNode] = {}
+    results: Dict[int, Tree] = {}
     next_key = 1
     # ("visit", node, index, key) resolves one subtree into results[key];
     # ("build", node, child_keys, key) assembles a ParseNode afterwards.
@@ -332,7 +286,7 @@ def _nth_tree(root: TreeNode, index: int, counts: Dict[int, int]) -> TreeNode:
                     idx -= count
                 else:
                     raise IndexError("tree index out of range")
-            if isinstance(node, Leaf):
+            if node.__class__ is Terminal:
                 results[key] = node
                 continue
             assert isinstance(node, ParseNode)
@@ -361,30 +315,32 @@ def _nth_tree(root: TreeNode, index: int, counts: Dict[int, int]) -> TreeNode:
     return results[0]
 
 
-def _render(root: TreeNode, index: int, counts: Dict[int, int]) -> str:
+#: The frame of a parse node whose only child is already being rendered.
+_CLOSED: Iterator[Any] = iter(())
+
+
+def _render(root: Tree, index: int, counts: Dict[int, int]) -> str:
     """Bracketed rendering of tree ``index`` under ``root``, in one pass.
 
     The same mixed-radix walk as :func:`_nth_tree`, but it emits text
     instead of building a tree: a packed node spends the index on
     choosing an alternative, a parse node splits it across its children,
     and the name, ``(``, `` `` and ``)`` pieces go onto one list that is
-    joined once.  Iterative, so the cost is linear in the output and deep
-    chains cannot hit the recursion limit.  Index 0 always takes every
-    first alternative (no subtree count is below 1), so it reads no
-    ``counts`` at all.
+    joined once.  Each open parse node is an iterator over its children,
+    or over ``(child, index)`` pairs when it has a nonzero index to split;
+    leaves are emitted straight from that iterator.  Iterative, so the
+    cost is linear in the output and deep chains cannot hit the recursion
+    limit.  Index 0 always takes every first alternative (no subtree count
+    is below 1), so it reads no ``counts`` at all.
     """
     pieces: List[str] = []
     append = pieces.append
-    # (node, index, separator) entries still to render, or ")" to emit
-    stack: List[Any] = [(root, index, "")]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        entry = pop()
-        if entry.__class__ is str:
-            append(entry)
-            continue
-        node, idx, separator = entry
+    # the children still to render of every open parse node, innermost last
+    frames: List[Iterator[Any]] = []
+    push = frames.append
+    pop = frames.pop
+    node, idx = root, index
+    while True:
         # exact class tests (no node class is subclassed) beat isinstance
         kind = node.__class__
         while kind is PackedNode:
@@ -400,24 +356,53 @@ def _render(root: TreeNode, index: int, counts: Dict[int, int]) -> str:
                 else:
                     raise IndexError("tree index out of range")
             kind = node.__class__
-        if kind is Leaf:
-            append(separator + node.terminal.name)
-            continue
-        append(separator + node.rule.lhs.name + "(")
-        push(")")
-        children = node.children
-        if not children:
-            continue
-        if idx:
-            for child in children[:0:-1]:
-                count = counts[id(child)]
-                push((child, idx % count, " "))
-                idx //= count
+        if kind is Terminal:
+            append(node.name)
         else:
-            for child in children[:0:-1]:
-                push((child, 0, " "))
-        push((children[0], idx, ""))
-    return "".join(pieces)
+            append(node.rule.lhs.name + "(")
+            children = node.children
+            if len(children) == 1:  # a unit chain: the child takes the index
+                push(_CLOSED)
+                node = children[0]
+                continue
+            if idx:
+                indices = []
+                for child in children[:0:-1]:
+                    count = counts[id(child)]
+                    indices.append(idx % count)
+                    idx //= count
+                indices.append(idx)
+                indices.reverse()
+                frame: Iterator[Any] = zip(children, indices)
+            else:
+                frame = iter(children)
+            item = next(frame, None)
+            if item is not None:  # descend into the first child
+                push(frame)
+                if item.__class__ is tuple:
+                    node, idx = item
+                else:
+                    node = item
+                continue
+            append(")")
+        # Close finished nodes until one has a next child to descend into.
+        while frames:
+            item = next(frames[-1], None)
+            if item is None:
+                pop()
+                append(")")
+                continue
+            append(" ")
+            if item.__class__ is Terminal:
+                append(item.name)
+                continue
+            break
+        else:
+            return "".join(pieces)
+        if item.__class__ is tuple:
+            node, idx = item
+        else:
+            node = item
 
 
 def _enumerated(total: int, limit: Optional[int]) -> int:

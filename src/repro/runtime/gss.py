@@ -14,12 +14,13 @@ an existing node are not missed.  Beyond recognition it supports a full
 parse mode:
 
 * **Shared packed forests.**  Every GSS edge carries a forest label: shift
-  edges a :class:`~repro.runtime.forest.Leaf`, reduction edges a
-  :class:`~repro.runtime.forest.PackedNode` keyed by ``(lhs, start, end)``
-  — Rekers-style packing per nonterminal span.  Ambiguous derivations of
-  the same span collapse into one packed node, so the forest stays
-  polynomial even when the tree count is exponential, and alternatives
-  discovered late are visible to parents built earlier.
+  edges the interned :class:`~repro.grammar.symbols.Terminal` they
+  consumed, reduction edges a :class:`~repro.runtime.forest.PackedNode`
+  keyed by ``(lhs, start, end)`` — Rekers-style packing per nonterminal
+  span.  Ambiguous derivations of the same span collapse into one packed
+  node, so the forest stays polynomial even when the tree count is
+  exponential, and alternatives discovered late are visible to parents
+  built earlier.
 * **Deterministic stretch.**  While exactly one stack top is live and
   the compiled step cache holds a single step (its cells are SLR(1):
   reduces outside FOLLOW are filtered out), the parser runs a plain LR
@@ -270,9 +271,7 @@ class GSSParser:
                         nodes_created += 1
                         target.edges.append(node)
                         target.labels.append(
-                            forest.leaf(symbol, position)
-                            if forest is not None
-                            else None
+                            symbol if forest is not None else None
                         )
                         edges_created += 1
                         node = target
@@ -450,7 +449,7 @@ class GSSParser:
                                         worklist.append(other)
 
             new_frontier: Dict[Any, GSSNode] = {}
-            leaf = forest.leaf(symbol, position) if forest is not None else None
+            shifted = symbol if forest is not None else None
             for node, target_state in shifts:
                 key = _key(target_state)
                 target = new_frontier.get(key)
@@ -460,7 +459,7 @@ class GSSParser:
                     new_frontier[key] = target
                 if node not in target.edges:
                     target.edges.append(node)
-                    target.labels.append(leaf)
+                    target.labels.append(shifted)
                     edges_created += 1
             failure_position = position
             failure_symbol = symbol
@@ -508,7 +507,8 @@ class GSSParser:
                 if any(child is None for child in children):
                     continue
                 if any(
-                    child.symbol != expected
+                    (child if child.__class__ is Terminal else child.symbol)
+                    != expected
                     for child, expected in zip(children, rule.rhs)
                 ):
                     continue

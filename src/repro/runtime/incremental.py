@@ -40,12 +40,15 @@ states*:
   the regime the service's hot re-submission traffic runs in.
 * **Tree building** — cells carry hash-consed subtrees (the reparse
   reuses the prior run's :class:`~repro.runtime.forest.Forest`, so equal
-  derivations are *identical* objects).  Convergence then certifies that
-  derivations and token positions match exactly, which only happens for
-  edits that rewrite a region into the same parse (e.g. re-submissions);
-  a genuinely changed region keeps its differing subtree on the stack, so
-  the run continues to the end — still skipping the whole prefix, and
-  still correct by construction.
+  derivations are *identical* objects).  Subtrees carry no positions,
+  but a whole stack spells the whole prefix before its boundary, so
+  convergence certifies identical derivations of prefixes of the same
+  length.  That only happens for edits that rewrite a region into the
+  same parse (e.g. re-submissions); a genuinely changed region keeps its
+  differing subtree on the stack, and after a length-changing edit every
+  stack spells a prefix of another length, so the run continues to the
+  end — still skipping the whole prefix, and still correct by
+  construction.
 
 Checkpoints are **invalidated by grammar edits**: every MODIFY bumps
 :attr:`Grammar.revision <repro.grammar.grammar.Grammar.revision>`, and

@@ -69,7 +69,7 @@ def recover_start_trees(
         if any(child is None for child in children):
             continue
         if all(
-            child.symbol == expected
+            (child if child.__class__ is Terminal else child.symbol) == expected
             for child, expected in zip(children, rule.rhs)
         ):
             trees.append(forest.node(rule, children))
@@ -135,8 +135,7 @@ class SimpleLRParser:
             action = actions[0]
 
             if isinstance(action, Shift):
-                leaf = forest.leaf(symbol, position) if forest else None
-                stack = stack.push(action.target, leaf)
+                stack = stack.push(action.target, symbol if forest else None)
                 if trace is not None:
                     trace.record(
                         TraceEvent(

@@ -23,8 +23,9 @@ same :class:`ParseStats`.
 Deviations from the paper's listing, each deliberate and documented:
 
 * **Tree building.**  The listing only recognizes; the measurement protocol
-  of section 7 builds parse trees, so shift pushes a leaf and reduce pushes
-  a hash-consed :class:`~repro.runtime.forest.ParseNode`.
+  of section 7 builds parse trees, so shift pushes the terminal it
+  consumed (a leaf is its interned terminal, with no position) and reduce
+  pushes a hash-consed :class:`~repro.runtime.forest.ParseNode`.
 * **Duplicate-parser elision.**  Two parsers whose stacks carry the same
   states *and* the same trees are interchangeable, so only one is kept.
   This loses nothing (their futures are identical) and keeps converging
@@ -267,8 +268,9 @@ def sweep_symbol(
             # is performed on this copy" — copying is just reusing the
             # immutable stack pointer.
             if isinstance(action, Shift):
-                leaf = forest.leaf(symbol, position) if forest else None
-                new_stack = StackCell(action.target, stack, leaf)
+                new_stack = StackCell(
+                    action.target, stack, symbol if forest else None
+                )
                 if new_stack in next_seen:
                     n_duplicates += 1
                     continue
@@ -607,8 +609,9 @@ class PoolParser:
                     fast_calls += 1
                     kind = step[0]
                     if kind == STEP_SHIFT:
-                        leaf = forest.leaf(symbol, position - 1) if forest else None
-                        stack = StackCell(step[1], stack, leaf)
+                        stack = StackCell(
+                            step[1], stack, symbol if forest else None
+                        )
                         fast_shifts += 1
                         if checkpoints is not None and checkpoints.reached(
                             position, (stack,)

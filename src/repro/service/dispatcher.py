@@ -26,7 +26,9 @@ from .protocol import (
     ServiceError,
     flag_of,
     require,
+    session_of,
     sorts_of,
+    token_input,
 )
 from .snapshot import (
     load_session,
@@ -182,6 +184,7 @@ class Dispatcher:
             raise ProtocolError(
                 f"unknown command {cmd!r} — known: {', '.join(COMMANDS)}"
             )
+        session_of(request)  # refuses a session name that is not a string
         return handler(request)
 
     def _handlers(self) -> Dict[str, Handler]:
@@ -297,7 +300,7 @@ class Dispatcher:
         name = require(request, "session")
         payload, cached = self.workspace.parse(
             name,
-            require(request, "tokens"),
+            token_input(require(request, "tokens")),
             engine=self._engine_of(request),
             checkpoint=flag_of(request, "checkpoint"),
             use_cache=flag_of(request, "cache", True),
@@ -325,12 +328,9 @@ class Dispatcher:
             raise ProtocolError(
                 "'edit-parse' needs integer 'start' and 'end' in the edit"
             )
-        replacement = edit.get("replacement", "")
-        if not isinstance(replacement, (str, list)):
-            raise ProtocolError(
-                "'edit-parse' wants the edit 'replacement' as a string or "
-                "a list of token names"
-            )
+        replacement = token_input(
+            edit.get("replacement", ""), "the edit 'replacement'"
+        )
         payload, cached = self.workspace.edit_parse(
             name,
             base,
@@ -367,7 +367,7 @@ class Dispatcher:
         name = require(request, "session")
         payload, cached = self.workspace.recognize(
             name,
-            require(request, "tokens"),
+            token_input(require(request, "tokens")),
             engine=self._engine_of(request),
             checkpoint=flag_of(request, "checkpoint"),
             use_cache=flag_of(request, "cache", True),
@@ -383,6 +383,8 @@ class Dispatcher:
         inputs = require(request, "inputs")
         if not isinstance(inputs, (list, tuple)):
             raise ProtocolError("'batch-parse' needs a list in the 'inputs' field")
+        for tokens in inputs:
+            token_input(tokens, "each 'inputs' entry")
         engine = self._engine_of(request)
         max_trees = self._max_trees_of(request)
         results = []

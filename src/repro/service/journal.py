@@ -27,6 +27,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Optional
 
+from .protocol import ProtocolError, session_of
+
 __all__ = ["MutationJournal"]
 
 Request = Dict[str, Any]
@@ -58,19 +60,6 @@ class MutationJournal:
 
     # -- recording ---------------------------------------------------------
 
-    @staticmethod
-    def _session_of(request: Request) -> Optional[str]:
-        session = request.get("session")
-        if isinstance(session, str):
-            return session
-        if request.get("cmd") == "restore":
-            payload = request.get("snapshot")
-            if isinstance(payload, dict) and isinstance(
-                payload.get("session"), str
-            ):
-                return payload["session"]
-        return None
-
     def record(self, request: Any, response: Any) -> bool:
         """Journal ``request`` if it is an acknowledged mutation.
 
@@ -83,7 +72,10 @@ class MutationJournal:
         if "error" in response:
             return False
         cmd = request.get("cmd")
-        session = self._session_of(request)
+        try:
+            session = session_of(request)
+        except ProtocolError:  # refused by the dispatcher as well
+            return False
         if session is None:
             return False
         if cmd == "close":

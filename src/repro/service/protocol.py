@@ -15,7 +15,7 @@ yields each object in order.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 #: Version of the request/response protocol, reported by ``info``.
 #: Version 2: parse/recognize accept an optional ``engine`` field
@@ -126,6 +126,40 @@ def sorts_of(request: Dict[str, Any]) -> List[str]:
     ):
         raise ProtocolError("'sorts' must be a list of sort names")
     return list(sorts)
+
+
+def session_of(request: Dict[str, Any]) -> Optional[str]:
+    """The session ``request`` addresses, or None when it names none.
+
+    That is the ``session`` field or, for a ``restore`` without one, the
+    session recorded in its ``snapshot`` payload.  Routing and the
+    mutation journal both read it here, so they cannot disagree.  A name
+    that is not a non-empty string is refused: sessions are keyed, sorted
+    and journaled by name.
+    """
+    if "session" in request:
+        name, where = request["session"], "'session'"
+    else:
+        snapshot = request.get("snapshot") if request.get("cmd") == "restore" else None
+        if not isinstance(snapshot, dict) or "session" not in snapshot:
+            return None
+        name, where = snapshot["session"], "the snapshot's 'session'"
+    if not isinstance(name, str) or not name:
+        raise ProtocolError(f"{where} must be a non-empty string, got {name!r}")
+    return name
+
+
+def token_input(value: Any, what: str = "'tokens'") -> Union[str, List[str]]:
+    """A token input: source text, or a list of token names.
+
+    A JSON object is refused, not iterated: ``{"true": 1}`` would
+    otherwise parse its keys.
+    """
+    if isinstance(value, str) or (
+        isinstance(value, list) and all(isinstance(name, str) for name in value)
+    ):
+        return value
+    raise ProtocolError(f"{what} must be a string or a list of token names")
 
 
 def flag_of(request: Dict[str, Any], field: str, default: bool = False) -> bool:

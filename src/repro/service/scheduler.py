@@ -59,7 +59,7 @@ from ..core.metrics import LatencyStats
 from . import faults
 from .dispatcher import Dispatcher
 from .journal import MutationJournal
-from .protocol import encode
+from .protocol import ProtocolError, encode, session_of
 from .supervision import BackoffPolicy, CircuitBreaker
 
 __all__ = [
@@ -74,9 +74,6 @@ GLOBAL_COMMANDS = frozenset({"sessions", "metrics", "metrics-export", "info"})
 
 Request = Dict[str, Any]
 Response = Dict[str, Any]
-
-#: Routing verdict for requests whose owning session cannot be named.
-_UNROUTABLE = object()
 
 
 def _error_response(request: Any, message: str, **extra: Any) -> Response:
@@ -889,23 +886,6 @@ class Scheduler:
         """Stable session -> shard assignment (CRC32, not the salted hash)."""
         return zlib.crc32(session.encode("utf-8")) % len(self.shards)
 
-    @staticmethod
-    def _routing_session(request: Any) -> Any:
-        """The session that must own ``request``, None, or _UNROUTABLE."""
-        if not isinstance(request, dict):
-            return None
-        session = request.get("session")
-        if isinstance(session, str):
-            return session
-        if request.get("cmd") == "restore":
-            payload = request.get("snapshot")
-            if isinstance(payload, dict) and isinstance(
-                payload.get("session"), str
-            ):
-                return payload["session"]
-            return _UNROUTABLE
-        return None
-
     def submit(self, request: Any) -> "Future[Response]":
         """Enqueue one request; the future resolves to its response."""
         cmd = request.get("cmd") if isinstance(request, dict) else None
@@ -940,15 +920,18 @@ class Scheduler:
                 else self.ready_response()
             )
             return future
-        session = self._routing_session(request)
-        if session is _UNROUTABLE:
+        try:
+            session = session_of(request) if isinstance(request, dict) else None
+        except ProtocolError as error:
+            return _resolved(request, str(error))
+        if session is not None:
+            return self.shards[self.shard_of(session)].submit(request)
+        if cmd == "restore":
             return _resolved(
                 request,
                 "'restore' under a sharded scheduler needs a 'session' "
                 "field (or a snapshot payload naming one) to route by",
             )
-        if isinstance(session, str):
-            return self.shards[self.shard_of(session)].submit(request)
         if cmd == "metrics-export" and self.mode == "process":
             # Children hold the session registries; ask every one for a
             # JSON snapshot (whatever format the caller wants — the

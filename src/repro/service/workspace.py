@@ -35,6 +35,10 @@ ModifyListener = Callable[["ParseSession"], None]
 #: are shard-pinned, so the store needs no lock.
 CHECKPOINT_CAPACITY = 16
 
+#: Checkpoints dropped by LRU pressure, over every session: an instrument
+#: counter, so it stays monotone when sessions close or workspaces go.
+_CHECKPOINT_EVICTIONS = obs.counter("repro.checkpoints.evictions")
+
 
 class ParseSession:
     """One named grammar-definition session: a Language plus user state."""
@@ -185,6 +189,7 @@ class ParseSession:
         while len(self.results) > CHECKPOINT_CAPACITY:
             self.results.popitem(last=False)
             self.checkpoint_evictions += 1
+            _CHECKPOINT_EVICTIONS.inc()
 
     def checkpoint_parse(
         self,
@@ -331,9 +336,6 @@ class Workspace:
         self._sessions: Dict[str, ParseSession] = {}
         self._lock = threading.RLock()
         self.cache = ResultCache(cache_capacity)
-        #: Checkpoint evictions of already-closed sessions, so the
-        #: ``repro.checkpoints.evictions`` counter stays monotone.
-        self._retired_checkpoint_evictions = 0
         # Surface the shared result-cache counters and the session count
         # through the obs registry.  The registration is weak: a
         # workspace dropped by its dispatcher stops being polled, so
@@ -349,13 +351,6 @@ class Workspace:
         yield ("repro.workspace.sessions", None, "gauge", len(self))
         with self._lock:
             sessions = list(self._sessions.values())
-            retired = self._retired_checkpoint_evictions
-        yield (
-            "repro.checkpoints.evictions",
-            None,
-            "counter",
-            retired + sum(session.checkpoint_evictions for session in sessions),
-        )
         yield (
             "repro.checkpoints.entries",
             None,
@@ -415,8 +410,6 @@ class Workspace:
     def close(self, name: str) -> bool:
         with self._lock:
             session = self._sessions.pop(name, None)
-            if session is not None:
-                self._retired_checkpoint_evictions += session.checkpoint_evictions
         if session is None:
             return False
         session.close()

@@ -20,7 +20,6 @@ from repro.grammar.symbols import NonTerminal, Terminal
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.errors import SweepLimitExceeded
 from repro.runtime.forest import (
-    Leaf,
     _count_into,
     _nth_tree,
     _render,
@@ -120,8 +119,8 @@ def ambiguous_parses(draw):
 
 def bracketed_reference(tree) -> str:
     """The recursive renderer over decoded trees that ``_render`` replaced."""
-    if isinstance(tree, Leaf):
-        return str(tree.terminal)
+    if isinstance(tree, Terminal):
+        return str(tree)
     inner = " ".join(bracketed_reference(child) for child in tree.children)
     return f"{tree.rule.lhs!s}({inner})"
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Language
 from repro.grammar.rules import Rule
 from repro.grammar.symbols import NonTerminal, Terminal
 from repro.runtime.errors import CyclicForestError, ForestCapExceeded
@@ -11,10 +12,8 @@ from repro.runtime.forest import (
     ParseForest,
     bracketed,
     count_trees,
-    depth,
     enumerate_strings,
     node_count,
-    pretty,
     tokens_of,
 )
 
@@ -23,59 +22,51 @@ true = Terminal("true")
 or_ = Terminal("or")
 R_TRUE = Rule(B, [true])
 R_OR = Rule(B, [B, or_, B])
+R_UNIT = Rule(B, [B])
 
 
 class TestHashConsing:
     def test_leaves_are_shared(self):
+        # a leaf is its interned terminal: one object wherever it occurs
         forest = Forest()
-        assert forest.leaf(true, 0) is forest.leaf(true, 0)
-
-    def test_leaves_differ_by_position(self):
-        forest = Forest()
-        assert forest.leaf(true, 0) is not forest.leaf(true, 2)
+        left = forest.node(R_TRUE, [Terminal("true")])
+        right = forest.node(R_TRUE, [Terminal("true")])
+        assert left.children[0] is right.children[0] is true
 
     def test_nodes_are_shared(self):
         forest = Forest()
-        leaf = forest.leaf(true, 0)
-        assert forest.node(R_TRUE, [leaf]) is forest.node(R_TRUE, [leaf])
+        assert forest.node(R_TRUE, [true]) is forest.node(R_TRUE, [true])
 
     def test_nodes_differ_by_children_identity(self):
         forest = Forest()
-        a = forest.node(R_TRUE, [forest.leaf(true, 0)])
-        b = forest.node(R_TRUE, [forest.leaf(true, 2)])
+        inner = forest.node(R_TRUE, [true])
+        a = forest.node(R_UNIT, [inner])
+        b = forest.node(R_UNIT, [forest.node(R_UNIT, [inner])])
         assert a is not b
 
     def test_size_counts_distinct_nodes(self):
         forest = Forest()
-        leaf = forest.leaf(true, 0)
-        forest.node(R_TRUE, [leaf])
-        forest.node(R_TRUE, [leaf])  # shared, no growth
-        assert forest.size == 2
+        inner = forest.node(R_TRUE, [true])
+        forest.node(R_UNIT, [inner])
+        forest.node(R_UNIT, [inner])  # shared, no growth
+        assert forest.size == 2  # leaves are terminals, not forest nodes
 
 
 class TestNodes:
     def test_arity_checked(self):
         forest = Forest()
         with pytest.raises(ValueError):
-            forest.node(R_OR, [forest.leaf(true, 0)])
+            forest.node(R_OR, [true])
 
     def test_symbols(self):
         forest = Forest()
-        leaf = forest.leaf(true, 0)
-        node = forest.node(R_TRUE, [leaf])
-        assert leaf.symbol == true
+        node = forest.node(R_TRUE, [true])
+        assert node.children == (true,)
         assert node.symbol == B
-
-    def test_width(self):
-        forest = Forest()
-        left = forest.node(R_TRUE, [forest.leaf(true, 0)])
-        right = forest.node(R_TRUE, [forest.leaf(true, 2)])
-        top = forest.node(R_OR, [left, forest.leaf(or_, 1), right])
-        assert top.width() == 3
 
     def test_immutability(self):
         forest = Forest()
-        node = forest.node(R_TRUE, [forest.leaf(true, 0)])
+        node = forest.node(R_TRUE, [true])
         with pytest.raises(AttributeError):
             node.children = ()  # type: ignore[misc]
 
@@ -83,9 +74,8 @@ class TestNodes:
 class TestUtilities:
     def _tree(self):
         forest = Forest()
-        left = forest.node(R_TRUE, [forest.leaf(true, 0)])
-        right = forest.node(R_TRUE, [forest.leaf(true, 2)])
-        return forest.node(R_OR, [left, forest.leaf(or_, 1), right])
+        operand = forest.node(R_TRUE, [true])
+        return forest.node(R_OR, [operand, or_, operand])
 
     def test_tokens_of(self):
         assert tokens_of(self._tree()) == (true, or_, true)
@@ -93,20 +83,27 @@ class TestUtilities:
     def test_bracketed(self):
         assert bracketed(self._tree()) == "B(B(true) or B(true))"
 
-    def test_pretty_contains_rules(self):
-        rendered = pretty(self._tree())
-        assert "B ::= B or B" in rendered
-        assert "true" in rendered
-
-    def test_depth(self):
-        assert depth(self._tree()) == 3
-
     def test_node_count_respects_sharing(self):
-        forest = Forest()
-        shared = forest.node(R_TRUE, [forest.leaf(true, 0)])
-        top = forest.node(R_OR, [shared, forest.leaf(or_, 1), shared])
-        # shared subtree counted once: top + shared + leaf(true) + leaf(or)
-        assert node_count(top) == 4
+        # shared subtree counted once: top + B(true) + true + or
+        assert node_count(self._tree()) == 4
+
+
+class TestDeepTrees:
+    """A right-recursive list nests one node per token; the tree helpers
+    walk it without recursion."""
+
+    TOKENS = 2000
+
+    @pytest.mark.parametrize("engine", ["compiled", "gss"])
+    def test_helpers_walk_a_deep_tree(self, engine):
+        lang = Language.from_text("START ::= L\nL ::= x\nL ::= x L")
+        outcome = lang.parse(" ".join(["x"] * self.TOKENS), engine=engine)
+        tree = outcome.tree
+        x = Terminal("x")
+        assert tokens_of(tree) == (x,) * self.TOKENS
+        # START, one L per token, and the one leaf x they all share
+        assert node_count(tree) == self.TOKENS + 2
+        assert bracketed(tree).count("x") == self.TOKENS
 
 
 class TestPackedForests:
@@ -115,20 +112,18 @@ class TestPackedForests:
     def _ambiguous_five(self):
         """``true or true or true`` packed Rekers-style: two derivations."""
         f = Forest()
-        leaves = {i: f.leaf(true, i) for i in (0, 2, 4)}
-        ors = {i: f.leaf(or_, i) for i in (1, 3)}
         packed = {}
         for start in (0, 2, 4):
             p = f.packed(B, start, start + 1)
-            p.add(f.node(R_TRUE, [leaves[start]]))
+            p.add(f.node(R_TRUE, [true]))
             packed[start, start + 1] = p
         p03 = f.packed(B, 0, 3)
-        p03.add(f.node(R_OR, [packed[0, 1], ors[1], packed[2, 3]]))
+        p03.add(f.node(R_OR, [packed[0, 1], or_, packed[2, 3]]))
         p25 = f.packed(B, 2, 5)
-        p25.add(f.node(R_OR, [packed[2, 3], ors[3], packed[4, 5]]))
+        p25.add(f.node(R_OR, [packed[2, 3], or_, packed[4, 5]]))
         p05 = f.packed(B, 0, 5)
-        p05.add(f.node(R_OR, [p03, ors[3], packed[4, 5]]))
-        p05.add(f.node(R_OR, [packed[0, 1], ors[1], p25]))
+        p05.add(f.node(R_OR, [p03, or_, packed[4, 5]]))
+        p05.add(f.node(R_OR, [packed[0, 1], or_, p25]))
         return f, p05
 
     def test_packed_nodes_are_per_span(self):
@@ -139,10 +134,10 @@ class TestPackedForests:
     def test_add_dedups_by_identity(self):
         f = Forest()
         p = f.packed(B, 0, 1)
-        alt = f.node(R_TRUE, [f.leaf(true, 0)])
+        alt = f.node(R_TRUE, [true])
         assert p.add(alt) is True
         # hash-consing returns the same node, add refuses the duplicate
-        assert p.add(f.node(R_TRUE, [f.leaf(true, 0)])) is False
+        assert p.add(f.node(R_TRUE, [true])) is False
         assert len(p.alternatives) == 1
 
     def test_count_trees_sums_alternatives(self):
@@ -173,8 +168,8 @@ class TestPackedForests:
         spans = []
         for i in range(width):
             p = f.packed(B, i, i + 1)
-            p.add(f.node(R_TRUE, [f.leaf(true, i)]))
-            p.add(f.node(alt_rule, [f.leaf(or_, i)]))
+            p.add(f.node(R_TRUE, [true]))
+            p.add(f.node(alt_rule, [or_]))
             spans.append(p)
         wide = Rule(B, [B] * width)
         return ParseForest((f.node(wide, spans),)), width
@@ -209,7 +204,7 @@ class TestPackedForests:
     def test_deep_chains_do_not_recurse(self):
         f = Forest()
         unit = Rule(B, [B])
-        node = f.node(R_TRUE, [f.leaf(true, 0)])
+        node = f.node(R_TRUE, [true])
         for _ in range(5000):  # far past the default recursion limit
             node = f.node(unit, [node])
         forest = ParseForest((node,))

@@ -174,6 +174,57 @@ class TestOpenParse:
         assert dispatcher.handle({"cmd": "sessions"})["sessions"] == []
 
 
+class TestRequestValidation:
+    @pytest.mark.parametrize("name", [5, "", None, ["s"]])
+    def test_session_must_be_a_non_empty_string(self, dispatcher, name):
+        # An int session used to be opened, then broke every sorted
+        # session listing with a TypeError.
+        opened = dispatcher.handle(
+            {"cmd": "open", "session": name, "grammar": "START ::= x"}
+        )
+        assert opened["error"] == (
+            f"'session' must be a non-empty string, got {name!r}"
+        )
+        dispatcher.handle({"cmd": "open", "session": "s", "grammar": "START ::= x"})
+        snapshot = dispatcher.handle({"cmd": "snapshot", "session": "s"})["snapshot"]
+        restored = dispatcher.handle(
+            {"cmd": "restore", "snapshot": dict(snapshot, session=name)}
+        )
+        assert restored["error"] == (
+            f"the snapshot's 'session' must be a non-empty string, got {name!r}"
+        )
+        assert dispatcher.handle({"cmd": "sessions"})["sessions"] == ["s"]
+        assert dispatcher.handle({"cmd": "info"})["sessions"] == ["s"]
+        assert "error" not in dispatcher.handle({"cmd": "metrics-export"})
+
+    @pytest.mark.parametrize("tokens", [{"true": 1}, [["true"]], 5, None])
+    def test_tokens_must_be_text_or_token_names(self, booleans_dispatcher, tokens):
+        # A JSON object used to be iterated: its keys were parsed.
+        for cmd in ("parse", "recognize"):
+            response = booleans_dispatcher.handle(
+                {"cmd": cmd, "session": "s1", "tokens": tokens}
+            )
+            assert response["error"] == (
+                "'tokens' must be a string or a list of token names"
+            ), cmd
+        batch = booleans_dispatcher.handle(
+            {"cmd": "batch-parse", "session": "s1", "inputs": ["true", tokens]}
+        )
+        assert batch["error"] == (
+            "each 'inputs' entry must be a string or a list of token names"
+        )
+        base = booleans_dispatcher.handle(
+            {"cmd": "parse", "session": "s1", "tokens": "true", "checkpoint": True}
+        )["result"]
+        edited = booleans_dispatcher.handle(
+            {"cmd": "edit-parse", "session": "s1", "base": base,
+             "edit": {"start": 0, "end": 1, "replacement": tokens}}
+        )
+        assert edited["error"] == (
+            "the edit 'replacement' must be a string or a list of token names"
+        )
+
+
 class TestCaching:
     def test_repeat_parse_hits_cache(self, booleans_dispatcher):
         request = {"cmd": "parse", "session": "s1", "tokens": "true"}

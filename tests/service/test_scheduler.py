@@ -101,6 +101,18 @@ class TestRouting:
             owner = scheduler.shards[scheduler.shard_of("donor")]
             assert owner.completed == 3
 
+    def test_non_string_session_is_refused_before_routing(self):
+        # An int session used to reach a shard and be opened; every
+        # broadcast merging that shard's session list then failed.
+        with Scheduler(workers=2) as scheduler:
+            scheduler.handle(open_request("s1"))
+            refused = scheduler.handle(open_request(5))
+            assert refused["error"] == "'session' must be a non-empty string, got 5"
+            assert scheduler.handle({"cmd": "sessions"})["sessions"] == ["s1"]
+            assert scheduler.handle({"cmd": "info"})["sessions"] == ["s1"]
+            assert "error" not in scheduler.handle({"cmd": "metrics-export"})
+            assert sum(shard.journal.entry_count() for shard in scheduler.shards) == 1
+
     def test_unroutable_restore_is_refused(self):
         with Scheduler(workers=2) as scheduler:
             response = scheduler.handle({"cmd": "restore", "path": "/tmp/nope"})
