@@ -41,8 +41,9 @@ def test_gss_recognize_ambiguous(benchmark, operators):
     grammar = ambiguous_expression_grammar()
     parser = GSSParser(_control(grammar))
     tokens = ambiguous_sentence(operators)
-    assert benchmark(lambda: parser.recognize(tokens))
-    benchmark.extra_info.update(parser.last_stats)
+    result = benchmark(lambda: parser.recognize_result(tokens))
+    assert result
+    benchmark.extra_info.update(result.stats.snapshot())
 
 
 def test_gss_scales_past_pool(benchmark):
@@ -50,8 +51,9 @@ def test_gss_scales_past_pool(benchmark):
     grammar = ambiguous_expression_grammar()
     parser = GSSParser(_control(grammar))
     tokens = ambiguous_sentence(40)
-    assert benchmark(lambda: parser.recognize(tokens))
-    benchmark.extra_info.update(parser.last_stats)
+    result = benchmark(lambda: parser.recognize_result(tokens))
+    assert result
+    benchmark.extra_info.update(result.stats.snapshot())
 
 
 def test_unambiguous_inputs_comparable(benchmark, workload, tokens):

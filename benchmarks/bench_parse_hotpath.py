@@ -19,8 +19,9 @@ floor (fails when compiled, table or gss is less than 1.25x lazy in the
 same run, when any tier regresses more than 3x, when rendering the
 ASF.sdf tree takes more than 1.5x the time of counting it, when the
 ASF.sdf parse forks more than the ceiling on ``compiled`` or ``compiled``
-falls under its floor against ``lazy`` there, or when the right-recursive
-parse time grows more than its ceiling from 500 to 2,000 tokens):
+falls under its floor against ``lazy`` there, when the right-recursive
+parse time grows more than its ceiling from 500 to 2,000 tokens, or when
+gss takes more than 35x its booleans medium time on large):
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py \\
         --workload booleans --floor benchmarks/hotpath_floor.json
@@ -88,8 +89,9 @@ def main(argv=None) -> int:
         default=None,
         help="floor JSON to check against (exit 1 on a same-run ratio "
         "against lazy under its floor, a >3x regression, a render/count "
-        "ratio over its ceiling, or a step-cell fork count or "
-        "right-recursion growth over its ceiling)",
+        "ratio over its ceiling, a step-cell fork count or "
+        "right-recursion growth over its ceiling, or gss growth from "
+        "medium to large over its ceiling)",
     )
     args = parser.parse_args(argv)
 

@@ -429,14 +429,6 @@ class GSSEngine(Engine):
             max_steps_per_token=language.max_sweep_steps,
             grammar=language.grammar,
         )
-        #: kept for the uniform trace path: ``Language.parse(...,
-        #: trace=...)`` replays LR moves through a pool over the same
-        #: control, so traced runs see the identical automaton.
-        self.pool = PoolParser(
-            language.control,
-            language.grammar,
-            max_sweep_steps=language.max_sweep_steps,
-        )
 
     def _gss_report(self, result: Any, build_trees: bool) -> EngineReport:
         failure = None

@@ -382,9 +382,9 @@ class Language:
         whose diagnostic has ``kind="lexical"`` — errors are data at this
         layer, exactly as in the service protocol.
 
-        ``trace`` records the parser's moves and is honored by every
-        pool-backed engine (lazy/compiled/gss); the Earley engine
-        has no LR moves to record and leaves the trace empty.
+        ``trace`` records the parser's moves and is honored by the
+        pool-backed engines (lazy/compiled); ``gss`` and ``earley``
+        record no LR moves, answer as untraced, and leave the trace empty.
 
         With ``checkpoint=True`` (and an engine that supports re-parsing)
         the outcome carries per-token-boundary checkpoints, and a later

@@ -455,7 +455,7 @@ def check_floor(
 ) -> list:
     """Compare a report against a checked-in floor; return failure strings.
 
-    Two kinds of guard, both read from the floor file:
+    Three kinds of guard, all read from the floor file:
 
     * ``tokens_per_sec`` — absolute floors: a tier/input pair fails when
       measured tokens/sec drops below ``floor / max_regression``.  A
@@ -468,6 +468,8 @@ def check_floor(
       compiled control's memoized ACTION cells or its deterministic
       stretch collapses the compiled-vs-lazy ratio no matter how fast the
       runner is.
+    * ``growth`` — same-run time ceilings: each rule fails when ``tier``
+      takes more than ``max_ratio`` × its ``denominator`` time on ``numerator``.
     """
     problems = []
     for name, floor_rates in floor.get("tokens_per_sec", {}).items():
@@ -506,6 +508,20 @@ def check_floor(
             problems.append(
                 f"{name}: {numerator} is only {ratio:.2f}x {denominator} "
                 f"in this run (floor requires >= {min_ratio}x)"
+            )
+    for rule in floor.get("growth", ()):
+        tier, slow, fast = rule["tier"], rule["numerator"], rule["denominator"]
+        seconds = {
+            name: data["tokens"] / data["tokens_per_sec"][tier]
+            for name, data in report["inputs"].items()
+            if data["tokens_per_sec"].get(tier)
+        }
+        if slow not in seconds or fast not in seconds:
+            problems.append(f"growth/{tier}: {slow} or {fast} missing from the report")
+        elif seconds[slow] > rule["max_ratio"] * seconds[fast]:
+            problems.append(
+                f"growth/{tier}: {slow} takes {seconds[slow] / seconds[fast]:.1f}x "
+                f"the time of {fast} in this run (ceiling {rule['max_ratio']}x)"
             )
     return problems
 

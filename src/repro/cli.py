@@ -253,8 +253,8 @@ class ReplSession:
         # No checkpoint: tracing routes through the pool parser, which
         # records moves instead of resumable frontiers (they are mutually
         # exclusive in the API) — so ``edit`` keeps its previous base.
-        # Recognizer-only engines have no pool to trace; fall back to
-        # recognition and report that no LR moves were recorded.
+        # gss has no pool and answers untraced; recognizer-only engines
+        # fall back to recognition.  Both record no LR moves.
         try:
             outcome = self.language.parse(text, trace=trace)
         except CapabilityError:

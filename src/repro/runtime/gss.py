@@ -8,10 +8,10 @@ parsers that reach the same state on the same input position into a single
 by the number of parser states instead of growing with the amount of
 ambiguity.
 
-This module implements that merged representation, with Nozohoor-Farshi's
-re-examination fix so that reductions discovered after an edge is added to
-an existing node are not missed.  Beyond recognition it supports a full
-parse mode:
+This module implements that merged representation.  Each reduction path
+is walked once: by the edge-local reductions of Right-Nulled GLR (Scott &
+Johnstone, TOPLAS 2006), an edge added to an existing vertex queues only
+the examined vertices' paths that take it.  It also has a parse mode:
 
 * **Shared packed forests.**  Every GSS edge carries a forest label: shift
   edges the interned :class:`~repro.grammar.symbols.Terminal` they
@@ -72,26 +72,23 @@ class GSSNode:
         return f"GSSNode(state={getattr(self.state, 'uid', self.state)}, {len(self.edges)} edges)"
 
 
-def _key(state: Any) -> Any:
-    """Hashable identity of a parser state (works for item sets and ints)."""
-    uid = getattr(state, "uid", None)
-    return uid if uid is not None else state
-
-
 class GSSStats:
     """Work counters for one GSS run (reported by benches and engines)."""
 
-    __slots__ = ("nodes_created", "edges_created", "reductions_applied")
+    __slots__ = ("nodes_created", "edges_created", "reductions_applied", "paths_walked")
 
     def __init__(
         self,
         nodes_created: int = 0,
         edges_created: int = 0,
         reductions_applied: int = 0,
+        paths_walked: int = 0,
     ) -> None:
         self.nodes_created = nodes_created
         self.edges_created = edges_created
         self.reductions_applied = reductions_applied
+        #: reduction paths the general sweep walked; each is applied once
+        self.paths_walked = paths_walked
 
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -154,8 +151,6 @@ class GSSParser:
         self.control = control
         self.max_steps_per_token = max_steps_per_token
         self.grammar = grammar
-        #: filled in by every run; exposed for the ablation bench
-        self.last_stats: Dict[str, int] = {}
 
     # -- public API ------------------------------------------------------
 
@@ -184,12 +179,13 @@ class GSSParser:
         nodes_created = 1  # the start node below
         edges_created = 0
         reductions_applied = 0
+        paths_walked = 0
 
         forest = Forest() if build_trees else None
         roots: Dict[TreeNode, None] = {}
 
         start_node = GSSNode(self.control.start_state, 0)
-        frontier: Dict[Any, GSSNode] = {_key(start_node.state): start_node}
+        frontier: Dict[Any, GSSNode] = {start_node.state: start_node}
         accepted = False
         deadline = active_deadline()
 
@@ -228,10 +224,10 @@ class GSSParser:
             # While the frontier is a single vertex and ACTION is
             # single-valued, run a plain LR loop over the graph: shifts
             # and reductions extend a linear chain of single-edge nodes,
-            # with no worklist, no path enumeration and no Farshi
-            # bookkeeping.  Anything irregular — a conflict, an empty
-            # cell, a merged region below a reduction, a suspected cycle
-            # — bails to the general sweep for the current symbol.
+            # with no worklist and no path enumeration.  Anything
+            # irregular — a conflict, an empty cell, a merged region below
+            # a reduction, a suspected cycle — bails to the general sweep
+            # for the current symbol.
             if len(frontier) == 1:
                 node = next(iter(frontier.values()))
                 # Vertex at the start of the current symbol's processing
@@ -331,8 +327,8 @@ class GSSParser:
                         if arity < 2:
                             reduces_here += 1
                             if reduces_here > fast_reduce_budget:
-                                # Possible cycle: only the general sweep's
-                                # applied-set can converge it.
+                                # Possible cycle: the general sweep
+                                # applies each path once, so it converges.
                                 break
                         continue
                     # STEP_ACCEPT
@@ -344,7 +340,7 @@ class GSSParser:
                 if retired:
                     frontier = {}
                     break
-                frontier = {_key(stretch_start.state): stretch_start}
+                frontier = {stretch_start.state: stretch_start}
                 # fall through: the general sweep re-runs this symbol from
                 # the sweep-start vertex, so its visited-state record (and
                 # hence any failure diagnostic) covers the reduce chain the
@@ -352,16 +348,20 @@ class GSSParser:
                 # forest alternatives.
 
             # -- general graph sweep ------------------------------------
+            # Examining a vertex walks all its reduction paths; a later
+            # edge queues the examined vertices' paths that take it.
             worklist: List[GSSNode] = list(frontier.values())
-            processed: Set[int] = set()
-            applied: Set[Tuple] = set()
+            # Walked paths waiting to be applied, one batch per rule walk.
+            walks: List[Tuple[Any, List[Tuple[GSSNode, Tuple]]]] = []
+            examined: List[Tuple[GSSNode, List[Any]]] = []
+            # (base, lhs) per reduction edge of this level: the pair fixes
+            # the edge's target, so a repeat is known before its GOTO.
+            reduced: Set[Tuple[GSSNode, Any]] = set()
+            accepting: List[GSSNode] = []
             shifts: List[Tuple[GSSNode, Any]] = []
-            shift_seen: Set[Tuple[int, Any]] = set()
-            sweep_states: List[Any] = []
             steps = 0
 
-            while worklist:
-                node = worklist.pop()
+            while walks or worklist:
                 steps += 1
                 if steps > max_steps_per_token:
                     raise SweepLimitExceeded(
@@ -375,102 +375,96 @@ class GSSParser:
                     and deadline.expired()
                 ):
                     raise deadline.exceed(position)
-                processed.add(id(node))
-                if node.state not in sweep_states:
-                    sweep_states.append(node.state)
+                if walks:
+                    rule, paths = walks.pop()
+                    lhs = rule.lhs
+                    reductions_applied += len(paths)
+                    for base, children in paths:
+                        if forest is not None:
+                            # Pack this derivation under the span's unique
+                            # ambiguity node.  Goto-target uniqueness (one
+                            # accessing symbol per state) guarantees an
+                            # existing target→base edge already carries
+                            # this same packed node as its label.
+                            packed = forest.packed(lhs, base.position, position)
+                            packed.add(forest.node(rule, children))
+                            label = packed
+                        else:
+                            label = None
+                        if (base, lhs) in reduced:
+                            continue
+                        reduced.add((base, lhs))
+                        goto_state = control_goto(base.state, lhs)
+                        target = frontier.get(goto_state)
+                        if target is None:
+                            target = GSSNode(goto_state, position)
+                            nodes_created += 1
+                            frontier[goto_state] = target
+                            worklist.append(target)
+                        target.edges.append(base)
+                        target.labels.append(label)
+                        edges_created += 1
+                        # A vertex still in the worklist walks the new
+                        # paths when it is examined.
+                        for other, other_rules in examined:
+                            for other_rule in other_rules:
+                                walked = _labeled_paths(
+                                    other, len(other_rule.rhs), target, base
+                                )
+                                if walked:
+                                    paths_walked += len(walked)
+                                    walks.append((other_rule, walked))
+                    continue
 
+                node = worklist.pop()
                 if prefetched is not None and node.state is prefetched_state:
                     actions = prefetched
                     prefetched = None
                 else:
                     actions = control_action(node.state, symbol)
+                rules: List[Any] = []
                 for action in actions:
                     if isinstance(action, Shift):
-                        shift_key = (id(node), _key(action.target))
-                        if shift_key not in shift_seen:
-                            shift_seen.add(shift_key)
-                            shifts.append((node, action.target))
+                        shifts.append((node, action.target))
                     elif isinstance(action, Accept):
-                        accepted = True
-                        if forest is not None:
-                            self._collect_roots(node, forest, roots)
+                        accepting.append(node)
                     else:
                         assert isinstance(action, Reduce)
-                        rule = action.rule
-                        lhs = rule.lhs
-                        for path, children in _labeled_paths(
-                            node, len(rule.rhs)
-                        ):
-                            reduction_key = (
-                                id(node),
-                                rule,
-                                tuple(id(p) for p in path),
-                            )
-                            if reduction_key in applied:
-                                continue
-                            applied.add(reduction_key)
-                            reductions_applied += 1
-                            base = path[-1]
-                            goto_state = control_goto(base.state, lhs)
-                            if forest is not None:
-                                # Pack this derivation under the span's
-                                # unique ambiguity node.  Goto-target
-                                # uniqueness (one accessing symbol per
-                                # state) guarantees an existing
-                                # target→base edge already carries this
-                                # same packed node as its label.
-                                packed = forest.packed(
-                                    lhs, base.position, position
-                                )
-                                packed.add(forest.node(rule, children))
-                                label = packed
-                            else:
-                                label = None
-                            key = _key(goto_state)
-                            target = frontier.get(key)
-                            if target is None:
-                                target = GSSNode(goto_state, position)
-                                nodes_created += 1
-                                target.edges.append(base)
-                                target.labels.append(label)
-                                edges_created += 1
-                                frontier[key] = target
-                                worklist.append(target)
-                            elif base not in target.edges:
-                                target.edges.append(base)
-                                target.labels.append(label)
-                                edges_created += 1
-                                # Farshi's fix: a new edge may open new
-                                # reduction paths for nodes already handled
-                                # this round; re-examine them (the applied
-                                # set keeps this terminating and cheap).
-                                for other in frontier.values():
-                                    if id(other) in processed:
-                                        worklist.append(other)
+                        rules.append(action.rule)
+                        walked = _labeled_paths(node, len(action.rule.rhs))
+                        paths_walked += len(walked)
+                        walks.append((action.rule, walked))
+                examined.append((node, rules))
+
+            # Roots are collected once the sweep ends, so an edge added
+            # late to an accepting vertex still yields its roots.
+            for node in accepting:
+                accepted = True
+                if forest is not None:
+                    self._collect_roots(node, forest, roots)
 
             new_frontier: Dict[Any, GSSNode] = {}
             shifted = symbol if forest is not None else None
             for node, target_state in shifts:
-                key = _key(target_state)
-                target = new_frontier.get(key)
+                target = new_frontier.get(target_state)
                 if target is None:
                     target = GSSNode(target_state, position + 1)
                     nodes_created += 1
-                    new_frontier[key] = target
-                if node not in target.edges:
-                    target.edges.append(node)
-                    target.labels.append(shifted)
-                    edges_created += 1
+                    new_frontier[target_state] = target
+                target.edges.append(node)
+                target.labels.append(shifted)
+                edges_created += 1
             failure_position = position
             failure_symbol = symbol
-            failure_states = tuple(sweep_states)
+            failure_states = tuple(node.state for node, _ in examined)
             frontier = new_frontier
             position += 1
 
         if fast_hits and credit_hits is not None:
             credit_hits(fast_hits)
-        stats = GSSStats(nodes_created, edges_created, reductions_applied)
-        self.last_stats = stats.snapshot()
+        stats = GSSStats(
+            nodes_created, edges_created, reductions_applied, paths_walked
+        )
         failure: Optional[ParseFailure] = None
         if not accepted:
             # Every rejection passes through a general sweep (the stretch
@@ -500,8 +494,7 @@ class GSSParser:
         assert self.grammar is not None
         for rule in self.grammar.start_rules():
             arity = len(rule.rhs)
-            for path, children in _labeled_paths(node, arity):
-                base = path[-1]
+            for base, children in _labeled_paths(node, arity):
                 if base.edges:  # only the initial vertex has no edges
                     continue
                 if any(child is None for child in children):
@@ -515,40 +508,38 @@ class GSSParser:
                 roots.setdefault(forest.node(rule, children))
 
 
-def _paths(node: GSSNode, length: int) -> List[Tuple[GSSNode, ...]]:
-    """All downward paths of exactly ``length`` edges; includes ``node``.
-
-    The returned tuples start at ``node`` and end at the vertex the GOTO is
-    taken from.  ``length`` 0 yields the single path ``(node,)`` — that is
-    how epsilon reductions anchor at the node itself.
-    """
-    paths: List[Tuple[GSSNode, ...]] = [(node,)]
-    for _ in range(length):
-        extended: List[Tuple[GSSNode, ...]] = []
-        for path in paths:
-            for edge in path[-1].edges:
-                extended.append(path + (edge,))
-        paths = extended
-    return paths
-
-
 def _labeled_paths(
-    node: GSSNode, length: int
-) -> List[Tuple[Tuple[GSSNode, ...], Tuple[Optional[TreeNode], ...]]]:
-    """Like :func:`_paths`, but collects each path's edge labels.
+    node: GSSNode,
+    length: int,
+    via: Optional[GSSNode] = None,
+    edge: Optional[GSSNode] = None,
+) -> List[Tuple[GSSNode, Tuple[Optional[TreeNode], ...]]]:
+    """``(base, children)`` per downward path of ``length`` edges.
 
-    Labels are gathered while descending (rightmost child first) and
-    returned reversed, i.e. in left-to-right rule-body order, ready to be
-    the children of a :class:`~repro.runtime.forest.ParseNode`.
+    ``base`` is the vertex the GOTO is taken from; ``children`` are the
+    edge labels in rule-body order.  ``length`` 0 yields ``(node, ())``:
+    how ε-reductions anchor at the node itself.  Given ``via`` and
+    ``edge``, only paths taking the edge ``via`` → ``edge`` are kept; a
+    path reaches ``via`` over ε-edges of its level, so until the edge is
+    taken every step to an earlier level is pruned.
     """
-    paths: List[Tuple[Tuple[GSSNode, ...], Tuple]] = [((node,), ())]
+    paths: List[Tuple[GSSNode, Tuple]] = [(node, ())]
+    # Paths that have not yet taken the edge, in a walk restricted to one.
+    waiting: List[Tuple[GSSNode, Tuple]] = []
+    if via is not None:
+        paths, waiting = waiting, paths
     for _ in range(length):
-        extended: List[Tuple[Tuple[GSSNode, ...], Tuple]] = []
-        for path, labels in paths:
-            tail = path[-1]
-            for edge, label in zip(tail.edges, tail.labels):
-                extended.append((path + (edge,), labels + (label,)))
-        paths = extended
-    return [
-        (path, tuple(reversed(labels))) for path, labels in paths
-    ]
+        extended = [
+            (below, (label,) + labels)
+            for tail, labels in paths
+            for below, label in zip(tail.edges, tail.labels)
+        ]
+        still_waiting = []
+        for tail, labels in waiting:
+            for below, label in zip(tail.edges, tail.labels):
+                if tail is via and below is edge:
+                    extended.append((below, (label,) + labels))
+                elif below.position == via.position:
+                    still_waiting.append((below, (label,) + labels))
+        paths, waiting = extended, still_waiting
+    return paths

@@ -80,7 +80,7 @@ class TestOutcome:
         assert lang.parse("true", trace=trace).accepted
         assert len(trace) > 0
 
-    @pytest.mark.parametrize("engine", ["lazy", "compiled", "gss"])
+    @pytest.mark.parametrize("engine", ["lazy", "compiled"])
     def test_trace_honored_by_every_pool_backed_engine(self, engine):
         from repro.runtime.trace import Trace
 
@@ -88,6 +88,22 @@ class TestOutcome:
         trace = Trace()
         assert lang.parse("true or false", engine=engine, trace=trace).accepted
         assert len(trace) > 0, engine
+
+    def test_traced_gss_parse_answers_from_gss(self):
+        # gss records no LR moves: a trace must not reroute the parse
+        # through the (exponential on ambiguity) pool parser.
+        from repro.runtime.trace import Trace
+
+        lang = Language.from_text(BOOLEANS)
+        sentence = "true or true and false or true"
+        trace = Trace()
+        traced = lang.parse(sentence, engine="gss", trace=trace)
+        plain = lang.parse(sentence, engine="gss")
+        assert traced.engine == "gss"
+        assert traced.stats == plain.stats
+        assert "reductions_applied" in traced.stats
+        assert traced.to_payload()["ambiguity"] == plain.to_payload()["ambiguity"]
+        assert len(trace) == 0
 
 
 class TestEditing:

@@ -80,6 +80,36 @@ class TestCheckFloor:
         assert any("compiled" in p for p in problems)
 
 
+class TestGrowthCeiling:
+    FLOOR = {
+        "growth": [
+            {"tier": "gss", "numerator": "large", "denominator": "medium", "max_ratio": 35.0}
+        ]
+    }
+
+    @staticmethod
+    def report_with(medium_rate, large_rate):
+        return {
+            "inputs": {
+                "medium": {"tokens": 79, "tokens_per_sec": {"gss": medium_rate}},
+                "large": {"tokens": 239, "tokens_per_sec": {"gss": large_rate}},
+            }
+        }
+
+    def test_cubic_growth_passes(self):
+        # 3x the tokens at a ninth of the rate: 27x the time.
+        assert check_floor(self.report_with(9_000.0, 1_000.0), self.FLOOR) == []
+
+    def test_growth_over_the_ceiling_fails(self):
+        problems = check_floor(self.report_with(9_000.0, 100.0), self.FLOOR)
+        assert any("ceiling 35.0x" in p for p in problems)
+
+    def test_missing_input_reported(self):
+        report = self.report_with(9_000.0, 1_000.0)
+        del report["inputs"]["large"]
+        assert any("missing" in p for p in check_floor(report, self.FLOOR))
+
+
 class TestMeasureHotpath:
     def test_report_shape_and_speedups(self):
         report = measure_hotpath(

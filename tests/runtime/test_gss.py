@@ -1,9 +1,13 @@
 """The GSS GLR recognizer: agreement with the pool parser, merging."""
 
 
+import pytest
+
+from repro.api import Language
+from repro.bench.workloads import booleans_workload
 from repro.grammar.builders import grammar_from_text
 from repro.lr.generator import ConventionalGenerator
-from repro.runtime.gss import GSSParser, _paths, GSSNode
+from repro.runtime.gss import GSSParser, _labeled_paths, GSSNode
 from repro.runtime.parallel import PoolParser
 
 from ..conftest import toks
@@ -103,33 +107,99 @@ class TestMerging:
         parser = gss_for(ambiguous_expr)
         small = toks("n + n + n")
         large = toks(" ".join(["n"] + ["+ n"] * 12))
-        parser.recognize(small)
-        small_nodes = parser.last_stats["nodes_created"]
-        parser.recognize(large)
-        large_nodes = parser.last_stats["nodes_created"]
+        small_nodes = parser.recognize_result(small).stats.nodes_created
+        large_nodes = parser.recognize_result(large).stats.nodes_created
         # node growth is linear in input length, not Catalan
         assert large_nodes < small_nodes * 8
 
     def test_stats_populated(self, booleans):
         parser = gss_for(booleans)
-        parser.recognize(toks("true and true"))
-        assert parser.last_stats["nodes_created"] > 0
-        assert parser.last_stats["reductions_applied"] > 0
+        stats = parser.recognize_result(toks("true and true")).stats
+        assert stats.nodes_created > 0
+        assert stats.reductions_applied > 0
+
+    def test_each_reduction_path_walked_once(self):
+        # booleans medium: 40 operands, Catalan(39) trees.  Re-examining
+        # every vertex on each late edge walked 14.7 paths per reduction.
+        workload = booleans_workload()
+        stats = Language(workload.fresh_grammar()).recognize(
+            workload.inputs["medium"], engine="gss"
+        ).stats
+        assert (
+            stats["nodes_created"],
+            stats["edges_created"],
+            stats["reductions_applied"],
+        ) == (236, 1013, 10739)
+        assert stats["paths_walked"] <= 2 * stats["reductions_applied"]
+
+
+class TestLateEdges:
+    """An edge added to an examined vertex opens the paths that take it."""
+
+    # The ``A ::= y A C .`` vertex is examined before a late A-edge
+    # reaches the ``A ::= y A . C`` vertex below its ε-edge for C, so the
+    # A ::= y A C path must cross that zero-width edge to take the late
+    # one.
+    EPSILON_SPAN = """
+        START ::= A
+        A ::=
+        A ::= y A C
+        C ::=
+        C ::= y y y
+    """
+
+    @pytest.mark.parametrize(
+        "length, trees", [(0, 1), (1, 1), (2, 1), (3, 1), (4, 2), (5, 3), (8, 7)]
+    )
+    def test_path_through_an_epsilon_span(self, length, trees):
+        language = Language(grammar_from_text(self.EPSILON_SPAN))
+        sentence = " ".join(["y"] * length)
+        outcome = language.parse(sentence, engine="gss")
+        assert outcome.accepted == language.recognize(
+            sentence, engine="earley"
+        ).accepted
+        assert outcome.accepted
+        assert outcome.forest.tree_count() == trees
+
+
+def link(node, below, label=None):
+    node.edges.append(below)
+    node.labels.append(label)
 
 
 class TestPathEnumeration:
     def test_zero_length_path_is_node_itself(self):
         node = GSSNode("s")
-        assert _paths(node, 0) == [(node,)]
+        assert _labeled_paths(node, 0) == [(node, ())]
 
     def test_paths_follow_edges(self):
         a, b, c = GSSNode("a"), GSSNode("b"), GSSNode("c")
-        a.edges.append(b)
-        a.edges.append(c)
-        paths = _paths(a, 1)
-        assert (a, b) in paths and (a, c) in paths
+        link(a, b, "ab")
+        link(a, c, "ac")
+        paths = _labeled_paths(a, 1)
+        assert (b, ("ab",)) in paths and (c, ("ac",)) in paths
 
     def test_cycle_bounded_by_length(self):
         a = GSSNode("a")
-        a.edges.append(a)  # self-cycle
-        assert len(_paths(a, 3)) == 1  # exactly one (looping) path
+        link(a, a)  # self-cycle
+        assert len(_labeled_paths(a, 3)) == 1  # exactly one (looping) path
+
+    def test_via_keeps_only_paths_taking_the_edge(self):
+        # top and mid are on the current level (position 2); mid's edge to
+        # below spans no input, its edge to early spans two tokens.
+        early, below = GSSNode("early", 0), GSSNode("below", 2)
+        mid, top = GSSNode("mid", 2), GSSNode("top", 2)
+        link(mid, early, "m0")
+        link(mid, below, "m1")
+        link(below, early, "b0")
+        link(top, mid, "t")
+        assert len(_labeled_paths(top, 2)) == 2
+        # Through mid's new ε-edge only: the walk over the earlier
+        # edge is pruned before it leaves the level.
+        assert _labeled_paths(top, 2, mid, below) == [(below, ("m1", "t"))]
+        assert _labeled_paths(top, 3, mid, below) == [
+            (early, ("b0", "m1", "t"))
+        ]
+        assert _labeled_paths(top, 1, mid, below) == []
+        # A path that takes the edge first keeps going freely after it.
+        assert _labeled_paths(mid, 2, mid, below) == [(early, ("b0", "m1"))]
