@@ -11,8 +11,9 @@ trajectory is tracked across PRs:
 Every run also times tree rendering (``ParseForest.brackets``) for the
 429-tree booleans forest and the ASF.sdf tree, counts the forks of the
 ASF.sdf parse on ``compiled`` next to its same-run ``compiled``/``lazy``
-ratio (the SLR(1) step cells), and times ``compiled`` and ``gss`` on 500
-and 2,000 tokens of the right-recursive ``L ::= x L``.
+ratio (the SLR(1) step cells), times ``compiled`` and ``gss`` on 500
+and 2,000 tokens of the right-recursive ``L ::= x L``, and times a
+tree-mode parse plus payload of the four SDF inputs on both.
 
 CI smoke mode — booleans workload only, checked against the committed
 floor (fails when compiled, table or gss is less than 1.25x lazy in the
@@ -20,8 +21,10 @@ same run, when any tier regresses more than 3x, when rendering the
 ASF.sdf tree takes more than 1.5x the time of counting it, when the
 ASF.sdf parse forks more than the ceiling on ``compiled`` or ``compiled``
 falls under its floor against ``lazy`` there, when the right-recursive
-parse time grows more than its ceiling from 500 to 2,000 tokens, or when
-gss takes more than 35x its booleans medium time on large):
+parse time grows more than its ceiling from 500 to 2,000 tokens, when
+gss takes more than 35x its booleans medium time on large, or when a
+tree-mode parse plus payload of the four SDF inputs takes gss more than
+1.3x the time of ``compiled``):
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py \\
         --workload booleans --floor benchmarks/hotpath_floor.json
@@ -41,9 +44,11 @@ try:
         check_floor,
         check_render_floor,
         check_step_cell_floor,
+        check_tree_mode_floor,
         collect_hotpath_report,
         render_hotpath,
         render_step_cells,
+        render_tree_mode,
         render_tree_timings,
     )
 except ImportError:  # standalone invocation without PYTHONPATH=src
@@ -52,9 +57,11 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
         check_floor,
         check_render_floor,
         check_step_cell_floor,
+        check_tree_mode_floor,
         collect_hotpath_report,
         render_hotpath,
         render_step_cells,
+        render_tree_mode,
         render_tree_timings,
     )
 
@@ -90,8 +97,9 @@ def main(argv=None) -> int:
         help="floor JSON to check against (exit 1 on a same-run ratio "
         "against lazy under its floor, a >3x regression, a render/count "
         "ratio over its ceiling, a step-cell fork count or "
-        "right-recursion growth over its ceiling, or gss growth from "
-        "medium to large over its ceiling)",
+        "right-recursion growth over its ceiling, gss growth from "
+        "medium to large over its ceiling, or gss over its SDF tree-mode "
+        "ceiling against compiled)",
     )
     args = parser.parse_args(argv)
 
@@ -104,6 +112,8 @@ def main(argv=None) -> int:
     print(render_tree_timings(report["render"]))
     print()
     print(render_step_cells(report))
+    print()
+    print(render_tree_mode(report["tree_mode"]))
     print()
 
     if not args.no_output:
@@ -123,6 +133,7 @@ def main(argv=None) -> int:
             )
             + check_render_floor(report["render"], floor)
             + check_step_cell_floor(report, floor)
+            + check_tree_mode_floor(report, floor)
         )
         if problems:
             print("floor check: FAIL")

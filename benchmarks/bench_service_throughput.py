@@ -2,10 +2,14 @@
 
 Two measurement modes:
 
-**Dispatcher mode** (the PR 1 claim): one single-threaded
+**Dispatcher mode**: one single-threaded
 :class:`~repro.service.Dispatcher` serving the interleaved workload, with
 a cache-disabled run alongside so the result cache's contribution stays
-visible.
+visible, and a second cache-disabled run whose parses and recognitions
+name ``"engine": "gss"`` and ``"max_trees": 1`` (:func:`pinned`).  The
+default uncached run over the pinned one, measured in the same run, is
+the ``default_vs_pinned`` ratio: a request that names nothing must cost
+about what the fastest explicit request costs.
 
 **Concurrent mode** (the PR 4 claim): the same workload split across
 concurrent client threads driving a sharded
@@ -17,11 +21,11 @@ number is the N-worker / 1-worker throughput ratio *measured in the same
 run on the same machine*.
 
 ``--floor benchmarks/service_floor.json`` turns the run into a CI gate:
-the same-run ratio must clear a floor (scaled down when the runner has
-fewer cores than workers — a 1-core container cannot exhibit a 4-way
-speedup, and pretending otherwise would just make the gate meaningless
-noise), and absolute requests/sec floors with ~3× slack catch gross
-regressions that machine-independent ratios cannot.
+the same-run ratios must clear their floors (the sharding ratio scaled
+down when the runner has fewer cores than workers — a 1-core container
+cannot exhibit a 4-way speedup, and pretending otherwise would just make
+the gate meaningless noise), and absolute requests/sec floors with ~3×
+slack catch gross regressions that machine-independent ratios cannot.
 
 Run under pytest-benchmark::
 
@@ -91,6 +95,19 @@ def run_workload(requests, cache_capacity: int = 4096):
         "cache_hits": stats.hits,
         "cache_lookups": stats.lookups,
     }
+
+
+def pinned(requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """``requests`` with every parse and recognition pinned to ``gss``
+    and every parse to one tree: the cheapest explicit spelling."""
+    pinned_requests = []
+    for request in requests:
+        if request.get("cmd") == "parse":
+            request = {**request, "engine": "gss", "max_trees": 1}
+        elif request.get("cmd") == "recognize":
+            request = {**request, "engine": "gss"}
+        pinned_requests.append(request)
+    return pinned_requests
 
 
 # -- the concurrent-clients mode -------------------------------------------
@@ -218,6 +235,7 @@ def check_floor(
     floor_path: str,
     concurrent: Dict[int, Dict[str, Any]],
     ratio: Optional[float],
+    default_vs_pinned: Optional[float] = None,
 ) -> List[str]:
     """Violation messages (empty = the gate passes)."""
     with open(floor_path) as handle:
@@ -239,6 +257,17 @@ def check_floor(
             f"(committed {floor.get('min_ratio')}, scaled for "
             f"{cpu_count} cores)"
         )
+    minimum_vs_pinned = floor.get("min_default_vs_pinned")
+    if minimum_vs_pinned is not None:
+        if default_vs_pinned is None:
+            failures.append(
+                "no default-vs-pinned ratio measured (dispatcher mode skipped)"
+            )
+        elif default_vs_pinned < minimum_vs_pinned:
+            failures.append(
+                f"default uncached run is {default_vs_pinned:.2f}x the "
+                f"gss + max_trees 1 run, below floor {minimum_vs_pinned}"
+            )
     for key, minimum in floor.get("min_requests_per_second", {}).items():
         workers = int(key)
         result = concurrent.get(workers)
@@ -323,6 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "concurrent": {},
     }
 
+    default_vs_pinned: Optional[float] = None
     if not options.skip_dispatcher:
         requests = service_requests(
             sessions=SESSIONS, requests_per_session=REQUESTS_PER_SESSION, seed=0
@@ -332,8 +362,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{REQUESTS_PER_SESSION} interleaved edit/parse requests "
             f"({len(requests)} requests total)"
         )
-        for label, capacity in (("cached", 4096), ("uncached", 1)):
-            result = run_workload(requests, cache_capacity=capacity)
+        for label, stream, capacity in (
+            ("cached", requests, 4096),
+            ("uncached", requests, 1),
+            ("pinned", pinned(requests), 1),
+        ):
+            result = run_workload(stream, cache_capacity=capacity)
             report["dispatcher"][label] = {
                 key: round(value, 4) if isinstance(value, float) else value
                 for key, value in result.items()
@@ -344,6 +378,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({result['cache_hits']}/{result['cache_lookups']})   "
                 f"errors {result['errors']}"
             )
+        runs = report["dispatcher"]
+        if runs["pinned"]["requests_per_second"]:
+            default_vs_pinned = (
+                runs["uncached"]["requests_per_second"]
+                / runs["pinned"]["requests_per_second"]
+            )
+            report["default_vs_pinned"] = round(default_vs_pinned, 4)
+            print(f"  default/pinned uncached = {default_vs_pinned:.2f}x")
 
     concurrent_traffic = service_requests(
         sessions=CONCURRENT_SESSIONS,
@@ -387,7 +429,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     status = 0
     if options.floor:
-        failures = check_floor(options.floor, by_workers, ratio)
+        failures = check_floor(
+            options.floor, by_workers, ratio, default_vs_pinned
+        )
         report["floor"] = {
             "path": options.floor,
             "failures": failures,

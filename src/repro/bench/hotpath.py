@@ -36,6 +36,10 @@ same-run ``compiled``/``lazy`` ratio on that input, and
 :func:`measure_right_recursion` times ``compiled`` and ``gss`` on a
 right-recursive list at two lengths, whose ratio tells linear from
 quadratic on any machine.
+
+:func:`measure_tree_mode` times a plain service parse of the SDF corpus,
+tree building and payload included, on ``gss`` against ``compiled`` in
+the same run: the ratio guards gss's deterministic stretch in tree mode.
 """
 
 from __future__ import annotations
@@ -362,6 +366,47 @@ def measure_right_recursion(repeats: int = 5) -> Dict[str, Any]:
     return report
 
 
+def measure_tree_mode(repeats: int = 5) -> Dict[str, Any]:
+    """Best-of-``repeats`` ms per tree-mode parse plus ``to_payload`` of
+    the four SDF corpus inputs, on ``compiled`` and ``gss``.
+
+    This is what a plain service parse runs: the engine builds the
+    forest, then the payload counts and renders it.  Both engines share
+    one :class:`~repro.api.Language`, and each round times every
+    (engine, input) pair once.  Returns ``{"inputs", "unit", "ms":
+    {engine: ms summed over the inputs}, "gss_vs_compiled": ratio}``.
+    """
+    workload = sdf_workload()
+    language = Language(workload.fresh_grammar())
+    engines = ("compiled", "gss")
+    best: Dict[str, Dict[str, float]] = {
+        engine: {name: float("inf") for name in workload.inputs}
+        for engine in engines
+    }
+    for name, tokens in workload.inputs.items():
+        for engine in engines:
+            if not language.parse(tokens, engine=engine).accepted:
+                raise ValueError(f"tree-mode input {name!r} rejected by {engine!r}")
+    for _ in range(repeats):
+        for engine in engines:
+            for name, tokens in workload.inputs.items():
+                started = time.perf_counter()
+                language.parse(tokens, engine=engine).to_payload()
+                elapsed = time.perf_counter() - started
+                if elapsed < best[engine][name]:
+                    best[engine][name] = elapsed
+    ms = {
+        engine: round(sum(per_input.values()) * 1e3, 3)
+        for engine, per_input in best.items()
+    }
+    return {
+        "inputs": list(workload.inputs),
+        "unit": "ms per parse + to_payload, summed over the inputs (best of warm repeats)",
+        "ms": ms,
+        "gss_vs_compiled": round(ms["gss"] / ms["compiled"], 3),
+    }
+
+
 def collect_hotpath_report(
     repeats: int = 5, workload_names: Optional[Sequence[str]] = None
 ) -> Dict[str, Any]:
@@ -371,8 +416,9 @@ def collect_hotpath_report(
     input lists — both ``benchmarks/bench_parse_hotpath.py`` and
     ``benchmarks/collect_experiments.py`` write the repo-root JSON through
     this function, so the tracked artifact never depends on which entry
-    point ran last.  The ``render``, ``lookahead`` and ``right_recursion``
-    sections are measured whatever ``workload_names`` selects.
+    point ran last.  The ``render``, ``lookahead``, ``right_recursion``
+    and ``tree_mode`` sections are measured whatever ``workload_names``
+    selects.
     """
     factories = {"sdf": sdf_workload, "booleans": booleans_workload}
     names = list(workload_names) if workload_names is not None else list(factories)
@@ -391,6 +437,7 @@ def collect_hotpath_report(
         "render": measure_render(repeats=repeats),
         "lookahead": measure_lookahead(repeats=repeats),
         "right_recursion": measure_right_recursion(repeats=repeats),
+        "tree_mode": measure_tree_mode(repeats=repeats),
     }
 
 
@@ -543,6 +590,34 @@ def check_render_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
                 f"the same forest (floor allows <= {max_ratio}x)"
             )
     return problems
+
+
+def render_tree_mode(report: Dict[str, Any]) -> str:
+    """ASCII rendering of a :func:`measure_tree_mode` report."""
+    ms = report["ms"]
+    return "\n".join([
+        f"SDF tree mode (parse + to_payload, {len(report['inputs'])} inputs)",
+        *(f"  {engine:9s} {value:>9.2f} ms" for engine, value in ms.items()),
+        f"  gss/compiled {report['gss_vs_compiled']:.2f}x",
+    ])
+
+
+def check_tree_mode_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
+    """Failure strings for the ``tree_mode`` section against the floor
+    file's ``tree_mode.max_gss_vs_compiled`` (a same-run time ratio)."""
+    ceiling = floor.get("tree_mode", {}).get("max_gss_vs_compiled")
+    if ceiling is None:
+        return []
+    tree_mode = report.get("tree_mode")
+    if tree_mode is None:
+        return ["tree_mode section missing from the report"]
+    if tree_mode["gss_vs_compiled"] > ceiling:
+        return [
+            f"tree_mode: gss takes {tree_mode['gss_vs_compiled']:.2f}x the "
+            f"time of compiled on the SDF inputs in this run (ceiling "
+            f"{ceiling}x)"
+        ]
+    return []
 
 
 def check_step_cell_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:

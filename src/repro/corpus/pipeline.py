@@ -79,7 +79,8 @@ def distill(response: Dict[str, Any]) -> Dict[str, Any]:
             for label in _NODE_LABEL.findall(tree):
                 counts[label] = counts.get(label, 0) + 1
         payload["trees"] = trees
-        payload["tree_count"] = len(trees)
+        # The forest's count: the trees are a bounded rendering of it.
+        payload["tree_count"] = response.get("tree_count", len(trees))
         payload["nonterminals"] = counts
     else:
         diagnostics = response.get("diagnostics")

@@ -52,10 +52,16 @@ class Deadline:
     def remaining_ms(self) -> float:
         return max(0.0, (self.expires_at - time.monotonic()) * 1000.0)
 
-    def exceed(self, tokens_consumed: int) -> "DeadlineExceeded":
+    def exceed(self, tokens_consumed: Optional[int] = None) -> "DeadlineExceeded":
+        """The error to raise; ``tokens_consumed`` is None past the parse
+        (a layer that runs on a finished forest)."""
+        progress = (
+            "while rendering trees"
+            if tokens_consumed is None
+            else f"after consuming {tokens_consumed} token(s)"
+        )
         return DeadlineExceeded(
-            f"deadline of {self.ms:g} ms exceeded after consuming "
-            f"{tokens_consumed} token(s)",
+            f"deadline of {self.ms:g} ms exceeded {progress}",
             deadline_ms=self.ms,
             tokens_consumed=tokens_consumed,
         )

@@ -31,6 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..grammar.rules import Rule
 from ..grammar.symbols import Symbol, Terminal
+from .deadline import active_deadline
 from .errors import CyclicForestError, ForestCapExceeded
 
 #: Hard ceiling for ``trees(limit=None)`` / unbounded enumeration.  A
@@ -130,7 +131,7 @@ class Forest:
 
     def node(self, rule: Rule, children: Sequence[Tree]) -> ParseNode:
         children_tuple = tuple(children)
-        key = (rule, tuple(id(child) for child in children_tuple))
+        key = (rule, tuple(map(id, children_tuple)))
         node = self._nodes.get(key)
         if node is None:
             node = ParseNode(rule, children_tuple)
@@ -490,9 +491,19 @@ class ParseForest:
 
     def brackets(self, limit: Optional[int] = None) -> List[str]:
         """Sorted bracketed renderings (see :func:`bracketed`) of the
-        trees :meth:`trees` would yield, rendered by :func:`_render`."""
+        trees :meth:`trees` would yield, rendered by :func:`_render`.
+
+        The request deadline is polled once per rendered tree.
+        """
         counts, indices = self._enumeration(limit)
-        return sorted(_render(root, index, counts) for root, index in indices)
+        deadline = active_deadline()
+        rendered = []
+        for root, index in indices:
+            if deadline is not None and deadline.expired():
+                raise deadline.exceed()
+            rendered.append(_render(root, index, counts))
+        rendered.sort()
+        return rendered
 
     def _enumeration(
         self, limit: Optional[int]

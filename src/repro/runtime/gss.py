@@ -15,12 +15,14 @@ the examined vertices' paths that take it.  It also has a parse mode:
 
 * **Shared packed forests.**  Every GSS edge carries a forest label: shift
   edges the interned :class:`~repro.grammar.symbols.Terminal` they
-  consumed, reduction edges a :class:`~repro.runtime.forest.PackedNode`
-  keyed by ``(lhs, start, end)`` — Rekers-style packing per nonterminal
-  span.  Ambiguous derivations of the same span collapse into one packed
-  node, so the forest stays polynomial even when the tree count is
-  exponential, and alternatives discovered late are visible to parents
-  built earlier.
+  consumed, reduction edges of the general sweep a
+  :class:`~repro.runtime.forest.PackedNode` keyed by ``(lhs, start, end)``
+  — Rekers-style packing per nonterminal span.  Ambiguous derivations of
+  the same span collapse into one packed node, so the forest stays
+  polynomial even when the tree count is exponential, and alternatives
+  discovered late are visible to parents built earlier.  Reductions of
+  the deterministic stretch are labelled with the plain parse node: no
+  span they close can gain a second derivation.
 * **Deterministic stretch.**  While exactly one stack top is live and
   the compiled step cache holds a single step (its cells are SLR(1):
   reduces outside FOLLOW are filtered out), the parser runs a plain LR
@@ -57,13 +59,20 @@ class GSSNode:
 
     __slots__ = ("state", "edges", "labels", "position")
 
-    def __init__(self, state: Any, position: int = 0) -> None:
+    def __init__(
+        self,
+        state: Any,
+        position: int = 0,
+        below: Optional["GSSNode"] = None,
+        label: Optional[TreeNode] = None,
+    ) -> None:
         self.state = state
-        #: predecessor vertices (the cells "below" this one)
-        self.edges: List["GSSNode"] = []
+        #: predecessor vertices (the cells "below" this one); ``below``
+        #: is the first
+        self.edges: List["GSSNode"] = [] if below is None else [below]
         #: forest label per edge (parallel to :attr:`edges`); ``None`` in
         #: recognition mode
-        self.labels: List[Optional[TreeNode]] = []
+        self.labels: List[Optional[TreeNode]] = [] if below is None else [label]
         #: tokens consumed when this vertex was created (the *end* of the
         #: span any reduction over it packs)
         self.position = position
@@ -263,14 +272,14 @@ class GSSParser:
                         break
                     kind = step[0]
                     if kind == STEP_SHIFT:
-                        target = GSSNode(step[1], position + 1)
-                        nodes_created += 1
-                        target.edges.append(node)
-                        target.labels.append(
-                            symbol if forest is not None else None
+                        node = GSSNode(
+                            step[1],
+                            position + 1,
+                            node,
+                            symbol if forest is not None else None,
                         )
+                        nodes_created += 1
                         edges_created += 1
-                        node = target
                         position += 1
                         # A shift never consumes the end-marker, so the
                         # next symbol always exists.
@@ -305,23 +314,21 @@ class GSSParser:
                                 goto_state = control_goto(base.state, lhs)
                         else:
                             goto_state = control_goto(base.state, lhs)
-                        target = GSSNode(goto_state, position)
-                        nodes_created += 1
+                        # A plain node, not a one-alternative packed one:
+                        # a span ending before this position never gains
+                        # another derivation, and a bail replays this
+                        # position's reductions in the sweep, which packs.
                         if forest is not None:
-                            packed = forest.packed(lhs, base.position, position)
-                            packed.add(
-                                forest.node(
-                                    rule, tuple(reversed(chain_labels))
-                                )
+                            chain_labels.reverse()
+                            label: Optional[TreeNode] = forest.node(
+                                rule, chain_labels
                             )
-                            label: Optional[TreeNode] = packed
                         else:
                             label = None
-                        target.edges.append(base)
-                        target.labels.append(label)
+                        node = GSSNode(goto_state, position, base, label)
+                        nodes_created += 1
                         edges_created += 1
                         reductions_applied += 1
-                        node = target
                         # Only reduces of arity < 2 can loop without
                         # shrinking the chain (see PoolParser.run).
                         if arity < 2:

@@ -18,9 +18,11 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
-#: Cache key: (session name, grammar version, mode[:engine], token names,
+#: Cache key: (session name, grammar version, mode:engine, token names,
 #: raw source text — None for token-list inputs, ``max_trees`` bound —
-#: None when unbounded).  The text participates because rejection
+#: None for recognitions).  The engine and the bound are the resolved
+#: ones, so spelling out what a request resolves to is the same key.
+#: The text participates because rejection
 #: payloads carry line/column/offset diagnostics that depend on the exact
 #: spelling, not just the token names; ``max_trees`` participates because
 #: differently-bounded enumerations produce different ``trees`` lists

@@ -25,6 +25,7 @@ from .protocol import (
     ProtocolError,
     ServiceError,
     flag_of,
+    max_trees_of,
     require,
     session_of,
     sorts_of,
@@ -272,7 +273,8 @@ class Dispatcher:
 
     @staticmethod
     def _engine_of(request: Dict[str, Any]) -> Optional[str]:
-        """The validated ``engine`` field, or None for the session default."""
+        """The validated ``engine`` field, or None when the request names
+        none (the session resolves it, see ``ParseSession.engine_for``)."""
         engine = request.get("engine")
         if engine is None:
             return None
@@ -284,18 +286,6 @@ class Dispatcher:
             )
         return engine
 
-    @staticmethod
-    def _max_trees_of(request: Dict[str, Any]) -> Optional[int]:
-        """The validated v7 ``max_trees`` bound, or None for unbounded."""
-        value = request.get("max_trees")
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ProtocolError(
-                f"'max_trees' must be a positive integer, got {value!r}"
-            )
-        return value
-
     def _parse(self, request: Dict[str, Any]) -> Dict[str, Any]:
         name = require(request, "session")
         payload, cached = self.workspace.parse(
@@ -304,7 +294,7 @@ class Dispatcher:
             engine=self._engine_of(request),
             checkpoint=flag_of(request, "checkpoint"),
             use_cache=flag_of(request, "cache", True),
-            max_trees=self._max_trees_of(request),
+            max_trees=max_trees_of(request),
         )
         return self._parse_response(name, payload, cached)
 
@@ -338,7 +328,7 @@ class Dispatcher:
             end,
             replacement,
             engine=self._engine_of(request),
-            max_trees=self._max_trees_of(request),
+            max_trees=max_trees_of(request),
         )
         return self._parse_response(name, payload, cached)
 
@@ -386,7 +376,7 @@ class Dispatcher:
         for tokens in inputs:
             token_input(tokens, "each 'inputs' entry")
         engine = self._engine_of(request)
-        max_trees = self._max_trees_of(request)
+        max_trees = max_trees_of(request)
         results = []
         hits = 0
         for tokens in inputs:

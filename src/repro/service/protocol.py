@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from ..runtime.forest import ENUMERATION_CAP
+
 #: Version of the request/response protocol, reported by ``info``.
 #: Version 2: parse/recognize accept an optional ``engine`` field
 #: (validated against the :mod:`repro.api` registry), rejected parses
@@ -65,7 +67,21 @@ from typing import Any, Dict, Iterator, List, Optional, Union
 #: fast-path flag; a restored session answers through the same engines
 #: as the session it was taken from.  Snapshot files carrying a v7
 #: ``table`` still restore (the table is ignored).
-PROTOCOL_VERSION = 8
+#: Version 9 (v8-compatible for requests): bounded answers by default.
+#: A ``parse``, ``edit-parse`` or ``batch-parse`` without ``max_trees``
+#: renders :data:`DEFAULT_MAX_TREES` tree(s); ``ambiguity.tree_count``
+#: still counts the whole forest, so a client asks for more with an
+#: explicit ``max_trees`` (at most the forest enumeration cap, larger
+#: bounds are refused).  A ``parse``, ``recognize`` or ``batch-parse``
+#: with neither ``engine`` nor ``"checkpoint": true`` runs on ``gss``;
+#: checkpointed requests and ``edit-parse`` keep the session's default
+#: engine (``compiled``).  Cache keys and result ids name the bound and
+#: the engine a request resolves to, so naming either explicitly is the
+#: same request as leaving it out.
+PROTOCOL_VERSION = 9
+
+#: Trees a parse-shaped request renders when it names no ``max_trees``.
+DEFAULT_MAX_TREES = 1
 
 #: Commands the dispatcher understands (documented in README.md).
 COMMANDS = (
@@ -172,6 +188,27 @@ def flag_of(request: Dict[str, Any], field: str, default: bool = False) -> bool:
     if not isinstance(value, bool):
         raise ProtocolError(
             f"{field!r} must be a boolean, got {type(value).__name__}"
+        )
+    return value
+
+
+def max_trees_of(request: Dict[str, Any]) -> int:
+    """The ``max_trees`` bound a parse-shaped request renders under.
+
+    Absent (or null) is :data:`DEFAULT_MAX_TREES`.  A bound over the
+    forest enumeration cap is refused: rendering that many trees would
+    outlast any deadline the request could carry.
+    """
+    value = request.get("max_trees")
+    if value is None:
+        return DEFAULT_MAX_TREES
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ProtocolError(
+            f"'max_trees' must be a positive integer, got {value!r}"
+        )
+    if value > ENUMERATION_CAP:
+        raise ProtocolError(
+            f"'max_trees' must be at most {ENUMERATION_CAP}, got {value}"
         )
     return value
 

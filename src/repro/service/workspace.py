@@ -26,6 +26,9 @@ from ..grammar.rules import Rule
 from .cache import CacheKey, ResultCache
 from .protocol import ServiceError, SessionNotFound
 
+#: The engine a plain (uncheckpointed) request runs on when it names none.
+PLAIN_ENGINE = "gss"
+
 #: Callback invoked (with the session) after every grammar modification.
 ModifyListener = Callable[["ParseSession"], None]
 
@@ -162,10 +165,19 @@ class ParseSession:
         payload.pop("trees_built", None)
         return payload
 
-    def _engine_key(self, engine: Optional[str]) -> Optional[str]:
-        """``engine`` as cache keys and result ids spell it: naming the
-        default engine is the same request as naming none."""
-        return None if engine == self.language.default_engine else engine
+    def engine_for(self, engine: Optional[str], checkpoint: bool = False) -> str:
+        """The engine a request runs on: ``engine`` when it names one.
+
+        Otherwise a plain request runs on ``gss``, whose packed forest
+        counts ambiguity lazily, and a checkpointed one on the language's
+        default engine, the production engine with checkpoints (an
+        ``edit-parse`` then stays on its base's engine).  Cache keys and
+        result ids spell this name, so naming the engine a request would
+        run on anyway is the same request as naming none.
+        """
+        if engine is not None:
+            return engine
+        return self.language.default_engine if checkpoint else PLAIN_ENGINE
 
     # -- incremental re-parsing (checkpoint store) -------------------------
 
@@ -208,11 +220,12 @@ class ParseSession:
         ``"recognize"`` mode checkpoints carry pure state frontiers, the
         regime where an edit re-converges a token or two past the damage.
         """
+        engine = self.engine_for(engine, checkpoint=True)
         lexed = self.language.lex(tokens)
         result_id = self._result_id(
             mode,
             self.version,
-            self._engine_key(engine) or "",
+            engine,
             [t.name for t in lexed.terminals],
             lexed.text,
             max_trees,
@@ -281,10 +294,12 @@ class ParseSession:
             if isinstance(replacement, str)
             else [getattr(t, "name", str(t)) for t in replacement]
         )
+        if engine is None:
+            engine = held[0].engine  # an edit re-parses on its base's engine
         result_id = self._result_id(
             "edit",
             self.version,
-            self._engine_key(engine) or "",
+            engine,
             base,
             start,
             end,
@@ -458,7 +473,7 @@ class Workspace:
         max_trees: Optional[int] = None,
     ) -> Tuple[Dict[str, Any], bool]:
         session = self.get(name)
-        engine = session._engine_key(engine)
+        engine = session.engine_for(engine)
         lexed = session.language.lex(tokens)
         if not use_cache:
             # Korp's ``cache=false``: bulk/corpus traffic must neither
@@ -472,8 +487,8 @@ class Workspace:
             return payload, False
         # The engine participates in the key: payloads differ across
         # engines (tree availability, reported engine name), so a cached
-        # answer for one engine must never serve another (the default
-        # engine, named or not, is one key).  So does the
+        # answer for one engine must never serve another (the engine a
+        # request resolves to, named or not, is one key).  So does the
         # raw source text: two inputs whose tokens merely match by name
         # ("true\nor" vs "true or", or a token list) produce different
         # line/column/offset diagnostics, and a cached rejection must
@@ -482,7 +497,7 @@ class Workspace:
         key: CacheKey = (
             name,
             session.version,
-            mode if engine is None else f"{mode}:{engine}",
+            f"{mode}:{engine}",
             tuple(t.name for t in lexed.terminals),
             lexed.text,
             max_trees,

@@ -4,11 +4,14 @@ from repro.bench.hotpath import (
     check_floor,
     check_render_floor,
     check_step_cell_floor,
+    check_tree_mode_floor,
     measure_hotpath,
     measure_lookahead,
     measure_render,
     measure_right_recursion,
+    measure_tree_mode,
     render_step_cells,
+    render_tree_mode,
     render_tree_timings,
 )
 from repro.bench.workloads import booleans_workload
@@ -224,3 +227,29 @@ class TestStepCells:
             assert set(data["ms"]) == {"500", "2000"}
             assert data["growth"] > 0
         assert "growth" in render_step_cells(report)
+
+
+class TestTreeMode:
+    FLOOR = {"tree_mode": {"max_gss_vs_compiled": 1.3}}
+
+    def report_with(self, ratio):
+        return {"tree_mode": {"gss_vs_compiled": ratio}}
+
+    def test_ratio_under_ceiling_passes(self):
+        assert check_tree_mode_floor(self.report_with(1.05), self.FLOOR) == []
+
+    def test_packed_stretch_ratio_fails(self):
+        problems = check_tree_mode_floor(self.report_with(2.1), self.FLOOR)
+        assert len(problems) == 1 and "2.10x" in problems[0]
+
+    def test_missing_section_reported(self):
+        problems = check_tree_mode_floor({}, self.FLOOR)
+        assert problems and "missing" in problems[0]
+
+    def test_report_shape(self):
+        report = measure_tree_mode(repeats=1)
+        assert len(report["inputs"]) == 4
+        assert set(report["ms"]) == {"compiled", "gss"}
+        assert all(ms > 0 for ms in report["ms"].values())
+        assert report["gss_vs_compiled"] > 0
+        assert "gss/compiled" in render_tree_mode(report)

@@ -140,6 +140,18 @@ class TestParserEnforcement:
             with pytest.raises(DeadlineExceeded):
                 parser.recognize(tokens)
 
+    def test_rendering_honors_deadline(self):
+        outcome = ambiguous_language().parse("x x x x x", engine="gss")
+        assert outcome.forest.tree_count() == 14
+        # Already expired: the first per-tree poll trips, with no token
+        # count because the parse had finished.
+        with deadline_scope(1):
+            time.sleep(0.01)
+            with pytest.raises(DeadlineExceeded) as info:
+                outcome.brackets(10)
+        assert info.value.tokens_consumed is None
+        assert "rendering" in str(info.value)
+
     def test_incremental_sweep_honors_deadline(self):
         from repro.service.workspace import Workspace
 

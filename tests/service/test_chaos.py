@@ -194,7 +194,7 @@ class TestCrashRecovery:
             assert crashed["error"] == "shard-restarting"
             assert wait_for_state(scheduler.shards[0], "ok")
             after = call_with_retries(scheduler.handle, dict(request))
-            assert after["engine"] == before["engine"] == "compiled"
+            assert after["engine"] == before["engine"] == "gss"  # plain parse
             assert after["trees"] == before["trees"]
             assert after["version"] == before["version"]
 

@@ -1,7 +1,8 @@
 """The JSON request protocol: golden exchanges, caching, invalidation."""
 
 from repro.service import Dispatcher, ProtocolError, iter_requests
-from repro.service.protocol import parse_request
+from repro.runtime.forest import ENUMERATION_CAP
+from repro.service.protocol import DEFAULT_MAX_TREES, encode, parse_request
 
 import pytest
 
@@ -298,15 +299,25 @@ class TestForestProtocol:
     AMBIGUOUS = "true or true or true or true"  # Catalan(3) = 5 parses
 
     def test_ambiguity_object_counts_the_whole_forest(self, booleans_dispatcher):
+        # Protocol v9: no max_trees renders DEFAULT_MAX_TREES trees, but
+        # the count covers the whole forest, so a client knows to ask.
         response = booleans_dispatcher.handle(
             {"cmd": "parse", "session": "s1", "tokens": self.AMBIGUOUS}
         )
         assert response["accepted"] is True
         assert response["ambiguity"] == {
-            "tree_count": 5, "enumerated": 5, "truncated": False,
+            "tree_count": 5, "enumerated": DEFAULT_MAX_TREES, "truncated": True,
         }
         assert response["tree_count"] == 5
-        assert len(response["trees"]) == 5
+        assert len(response["trees"]) == DEFAULT_MAX_TREES
+        everything = booleans_dispatcher.handle(
+            {"cmd": "parse", "session": "s1", "tokens": self.AMBIGUOUS,
+             "max_trees": response["tree_count"]}
+        )
+        assert everything["ambiguity"] == {
+            "tree_count": 5, "enumerated": 5, "truncated": False,
+        }
+        assert set(response["trees"]) < set(everything["trees"])
 
     def test_max_trees_truncates_enumeration_not_the_count(
         self, booleans_dispatcher
@@ -333,11 +344,56 @@ class TestForestProtocol:
         # A differently-bounded request must not be served the entry.
         response = booleans_dispatcher.handle(unbounded)
         assert response["cache"] is False
-        assert len(response["trees"]) == 5
+        assert len(response["trees"]) == DEFAULT_MAX_TREES
         assert booleans_dispatcher.handle(bounded)["cache"] is True
+        # The key holds the resolved bound: naming the default is the
+        # same request as leaving it out.
+        named = booleans_dispatcher.handle(
+            {**unbounded, "max_trees": DEFAULT_MAX_TREES}
+        )
+        assert named["cache"] is True
+        assert named["trees"] == response["trees"]
+
+    def test_default_answer_survives_a_grammar_round_trip(
+        self, booleans_dispatcher
+    ):
+        # The one tree a bounded answer picks must not depend on the
+        # order lazy regeneration rebuilt the states in.
+        request = {"cmd": "parse", "session": "s1",
+                   "tokens": " or ".join(["true", "false"] * 4)}
+
+        def answer():
+            response = booleans_dispatcher.handle(request)
+            assert response["cache"] is False
+            assert response["ambiguity"]["tree_count"] == 429
+            for volatile in ("time", "version"):
+                del response[volatile]
+            return encode(response)
+
+        before = answer()
+        for cmd in ("add-rule", "delete-rule"):
+            booleans_dispatcher.handle(
+                {"cmd": cmd, "session": "s1", "rule": "B ::= maybe"}
+            )
+        assert answer() == before
+
+    def test_rendering_answers_within_the_deadline(self, booleans_dispatcher):
+        # 12 operands pack Catalan(11) = 58,786 trees; rendering 10,000
+        # of them takes several times the budget, so the per-tree poll is
+        # what answers in time.
+        budget_ms = 100
+        response = booleans_dispatcher.handle(
+            {"cmd": "parse", "session": "s1",
+             "tokens": " or ".join(["true"] * 12),
+             "max_trees": ENUMERATION_CAP, "deadline_ms": budget_ms}
+        )
+        assert response["error"] == "deadline-exceeded", response
+        assert response["deadline_ms"] == budget_ms
+        assert "tokens_consumed" not in response    # the parse had finished
+        assert response["time"] * 1000 < 3 * budget_ms
 
     def test_bad_max_trees_is_a_protocol_error(self, booleans_dispatcher):
-        for bad in (0, -3, "two", True):
+        for bad in (0, -3, "two", True, ENUMERATION_CAP + 1, 1_000_000):
             response = booleans_dispatcher.handle(
                 {"cmd": "parse", "session": "s1", "tokens": "true",
                  "max_trees": bad}
@@ -385,7 +441,7 @@ class TestDiagnosticsAndEngines:
             {"cmd": "parse", "session": "s1", "tokens": "true"}
         )
         assert "diagnostics" not in response
-        assert response["engine"] == "compiled"
+        assert response["engine"] == "gss"          # a plain request
 
     def test_recognize_diagnostics_track_edits(self, booleans_dispatcher):
         request = {"cmd": "recognize", "session": "s1", "tokens": "true or"}
@@ -458,14 +514,28 @@ class TestDiagnosticsAndEngines:
     def test_naming_the_default_engine_shares_the_cache(
         self, booleans_dispatcher, variant
     ):
+        # Plain requests resolve to gss, checkpointed ones to compiled.
+        resolved = "compiled" if variant.get("checkpoint") else "gss"
         request = {"session": "s1", "tokens": "true or false", **variant}
-        named = booleans_dispatcher.handle({**request, "engine": "compiled"})
+        named = booleans_dispatcher.handle({**request, "engine": resolved})
         unnamed = booleans_dispatcher.handle(request)
         assert named["cache"] is False
         assert unnamed["cache"] is True
+        assert unnamed["engine"] == resolved
         for response in (named, unnamed):
             del response["time"], response["cache"]
         assert named == unnamed                 # including any result id
+
+    def test_naming_compiled_on_a_plain_parse_is_its_own_entry(
+        self, booleans_dispatcher
+    ):
+        request = {"cmd": "parse", "session": "s1", "tokens": "true or false"}
+        plain = booleans_dispatcher.handle(request)
+        compiled = booleans_dispatcher.handle({**request, "engine": "compiled"})
+        assert plain["engine"] == "gss"
+        assert compiled["engine"] == "compiled"
+        assert compiled["cache"] is False       # never gss's entry
+        assert compiled["trees"] == plain["trees"]
 
     def test_batch_parse_with_engine_and_diagnostics(self, booleans_dispatcher):
         response = booleans_dispatcher.handle(
@@ -511,7 +581,7 @@ class TestIntrospection:
 
     def test_info(self, booleans_dispatcher):
         server = booleans_dispatcher.handle({"cmd": "info"})
-        assert server["protocol"] == 8
+        assert server["protocol"] == 9
         assert "parse" in server["commands"]
         assert "corpus-query" in server["commands"]
         assert "metrics-export" in server["commands"]

@@ -161,7 +161,7 @@ class TestRequestTracing:
         trees_before, chars_before = rendered()
         response = worked_dispatcher.handle(
             {"cmd": "parse", "session": "s1", "tokens": "true or true or true",
-             "trace": True}
+             "trace": True, "max_trees": 2}
         )
         (render,) = [c for c in response["trace"]["children"]
                      if c["name"] == "render"]

@@ -145,7 +145,7 @@ class TestThroughTheProtocol:
         cold = d.handle({"cmd": "parse", "session": "s1", "tokens": "n + n"})
         warm = d.handle({"cmd": "parse", "session": "warm", "tokens": "n + n"})
         assert warm["accepted"] and warm["trees"] == cold["trees"]
-        assert warm["engine"] == cold["engine"] == "compiled"
+        assert warm["engine"] == cold["engine"] == "gss"    # a plain parse
 
     def test_inline_snapshot_payload(self):
         d = Dispatcher()
