@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Answer-hash check: pipelined and sharded serving answer like a serial run.
 
-Serves one request stream four ways and hashes the responses, each with
+Serves one request stream five ways and hashes the responses, each with
 ``time`` removed:
 
 * ``dispatcher`` — one sequential :class:`~repro.service.Dispatcher`;
 * ``scheduler`` — a sequential inline :class:`~repro.service.Scheduler`;
 * ``batch-inline`` — pipelined ``run_batch`` through one inline shard;
 * ``batch-2-shards`` — pipelined ``run_batch`` through
-  ``Scheduler(workers=2)`` (two process shards).
+  ``Scheduler(workers=2)`` (two process shards);
+* ``tcp-2-shards`` — pipelined over one TCP connection to a
+  ``repro serve --tcp 127.0.0.1:0 --workers 2`` subprocess, at most
+  :data:`TCP_WINDOW` requests ahead of the answers.
 
 The stream is the 620 non-``metrics`` requests of ``service_requests()``
 (20 booleans sessions, interleaved parses, recognitions and grammar
@@ -19,7 +22,7 @@ edits) followed by an SDF section (:func:`sdf_requests`): tree-mode
 
 Every response, ``cache`` field included, must be the same: a repeat in
 a shard's batch is answered by the result cache exactly as in the
-serial run.  Prints the four SHA-256 digests and exits 1 unless they
+serial run.  Prints the five SHA-256 digests and exits 1 unless they
 all agree.  ``--expect DIGEST`` also pins the answers themselves: the
 run fails unless the digests equal ``DIGEST``, so a change that alters
 every answer alike fails too.  A change that alters answers on purpose
@@ -33,7 +36,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import socket
+import subprocess
 import sys
+import tempfile
+import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -46,6 +55,12 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
 from repro.bench.workloads import service_requests
 from repro.lr.serialize import grammar_to_dict
 from repro.sdf.corpus import corpus_tokens, sdf_grammar
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Requests the TCP client keeps in flight: as deep as ``run_batch``'s
+#: window, well under a shard's default queue bound.
+TCP_WINDOW = 64
 
 #: The session the SDF section runs in.
 SDF_SESSION = "sdf"
@@ -123,6 +138,49 @@ def pipelined(scheduler: Scheduler, requests: List[Dict[str, Any]]) -> List[Dict
     return responses
 
 
+def over_tcp(requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Pipeline ``requests`` over one connection to a 2-shard server."""
+    with tempfile.TemporaryDirectory() as scratch:
+        ready = os.path.join(scratch, "ready")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
+             "--workers", "2", "--ready-file", ready],
+            env=env,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not os.path.exists(ready):
+                if time.monotonic() > deadline or server.poll() is not None:
+                    raise RuntimeError("repro serve never became ready")
+                time.sleep(0.01)
+            with open(ready) as handle:
+                host, port = handle.read().strip().rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=120) as sock:
+                slots = threading.Semaphore(TCP_WINDOW)
+
+                def send() -> None:
+                    for request in requests:
+                        slots.acquire()
+                        sock.sendall((json.dumps(request) + "\n").encode())
+
+                sender = threading.Thread(target=send, daemon=True)
+                sender.start()
+                responses = []
+                with sock.makefile("r", encoding="utf-8") as stream:
+                    for _ in requests:
+                        responses.append(json.loads(stream.readline()))
+                        slots.release()
+                sender.join(timeout=60)
+            return responses
+        finally:
+            server.terminate()
+            server.wait(timeout=60)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -140,6 +198,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         digests["batch-inline"] = digest(pipelined(scheduler, requests))
     with Scheduler(workers=2) as scheduler:
         digests["batch-2-shards"] = digest(pipelined(scheduler, requests))
+    digests["tcp-2-shards"] = digest(over_tcp(requests))
     print(f"{len(requests)} responses per run")
     for name, value in digests.items():
         print(f"  {name:<16} {value}")

@@ -20,6 +20,15 @@ is a ``repro serve`` child owning its sessions outright); the headline
 number is the N-worker / 1-worker throughput ratio *measured in the same
 run on the same machine*.
 
+**TCP mode** (the relay layer): the p50 round trip of one cached
+``recognize`` over TCP, through a ``repro serve --tcp`` subprocess with 2
+process shards and one with 1 inline shard, alternating request by
+request in the same run.  It reports both, their ratio
+(``process_vs_inline``), and the relay overhead of each: round trip minus
+the server's own ``time``.  With the relay on the server's event loop a
+process shard costs about what the inline shard costs; a thread hop per
+request between socket and child pipe shows up as a ratio near 1.5.
+
 ``--floor benchmarks/service_floor.json`` turns the run into a CI gate:
 the same-run ratios must clear their floors (the sharding ratio scaled
 down when the runner has fewer cores than workers — a 1-core container
@@ -44,11 +53,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import socket
+import statistics
+import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 try:
     from repro.service import Dispatcher, Scheduler
@@ -56,6 +69,7 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.service import Dispatcher, Scheduler
 
+import repro
 from repro.bench.workloads import service_requests
 from repro.service.retry import call_with_retries, is_retryable
 
@@ -72,6 +86,10 @@ REQUESTS_PER_SESSION = 30
 CONCURRENT_SESSIONS = 16
 CONCURRENT_REQUESTS = 25
 CLIENTS = 8
+
+#: TCP mode: timed round trips per server, after warm-up ones.
+TCP_ROUNDS = 1500
+TCP_WARMUP = 200
 
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_service_throughput.json"
 
@@ -212,6 +230,94 @@ def run_concurrent(
         scheduler.close()
 
 
+# -- the TCP relay mode ----------------------------------------------------
+
+
+class _TcpServer:
+    """A ``repro serve --tcp`` subprocess and one blocking connection."""
+
+    def __init__(self, scratch: str, workers: int) -> None:
+        ready = os.path.join(scratch, f"ready-{workers}")
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
+             "--workers", str(workers), "--ready-file", ready],
+            env=env,
+            stderr=subprocess.DEVNULL,
+        )
+        deadline = time.monotonic() + 60
+        while not os.path.exists(ready):
+            if time.monotonic() > deadline or self.process.poll() is not None:
+                self.close()
+                raise RuntimeError(f"repro serve --workers {workers} never came up")
+            time.sleep(0.01)
+        with open(ready) as handle:
+            host, port = handle.read().strip().rsplit(":", 1)
+        self.sock = socket.create_connection((host, int(port)), timeout=60)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.stream = self.sock.makefile("rwb")
+
+    def call(self, request: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
+        """One round trip: ``(response, seconds)``."""
+        line = (json.dumps(request) + "\n").encode()
+        started = time.perf_counter()
+        self.stream.write(line)
+        self.stream.flush()
+        answer = self.stream.readline()
+        return json.loads(answer), time.perf_counter() - started
+
+    def close(self) -> None:
+        if hasattr(self, "sock"):
+            self.stream.close()
+            self.sock.close()
+        self.process.terminate()
+        self.process.wait(timeout=60)
+
+
+def run_tcp(rounds: int = TCP_ROUNDS) -> Dict[str, Any]:
+    """p50 round trip of a cached ``recognize``: 2 process shards vs 1
+    inline shard, request by request in the same run."""
+    grammar = "START ::= B\nB ::= true\nB ::= false\nB ::= B or B"
+    request = {"cmd": "recognize", "session": "rtt",
+               "tokens": " or ".join(["true", "false"] * 3)}
+    samples: Dict[str, List[Tuple[float, float]]] = {"process": [], "inline": []}
+    with tempfile.TemporaryDirectory() as scratch:
+        servers = {}
+        try:
+            for label, workers in (("process", 2), ("inline", 1)):
+                servers[label] = _TcpServer(scratch, workers)
+                opened, _ = servers[label].call(
+                    {"cmd": "open", "session": "rtt", "grammar": grammar}
+                )
+                if "error" in opened:
+                    raise RuntimeError(f"open failed: {opened['error']}")
+            for index in range(TCP_WARMUP + rounds):
+                for label, server in servers.items():
+                    response, seconds = server.call(request)
+                    if "error" in response or response.get("cache") is not (index > 0):
+                        raise RuntimeError(f"{label}: unexpected answer {response}")
+                    if index >= TCP_WARMUP:
+                        samples[label].append((seconds, response["time"]))
+        finally:
+            for server in servers.values():
+                server.close()
+    report: Dict[str, Any] = {"rounds": rounds, "request": "cached recognize"}
+    for label, pairs in samples.items():
+        report[label] = {
+            "rtt_p50_ms": statistics.median(rtt for rtt, _ in pairs) * 1e3,
+            "server_p50_ms": statistics.median(t for _, t in pairs) * 1e3,
+            "relay_p50_ms": statistics.median(rtt - t for rtt, t in pairs) * 1e3,
+        }
+    report["process_vs_inline"] = (
+        report["process"]["rtt_p50_ms"] / report["inline"]["rtt_p50_ms"]
+    )
+    return report
+
+
 # -- floors ----------------------------------------------------------------
 
 
@@ -236,6 +342,7 @@ def check_floor(
     concurrent: Dict[int, Dict[str, Any]],
     ratio: Optional[float],
     default_vs_pinned: Optional[float] = None,
+    tcp: Optional[Dict[str, Any]] = None,
 ) -> List[str]:
     """Violation messages (empty = the gate passes)."""
     with open(floor_path) as handle:
@@ -267,6 +374,16 @@ def check_floor(
             failures.append(
                 f"default uncached run is {default_vs_pinned:.2f}x the "
                 f"gss + max_trees 1 run, below floor {minimum_vs_pinned}"
+            )
+    maximum_rtt_ratio = floor.get("max_process_vs_inline_rtt")
+    if maximum_rtt_ratio is not None:
+        if tcp is None:
+            failures.append("no TCP round-trip ratio measured")
+        elif tcp["process_vs_inline"] > maximum_rtt_ratio:
+            failures.append(
+                f"a cached round trip through 2 process shards takes "
+                f"{tcp['process_vs_inline']:.2f}x the inline shard's, above "
+                f"ceiling {maximum_rtt_ratio}"
             )
     for key, minimum in floor.get("min_requests_per_second", {}).items():
         workers = int(key)
@@ -415,6 +532,28 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"   overloaded {result['overloaded']}"
         )
 
+    print(
+        f"tcp mode — cached recognize round trips, 2 process shards vs "
+        f"1 inline shard, alternating ({TCP_ROUNDS} each)"
+    )
+    tcp = run_tcp()
+    report["tcp"] = {
+        key: (
+            {name: round(value, 4) for name, value in entry.items()}
+            if isinstance(entry, dict)
+            else round(entry, 4) if isinstance(entry, float) else entry
+        )
+        for key, entry in tcp.items()
+    }
+    for label in ("process", "inline"):
+        entry = tcp[label]
+        print(
+            f"  {label:8s}: round trip p50 {entry['rtt_p50_ms']:.3f} ms   "
+            f"server {entry['server_p50_ms']:.3f} ms   "
+            f"relay {entry['relay_p50_ms']:.3f} ms"
+        )
+    print(f"  process/inline round trip = {tcp['process_vs_inline']:.2f}x")
+
     ratio: Optional[float] = None
     if len(worker_counts) >= 2:
         low, high = worker_counts[0], worker_counts[-1]
@@ -430,7 +569,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     status = 0
     if options.floor:
         failures = check_floor(
-            options.floor, by_workers, ratio, default_vs_pinned
+            options.floor, by_workers, ratio, default_vs_pinned, tcp
         )
         report["floor"] = {
             "path": options.floor,

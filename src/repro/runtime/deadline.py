@@ -11,8 +11,8 @@ raising :class:`~repro.runtime.errors.DeadlineExceeded` with the tokens
 consumed so far.
 
 The deadline is thread-local, matching the service's execution model:
-each shard worker (and each process-shard child's serve loop) runs one
-request at a time on one thread, so "the active deadline" is unambiguous
+the inline shard's worker thread (and each process-shard child's serve
+loop) runs one request at a time, so "the active deadline" is unambiguous
 and the parsers need no new parameters — code that never installs a
 deadline pays one ``None`` check per polled step.
 """
@@ -52,11 +52,15 @@ class Deadline:
     def remaining_ms(self) -> float:
         return max(0.0, (self.expires_at - time.monotonic()) * 1000.0)
 
-    def exceed(self, tokens_consumed: Optional[int] = None) -> "DeadlineExceeded":
-        """The error to raise; ``tokens_consumed`` is None past the parse
-        (a layer that runs on a finished forest)."""
+    def exceed(
+        self,
+        tokens_consumed: Optional[int] = None,
+        stage: str = "rendering trees",
+    ) -> "DeadlineExceeded":
+        """The error to raise; ``tokens_consumed`` is None past the parse,
+        in a layer that runs on a finished forest: ``stage`` names it."""
         progress = (
-            "while rendering trees"
+            f"while {stage}"
             if tokens_consumed is None
             else f"after consuming {tokens_consumed} token(s)"
         )

@@ -31,7 +31,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..grammar.rules import Rule
 from ..grammar.symbols import Symbol, Terminal
-from .deadline import active_deadline
+from .deadline import CHECK_MASK, active_deadline
 from .errors import CyclicForestError, ForestCapExceeded
 
 #: Hard ceiling for ``trees(limit=None)`` / unbounded enumeration.  A
@@ -211,10 +211,20 @@ def _count_into(root: TreeNode, memo: Dict[int, int]) -> int:
     Iterative post-order with a gray set: a node reached again while it is
     still being expanded lies on a derivation cycle (``A ::= A``), so the
     forest has infinitely many trees and we raise instead of looping.
+    The request deadline is polled every ``CHECK_MASK + 1`` steps.
     """
+    deadline = active_deadline()
     gray: set = set()
     stack: List[Tree] = [root]
+    steps = 0
     while stack:
+        if (
+            deadline is not None
+            and (steps & CHECK_MASK) == 0
+            and deadline.expired()
+        ):
+            raise deadline.exceed(stage="counting trees")
+        steps += 1
         node = stack[-1]
         nid = id(node)
         if nid in memo:

@@ -19,12 +19,13 @@ snapshots for warm restarts.
                           and version; states regenerate lazily on restore)
 ``service.server``        the stdio serve loop and batch runner
 ``service.scheduler``     :class:`Scheduler` — session-sharded worker pool
-                          (one inline shard or N process shards) with
-                          batching, bounded backpressure, per-shard
-                          p50/p99 metrics and graceful drain
-``service.net``           asyncio TCP/UNIX front end over the scheduler
-                          (pipelined connections, ordered responses,
-                          SIGTERM drain)
+                          (one inline shard or N process shards) on one
+                          event loop, with batching, bounded
+                          backpressure, per-shard p50/p99 metrics and
+                          graceful drain
+``service.net``           asyncio TCP/UNIX front end on the scheduler's
+                          loop (pipelined connections, ordered
+                          responses, SIGTERM drain)
 ========================  ====================================================
 
 Quickstart::

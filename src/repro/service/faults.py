@@ -10,9 +10,9 @@ and the next pass through that code path fails deliberately.
 The catalog (each name is checked at one code site):
 
 ``kill-child``
-    :class:`~repro.service.scheduler.ProcessExecutor` SIGKILLs its child
-    before forwarding the next request — the supervisor's respawn +
-    journal-replay path.
+    ``ProcessExecutor.run`` in :mod:`repro.service.scheduler` SIGKILLs
+    its child (and reaps it) before writing the next request of a batch
+    — the supervisor's respawn + journal-replay path.
 ``delay``
     The shard worker sleeps ``delay_ms`` before serving a batch —
     latency injection for deadline and p99 assertions.
@@ -20,6 +20,10 @@ The catalog (each name is checked at one code site):
     The shard worker sleeps ``delay_ms`` *before draining its queue*, so
     the queue fills and the bounded-backpressure (``overloaded``) path
     runs under load.
+
+``delay`` and ``queue-stall`` sleep with ``asyncio.sleep`` in the shard's
+worker coroutine: the sleeping shard stalls, while the scheduler's event
+loop keeps serving every other shard, socket and probe.
 ``drop-connection``
     The TCP front end aborts the client's transport right after decoding
     a request — mid-pipeline disconnects.
@@ -35,9 +39,9 @@ the API (:func:`arm` / :func:`reset`) so state never leaks across tests.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import threading
-import time
 from typing import Dict, Optional
 
 __all__ = [
@@ -136,13 +140,14 @@ def delay_of(point: str) -> float:
         return fault.delay_ms if fault is not None else 0.0
 
 
-def sleep_if_armed(point: str) -> bool:
-    """Fire ``point`` and sleep its ``delay_ms``; True when it fired."""
+async def sleep_if_armed(point: str) -> bool:
+    """Fire ``point`` and sleep its ``delay_ms`` without blocking the
+    event loop; True when it fired."""
     delay_ms = delay_of(point)
     if not fire(point):
         return False
     if delay_ms > 0:
-        time.sleep(delay_ms / 1000.0)
+        await asyncio.sleep(delay_ms / 1000.0)
     return True
 
 

@@ -1,9 +1,11 @@
 """The asyncio TCP/UNIX-socket front end of the parse service.
 
 Same wire format as the stdio loop — newline-delimited JSON, protocol
-v2 — served concurrently: the event loop owns all sockets, every decoded
-request is submitted to a :class:`~repro.service.scheduler.Scheduler`
-(one inline shard, or sessions sharded across child processes), and a
+v2 — served concurrently on the event loop of a
+:class:`~repro.service.scheduler.Scheduler` (one inline shard, or
+sessions sharded across child processes): that one loop owns the
+sockets and the shards, so a decoded request is handed straight to its
+shard's queue and its answer comes back without a thread hop.  A
 per-connection writer task emits responses **in request order**, so a
 client may pipeline any number of requests on one connection and still
 correlate responses by position, exactly as over stdin.
@@ -17,18 +19,18 @@ Shutdown is graceful by default: SIGTERM/SIGINT stop the listener, let
 every connection finish writing the responses for requests it has already
 read, drain the scheduler's queues, and only then exit — a supervisor's
 ``kill -TERM`` loses no accepted work.  :class:`BackgroundServer` runs
-the same server on a daemon thread for tests and embedding.
+the same server on its scheduler's loop thread for tests and embedding.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import os
 import signal
 import socket
 import stat
 import sys
-import threading
 from typing import Any, Dict, List, Optional, Set
 
 from . import faults
@@ -57,8 +59,8 @@ class ParseServer:
     """One listening socket in front of a scheduler.
 
     Exactly one of ``(host, port)`` or ``unix_path`` selects the address
-    family.  ``start`` binds, :meth:`shutdown` drains; the server object
-    is single-use.
+    family.  Its coroutines run on ``scheduler.loop``.  ``start`` binds,
+    :meth:`shutdown` drains; the server object is single-use.
     """
 
     def __init__(
@@ -85,12 +87,19 @@ class ParseServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set["_Connection"] = set()
         self._draining = False
+        self._stop: Optional[asyncio.Event] = None  # made on the loop
         self.requests_served = 0
         self.connections_served = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
+        if asyncio.get_running_loop() is not self.scheduler.loop:
+            raise RuntimeError(
+                "a ParseServer runs on its scheduler's loop "
+                "(use scheduler.run(server.start()))"
+            )
+        self._stop = asyncio.Event()
         if self.unix_path is not None:
             self._remove_stale_socket()
             self._server = await asyncio.start_unix_server(
@@ -137,7 +146,6 @@ class ParseServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         # Stop the readers; writers finish everything already submitted.
         for connection in list(self._connections):
             connection.stop_reading()
@@ -157,34 +165,28 @@ class ParseServer:
                     waiter.cancel()
                 for connection in list(self._connections):
                     connection.abort()
+        if self._server is not None:
+            # Only now: since Python 3.12 this also waits for every
+            # connection's transport to close.
+            await self._server.wait_closed()
         # Shard queues are already empty of our requests (every submitted
-        # future resolved before the writers exited), but close() also
-        # stops intake and joins workers/children.
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.scheduler.close
-        )
+        # future resolved before the writers exited), but the drain also
+        # stops intake and closes the executors.
+        await self.scheduler.drain()
         if self.unix_path is not None:
             self._remove_stale_socket()
 
-    async def serve_until_stopped(
-        self, stop: Optional[asyncio.Event] = None
-    ) -> None:
-        """Install signal handlers, serve until stopped, then drain."""
-        if stop is None:
-            stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        installed: List[int] = []
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass  # non-Unix event loop: rely on KeyboardInterrupt
+    def stop(self) -> None:
+        """Ask :meth:`serve_until_stopped` to drain; call on the loop."""
+        assert self._stop is not None, "stop() before start()"
+        self._stop.set()
+
+    async def serve_until_stopped(self) -> None:
+        """Serve until :meth:`stop`, then drain."""
+        assert self._stop is not None, "serve_until_stopped() before start()"
         try:
-            await stop.wait()
+            await self._stop.wait()
         finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
             await self.shutdown()
 
     # -- connections -------------------------------------------------------
@@ -275,9 +277,7 @@ class _Connection:
 
     def _submit(self, request) -> "asyncio.Future":
         self.server.requests_served += 1
-        return asyncio.ensure_future(
-            asyncio.wrap_future(self.server.scheduler.submit(request))
-        )
+        return self.server.scheduler.dispatch(request)
 
     async def _read_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -400,28 +400,33 @@ def run_server(
     unix_path: Optional[str] = None,
     ready_file: Optional[str] = None,
 ) -> int:
-    """Blocking entry point: serve until SIGTERM/SIGINT, drain, return 0."""
+    """Blocking entry point: serve until SIGTERM/SIGINT, drain, return 0.
 
-    async def main() -> Dict[str, Any]:
-        server = ParseServer(
-            scheduler, host=host, port=port, unix_path=unix_path
-        )
-        await server.start()
-        _announce(server, ready_file)
-        await server.serve_until_stopped()
-        return {
-            "requests": server.requests_served,
-            "connections": server.connections_served,
-        }
+    The server runs on the scheduler's loop thread; this (main) thread
+    only waits, and its signal handlers hand the stop to the loop.
+    """
+    server = ParseServer(scheduler, host=host, port=port, unix_path=unix_path)
+
+    def request_stop(_signum: int, _frame: Any) -> None:
+        scheduler.loop.call_soon_threadsafe(server.stop)
 
     try:
-        summary = asyncio.run(main())
-    except KeyboardInterrupt:  # pragma: no cover — non-Unix fallback
+        scheduler.run(server.start())
+        previous = {
+            signum: signal.signal(signum, request_stop)
+            for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            _announce(server, ready_file)
+            scheduler.run(server.serve_until_stopped())
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+    finally:
         scheduler.close()
-        summary = {"requests": -1, "connections": -1}
     print(
-        f"repro service drained cleanly: {summary['requests']} requests "
-        f"over {summary['connections']} connections",
+        f"repro service drained cleanly: {server.requests_served} requests "
+        f"over {server.connections_served} connections",
         file=sys.stderr,
         flush=True,
     )
@@ -429,7 +434,7 @@ def run_server(
 
 
 class BackgroundServer:
-    """A ParseServer on a daemon thread — for tests and embedding.
+    """A ParseServer on its scheduler's loop thread — for tests and embedding.
 
     ::
 
@@ -438,7 +443,7 @@ class BackgroundServer:
             ...
 
     ``stop()`` (or leaving the ``with`` block) performs the same graceful
-    drain as SIGTERM on the CLI server.
+    drain as SIGTERM on the CLI server, then closes the scheduler.
     """
 
     def __init__(
@@ -456,17 +461,11 @@ class BackgroundServer:
             unix_path=unix_path,
             max_line_bytes=max_line_bytes,
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop: Optional[asyncio.Event] = None
-        self._ready = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-net-server", daemon=True
-        )
-        self._startup_error: Optional[BaseException] = None
         #: Unhandled event-loop exceptions (task died without anyone
         #: awaiting it).  Always empty in a healthy server — the
         #: malformed-input tests assert exactly that.
         self.loop_errors: List[str] = []
+        self.scheduler.loop.set_exception_handler(self._on_loop_exception)
 
     def _on_loop_exception(
         self, loop: asyncio.AbstractEventLoop, context: Dict[str, Any]
@@ -479,49 +478,23 @@ class BackgroundServer:
         )
         loop.default_exception_handler(context)
 
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        loop.set_exception_handler(self._on_loop_exception)
-        self._loop = loop
-        self._stop = asyncio.Event()
-
-        async def main() -> None:
-            try:
-                await self.server.start()
-            except BaseException as error:
-                # Recorded for start() to re-raise on the caller's thread;
-                # raising here would only trip pytest's unhandled-thread-
-                # exception hook.
-                self._startup_error = error
-                self._ready.set()
-                return
-            self._ready.set()
-            assert self._stop is not None
-            await self._stop.wait()
-            await self.server.shutdown()
-
-        try:
-            loop.run_until_complete(main())
-        finally:
-            loop.close()
-
     def start(self, timeout: float = 30.0) -> "BackgroundServer":
-        self._thread.start()
-        if not self._ready.wait(timeout=timeout):
-            # The server thread never signalled readiness — a wedged bind
-            # or an event loop that could not start.  Returning anyway
-            # would hand the caller a server object with no address whose
-            # first connect fails with something far less diagnosable.
+        started = asyncio.run_coroutine_threadsafe(
+            self.server.start(), self.scheduler.loop
+        )
+        try:
+            started.result(timeout=timeout)
+        except concurrent.futures.TimeoutError:
+            # A wedged bind.  Returning anyway would hand the caller a
+            # server object with no address whose first connect fails
+            # with something far less diagnosable.
+            started.cancel()
             raise RuntimeError(
                 f"server failed to start listening within {timeout:g}s "
-                f"(thread {'alive' if self._thread.is_alive() else 'dead'}, "
-                f"scheduler: {self.scheduler!r})"
-            )
-        if self._startup_error is not None:
-            raise RuntimeError(
-                f"server failed to start: {self._startup_error}"
-            ) from self._startup_error
+                f"(scheduler: {self.scheduler!r})"
+            ) from None
+        except Exception as error:
+            raise RuntimeError(f"server failed to start: {error}") from error
         return self
 
     @property
@@ -537,17 +510,9 @@ class BackgroundServer:
         return self.server.address
 
     def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is not None and self._stop is not None:
-            stop_event = self._stop
-
-            def trigger() -> None:
-                stop_event.set()
-
-            try:
-                self._loop.call_soon_threadsafe(trigger)
-            except RuntimeError:  # pragma: no cover — loop already closed
-                pass
-        self._thread.join(timeout)
+        if not self.scheduler.loop.is_closed():
+            self.scheduler.run(self.server.shutdown())
+        self.scheduler.close(timeout)
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

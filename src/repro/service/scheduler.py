@@ -1,30 +1,39 @@
 """Shard-aware concurrent scheduling for the parse service.
 
-The PR 1 service answered one request at a time.  This module is the
-concurrency layer between any transport (stdin, TCP, tests) and the
+The concurrency layer between any transport (stdin, TCP, tests) and the
 dispatcher: a :class:`Scheduler` partitions sessions across worker
 *shards*, so that each session's grammar, item-set graph, compiled
-tables and caches stay **single-writer**: one shard thread drives each
-session.  The only other thread here is the transport's (the
-:mod:`repro.service.net` front end, or any caller of ``submit``): it
-enqueues under each shard's condition lock and answers ``health``,
-``ready`` and ``corpus-*`` itself.
+tables and caches stay **single-writer**: one shard serves each session.
+
+**Threads.**  The scheduler owns one asyncio event loop on its own thread
+(``repro-scheduler``).  Each shard is a worker coroutine on that loop,
+with its queue, batching, backpressure, journal and supervision; the
+pipes of process-shard children and the sockets of a
+:class:`~repro.service.net.ParseServer` live on the same loop.  A TCP
+request thus goes from the socket read to the child's stdin, to an
+awaited line from its stdout, to the socket write, on one thread.  Other
+threads (``handle``, ``run_batch``, corpus jobs, benches) call
+:meth:`Scheduler.submit`, which hands the request to the loop with
+``call_soon_threadsafe``.  ``health`` and ``ready`` are answered on the
+loop; ``corpus-*`` commands run in arrival order on a thread of their own
+(``repro-corpus-serve``), since a waited ``corpus-parse`` blocks until
+its job, whose parses queue on these shards, ends.
 
 A scheduler runs one of two configurations, picked from ``workers``:
 
 ``mode="thread"`` (the default for ``workers=1``)
-    One inline shard executes batches against an in-process
-    :class:`~repro.service.dispatcher.Dispatcher`: no IPC, for embedding
-    and tests.  Only one, because the GIL serializes pure-Python parse
-    work: more thread shards over one workspace would only add contention.
+    One inline shard runs batches against an in-process
+    :class:`~repro.service.dispatcher.Dispatcher` on one worker thread
+    (``repro-inline``): no IPC, for embedding and tests.  Only one,
+    because the GIL serializes pure-Python parse work.
 
 ``mode="process"`` (the default for ``workers > 1``)
-    Every shard owns a child process running the existing stdio serve
-    loop (``python -m repro serve``) and speaks the line-delimited JSON
-    protocol over its pipes — the transport-independent core reused a
-    third time.  Parse work is pure-Python CPU, so this is the mode that
-    scales with cores; cross-shard commands (``sessions``/``metrics``/
-    ``info``) are broadcast to every shard and merged.
+    Every shard owns a child process running the stdio serve loop
+    (``python -m repro serve``) and speaks the line-delimited JSON
+    protocol over its pipes, from its coroutine: no thread per shard.
+    Parse work is pure-Python CPU, so this is the mode that scales with
+    cores; cross-shard commands (``sessions``/``metrics``/``info``) are
+    broadcast to every shard and merged.
 
 In both configurations every shard applies:
 
@@ -37,22 +46,22 @@ In both configurations every shard applies:
 * **metrics** — queue depth, batch sizes, and p50/p99 latency per shard
   via :class:`~repro.core.metrics.LatencyStats`;
 * **graceful drain** — :meth:`Scheduler.close` stops intake, serves
-  everything already queued, then joins workers and children.
+  everything already queued, then closes the executors and the loop.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 import zlib
 from collections import deque
-from concurrent.futures import Future
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core.metrics import LatencyStats
@@ -89,29 +98,10 @@ def _error_response(request: Any, message: str, **extra: Any) -> Response:
     return response
 
 
-def _settle(
-    future: "Future[Response]", request: Any, compute: Callable[[], Response]
-) -> None:
-    """Resolve ``future`` with ``compute()`` (an error response if it raises).
-
-    A TCP client that disconnects mid-pipeline cancels its futures;
-    ``set_result`` then raises ``InvalidStateError``, and letting that
-    escape would kill the resolving worker thread for every other client.
-    """
-    try:
-        response = compute()
-    except Exception as error:  # noqa: BLE001 — CancelledError is one
-        response = _error_response(request, f"{type(error).__name__}: {error}")
-    if not future.cancelled():
-        try:
-            future.set_result(response)
-        except Exception:  # noqa: BLE001 — cancel/set race
-            pass
-
-
-def _resolved(request: Any, message: str, **extra: Any) -> "Future[Response]":
-    future: "Future[Response]" = Future()
-    future.set_result(_error_response(request, message, **extra))
+def _answered(response: Response) -> "asyncio.Future[Response]":
+    """A loop-side future already holding ``response``."""
+    future = asyncio.get_running_loop().create_future()
+    future.set_result(response)
     return future
 
 
@@ -119,16 +109,25 @@ def _resolved(request: Any, message: str, **extra: Any) -> "Future[Response]":
 
 
 class InlineExecutor:
-    """Thread-mode shard body: batches run on an in-process dispatcher."""
+    """Thread-mode shard body: batches run on an in-process dispatcher,
+    on one worker thread, so a long parse leaves the loop responsive."""
 
     def __init__(self, dispatcher: Dispatcher) -> None:
         self.dispatcher = dispatcher
+        self._worker = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-inline"
+        )
 
-    def run(self, requests: List[Request]) -> List[Response]:
+    async def run(self, requests: List[Request]) -> List[Response]:
+        return await asyncio.get_running_loop().run_in_executor(
+            self._worker, self._serve, requests
+        )
+
+    def _serve(self, requests: List[Request]) -> List[Response]:
         return [self.dispatcher.handle(request) for request in requests]
 
-    def close(self) -> None:
-        pass
+    async def close(self) -> None:
+        self._worker.shutdown(wait=False)
 
     def terminate(self) -> None:
         pass
@@ -139,17 +138,24 @@ class ProcessExecutor:
 
     The child is the unmodified stdio serve loop — one JSON request line
     in, one response line out — so the shard protocol *is* the service
-    protocol and needs no second serializer.  Requests are written and
-    read strictly one at a time: a shard is sequential by design (that is
-    what makes its sessions single-writer), so pipelining into the child
-    would buy nothing and risk pipe-buffer deadlock on huge responses.
+    protocol and needs no second serializer.  A batch is written to the
+    child's stdin in one go, then its answers are awaited line by line
+    from stdout, on the scheduler's event loop.  The child is trusted, so
+    its lines have no length bound (a 10,000-tree answer is ~750 KB).
     """
 
     def __init__(
-        self,
+        self, process: asyncio.subprocess.Process, stderr: Any
+    ) -> None:
+        self._process = process
+        self._stderr = stderr
+
+    @classmethod
+    async def spawn(
+        cls,
         cache_capacity: int = 1024,
         deadline_ms: Optional[float] = None,
-    ) -> None:
+    ) -> "ProcessExecutor":
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         src_dir = os.path.dirname(package_root)
         env = dict(os.environ)
@@ -173,15 +179,20 @@ class ProcessExecutor:
         # Child stderr goes to a spooled temp file so crash tracebacks
         # survive the child (a pipe would deadlock a chatty child; the
         # parent only reads this after a failure).
-        self._stderr = tempfile.TemporaryFile(mode="w+b")
-        self._process = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=self._stderr,
-            env=env,
-            text=True,
-        )
+        stderr = tempfile.TemporaryFile(mode="w+b")
+        try:
+            process = await asyncio.create_subprocess_exec(
+                *argv,
+                stdin=asyncio.subprocess.PIPE,
+                stdout=asyncio.subprocess.PIPE,
+                stderr=stderr,
+                env=env,
+                limit=sys.maxsize,
+            )
+        except BaseException:
+            stderr.close()
+            raise
+        return cls(process, stderr)
 
     @property
     def pid(self) -> int:
@@ -197,65 +208,75 @@ class ProcessExecutor:
         except (OSError, ValueError):
             return ""
 
-    def run(self, requests: List[Request]) -> List[Response]:
-        stdin, stdout = self._process.stdin, self._process.stdout
+    def _exited(self) -> RuntimeError:
+        tail = self.stderr_tail()
+        return RuntimeError(
+            f"shard child (pid {self._process.pid}) exited with "
+            f"code {self._process.returncode}"
+            + (f"; stderr tail: {tail}" if tail else "")
+        )
+
+    async def run(self, requests: List[Request]) -> List[Response]:
+        process = self._process
+        stdin, stdout = process.stdin, process.stdout
         assert stdin is not None and stdout is not None
+        try:
+            for request in requests:
+                if faults.fire("kill-child"):
+                    self.terminate()
+                    await process.wait()
+                if process.returncode is not None:
+                    raise self._exited()
+                stdin.write((encode(request) + "\n").encode("utf-8"))
+            await stdin.drain()
+        except ConnectionError:
+            raise self._exited() from None
         responses: List[Response] = []
-        for request in requests:
-            if faults.fire("kill-child"):
-                self._process.kill()
-                self._process.wait(timeout=10)
-            stdin.write(encode(request) + "\n")
-            stdin.flush()
-            line = stdout.readline()
+        for _ in requests:
+            line = await stdout.readline()
             if not line:
-                tail = self.stderr_tail()
-                raise RuntimeError(
-                    f"shard child (pid {self._process.pid}) exited with "
-                    f"code {self._process.poll()}"
-                    + (f"; stderr tail: {tail}" if tail else "")
-                )
+                raise self._exited()
             responses.append(json.loads(line))
         return responses
 
-    def close(self) -> None:
+    async def close(self) -> None:
+        """Close stdin (EOF ends the child's serve loop) and reap it."""
         try:
-            if self._process.stdin is not None:
-                self._process.stdin.close()
-            self._process.wait(timeout=10)
-        except (OSError, subprocess.TimeoutExpired):
+            assert self._process.stdin is not None
+            self._process.stdin.close()
+            await asyncio.wait_for(self._process.wait(), timeout=10)
+        except (OSError, asyncio.TimeoutError):
             self.terminate()
-            return
-        self._close_stderr()
+            await self._process.wait()
+        finally:
+            self._stderr.close()
 
     def terminate(self) -> None:
-        if self._process.poll() is None:
-            self._process.kill()
-            self._process.wait(timeout=10)
-        self._close_stderr()
-
-    def _close_stderr(self) -> None:
-        try:
-            self._stderr.close()
-        except OSError:
-            pass
+        """SIGKILL the child now; :meth:`close` still reaps it."""
+        if self._process.returncode is None:
+            try:
+                self._process.kill()
+            except ProcessLookupError:
+                pass
 
 
 # -- shards ----------------------------------------------------------------
 
 
 class Shard:
-    """One worker: a bounded queue, a batching loop, and its executor.
+    """One worker: a bounded queue, a batching coroutine, and its executor.
 
-    The loop drains up to ``max_batch`` queued requests and hands them to
-    the executor exactly as drained; responses come back in the same
-    order, one per request.
+    The worker drains up to ``max_batch`` queued requests and hands them
+    to the executor exactly as drained; responses come back in the same
+    order, one per request.  A shard is built, fed and drained on the
+    scheduler's event loop; only its counters and ``state`` are read from
+    other threads.
 
     When built with an ``executor_factory`` the shard is *supervised*:
     an executor crash answers the in-flight batch with a retryable
-    ``shard-restarting`` error, then the worker thread respawns the
-    executor under exponential backoff with jitter and replays the
-    shard's :class:`~repro.service.journal.MutationJournal`, so every
+    ``shard-restarting`` error, then the worker respawns the executor
+    under exponential backoff with jitter and replays the shard's
+    :class:`~repro.service.journal.MutationJournal`, so every
     acknowledged session mutation exists again — at the same grammar
     version — before the next request runs.  A
     :class:`~repro.service.supervision.CircuitBreaker` turns a crash
@@ -271,16 +292,14 @@ class Shard:
         self,
         index: int,
         executor: Any,
-        max_depth: int = 256,
-        max_batch: int = 16,
-        stats_window: int = 512,
-        executor_factory: Optional[Callable[[], Any]] = None,
-        journal: Optional[MutationJournal] = None,
-        backoff: Optional[BackoffPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
+        max_depth: int,
+        max_batch: int,
+        stats_window: int,
+        executor_factory: Optional[Callable[[], Awaitable[Any]]],
+        journal: MutationJournal,
+        backoff: BackoffPolicy,
+        breaker: CircuitBreaker,
     ) -> None:
-        if max_depth < 1 or max_batch < 1:
-            raise ValueError("max_depth and max_batch must be positive")
         self.index = index
         self.executor = executor
         self.max_depth = max_depth
@@ -297,12 +316,12 @@ class Shard:
         # permanent (an InlineExecutor "crash" is a dispatcher bug, not
         # a recoverable infrastructure fault).
         self.executor_factory = executor_factory
-        self.journal = journal if journal is not None else MutationJournal()
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
+        self.journal = journal
+        self.backoff = backoff
+        self.breaker = breaker
         self.restarts = 0
         self.replayed_entries = 0
-        self._state = "ok"
+        self.state = "ok"
         self._retry_after_ms = self.backoff.ceiling_ms(0)
         # Per-shard latency histograms in the obs registry.  Recorded in
         # the parent process for both modes (the queue lives here), so a
@@ -314,116 +333,104 @@ class Shard:
             "repro.shard.request.seconds", shard=str(index)
         )
         self._failure: Optional[str] = None
-        self._items: Deque[Tuple[Any, "Future[Response]", float]] = deque()
-        self._ready = threading.Condition(threading.Lock())
+        self._loop = asyncio.get_running_loop()
+        self._items: Deque[
+            Tuple[Any, "asyncio.Future[Response]", float]
+        ] = deque()
+        self._wakeup = asyncio.Event()
         self._accepting = True
-        self._thread = threading.Thread(
-            target=self._run, name=f"repro-shard-{index}", daemon=True
-        )
-        self._thread.start()
+        self._worker = self._loop.create_task(self._run())
 
     @property
     def supervised(self) -> bool:
         return self.executor_factory is not None
 
     @property
-    def state(self) -> str:
-        with self._ready:
-            return self._state
+    def alive(self) -> bool:
+        """True until the worker coroutine has drained and exited."""
+        return not self._worker.done()
 
     # -- intake ------------------------------------------------------------
 
-    def submit(self, request: Any) -> "Future[Response]":
-        with self._ready:
-            if not self._accepting:
-                return _resolved(
+    def submit(self, request: Any) -> "asyncio.Future[Response]":
+        """Enqueue ``request``; call on the loop.  Refusals resolve at once."""
+        future: "asyncio.Future[Response]" = self._loop.create_future()
+        if not self._accepting:
+            future.set_result(
+                _error_response(
                     request,
                     f"shutting down: shard {self.index} no longer accepts "
                     f"requests",
                     overloaded=True,
                 )
-            if self._state == "degraded":
-                return _resolved(
-                    request,
-                    "shard-degraded",
-                    shard=self.index,
-                    detail=(
-                        f"shard {self.index} tripped its circuit breaker "
-                        f"after {self.restarts} restart(s); last failure: "
-                        f"{self._failure}"
-                    ),
-                )
-            if self._state == "restarting":
-                # Fail fast instead of queueing behind a recovery of
-                # unknown length; the client retries after the hint.
-                return _resolved(
-                    request,
-                    "shard-restarting",
-                    shard=self.index,
-                    retry_after_ms=round(self._retry_after_ms, 1),
-                )
-            if len(self._items) >= self.max_depth:
-                self.overloaded += 1
-                return _resolved(
+            )
+        elif self.state != "ok":
+            # Fail fast instead of queueing behind a recovery of unknown
+            # length; the client retries after the hint.
+            future.set_result(self._failed(request))
+        elif len(self._items) >= self.max_depth:
+            self.overloaded += 1
+            future.set_result(
+                _error_response(
                     request,
                     f"overloaded: shard {self.index} queue is at its depth "
                     f"limit ({self.max_depth})",
                     overloaded=True,
                 )
-            future: "Future[Response]" = Future()
+            )
+        else:
             self._items.append((request, future, time.perf_counter()))
             self.submitted += 1
-            self._ready.notify()
-            return future
+            self._wakeup.set()
+        return future
 
     def queue_depth(self) -> int:
-        with self._ready:
-            return len(self._items)
+        return len(self._items)
 
     # -- shutdown ----------------------------------------------------------
 
     def close(self) -> None:
         """Stop intake; the worker drains the queue and then exits."""
-        with self._ready:
-            self._accepting = False
-            self._ready.notify()
+        self._accepting = False
+        self._wakeup.set()
 
-    def join(self, timeout: Optional[float] = None) -> bool:
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
+    async def wait_closed(self, timeout: Optional[float] = None) -> bool:
+        """Wait up to ``timeout`` s for the worker to exit; True if it did."""
+        await asyncio.wait({self._worker}, timeout=timeout)
+        return self._worker.done()
 
     def kill(self) -> None:
         """Last resort for a wedged executor (e.g. a hung child process)."""
         self.executor.terminate()
 
-    # -- the worker loop ---------------------------------------------------
+    # -- the worker --------------------------------------------------------
 
-    def _run(self) -> None:
+    async def _run(self) -> None:
         while True:
-            faults.sleep_if_armed("queue-stall")
-            with self._ready:
-                while not self._items and self._accepting:
-                    self._ready.wait()
-                if not self._items:
-                    break  # closed and drained
-                batch = [
-                    self._items.popleft()
-                    for _ in range(min(len(self._items), self.max_batch))
-                ]
-            self._serve(batch)
-        self.executor.close()
+            await faults.sleep_if_armed("queue-stall")
+            while not self._items and self._accepting:
+                self._wakeup.clear()
+                await self._wakeup.wait()
+            if not self._items:
+                break  # closed and drained
+            batch = [
+                self._items.popleft()
+                for _ in range(min(len(self._items), self.max_batch))
+            ]
+            await self._serve(batch)
+        await self.executor.close()
 
-    def _serve(
-        self, batch: List[Tuple[Any, "Future[Response]", float]]
+    async def _serve(
+        self, batch: List[Tuple[Any, "asyncio.Future[Response]", float]]
     ) -> None:
-        faults.sleep_if_armed("delay")
+        await faults.sleep_if_armed("delay")
         requests = [request for request, _future, _enqueued in batch]
         started = time.perf_counter()
         responses: Optional[List[Response]] = None
         crashed = False
-        if self._failure is None or (self.supervised and self._state == "ok"):
+        if self._failure is None or (self.supervised and self.state == "ok"):
             try:
-                responses = self.executor.run(requests)
+                responses = await self.executor.run(requests)
             except Exception as error:  # noqa: BLE001 — worker boundary
                 self._failure = f"{type(error).__name__}: {error}"
                 crashed = True
@@ -450,11 +457,14 @@ class Shard:
             self._obs_wait.observe(queue_wait)
             self._obs_request.observe(finished - enqueued)
             self.completed += 1
-            _settle(future, request, lambda: response)
+            # A TCP client that disconnects mid-pipeline cancels its
+            # futures; its requests still ran, the answers go nowhere.
+            if not future.cancelled():
+                future.set_result(response)
         if crashed and self.supervised:
-            self._recover()
+            await self._recover()
         elif served:
-            self._maybe_compact()
+            await self._maybe_compact()
 
     def _failed(self, request: Any) -> Response:
         """The answer to a request whose batch the executor never served."""
@@ -464,8 +474,9 @@ class Shard:
                 "shard-degraded",
                 shard=self.index,
                 detail=(
-                    f"shard {self.index} tripped its circuit "
-                    f"breaker; last failure: {self._failure}"
+                    f"shard {self.index} tripped its circuit breaker "
+                    f"after {self.restarts} restart(s); last failure: "
+                    f"{self._failure}"
                 ),
             )
         if self.supervised:
@@ -485,56 +496,55 @@ class Shard:
 
     # -- supervision -------------------------------------------------------
 
-    def _recover(self) -> None:
+    async def _recover(self) -> None:
         """Respawn + replay until healthy, or trip into ``degraded``.
 
-        Runs on the worker thread: requests submitted meanwhile fail
-        fast with ``shard-restarting`` (see :meth:`submit`), so a long
-        backoff never wedges clients behind an empty promise.
+        Runs in the worker coroutine: requests submitted meanwhile fail
+        fast with ``shard-restarting`` (see :meth:`submit`), and the
+        backoff is an ``asyncio.sleep``, so neither the other shards nor
+        the sockets wait on it.
         """
-        with self._ready:
-            self._state = "restarting"
+        self.state = "restarting"
         while True:
             now = time.monotonic()
             if not self.breaker.record(now):
-                with self._ready:
-                    self._state = "degraded"
+                self.state = "degraded"
                 obs.counter(
                     "repro.shard.degraded", shard=str(self.index)
                 ).inc()
-                try:
-                    self.executor.terminate()
-                except Exception:  # noqa: BLE001 — best-effort cleanup
-                    pass
+                await self._discard(self.executor)
                 return
             self.restarts += 1
             obs.counter("repro.shard.restarts", shard=str(self.index)).inc()
             delay_ms = self.backoff.delay_ms(self.breaker.window_count(now) - 1)
-            with self._ready:
-                # What submit() tells rejected clients: the remaining
-                # backoff plus one more ceiling step if this attempt
-                # also fails.
-                self._retry_after_ms = max(delay_ms, self.backoff.base_ms)
+            # What submit() tells rejected clients: the remaining
+            # backoff plus one more ceiling step if this attempt also
+            # fails.
+            self._retry_after_ms = max(delay_ms, self.backoff.base_ms)
             if delay_ms > 0:
-                time.sleep(delay_ms / 1000.0)
+                await asyncio.sleep(delay_ms / 1000.0)
             try:
-                old = self.executor
-                try:
-                    old.terminate()
-                except Exception:  # noqa: BLE001 — best-effort cleanup
-                    pass
+                await self._discard(self.executor)
                 assert self.executor_factory is not None
-                self.executor = self.executor_factory()
-                self._replay_journal()
+                self.executor = await self.executor_factory()
+                await self._replay_journal()
             except Exception as error:  # noqa: BLE001 — worker boundary
                 self._failure = f"{type(error).__name__}: {error}"
                 continue
-            with self._ready:
-                self._state = "ok"
-                self._failure = None
+            self.state = "ok"
+            self._failure = None
             return
 
-    def _replay_journal(self) -> None:
+    @staticmethod
+    async def _discard(executor: Any) -> None:
+        """Kill and reap a failed executor, best effort."""
+        try:
+            executor.terminate()
+            await executor.close()
+        except Exception:  # noqa: BLE001 — best-effort cleanup
+            pass
+
+    async def _replay_journal(self) -> None:
         """Feed the journal back through the fresh executor.
 
         Any error response fails the replay — a half-rebuilt session
@@ -544,7 +554,7 @@ class Shard:
         requests = self.journal.replay_requests()
         if not requests:
             return
-        responses = self.executor.run(requests)
+        responses = await self.executor.run(requests)
         for request, response in zip(requests, responses):
             if isinstance(response, dict) and "error" in response:
                 raise RuntimeError(
@@ -553,12 +563,12 @@ class Shard:
                 )
         self.replayed_entries += len(requests)
 
-    def _maybe_compact(self) -> None:
+    async def _maybe_compact(self) -> None:
         """Collapse an over-long session run into one snapshot restore.
 
-        Runs on the worker thread between batches — the only thread that
-        talks to the executor — so the ``snapshot`` round-trip cannot
-        interleave with client requests.
+        Runs in the worker between batches — the only code that talks to
+        the executor — so the ``snapshot`` round-trip cannot interleave
+        with client requests.
         """
         if not self.supervised:
             return
@@ -566,12 +576,12 @@ class Shard:
         if session is None:
             return
         try:
-            [response] = self.executor.run(
+            [response] = await self.executor.run(
                 [{"cmd": "snapshot", "session": session}]
             )
         except Exception as error:  # noqa: BLE001 — worker boundary
             self._failure = f"{type(error).__name__}: {error}"
-            self._recover()
+            await self._recover()
             return
         payload = (
             response.get("snapshot") if isinstance(response, dict) else None
@@ -581,20 +591,18 @@ class Shard:
 
     def health(self) -> Dict[str, Any]:
         """Liveness and supervision state, as reported by ``health``."""
-        with self._ready:
-            state = self._state
-            retry_after_ms = self._retry_after_ms
+        state = self.state
         report: Dict[str, Any] = {
             "index": self.index,
             "state": state,
-            "alive": self._thread.is_alive(),
+            "alive": self.alive,
             "restarts": self.restarts,
             "queue_depth": self.queue_depth(),
             "breaker": self.breaker.stats(),
             "journal": self.journal.stats(),
         }
         if state == "restarting":
-            report["retry_after_ms"] = round(retry_after_ms, 1)
+            report["retry_after_ms"] = round(self._retry_after_ms, 1)
         if self._failure is not None:
             report["failure"] = self._failure
         pid = getattr(self.executor, "pid", None)
@@ -609,19 +617,12 @@ class Shard:
         the dequeue), so the shard adds what only it knows: its index and
         the queue wait.  The trace dict is copied, not mutated in place.
         """
-        if not isinstance(response, dict):
-            return response
-        tree = response.get("trace")
+        tree = response.get("trace") if isinstance(response, dict) else None
         if not isinstance(tree, dict):
             return response
-        tree = dict(tree)
         attributes = dict(tree.get("attributes", ()))
-        attributes["shard"] = self.index
-        attributes["queue_wait"] = round(queue_wait, 6)
-        tree["attributes"] = attributes
-        response = dict(response)
-        response["trace"] = tree
-        return response
+        attributes.update(shard=self.index, queue_wait=round(queue_wait, 6))
+        return {**response, "trace": {**tree, "attributes": attributes}}
 
     # -- introspection -----------------------------------------------------
 
@@ -746,7 +747,9 @@ class Scheduler:
     Implements the same ``handle(request) -> response`` contract as
     :class:`~repro.service.dispatcher.Dispatcher` (so ``serve``/
     ``run_batch`` accept either), plus a non-blocking ``submit`` returning
-    a :class:`concurrent.futures.Future` for async transports.
+    a :class:`concurrent.futures.Future` for other threads, and
+    :meth:`dispatch` returning an asyncio future for code on the
+    scheduler's own loop (:attr:`loop`).
     """
 
     def __init__(
@@ -784,7 +787,8 @@ class Scheduler:
             )
         self.deadline_ms = deadline_ms
         self.dispatcher: Optional[Dispatcher] = None
-        factory: Optional[Callable[[], Any]] = None
+        factory: Optional[Callable[[], Awaitable[Any]]] = None
+        executors: List[Any] = []
         if self.mode == "thread":
             self.dispatcher = (
                 dispatcher
@@ -794,7 +798,7 @@ class Scheduler:
                     default_deadline_ms=deadline_ms,
                 )
             )
-            executors: List[Any] = [InlineExecutor(self.dispatcher)]
+            executors.append(InlineExecutor(self.dispatcher))
         else:
             if dispatcher is not None:
                 raise ValueError(
@@ -802,43 +806,56 @@ class Scheduler:
                     "an injected dispatcher would be silently unused"
                 )
 
-            def factory() -> ProcessExecutor:
-                return ProcessExecutor(
+            async def factory() -> ProcessExecutor:
+                return await ProcessExecutor.spawn(
                     cache_capacity=cache_capacity, deadline_ms=deadline_ms
                 )
 
-            executors = []
+        self._drained: Optional["asyncio.Task[None]"] = None
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self.loop.run_forever, name="repro-scheduler", daemon=True
+        )
+        self._thread.start()
+
+        async def start() -> List[Shard]:
             try:
-                for _ in range(workers):
-                    executors.append(factory())
+                while len(executors) < workers:
+                    assert factory is not None
+                    executors.append(await factory())
             except BaseException:
                 # A failed spawn (EAGAIN/ENOMEM) must not leak the
                 # children already started — nothing would ever reach
                 # them once __init__ raises.
                 for executor in executors:
-                    try:
-                        executor.terminate()
-                    except Exception:  # noqa: BLE001 — best-effort cleanup
-                        pass
+                    await Shard._discard(executor)
                 raise
-        self.shards = [
-            Shard(
-                index,
-                executor,
-                max_depth,
-                max_batch,
-                stats_window,
-                executor_factory=factory,
-                journal=MutationJournal(compact_threshold=compact_threshold),
-                backoff=BackoffPolicy(base_ms=backoff_ms, max_ms=max_backoff_ms),
-                breaker=CircuitBreaker(
-                    max_restarts=max_restarts, window_seconds=restart_window
-                ),
-            )
-            for index, executor in enumerate(executors)
-        ]
-        self._closed = False
+            return [
+                Shard(
+                    index,
+                    executor,
+                    max_depth,
+                    max_batch,
+                    stats_window,
+                    executor_factory=factory,
+                    journal=MutationJournal(compact_threshold=compact_threshold),
+                    backoff=BackoffPolicy(
+                        base_ms=backoff_ms, max_ms=max_backoff_ms
+                    ),
+                    breaker=CircuitBreaker(
+                        max_restarts=max_restarts, window_seconds=restart_window
+                    ),
+                )
+                for index, executor in enumerate(executors)
+            ]
+
+        try:
+            self.shards = self.run(start())
+        except BaseException:
+            self._stop_loop()
+            raise
         self.corpus = None
+        self._corpus_worker: Optional[ThreadPoolExecutor] = None
         if corpus_root is not None:
             # Lazily imported: repro.corpus layers *above* the service
             # (its jobs submit ordinary parse requests right back here).
@@ -853,6 +870,9 @@ class Scheduler:
                 submit=self.submit,
                 shard_count=len(self.shards),
                 shard_of=self.shard_of,
+            )
+            self._corpus_worker = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-corpus-serve"
             )
         # Shard work counters for the obs registry, polled at snapshot
         # time and weakly bound — a dropped scheduler stops reporting.
@@ -886,97 +906,130 @@ class Scheduler:
         """Stable session -> shard assignment (CRC32, not the salted hash)."""
         return zlib.crc32(session.encode("utf-8")) % len(self.shards)
 
+    def run(self, coroutine: Awaitable[Any]) -> Any:
+        """Run ``coroutine`` on the scheduler's loop; block for its result.
+
+        For threads other than the loop's (which would deadlock here).
+        """
+        return asyncio.run_coroutine_threadsafe(coroutine, self.loop).result()
+
     def submit(self, request: Any) -> "Future[Response]":
-        """Enqueue one request; the future resolves to its response."""
+        """Enqueue one request from any thread; the future resolves to
+        its response."""
+        future: "Future[Response]" = Future()
+        try:
+            self.loop.call_soon_threadsafe(self._relay, request, future)
+        except RuntimeError:  # the loop is closed
+            future.set_result(
+                _error_response(
+                    request,
+                    "shutting down: the scheduler no longer accepts requests",
+                    overloaded=True,
+                )
+            )
+        return future
+
+    def _relay(self, request: Any, future: "Future[Response]") -> None:
+        if not future.set_running_or_notify_cancel():
+            return
+        try:
+            answer = self.dispatch(request)
+        except Exception as error:  # noqa: BLE001 — raised to the caller
+            future.set_exception(error)
+            return
+        answer.add_done_callback(lambda done: future.set_result(done.result()))
+
+    def handle(self, request: Any) -> Response:
+        """Blocking dispatch — the Dispatcher-compatible entry point."""
+        return self.submit(request).result()
+
+    def dispatch(self, request: Any) -> "asyncio.Future[Response]":
+        """Route one request; call on :attr:`loop`.
+
+        The returned future always resolves to a response (an error
+        response when something failed), never to an exception.
+        """
         cmd = request.get("cmd") if isinstance(request, dict) else None
         if isinstance(cmd, str) and cmd.startswith("corpus-"):
             # Served parent-side, like health/ready: corpus state (the
             # registry, journals, jobs) is owned by this process, and
-            # only the per-document parse work is routed to shards.
-            # Served synchronously on the caller's thread — a
-            # ``corpus-parse`` with ``wait`` blocks its own client, and
-            # a shard worker thread must never serve one (the job would
-            # deadlock waiting on that same shard's queue).
-            future: "Future[Response]" = Future()
+            # only the per-document parse work is routed to shards.  Off
+            # the loop: a ``corpus-parse`` with ``wait`` blocks until its
+            # job, whose parses need this loop, is done.
             if self.corpus is None:
-                future.set_result(
+                return _answered(
                     _error_response(
                         request,
                         f"{cmd!r} needs a corpus root — start the "
                         f"service with --corpus-root DIR",
                     )
                 )
-            else:
-                future.set_result(self.corpus.serve(request))
-            return future
+            return self.loop.run_in_executor(
+                self._corpus_worker, self.corpus.serve, request
+            )
         if cmd in ("health", "ready"):
-            # Answered parent-side without touching any shard queue: a
-            # wedged or restarting shard must never block the probe that
-            # exists to report exactly that condition.
-            future: "Future[Response]" = Future()
-            future.set_result(
+            # Answered here without touching any shard queue: a wedged
+            # or restarting shard must never block the probe that exists
+            # to report exactly that condition.
+            return _answered(
                 self.health_response()
                 if cmd == "health"
                 else self.ready_response()
             )
-            return future
         try:
             session = session_of(request) if isinstance(request, dict) else None
         except ProtocolError as error:
-            return _resolved(request, str(error))
+            return _answered(_error_response(request, str(error)))
         if session is not None:
             return self.shards[self.shard_of(session)].submit(request)
         if cmd == "restore":
-            return _resolved(
-                request,
-                "'restore' under a sharded scheduler needs a 'session' "
-                "field (or a snapshot payload naming one) to route by",
+            return _answered(
+                _error_response(
+                    request,
+                    "'restore' under a sharded scheduler needs a 'session' "
+                    "field (or a snapshot payload naming one) to route by",
+                )
             )
-        if cmd == "metrics-export" and self.mode == "process":
-            # Children hold the session registries; ask every one for a
-            # JSON snapshot (whatever format the caller wants — the
-            # parent renders), merge, then fold in the parent's own
-            # registry (shard queues/latency live here).
-            inner = dict(request)
-            inner["format"] = "json"
-            inner.pop("trace", None)
-            return self._finish_metrics_export(request, self._broadcast(inner))
-        if cmd in GLOBAL_COMMANDS and len(self.shards) > 1:
-            future = self._broadcast(request)
-        else:
-            future = self.shards[0].submit(request)
-        if cmd == "metrics":
-            return self._with_scheduler_metrics(request, future)
-        return future
+        return self.loop.create_task(self._global(request, cmd))
 
-    def handle(self, request: Any) -> Response:
-        """Blocking dispatch — the Dispatcher-compatible entry point."""
-        return self.submit(request).result()
+    async def _global(self, request: Any, cmd: Any) -> Response:
+        """A request naming no session: shard 0, or every shard, merged."""
+        try:
+            if cmd == "metrics-export" and self.mode == "process":
+                # Children hold the session registries; ask every one
+                # for a JSON snapshot (whatever format the caller wants
+                # — the parent renders), merge, then fold in the
+                # parent's own registry (shard queues/latency live here).
+                inner = dict(request)
+                inner["format"] = "json"
+                inner.pop("trace", None)
+                return self._finish_metrics_export(
+                    request, await self._broadcast(inner)
+                )
+            if cmd in GLOBAL_COMMANDS and len(self.shards) > 1:
+                response = await self._broadcast(request)
+            else:
+                response = await self.shards[0].submit(request)
+            if (
+                cmd == "metrics"
+                and "session" not in request
+                and "error" not in response
+            ):
+                response = dict(response)
+                response["scheduler"] = self.metrics()
+            return response
+        except Exception as error:  # noqa: BLE001 — server boundary
+            return _error_response(request, f"{type(error).__name__}: {error}")
 
-    def _broadcast(self, request: Request) -> "Future[Response]":
-        futures = [shard.submit(dict(request)) for shard in self.shards]
-        result: "Future[Response]" = Future()
-        lock = threading.Lock()
-        remaining = {"count": len(futures)}
-
-        def finish(_future: "Future[Response]") -> None:
-            with lock:
-                remaining["count"] -= 1
-                if remaining["count"]:
-                    return
-            _settle(
-                result,
-                request,
-                lambda: merge_global(request, [f.result() for f in futures]),
-            )
-
-        for future in futures:
-            future.add_done_callback(finish)
-        return result
+    async def _broadcast(self, request: Request) -> Response:
+        parts = await asyncio.gather(
+            *(shard.submit(dict(request)) for shard in self.shards)
+        )
+        return merge_global(request, list(parts))
 
     def _finish_metrics_export(
-        self, request: Request, future: "Future[Response]"
-    ) -> "Future[Response]":
+        self, request: Request, response: Response
+    ) -> Response:
         """Parent-side half of a process-mode ``metrics-export``.
 
         Folds the parent registry (shard latency histograms, scheduler
@@ -984,63 +1037,36 @@ class Scheduler:
         laziness ratio (child fractions must not be summed), and renders
         the caller's requested format.
         """
-
-        def finish(response: Response) -> Response:
-            response = dict(response)
-            if "error" not in response:
-                parent = obs.REGISTRY.snapshot()
-                merged = obs.MetricsRegistry.merge(
-                    [response.get("metrics", {}), parent]
+        response = dict(response)
+        if "error" not in response:
+            parent = obs.REGISTRY.snapshot()
+            merged = obs.MetricsRegistry.merge(
+                [response.get("metrics", {}), parent]
+            )
+            fraction = merged.get("repro.lazy.table_fraction")
+            if fraction is not None:
+                total = merged.get("repro.lazy.full_table_states", {}).get(
+                    "value", 0
                 )
-                fraction = merged.get("repro.lazy.table_fraction")
-                if fraction is not None:
-                    total = merged.get("repro.lazy.full_table_states", {}).get(
-                        "value", 0
-                    )
-                    done_states = merged.get(
-                        "repro.lazy.states_materialized", {}
-                    ).get("value", 0)
-                    fraction["value"] = (
-                        round(done_states / total, 4) if total else 0.0
-                    )
-                response["parent"] = parent
-                response["metrics"] = merged
-                fmt = request.get("format", "prometheus")
-                response["format"] = fmt
-                if fmt == "prometheus":
-                    response["text"] = obs.render_prometheus(merged)
-                    # The text is the product; the raw snapshots would
-                    # triple the payload for a scrape that ignores them.
-                    response.pop("metrics", None)
-                    response.pop("shards", None)
-                    response.pop("parent", None)
-            response.setdefault("cmd", "metrics-export")
-            return response
-
-        wrapped: "Future[Response]" = Future()
-        future.add_done_callback(
-            lambda done: _settle(wrapped, request, lambda: finish(done.result()))
-        )
-        return wrapped
-
-    def _with_scheduler_metrics(
-        self, request: Request, future: "Future[Response]"
-    ) -> "Future[Response]":
-        """Attach per-shard scheduler metrics to a global metrics response."""
-        if isinstance(request, dict) and "session" in request:
-            return future
-
-        def enrich(response: Response) -> Response:
-            response = dict(response)
-            if "error" not in response:
-                response["scheduler"] = self.metrics()
-            return response
-
-        wrapped: "Future[Response]" = Future()
-        future.add_done_callback(
-            lambda done: _settle(wrapped, request, lambda: enrich(done.result()))
-        )
-        return wrapped
+                done_states = merged.get(
+                    "repro.lazy.states_materialized", {}
+                ).get("value", 0)
+                fraction["value"] = (
+                    round(done_states / total, 4) if total else 0.0
+                )
+            response["parent"] = parent
+            response["metrics"] = merged
+            fmt = request.get("format", "prometheus")
+            response["format"] = fmt
+            if fmt == "prometheus":
+                response["text"] = obs.render_prometheus(merged)
+                # The text is the product; the raw snapshots would
+                # triple the payload for a scrape that ignores them.
+                response.pop("metrics", None)
+                response.pop("shards", None)
+                response.pop("parent", None)
+        response.setdefault("cmd", "metrics-export")
+        return response
 
     # -- introspection -----------------------------------------------------
 
@@ -1072,15 +1098,15 @@ class Scheduler:
         degraded = [
             shard.index for shard in self.shards if shard.state == "degraded"
         ]
-        ready = not self._closed and not degraded
+        closed = self._drained is not None
         response: Response = {
             "cmd": "ready",
-            "ready": ready,
+            "ready": not closed and not degraded,
             "time": round(time.perf_counter() - started, 6),
         }
         if degraded:
             response["degraded_shards"] = degraded
-        if self._closed:
+        if closed:
             response["closed"] = True
         return response
 
@@ -1095,26 +1121,45 @@ class Scheduler:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def close(self, timeout: Optional[float] = 30.0) -> None:
-        """Graceful drain: stop intake, serve the queues, join everything.
+    async def drain(self, timeout: Optional[float] = 30.0) -> None:
+        """Graceful drain on the loop: stop intake, serve the queues,
+        close every executor.  Idempotent; later callers wait for the
+        first drain."""
+        if self._drained is None:
+            self._drained = self.loop.create_task(self._drain(timeout))
+        await asyncio.shield(self._drained)
 
-        A shard that fails to drain within ``timeout`` (a wedged child
-        process) is killed; its queued requests resolve with shard-failure
-        errors rather than hanging their clients forever.
-        """
-        if self._closed:
-            return
-        self._closed = True
+    async def _drain(self, timeout: Optional[float]) -> None:
         if self.corpus is not None:
             # Before the shards: parked jobs still submit to them, and a
             # job's in-flight documents should journal before the drain.
-            self.corpus.close()
+            # Not behind a waited corpus-parse: stopping its job ends it.
+            await self.loop.run_in_executor(None, self.corpus.close)
+            self._corpus_worker.shutdown(wait=False)
         for shard in self.shards:
             shard.close()
         for shard in self.shards:
-            if not shard.join(timeout):
+            # A shard that fails to drain within ``timeout`` (a wedged
+            # child process) is killed; its queued requests resolve with
+            # shard-failure errors rather than hanging their clients.
+            if not await shard.wait_closed(timeout):
                 shard.kill()
-                shard.join(timeout)
+                await shard.wait_closed(timeout)
+
+    def close(self, timeout: Optional[float] = 30.0) -> None:
+        """:meth:`drain`, then stop and close the loop.  Idempotent."""
+        if self.loop.is_closed():
+            return
+        try:
+            self.run(self.drain(timeout))
+        finally:
+            self._stop_loop()
+
+    def _stop_loop(self) -> None:
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join()
+        self.loop.run_until_complete(self.loop.shutdown_default_executor())
+        self.loop.close()
 
     def __enter__(self) -> "Scheduler":
         return self

@@ -152,6 +152,23 @@ class TestParserEnforcement:
         assert info.value.tokens_consumed is None
         assert "rendering" in str(info.value)
 
+    def test_counting_honors_deadline(self):
+        from repro.runtime.forest import ParseForest
+
+        booleans = Language.from_text(
+            "START ::= B\nB ::= true\nB ::= false\nB ::= B or B"
+        )
+        outcome = booleans.parse(" or ".join(["true"] * 8), engine="gss")
+        forest = ParseForest(outcome.forest.roots)  # nothing counted yet
+        # Already expired: the first poll of the count trips.
+        with deadline_scope(1):
+            time.sleep(0.01)
+            with pytest.raises(DeadlineExceeded) as info:
+                forest.tree_count()
+        assert info.value.tokens_consumed is None
+        assert "while counting trees" in str(info.value)
+        assert forest.tree_count() == 429  # Catalan(7), no deadline
+
     def test_incremental_sweep_honors_deadline(self):
         from repro.service.workspace import Workspace
 

@@ -392,6 +392,27 @@ class TestForestProtocol:
         assert "tokens_consumed" not in response    # the parse had finished
         assert response["time"] * 1000 < 3 * budget_ms
 
+    def test_counting_answers_deadline_exceeded(
+        self, booleans_dispatcher, monkeypatch
+    ):
+        import time
+
+        from repro.runtime import forest
+        from repro.runtime.deadline import Deadline
+
+        # The forest layer sees a deadline that has already passed, the
+        # parse before it does not: the count is what must answer.
+        expired = Deadline(1)
+        time.sleep(0.01)
+        monkeypatch.setattr(forest, "active_deadline", lambda: expired)
+        response = booleans_dispatcher.handle(
+            {"cmd": "parse", "session": "s1",
+             "tokens": " or ".join(["true"] * 8), "deadline_ms": 60_000}
+        )
+        assert response["error"] == "deadline-exceeded", response
+        assert "while counting trees" in response["detail"]
+        assert "tokens_consumed" not in response    # the parse had finished
+
     def test_bad_max_trees_is_a_protocol_error(self, booleans_dispatcher):
         for bad in (0, -3, "two", True, ENUMERATION_CAP + 1, 1_000_000):
             response = booleans_dispatcher.handle(

@@ -1,5 +1,6 @@
 """The fault-injection harness: arming, firing, and env activation."""
 
+import asyncio
 import time
 
 import pytest
@@ -59,13 +60,13 @@ class TestSleepIfArmed:
     def test_sleeps_the_armed_delay(self):
         faults.arm("delay", times=1, delay_ms=30)
         started = time.monotonic()
-        assert faults.sleep_if_armed("delay")
+        assert asyncio.run(faults.sleep_if_armed("delay"))
         assert (time.monotonic() - started) >= 0.025
-        assert not faults.sleep_if_armed("delay")
+        assert not asyncio.run(faults.sleep_if_armed("delay"))
 
     def test_noop_when_unarmed(self):
         started = time.monotonic()
-        assert not faults.sleep_if_armed("delay")
+        assert not asyncio.run(faults.sleep_if_armed("delay"))
         assert (time.monotonic() - started) < 0.02
 
 

@@ -126,7 +126,7 @@ class TestTcpRoundTrip:
         # A client that pipelines requests and vanishes cancels its
         # pending futures; the shard worker must survive resolving them
         # and keep serving other clients (regression: InvalidStateError
-        # used to kill the worker thread).
+        # used to kill the worker).
         with BackgroundServer(Scheduler(workers=1)) as server:
             sock, stream = connect(server)
             stream.write(json.dumps(OPEN) + "\n")
@@ -147,7 +147,7 @@ class TestTcpRoundTrip:
                 finally:
                     sock2.close()
             shard = server.scheduler.shards[0]
-            assert shard.join(timeout=0) is False  # worker thread alive
+            assert shard.alive  # worker coroutine still running
 
     def test_oversized_line_answers_error_without_crashing(self):
         from repro.service.net import MAX_LINE_BYTES
@@ -411,3 +411,100 @@ class TestReadyFile:
         finally:
             process.terminate()
             process.communicate(timeout=60)
+
+
+class TestLoopRelay:
+    """Process shards are served on the loop that owns the sockets."""
+
+    def test_process_shards_relay_on_the_loop_thread(self, monkeypatch):
+        from repro.service import scheduler as scheduler_module
+
+        seen = {}
+        real_run = scheduler_module.ProcessExecutor.run
+
+        async def run(self, requests):
+            seen.setdefault("child", set()).add(threading.get_ident())
+            return await real_run(self, requests)
+
+        monkeypatch.setattr(scheduler_module.ProcessExecutor, "run", run)
+        scheduler = Scheduler(workers=2)
+        real_dispatch = scheduler.dispatch
+
+        def dispatch(request):
+            seen.setdefault("socket", set()).add(threading.get_ident())
+            return real_dispatch(request)
+
+        scheduler.dispatch = dispatch
+        with BackgroundServer(scheduler) as server:
+            sock, stream = connect(server)
+            try:
+                opened, parsed = exchange(stream, OPEN, PARSE)
+                assert parsed["accepted"] is True
+            finally:
+                sock.close()
+            names = [thread.name for thread in threading.enumerate()]
+            assert not [name for name in names if "shard" in name], names
+        assert seen["socket"] == seen["child"] == {scheduler._thread.ident}
+
+    def test_child_answer_larger_than_a_pipe_buffer(self):
+        from repro.service import Dispatcher
+
+        big = {"cmd": "parse", "session": "s1",
+               "tokens": " or ".join(["true"] * 10), "max_trees": 10_000}
+        local = Dispatcher()
+        local.handle(OPEN)
+        expected = local.handle(dict(big))
+        assert expected["ambiguity"]["tree_count"] == 4862
+        with BackgroundServer(Scheduler(workers=2)) as server:
+            sock, stream = connect(server)
+            try:
+                opened, answer, after = exchange(stream, OPEN, big, PARSE)
+            finally:
+                sock.close()
+        assert len(json.dumps(answer)) > 700_000   # >> a 64 KiB pipe
+        for response in (answer, expected):
+            del response["time"]
+        assert answer == expected
+        assert after["accepted"] is True
+
+    def test_waited_corpus_parse_leaves_other_connections_served(
+        self, tmp_path
+    ):
+        import select
+
+        documents = [
+            " or ".join(
+                "true" if (value >> bit) & 1 else "false" for bit in range(12)
+            )
+            for value in range(800)
+        ]
+        scheduler = Scheduler(workers=2, corpus_root=str(tmp_path))
+        with BackgroundServer(scheduler) as server:
+            job_sock, job_stream = connect(server)
+            probe_sock, probe_stream = connect(server)
+            try:
+                created, ingested = exchange(
+                    job_stream,
+                    {"cmd": "corpus-create", "corpus": "c",
+                     "grammar": GRAMMAR},
+                    {"cmd": "corpus-ingest", "corpus": "c",
+                     "documents": documents},
+                )
+                assert ingested["added"] == len(documents), ingested
+                job_stream.write(json.dumps(
+                    {"cmd": "corpus-parse", "corpus": "c", "wait": True}
+                ) + "\n")
+                job_stream.flush()
+                time.sleep(0.2)  # let the job get going
+                started = time.monotonic()
+                [health] = exchange(probe_stream, {"cmd": "health"})
+                elapsed = time.monotonic() - started
+                running, _, _ = select.select([job_sock], [], [], 0)
+                assert health["cmd"] == "health"
+                assert elapsed < 0.25, f"health took {elapsed * 1e3:.0f} ms"
+                assert not running, "the job ended before the probe: too small"
+                done = json.loads(job_stream.readline())
+                assert "error" not in done, done
+            finally:
+                job_sock.close()
+                probe_sock.close()

@@ -176,13 +176,17 @@ class TestInjectedTransportFaults:
 
 class TestStartupFailure:
     def test_start_raises_when_thread_never_signals_ready(self):
-        background = BackgroundServer(Scheduler())
-        # Replace the server thread with one that never reports ready —
-        # the shape of a wedged bind.  start() must raise, not hand back
-        # a server object with no address.
-        import threading
+        import asyncio
 
-        background._thread = threading.Thread(target=lambda: None, daemon=True)
+        background = BackgroundServer(Scheduler())
+
+        async def wedged():
+            await asyncio.Event().wait()
+
+        # A start coroutine that never returns — the shape of a wedged
+        # bind.  start() must raise, not hand back a server object with
+        # no address.
+        background.server.start = wedged
         with pytest.raises(RuntimeError, match="failed to start listening"):
             background.start(timeout=0.2)
         background.scheduler.close()

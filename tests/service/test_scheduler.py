@@ -45,10 +45,11 @@ class RecordingStub:
 class FakeChild:
     """A ProcessExecutor stand-in that spawns nothing (never run)."""
 
-    def __init__(self, **_kwargs):
-        pass
+    @classmethod
+    async def spawn(cls, **_kwargs):
+        return cls()
 
-    def close(self):
+    async def close(self):
         pass
 
     def terminate(self):
@@ -62,7 +63,10 @@ def forbid_executors(monkeypatch):
     def forbidden(*_args, **_kwargs):
         raise AssertionError("built an executor before validating arguments")
 
-    monkeypatch.setattr(scheduler_module, "ProcessExecutor", forbidden)
+    class ForbiddenChild:
+        spawn = staticmethod(forbidden)
+
+    monkeypatch.setattr(scheduler_module, "ProcessExecutor", ForbiddenChild)
     monkeypatch.setattr(scheduler_module, "InlineExecutor", forbidden)
 
 
@@ -371,10 +375,13 @@ class TestProcessMode:
         real = scheduler_module.ProcessExecutor
 
         class FlakyExecutor:
-            def __new__(cls, cache_capacity=1024, **kwargs):
+            @staticmethod
+            async def spawn(cache_capacity=1024, **kwargs):
                 if len(spawned) == 1:
                     raise OSError("spawn failed")
-                executor = real(cache_capacity=cache_capacity, **kwargs)
+                executor = await real.spawn(
+                    cache_capacity=cache_capacity, **kwargs
+                )
                 spawned.append(executor)
                 return executor
 
@@ -382,4 +389,4 @@ class TestProcessMode:
         with pytest.raises(OSError):
             Scheduler(workers=2, mode="process")
         assert len(spawned) == 1
-        assert spawned[0]._process.poll() is not None  # child reaped
+        assert spawned[0]._process.returncode is not None  # child reaped
