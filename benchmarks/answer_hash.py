@@ -36,13 +36,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import socket
-import subprocess
 import sys
-import tempfile
 import threading
-import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -52,11 +47,10 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.service import Dispatcher, Scheduler, run_batch
 
+from repro.bench.serve import ServeProcess
 from repro.bench.workloads import service_requests
 from repro.lr.serialize import grammar_to_dict
 from repro.sdf.corpus import corpus_tokens, sdf_grammar
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: Requests the TCP client keeps in flight: as deep as ``run_batch``'s
 #: window, well under a shard's default queue bound.
@@ -140,45 +134,23 @@ def pipelined(scheduler: Scheduler, requests: List[Dict[str, Any]]) -> List[Dict
 
 def over_tcp(requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Pipeline ``requests`` over one connection to a 2-shard server."""
-    with tempfile.TemporaryDirectory() as scratch:
-        ready = os.path.join(scratch, "ready")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")])
-        )
-        server = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
-             "--workers", "2", "--ready-file", ready],
-            env=env,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while not os.path.exists(ready):
-                if time.monotonic() > deadline or server.poll() is not None:
-                    raise RuntimeError("repro serve never became ready")
-                time.sleep(0.01)
-            with open(ready) as handle:
-                host, port = handle.read().strip().rsplit(":", 1)
-            with socket.create_connection((host, int(port)), timeout=120) as sock:
-                slots = threading.Semaphore(TCP_WINDOW)
+    with ServeProcess(workers=2) as server, server.connect() as sock:
+        slots = threading.Semaphore(TCP_WINDOW)
 
-                def send() -> None:
-                    for request in requests:
-                        slots.acquire()
-                        sock.sendall((json.dumps(request) + "\n").encode())
+        def send() -> None:
+            for request in requests:
+                slots.acquire()
+                sock.sendall((json.dumps(request) + "\n").encode())
 
-                sender = threading.Thread(target=send, daemon=True)
-                sender.start()
-                responses = []
-                with sock.makefile("r", encoding="utf-8") as stream:
-                    for _ in requests:
-                        responses.append(json.loads(stream.readline()))
-                        slots.release()
-                sender.join(timeout=60)
-            return responses
-        finally:
-            server.terminate()
-            server.wait(timeout=60)
+        sender = threading.Thread(target=send, daemon=True)
+        sender.start()
+        responses = []
+        with sock.makefile("r", encoding="utf-8") as stream:
+            for _ in requests:
+                responses.append(json.loads(stream.readline()))
+                slots.release()
+        sender.join(timeout=60)
+        return responses
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -53,11 +53,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import socket
 import statistics
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -69,7 +67,7 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from repro.service import Dispatcher, Scheduler
 
-import repro
+from repro.bench.serve import ServeProcess
 from repro.bench.workloads import service_requests
 from repro.service.retry import call_with_retries, is_retryable
 
@@ -236,29 +234,9 @@ def run_concurrent(
 class _TcpServer:
     """A ``repro serve --tcp`` subprocess and one blocking connection."""
 
-    def __init__(self, scratch: str, workers: int) -> None:
-        ready = os.path.join(scratch, f"ready-{workers}")
-        env = dict(os.environ)
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
-        self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
-             "--workers", str(workers), "--ready-file", ready],
-            env=env,
-            stderr=subprocess.DEVNULL,
-        )
-        deadline = time.monotonic() + 60
-        while not os.path.exists(ready):
-            if time.monotonic() > deadline or self.process.poll() is not None:
-                self.close()
-                raise RuntimeError(f"repro serve --workers {workers} never came up")
-            time.sleep(0.01)
-        with open(ready) as handle:
-            host, port = handle.read().strip().rsplit(":", 1)
-        self.sock = socket.create_connection((host, int(port)), timeout=60)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def __init__(self, workers: int) -> None:
+        self.server = ServeProcess(workers, stderr=subprocess.DEVNULL)
+        self.sock = self.server.connect(timeout=60)
         self.stream = self.sock.makefile("rwb")
 
     def call(self, request: Dict[str, Any]) -> Tuple[Dict[str, Any], float]:
@@ -271,11 +249,9 @@ class _TcpServer:
         return json.loads(answer), time.perf_counter() - started
 
     def close(self) -> None:
-        if hasattr(self, "sock"):
-            self.stream.close()
-            self.sock.close()
-        self.process.terminate()
-        self.process.wait(timeout=60)
+        self.stream.close()
+        self.sock.close()
+        self.server.close()
 
 
 def run_tcp(rounds: int = TCP_ROUNDS) -> Dict[str, Any]:
@@ -285,26 +261,25 @@ def run_tcp(rounds: int = TCP_ROUNDS) -> Dict[str, Any]:
     request = {"cmd": "recognize", "session": "rtt",
                "tokens": " or ".join(["true", "false"] * 3)}
     samples: Dict[str, List[Tuple[float, float]]] = {"process": [], "inline": []}
-    with tempfile.TemporaryDirectory() as scratch:
-        servers = {}
-        try:
-            for label, workers in (("process", 2), ("inline", 1)):
-                servers[label] = _TcpServer(scratch, workers)
-                opened, _ = servers[label].call(
-                    {"cmd": "open", "session": "rtt", "grammar": grammar}
-                )
-                if "error" in opened:
-                    raise RuntimeError(f"open failed: {opened['error']}")
-            for index in range(TCP_WARMUP + rounds):
-                for label, server in servers.items():
-                    response, seconds = server.call(request)
-                    if "error" in response or response.get("cache") is not (index > 0):
-                        raise RuntimeError(f"{label}: unexpected answer {response}")
-                    if index >= TCP_WARMUP:
-                        samples[label].append((seconds, response["time"]))
-        finally:
-            for server in servers.values():
-                server.close()
+    servers: Dict[str, _TcpServer] = {}
+    try:
+        for label, workers in (("process", 2), ("inline", 1)):
+            servers[label] = _TcpServer(workers)
+            opened, _ = servers[label].call(
+                {"cmd": "open", "session": "rtt", "grammar": grammar}
+            )
+            if "error" in opened:
+                raise RuntimeError(f"open failed: {opened['error']}")
+        for index in range(TCP_WARMUP + rounds):
+            for label, server in servers.items():
+                response, seconds = server.call(request)
+                if "error" in response or response.get("cache") is not (index > 0):
+                    raise RuntimeError(f"{label}: unexpected answer {response}")
+                if index >= TCP_WARMUP:
+                    samples[label].append((seconds, response["time"]))
+    finally:
+        for server in servers.values():
+            server.close()
     report: Dict[str, Any] = {"rounds": rounds, "request": "cached recognize"}
     for label, pairs in samples.items():
         report[label] = {

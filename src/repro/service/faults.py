@@ -10,9 +10,9 @@ and the next pass through that code path fails deliberately.
 The catalog (each name is checked at one code site):
 
 ``kill-child``
-    ``ProcessExecutor.run`` in :mod:`repro.service.scheduler` SIGKILLs
-    its child (and reaps it) before writing the next request of a batch
-    — the supervisor's respawn + journal-replay path.
+    ``ProcessExecutor.begin`` in :mod:`repro.service.executors` SIGKILLs
+    its child before writing a batch to it — the supervisor's respawn +
+    journal-replay path.
 ``delay``
     The shard worker sleeps ``delay_ms`` before serving a batch —
     latency injection for deadline and p99 assertions.
@@ -21,9 +21,9 @@ The catalog (each name is checked at one code site):
     the queue fills and the bounded-backpressure (``overloaded``) path
     runs under load.
 
-``delay`` and ``queue-stall`` sleep with ``asyncio.sleep`` in the shard's
-worker coroutine: the sleeping shard stalls, while the scheduler's event
-loop keeps serving every other shard, socket and probe.
+``delay`` and ``queue-stall`` sleep with ``asyncio.sleep`` in a coroutine
+the shard's pump hands over to: the sleeping shard stalls, while the
+scheduler's event loop keeps serving every other shard, socket and probe.
 ``drop-connection``
     The TCP front end aborts the client's transport right after decoding
     a request — mid-pipeline disconnects.
@@ -48,6 +48,7 @@ __all__ = [
     "POINTS",
     "active",
     "arm",
+    "armed",
     "disarm",
     "fire",
     "load_env",
@@ -114,6 +115,11 @@ def active() -> Dict[str, Dict[str, object]]:
             point: {"remaining": fault.remaining, "delay_ms": fault.delay_ms}
             for point, fault in _ARMED.items()
         }
+
+
+def armed(point: str) -> bool:
+    """True while ``point`` is armed (without consuming a firing)."""
+    return point in _ARMED
 
 
 def fire(point: str) -> bool:

@@ -35,6 +35,9 @@ Request = Dict[str, Any]
 
 #: Journal entries replayed verbatim never need these transport-level
 #: fields; stripping them keeps replay quiet and deterministic.
+
+#: Commands the journal keeps (``close`` drops a session's history).
+_JOURNALED = frozenset({"open", "add-rule", "delete-rule", "restore", "close"})
 _STRIP_FIELDS = ("trace", "deadline_ms")
 
 
@@ -69,9 +72,9 @@ class MutationJournal:
         """
         if not isinstance(request, dict) or not isinstance(response, dict):
             return False
-        if "error" in response:
-            return False
         cmd = request.get("cmd")
+        if "error" in response or cmd not in _JOURNALED:
+            return False
         try:
             session = session_of(request)
         except ProtocolError:  # refused by the dispatcher as well
@@ -84,8 +87,6 @@ class MutationJournal:
             with self._lock:
                 self._drop_session(session)
             return True
-        if cmd not in ("open", "add-rule", "delete-rule", "restore"):
-            return False
         entry = {
             key: value
             for key, value in request.items()

@@ -6,38 +6,43 @@ dispatcher: a :class:`Scheduler` partitions sessions across worker
 tables and caches stay **single-writer**: one shard serves each session.
 
 **Threads.**  The scheduler owns one asyncio event loop on its own thread
-(``repro-scheduler``).  Each shard is a worker coroutine on that loop,
-with its queue, batching, backpressure, journal and supervision; the
-pipes of process-shard children and the sockets of a
-:class:`~repro.service.net.ParseServer` live on the same loop.  A TCP
-request thus goes from the socket read to the child's stdin, to an
-awaited line from its stdout, to the socket write, on one thread.  Other
-threads (``handle``, ``run_batch``, corpus jobs, benches) call
-:meth:`Scheduler.submit`, which hands the request to the loop with
-``call_soon_threadsafe``.  ``health`` and ``ready`` are answered on the
-loop; ``corpus-*`` commands run in arrival order on a thread of their own
-(``repro-corpus-serve``), since a waited ``corpus-parse`` blocks until
-its job, whose parses queue on these shards, ends.
+(``repro-scheduler``).  The sockets of a
+:class:`~repro.service.net.ParseServer` and the pipes of process-shard
+children live on it, and each process shard is pumped from it: a batch
+goes to the child's stdin in one write and is answered from the callback
+that reads its stdout.  A TCP request thus goes from the socket read to
+the child and back to the socket write on one thread.  Other threads
+(``handle``, ``run_batch``, corpus jobs, benches) put a request naming a
+session straight onto its shard's queue (:meth:`Scheduler.submit`), and
+wake the shard's loop only when the shard is idle; anything else reaches
+the loop with ``call_soon_threadsafe``.  ``health`` and ``ready`` are
+answered on the loop; ``corpus-*`` commands run in arrival order on a
+thread of their own (``repro-corpus-serve``), since a waited
+``corpus-parse`` blocks until its job, whose parses queue on these
+shards, ends.
 
 A scheduler runs one of two configurations, picked from ``workers``:
 
 ``mode="thread"`` (the default for ``workers=1``)
     One inline shard runs batches against an in-process
-    :class:`~repro.service.dispatcher.Dispatcher` on one worker thread
-    (``repro-inline``): no IPC, for embedding and tests.  Only one,
-    because the GIL serializes pure-Python parse work.
+    :class:`~repro.service.dispatcher.Dispatcher`, on an event loop of
+    its own (``repro-inline``) so a long parse never stalls the
+    scheduler's: no IPC, for embedding and tests.  A blocking
+    :meth:`Scheduler.handle` on a thread without a loop serves an idle
+    inline shard's batch itself instead of waiting for that loop.  Only
+    one shard, because the GIL serializes pure-Python parse work.
 
 ``mode="process"`` (the default for ``workers > 1``)
     Every shard owns a child process running the stdio serve loop
     (``python -m repro serve``) and speaks the line-delimited JSON
-    protocol over its pipes, from its coroutine: no thread per shard.
-    Parse work is pure-Python CPU, so this is the mode that scales with
-    cores; cross-shard commands (``sessions``/``metrics``/``info``) are
+    protocol over its pipes: no thread per shard.  Parse work is
+    pure-Python CPU, so this is the mode that scales with cores;
+    cross-shard commands (``sessions``/``metrics``/``info``) are
     broadcast to every shard and merged.
 
 In both configurations every shard applies:
 
-* **batching** — the worker drains up to ``max_batch`` queued requests
+* **batching** — the pump drains up to ``max_batch`` queued requests
   at once and serves them as one unit, in arrival order (a repeated
   ``parse``/``recognize`` in the batch is answered by the dispatcher's
   result cache, the one place that decides two requests are the same);
@@ -52,10 +57,6 @@ In both configurations every shard applies:
 from __future__ import annotations
 
 import asyncio
-import json
-import os
-import sys
-import tempfile
 import threading
 import time
 import zlib
@@ -65,10 +66,12 @@ from typing import Any, Awaitable, Callable, Deque, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..core.metrics import LatencyStats
+from ..runtime.deadline import active_deadline
 from . import faults
 from .dispatcher import Dispatcher
+from .executors import InlineExecutor, ProcessExecutor
 from .journal import MutationJournal
-from .protocol import ProtocolError, encode, session_of
+from .protocol import ProtocolError, session_of
 from .supervision import BackoffPolicy, CircuitBreaker
 
 __all__ = [
@@ -98,6 +101,14 @@ def _error_response(request: Any, message: str, **extra: Any) -> Response:
     return response
 
 
+def _start_loop(name: str) -> Tuple[asyncio.AbstractEventLoop, threading.Thread]:
+    """A new event loop running forever on a daemon thread ``name``."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, name=name, daemon=True)
+    thread.start()
+    return loop, thread
+
+
 def _answered(response: Response) -> "asyncio.Future[Response]":
     """A loop-side future already holding ``response``."""
     future = asyncio.get_running_loop().create_future()
@@ -105,176 +116,33 @@ def _answered(response: Response) -> "asyncio.Future[Response]":
     return future
 
 
-# -- executors -------------------------------------------------------------
-
-
-class InlineExecutor:
-    """Thread-mode shard body: batches run on an in-process dispatcher,
-    on one worker thread, so a long parse leaves the loop responsive."""
-
-    def __init__(self, dispatcher: Dispatcher) -> None:
-        self.dispatcher = dispatcher
-        self._worker = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-inline"
-        )
-
-    async def run(self, requests: List[Request]) -> List[Response]:
-        return await asyncio.get_running_loop().run_in_executor(
-            self._worker, self._serve, requests
-        )
-
-    def _serve(self, requests: List[Request]) -> List[Response]:
-        return [self.dispatcher.handle(request) for request in requests]
-
-    async def close(self) -> None:
-        self._worker.shutdown(wait=False)
-
-    def terminate(self) -> None:
-        pass
-
-
-class ProcessExecutor:
-    """Process-mode shard body: a ``repro serve`` child over its pipes.
-
-    The child is the unmodified stdio serve loop — one JSON request line
-    in, one response line out — so the shard protocol *is* the service
-    protocol and needs no second serializer.  A batch is written to the
-    child's stdin in one go, then its answers are awaited line by line
-    from stdout, on the scheduler's event loop.  The child is trusted, so
-    its lines have no length bound (a 10,000-tree answer is ~750 KB).
-    """
-
-    def __init__(
-        self, process: asyncio.subprocess.Process, stderr: Any
-    ) -> None:
-        self._process = process
-        self._stderr = stderr
-
-    @classmethod
-    async def spawn(
-        cls,
-        cache_capacity: int = 1024,
-        deadline_ms: Optional[float] = None,
-    ) -> "ProcessExecutor":
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        src_dir = os.path.dirname(package_root)
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_dir if not existing else src_dir + os.pathsep + existing
-        )
-        # Fault injection is parent-owned: a child that also parsed
-        # REPRO_FAULTS would double-fire every point.
-        env.pop(faults.ENV_VAR, None)
-        argv = [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--cache-capacity",
-            str(cache_capacity),
-        ]
-        if deadline_ms is not None:
-            argv += ["--deadline-ms", str(deadline_ms)]
-        # Child stderr goes to a spooled temp file so crash tracebacks
-        # survive the child (a pipe would deadlock a chatty child; the
-        # parent only reads this after a failure).
-        stderr = tempfile.TemporaryFile(mode="w+b")
-        try:
-            process = await asyncio.create_subprocess_exec(
-                *argv,
-                stdin=asyncio.subprocess.PIPE,
-                stdout=asyncio.subprocess.PIPE,
-                stderr=stderr,
-                env=env,
-                limit=sys.maxsize,
-            )
-        except BaseException:
-            stderr.close()
-            raise
-        return cls(process, stderr)
-
-    @property
-    def pid(self) -> int:
-        return self._process.pid
-
-    def stderr_tail(self, limit: int = 4096) -> str:
-        """The last ``limit`` bytes the child wrote to stderr."""
-        try:
-            self._stderr.flush()
-            size = self._stderr.seek(0, os.SEEK_END)
-            self._stderr.seek(max(0, size - limit))
-            return self._stderr.read().decode("utf-8", "replace").strip()
-        except (OSError, ValueError):
-            return ""
-
-    def _exited(self) -> RuntimeError:
-        tail = self.stderr_tail()
-        return RuntimeError(
-            f"shard child (pid {self._process.pid}) exited with "
-            f"code {self._process.returncode}"
-            + (f"; stderr tail: {tail}" if tail else "")
-        )
-
-    async def run(self, requests: List[Request]) -> List[Response]:
-        process = self._process
-        stdin, stdout = process.stdin, process.stdout
-        assert stdin is not None and stdout is not None
-        try:
-            for request in requests:
-                if faults.fire("kill-child"):
-                    self.terminate()
-                    await process.wait()
-                if process.returncode is not None:
-                    raise self._exited()
-                stdin.write((encode(request) + "\n").encode("utf-8"))
-            await stdin.drain()
-        except ConnectionError:
-            raise self._exited() from None
-        responses: List[Response] = []
-        for _ in requests:
-            line = await stdout.readline()
-            if not line:
-                raise self._exited()
-            responses.append(json.loads(line))
-        return responses
-
-    async def close(self) -> None:
-        """Close stdin (EOF ends the child's serve loop) and reap it."""
-        try:
-            assert self._process.stdin is not None
-            self._process.stdin.close()
-            await asyncio.wait_for(self._process.wait(), timeout=10)
-        except (OSError, asyncio.TimeoutError):
-            self.terminate()
-            await self._process.wait()
-        finally:
-            self._stderr.close()
-
-    def terminate(self) -> None:
-        """SIGKILL the child now; :meth:`close` still reaps it."""
-        if self._process.returncode is None:
-            try:
-                self._process.kill()
-            except ProcessLookupError:
-                pass
+def _settle(answers: List[Tuple[Any, Response]]) -> None:
+    """Resolve each future with its response; call on the future's loop
+    (any thread for a concurrent future)."""
+    for future, response in answers:
+        # A TCP client that disconnects mid-pipeline cancels its
+        # futures; its requests still ran, the answers go nowhere.
+        if not future.cancelled():
+            future.set_result(response)
 
 
 # -- shards ----------------------------------------------------------------
 
 
 class Shard:
-    """One worker: a bounded queue, a batching coroutine, and its executor.
+    """One worker: a bounded queue, a batching pump, and its executor.
 
-    The worker drains up to ``max_batch`` queued requests and hands them
-    to the executor exactly as drained; responses come back in the same
-    order, one per request.  A shard is built, fed and drained on the
-    scheduler's event loop; only its counters and ``state`` are read from
-    other threads.
+    The pump hands up to ``max_batch`` queued requests to the executor as
+    one batch; the batch's completion callback answers them in order and
+    pumps again.  The shard lives on one event loop but is fed from any
+    thread: :meth:`submit` appends under a short lock and schedules the
+    pump only when the shard is idle.  Supervision, compaction and the
+    ``delay``/``queue-stall`` fault sleeps are coroutines on that loop
+    that pump again when done.
 
     When built with an ``executor_factory`` the shard is *supervised*:
     an executor crash answers the in-flight batch with a retryable
-    ``shard-restarting`` error, then the worker respawns the executor
+    ``shard-restarting`` error, then the shard respawns the executor
     under exponential backoff with jitter and replays the shard's
     :class:`~repro.service.journal.MutationJournal`, so every
     acknowledged session mutation exists again — at the same grammar
@@ -334,12 +202,16 @@ class Shard:
         )
         self._failure: Optional[str] = None
         self._loop = asyncio.get_running_loop()
-        self._items: Deque[
-            Tuple[Any, "asyncio.Future[Response]", float]
-        ] = deque()
-        self._wakeup = asyncio.Event()
+        self._loop_thread = threading.get_ident()
+        self._lock = threading.Lock()
+        self._items: Deque[Tuple[Any, Any, float]] = deque()
+        # True while no batch is in flight and no pump is scheduled: the
+        # next submit schedules one.
+        self._idle = True
+        self._pumping = False
+        self._again = False
         self._accepting = True
-        self._worker = self._loop.create_task(self._run())
+        self._done: "Future[None]" = Future()
 
     @property
     def supervised(self) -> bool:
@@ -347,42 +219,97 @@ class Shard:
 
     @property
     def alive(self) -> bool:
-        """True until the worker coroutine has drained and exited."""
-        return not self._worker.done()
+        """True until the shard has drained and closed its executor."""
+        return not self._done.done()
 
     # -- intake ------------------------------------------------------------
 
-    def submit(self, request: Any) -> "asyncio.Future[Response]":
-        """Enqueue ``request``; call on the loop.  Refusals resolve at once."""
-        future: "asyncio.Future[Response]" = self._loop.create_future()
-        if not self._accepting:
-            future.set_result(
-                _error_response(
+    def submit(self, request: Any, future: Any, serve_here: bool = False) -> None:
+        """Enqueue ``request`` from any thread; ``future`` (a running
+        concurrent future, or an asyncio future of the caller's loop)
+        resolves to its response, at once for a refusal.  With
+        ``serve_here`` a caller about to block on it may serve the batch
+        itself."""
+        refusal: Optional[Response] = None
+        with self._lock:
+            if not self._accepting:
+                refusal = _error_response(
                     request,
                     f"shutting down: shard {self.index} no longer accepts "
                     f"requests",
                     overloaded=True,
                 )
-            )
-        elif self.state != "ok":
-            # Fail fast instead of queueing behind a recovery of unknown
-            # length; the client retries after the hint.
-            future.set_result(self._failed(request))
-        elif len(self._items) >= self.max_depth:
-            self.overloaded += 1
-            future.set_result(
-                _error_response(
+            elif self.state != "ok":
+                # Fail fast instead of queueing behind a recovery of
+                # unknown length; the client retries after the hint.
+                refusal = self._failed(request)
+            elif len(self._items) >= self.max_depth:
+                self.overloaded += 1
+                refusal = _error_response(
                     request,
                     f"overloaded: shard {self.index} queue is at its depth "
                     f"limit ({self.max_depth})",
                     overloaded=True,
                 )
-            )
+            else:
+                self._items.append((request, future, time.perf_counter()))
+                self.submitted += 1
+                wake, self._idle = self._idle, False
+        if refusal is not None:
+            future.set_result(refusal)
+        elif wake:
+            self._wake(serve_here)
+
+    def _wake(self, serve_here: bool = False) -> None:
+        if threading.get_ident() == self._loop_thread:
+            self._pump()
+        elif serve_here and self._may_serve_here():
+            self._serve_here()
         else:
-            self._items.append((request, future, time.perf_counter()))
-            self.submitted += 1
-            self._wakeup.set()
-        return future
+            self._loop.call_soon_threadsafe(self._pump)
+
+    def _may_serve_here(self) -> bool:
+        """Whether the calling thread may serve an in-process batch: not
+        on a loop (its sockets would stall), with no shard fault armed,
+        and no span or deadline open that the dispatcher's would nest
+        under."""
+        if not getattr(self.executor, "runs_on_any_thread", False):
+            return False
+        try:
+            asyncio.get_running_loop()
+            return False
+        except RuntimeError:
+            pass
+        return (
+            obs.current_span() is obs.NULL_SPAN
+            and active_deadline() is None
+            and not faults.armed("queue-stall")
+            and not faults.armed("delay")
+        )
+
+    def _serve_here(self) -> None:
+        """Serve one batch on the calling thread; leave the rest to the
+        loop."""
+        self._pumping = True
+        try:
+            self._take()
+        finally:
+            self._pumping = False
+        if not self._again:
+            return  # the pump went elsewhere (a fault sleep, the finish)
+        self._again = False
+        with self._lock:
+            rest = bool(self._items) or not self._accepting
+            self._idle = not rest
+        if rest:
+            self._loop.call_soon_threadsafe(self._pump)
+
+    def _spawn(self, coroutine: Awaitable[None]) -> None:
+        """Run ``coroutine`` on the shard's loop, from any thread."""
+        if threading.get_ident() == self._loop_thread:
+            self._loop.create_task(coroutine)
+        else:
+            asyncio.run_coroutine_threadsafe(coroutine, self._loop)
 
     def queue_depth(self) -> int:
         return len(self._items)
@@ -390,64 +317,114 @@ class Shard:
     # -- shutdown ----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop intake; the worker drains the queue and then exits."""
-        self._accepting = False
-        self._wakeup.set()
+        """Stop intake; the pump drains the queue, then closes the
+        executor."""
+        with self._lock:
+            self._accepting = False
+            wake, self._idle = self._idle, False
+        if wake:
+            self._wake()
 
     async def wait_closed(self, timeout: Optional[float] = None) -> bool:
-        """Wait up to ``timeout`` s for the worker to exit; True if it did."""
-        await asyncio.wait({self._worker}, timeout=timeout)
-        return self._worker.done()
+        """Wait up to ``timeout`` s, on any loop, for the shard to close;
+        True if it did."""
+        await asyncio.wait({asyncio.wrap_future(self._done)}, timeout=timeout)
+        return self._done.done()
 
     def kill(self) -> None:
         """Last resort for a wedged executor (e.g. a hung child process)."""
         self.executor.terminate()
 
-    # -- the worker --------------------------------------------------------
+    # -- the pump ----------------------------------------------------------
 
-    async def _run(self) -> None:
-        while True:
-            await faults.sleep_if_armed("queue-stall")
-            while not self._items and self._accepting:
-                self._wakeup.clear()
-                await self._wakeup.wait()
-            if not self._items:
-                break  # closed and drained
+    def _pump(self) -> None:
+        """Start the next batch.  A batch that completes before
+        :meth:`_serve` returns pumps again as the next turn of this loop,
+        not one level deeper per batch."""
+        if self._pumping:
+            self._again = True
+            return
+        self._pumping = True
+        try:
+            self._again = True
+            while self._again:
+                self._again = False
+                if faults.armed("queue-stall"):
+                    self._spawn(self._after_fault("queue-stall", self._take))
+                else:
+                    self._take()
+        finally:
+            self._pumping = False
+
+    def _take(self) -> None:
+        with self._lock:
             batch = [
                 self._items.popleft()
                 for _ in range(min(len(self._items), self.max_batch))
             ]
-            await self._serve(batch)
-        await self.executor.close()
+            if not batch:
+                closing = not self._accepting
+                # A closed, drained shard stays busy: nothing wakes it.
+                self._idle = not closing
+        if not batch:
+            if closing:
+                self._spawn(self._finish())
+            return
+        if faults.armed("delay"):
+            self._spawn(self._after_fault("delay", lambda: self._serve(batch)))
+        else:
+            self._serve(batch)
 
-    async def _serve(
-        self, batch: List[Tuple[Any, "asyncio.Future[Response]", float]]
-    ) -> None:
-        await faults.sleep_if_armed("delay")
+    async def _after_fault(self, point: str, then: Callable[[], None]) -> None:
+        await faults.sleep_if_armed(point)
+        then()
+
+    async def _finish(self) -> None:
+        try:
+            await self.executor.close()
+        finally:
+            self._done.set_result(None)
+
+    def _serve(self, batch: List[Tuple[Any, Any, float]]) -> None:
         requests = [request for request, _future, _enqueued in batch]
         started = time.perf_counter()
-        responses: Optional[List[Response]] = None
-        crashed = False
         if self._failure is None or (self.supervised and self.state == "ok"):
-            try:
-                responses = await self.executor.run(requests)
-            except Exception as error:  # noqa: BLE001 — worker boundary
-                self._failure = f"{type(error).__name__}: {error}"
-                crashed = True
+            self.executor.begin(
+                requests, lambda result: self._complete(batch, started, result)
+            )
+        else:
+            self._complete(batch, started, None)
+
+    def _complete(
+        self,
+        batch: List[Tuple[Any, Any, float]],
+        started: float,
+        result: Any,
+    ) -> None:
+        """Answer ``batch`` from ``result`` — its responses, the exception
+        that failed it, or None when it never ran — and pump on."""
+        crashed = isinstance(result, BaseException)
+        if crashed:
+            self._failure = f"{type(result).__name__}: {result}"
         self.batches += 1
         self.batched_requests += len(batch)
         self.largest_batch = max(self.largest_batch, len(batch))
         finished = time.perf_counter()
-        served = responses is not None
-        if responses is None:
-            responses = [self._failed(request) for request in requests]
+        served = isinstance(result, list)
+        responses = (
+            result if served else [self._failed(request) for request, _f, _e in batch]
+        )
         # Journal only under supervision: the unsupervised inline shard
         # never replays, and an unbounded log would just leak.
         journal = served and self.supervised
+        here = threading.get_ident() == self._loop_thread
+        recorded = False
+        local: List[Tuple[Any, Response]] = []
+        elsewhere: Dict[Any, List[Tuple[Any, Response]]] = {}
         for (request, future, enqueued), response in zip(batch, responses):
             queue_wait = max(0.0, started - enqueued)
-            if journal:
-                self.journal.record(request, response)
+            if journal and self.journal.record(request, response):
+                recorded = True
             response = self._annotate_trace(response, queue_wait)
             cmd = request.get("cmd") if isinstance(request, dict) else None
             self.latency.record(
@@ -457,14 +434,36 @@ class Shard:
             self._obs_wait.observe(queue_wait)
             self._obs_request.observe(finished - enqueued)
             self.completed += 1
-            # A TCP client that disconnects mid-pipeline cancels its
-            # futures; its requests still ran, the answers go nowhere.
-            if not future.cancelled():
-                future.set_result(response)
+            if isinstance(future, asyncio.Future) and (
+                future.get_loop() is not self._loop or not here
+            ):
+                elsewhere.setdefault(future.get_loop(), []).append(
+                    (future, response)
+                )
+            else:
+                local.append((future, response))
+        _settle(local)
+        for loop, settled in elsewhere.items():
+            loop.call_soon_threadsafe(_settle, settled)
         if crashed and self.supervised:
-            await self._recover()
-        elif served:
-            await self._maybe_compact()
+            self._spawn(self._then_pump(self._recover()))
+        elif recorded and self.journal.needs_compaction() is not None:
+            self._spawn(self._then_pump(self._compact()))
+        else:
+            self._pump()
+
+    async def _then_pump(self, step: Awaitable[None]) -> None:
+        await step
+        self._pump()
+
+    async def _round_trip(self, requests: List[Request]) -> List[Response]:
+        """Serve ``requests`` on the executor outside the queue."""
+        answered = self._loop.create_future()
+        self.executor.begin(requests, answered.set_result)
+        result = await answered
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
     def _failed(self, request: Any) -> Response:
         """The answer to a request whose batch the executor never served."""
@@ -499,10 +498,10 @@ class Shard:
     async def _recover(self) -> None:
         """Respawn + replay until healthy, or trip into ``degraded``.
 
-        Runs in the worker coroutine: requests submitted meanwhile fail
-        fast with ``shard-restarting`` (see :meth:`submit`), and the
-        backoff is an ``asyncio.sleep``, so neither the other shards nor
-        the sockets wait on it.
+        Runs between batches, in place of the pump: requests submitted
+        meanwhile fail fast with ``shard-restarting`` (see
+        :meth:`submit`), and the backoff is an ``asyncio.sleep``, so
+        neither the other shards nor the sockets wait on it.
         """
         self.state = "restarting"
         while True:
@@ -554,7 +553,7 @@ class Shard:
         requests = self.journal.replay_requests()
         if not requests:
             return
-        responses = await self.executor.run(requests)
+        responses = await self._round_trip(requests)
         for request, response in zip(requests, responses):
             if isinstance(response, dict) and "error" in response:
                 raise RuntimeError(
@@ -563,20 +562,17 @@ class Shard:
                 )
         self.replayed_entries += len(requests)
 
-    async def _maybe_compact(self) -> None:
+    async def _compact(self) -> None:
         """Collapse an over-long session run into one snapshot restore.
 
-        Runs in the worker between batches — the only code that talks to
-        the executor — so the ``snapshot`` round-trip cannot interleave
-        with client requests.
+        Runs between batches, in place of the pump, so the ``snapshot``
+        round-trip cannot interleave with client requests.
         """
-        if not self.supervised:
-            return
         session = self.journal.needs_compaction()
         if session is None:
             return
         try:
-            [response] = await self.executor.run(
+            [response] = await self._round_trip(
                 [{"cmd": "snapshot", "session": session}]
             )
         except Exception as error:  # noqa: BLE001 — worker boundary
@@ -812,11 +808,15 @@ class Scheduler:
                 )
 
         self._drained: Optional["asyncio.Task[None]"] = None
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self.loop.run_forever, name="repro-scheduler", daemon=True
-        )
-        self._thread.start()
+        # Requests from other threads on their way through the loop; while
+        # any are, session requests take that path too, to stay in order.
+        self._in_transit = 0
+        self._transit_lock = threading.Lock()
+        self._loops = [_start_loop("repro-scheduler")]
+        if self.mode == "thread":
+            self._loops.append(_start_loop("repro-inline"))
+        self.loop, self._thread = self._loops[0]
+        shard_loop = self._loops[-1][0]
 
         async def start() -> List[Shard]:
             try:
@@ -850,9 +850,11 @@ class Scheduler:
             ]
 
         try:
-            self.shards = self.run(start())
+            self.shards = asyncio.run_coroutine_threadsafe(
+                start(), shard_loop
+            ).result()
         except BaseException:
-            self._stop_loop()
+            self._stop_loops()
             raise
         self.corpus = None
         self._corpus_worker: Optional[ThreadPoolExecutor] = None
@@ -915,11 +917,29 @@ class Scheduler:
 
     def submit(self, request: Any) -> "Future[Response]":
         """Enqueue one request from any thread; the future resolves to
-        its response."""
+        its response.
+
+        A request naming a session goes straight onto its shard's queue;
+        anything else is routed on the loop.
+        """
+        return self._submit(request, serve_here=False)
+
+    def _submit(self, request: Any, serve_here: bool) -> "Future[Response]":
         future: "Future[Response]" = Future()
+        future.set_running_or_notify_cancel()
+        shard = self._session_shard(request)
+        with self._transit_lock:
+            direct = shard is not None and not self._in_transit
+            if not direct:
+                self._in_transit += 1
+        if direct:
+            shard.submit(request, future, serve_here)
+            return future
         try:
             self.loop.call_soon_threadsafe(self._relay, request, future)
         except RuntimeError:  # the loop is closed
+            with self._transit_lock:
+                self._in_transit -= 1
             future.set_result(
                 _error_response(
                     request,
@@ -930,18 +950,45 @@ class Scheduler:
         return future
 
     def _relay(self, request: Any, future: "Future[Response]") -> None:
-        if not future.set_running_or_notify_cancel():
-            return
         try:
             answer = self.dispatch(request)
         except Exception as error:  # noqa: BLE001 — raised to the caller
             future.set_exception(error)
             return
+        finally:
+            with self._transit_lock:
+                self._in_transit -= 1
         answer.add_done_callback(lambda done: future.set_result(done.result()))
 
+    def _session_shard(self, request: Any) -> Optional[Shard]:
+        """The shard queue ``request`` goes onto as it is, or None when
+        it needs routing: no session, a malformed one, or a command the
+        scheduler answers itself."""
+        if not isinstance(request, dict):
+            return None
+        cmd = request.get("cmd")
+        if cmd in ("health", "ready") or (
+            isinstance(cmd, str) and cmd.startswith("corpus-")
+        ):
+            return None
+        try:
+            session = session_of(request)
+        except ProtocolError:
+            return None
+        return None if session is None else self.shards[self.shard_of(session)]
+
+    def _ask(self, shard: Shard, request: Any) -> "asyncio.Future[Response]":
+        future: "asyncio.Future[Response]" = self.loop.create_future()
+        shard.submit(request, future)
+        return future
+
     def handle(self, request: Any) -> Response:
-        """Blocking dispatch — the Dispatcher-compatible entry point."""
-        return self.submit(request).result()
+        """Blocking dispatch — the Dispatcher-compatible entry point.
+
+        Since the caller waits anyway, an idle in-process shard serves
+        the request on the calling thread.
+        """
+        return self._submit(request, serve_here=True).result()
 
     def dispatch(self, request: Any) -> "asyncio.Future[Response]":
         """Route one request; call on :attr:`loop`.
@@ -949,6 +996,9 @@ class Scheduler:
         The returned future always resolves to a response (an error
         response when something failed), never to an exception.
         """
+        shard = self._session_shard(request)
+        if shard is not None:
+            return self._ask(shard, request)
         cmd = request.get("cmd") if isinstance(request, dict) else None
         if isinstance(cmd, str) and cmd.startswith("corpus-"):
             # Served parent-side, like health/ready: corpus state (the
@@ -977,11 +1027,10 @@ class Scheduler:
                 else self.ready_response()
             )
         try:
-            session = session_of(request) if isinstance(request, dict) else None
+            if isinstance(request, dict):
+                session_of(request)
         except ProtocolError as error:
             return _answered(_error_response(request, str(error)))
-        if session is not None:
-            return self.shards[self.shard_of(session)].submit(request)
         if cmd == "restore":
             return _answered(
                 _error_response(
@@ -990,26 +1039,45 @@ class Scheduler:
                     "field (or a snapshot payload naming one) to route by",
                 )
             )
-        return self.loop.create_task(self._global(request, cmd))
+        # Queued now, merged later: a request submitted after this one
+        # cannot overtake it on a shard queue.
+        export = cmd == "metrics-export" and self.mode == "process"
+        inner = request
+        if export:
+            # Children hold the session registries; ask every one for a
+            # JSON snapshot (whatever format the caller wants — the
+            # parent renders), merge, then fold in the parent's own
+            # registry (shard queues/latency live here).
+            inner = dict(request)
+            inner["format"] = "json"
+            inner.pop("trace", None)
+        broadcast = export or (cmd in GLOBAL_COMMANDS and len(self.shards) > 1)
+        if broadcast:
+            parts = [self._ask(shard, dict(inner)) for shard in self.shards]
+        else:
+            parts = [self._ask(self.shards[0], request)]
+        return self.loop.create_task(
+            self._global(request, cmd, parts, broadcast, export)
+        )
 
-    async def _global(self, request: Any, cmd: Any) -> Response:
-        """A request naming no session: shard 0, or every shard, merged."""
+    async def _global(
+        self,
+        request: Any,
+        cmd: Any,
+        parts: List["asyncio.Future[Response]"],
+        broadcast: bool,
+        export: bool,
+    ) -> Response:
+        """A request naming no session: shard 0's answer, or every
+        shard's, merged."""
         try:
-            if cmd == "metrics-export" and self.mode == "process":
-                # Children hold the session registries; ask every one
-                # for a JSON snapshot (whatever format the caller wants
-                # — the parent renders), merge, then fold in the
-                # parent's own registry (shard queues/latency live here).
-                inner = dict(request)
-                inner["format"] = "json"
-                inner.pop("trace", None)
-                return self._finish_metrics_export(
-                    request, await self._broadcast(inner)
-                )
-            if cmd in GLOBAL_COMMANDS and len(self.shards) > 1:
-                response = await self._broadcast(request)
+            answers = list(await asyncio.gather(*parts))
+            if broadcast:
+                response = merge_global(request, answers)
             else:
-                response = await self.shards[0].submit(request)
+                response = answers[0]
+            if export:
+                return self._finish_metrics_export(request, response)
             if (
                 cmd == "metrics"
                 and "session" not in request
@@ -1020,12 +1088,6 @@ class Scheduler:
             return response
         except Exception as error:  # noqa: BLE001 — server boundary
             return _error_response(request, f"{type(error).__name__}: {error}")
-
-    async def _broadcast(self, request: Request) -> Response:
-        parts = await asyncio.gather(
-            *(shard.submit(dict(request)) for shard in self.shards)
-        )
-        return merge_global(request, list(parts))
 
     def _finish_metrics_export(
         self, request: Request, response: Response
@@ -1147,19 +1209,20 @@ class Scheduler:
                 await shard.wait_closed(timeout)
 
     def close(self, timeout: Optional[float] = 30.0) -> None:
-        """:meth:`drain`, then stop and close the loop.  Idempotent."""
+        """:meth:`drain`, then stop and close the loops.  Idempotent."""
         if self.loop.is_closed():
             return
         try:
             self.run(self.drain(timeout))
         finally:
-            self._stop_loop()
+            self._stop_loops()
 
-    def _stop_loop(self) -> None:
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join()
-        self.loop.run_until_complete(self.loop.shutdown_default_executor())
-        self.loop.close()
+    def _stop_loops(self) -> None:
+        for loop, thread in self._loops:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.run_until_complete(loop.shutdown_default_executor())
+            loop.close()
 
     def __enter__(self) -> "Scheduler":
         return self

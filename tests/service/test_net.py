@@ -420,13 +420,18 @@ class TestLoopRelay:
         from repro.service import scheduler as scheduler_module
 
         seen = {}
-        real_run = scheduler_module.ProcessExecutor.run
+        real_begin = scheduler_module.ProcessExecutor.begin
 
-        async def run(self, requests):
+        def begin(self, requests, done):
             seen.setdefault("child", set()).add(threading.get_ident())
-            return await real_run(self, requests)
 
-        monkeypatch.setattr(scheduler_module.ProcessExecutor, "run", run)
+            def answered(result):
+                seen.setdefault("child", set()).add(threading.get_ident())
+                done(result)
+
+            real_begin(self, requests, answered)
+
+        monkeypatch.setattr(scheduler_module.ProcessExecutor, "begin", begin)
         scheduler = Scheduler(workers=2)
         real_dispatch = scheduler.dispatch
 
@@ -501,7 +506,9 @@ class TestLoopRelay:
                 elapsed = time.monotonic() - started
                 running, _, _ = select.select([job_sock], [], [], 0)
                 assert health["cmd"] == "health"
-                assert elapsed < 0.25, f"health took {elapsed * 1e3:.0f} ms"
+                # Served behind the job, it waited seconds; a loaded
+                # runner still answers well inside one.
+                assert elapsed < 1.0, f"health took {elapsed * 1e3:.0f} ms"
                 assert not running, "the job ended before the probe: too small"
                 done = json.loads(job_stream.readline())
                 assert "error" not in done, done

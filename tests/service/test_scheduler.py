@@ -389,4 +389,4 @@ class TestProcessMode:
         with pytest.raises(OSError):
             Scheduler(workers=2, mode="process")
         assert len(spawned) == 1
-        assert spawned[0]._process.returncode is not None  # child reaped
+        assert spawned[0].returncode is not None  # child reaped
