@@ -2,9 +2,9 @@
 """Incremental re-parsing benchmark: edit-size × input-size grid.
 
 Measures ``repro.runtime.incremental.reparse`` against a full re-parse of
-the spliced input over the SDF corpus.  Both run the same compiled-control
-``PoolParser`` loop (the production hot path); the reparse adds checkpoint
-resume and the convergence stop.  Writes ``BENCH_incremental.json`` at the
+the spliced input over the SDF corpus.  Both run the same ``GSSParser``
+loop over the compiled control (the production hot path); the reparse adds
+checkpoint resume and the convergence stop.  Writes ``BENCH_incremental.json`` at the
 repo root so the incremental-parsing trajectory is tracked across PRs:
 
     PYTHONPATH=src python benchmarks/bench_incremental.py

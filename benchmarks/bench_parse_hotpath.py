@@ -9,22 +9,19 @@ trajectory is tracked across PRs:
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py
 
 Every run also times tree rendering (``ParseForest.brackets``) for the
-429-tree booleans forest and the ASF.sdf tree, counts the forks of the
-ASF.sdf parse on ``compiled`` next to its same-run ``compiled``/``lazy``
-ratio (the SLR(1) step cells), times ``compiled`` and ``gss`` on 500
-and 2,000 tokens of the right-recursive ``L ::= x L``, and times a
-tree-mode parse plus payload of the four SDF inputs on both.
+429-tree booleans forest and the ASF.sdf tree, counts the ASF.sdf
+positions gss's general sweep handles next to its same-run ``gss``/``lazy``
+ratio (the SLR(1) step cells its deterministic stretch reads), and times
+``gss`` on 500 and 2,000 tokens of the right-recursive ``L ::= x L``.
 
 CI smoke mode — booleans workload only, checked against the committed
 floor (fails when compiled, table or gss is less than 1.25x lazy in the
 same run, when any tier regresses more than 3x, when rendering the
-ASF.sdf tree takes more than 1.5x the time of counting it, when the
-ASF.sdf parse forks more than the ceiling on ``compiled`` or ``compiled``
+ASF.sdf tree takes more than 1.5x the time of counting it, when gss's
+general sweep handles more ASF.sdf positions than the ceiling or gss
 falls under its floor against ``lazy`` there, when the right-recursive
-parse time grows more than its ceiling from 500 to 2,000 tokens, when
-gss takes more than 35x its booleans medium time on large, or when a
-tree-mode parse plus payload of the four SDF inputs takes gss more than
-1.3x the time of ``compiled``):
+parse time grows more than its ceiling from 500 to 2,000 tokens, or when
+gss takes more than 35x its booleans medium time on large):
 
     PYTHONPATH=src python benchmarks/bench_parse_hotpath.py \\
         --workload booleans --floor benchmarks/hotpath_floor.json
@@ -44,11 +41,9 @@ try:
         check_floor,
         check_render_floor,
         check_step_cell_floor,
-        check_tree_mode_floor,
         collect_hotpath_report,
         render_hotpath,
         render_step_cells,
-        render_tree_mode,
         render_tree_timings,
     )
 except ImportError:  # standalone invocation without PYTHONPATH=src
@@ -57,11 +52,9 @@ except ImportError:  # standalone invocation without PYTHONPATH=src
         check_floor,
         check_render_floor,
         check_step_cell_floor,
-        check_tree_mode_floor,
         collect_hotpath_report,
         render_hotpath,
         render_step_cells,
-        render_tree_mode,
         render_tree_timings,
     )
 
@@ -96,10 +89,9 @@ def main(argv=None) -> int:
         default=None,
         help="floor JSON to check against (exit 1 on a same-run ratio "
         "against lazy under its floor, a >3x regression, a render/count "
-        "ratio over its ceiling, a step-cell fork count or "
-        "right-recursion growth over its ceiling, gss growth from "
-        "medium to large over its ceiling, or gss over its SDF tree-mode "
-        "ceiling against compiled)",
+        "ratio over its ceiling, a general-sweep count or "
+        "right-recursion growth over its ceiling, or gss growth from "
+        "medium to large over its ceiling)",
     )
     args = parser.parse_args(argv)
 
@@ -112,8 +104,6 @@ def main(argv=None) -> int:
     print(render_tree_timings(report["render"]))
     print()
     print(render_step_cells(report))
-    print()
-    print(render_tree_mode(report["tree_mode"]))
     print()
 
     if not args.no_output:
@@ -133,7 +123,6 @@ def main(argv=None) -> int:
             )
             + check_render_floor(report["render"], floor)
             + check_step_cell_floor(report, floor)
-            + check_tree_mode_floor(report, floor)
         )
         if problems:
             print("floor check: FAIL")

@@ -37,10 +37,10 @@ def main() -> None:
     for tree in lang.parse("n + n + n").brackets():
         print("  ", tree)
 
-    print("\nparse counts follow the Catalan numbers:")
+    print("\nparse counts follow the Catalan numbers (the paper's parser pool):")
     for operators in range(1, 8):
         sentence = " ".join(["n"] + ["+ n"] * operators)
-        result = lang.parse(sentence)
+        result = lang.parse(sentence, engine="lazy")
         expected = catalan(operators)
         print(
             f"  {operators} operators: {result.ambiguity:4d} parses "

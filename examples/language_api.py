@@ -6,7 +6,7 @@ Shows the three pillars of the redesigned public API:
 1. ``Language`` binds lexical syntax + grammar + parser: built from an
    SDF definition, ``parse`` takes raw program text — no manual lexing;
 2. the engine registry: the same input driven through every registered
-   parsing runtime (``lazy`` / ``compiled`` / ``gss`` / ``earley``),
+   parsing runtime (``lazy`` / ``gss`` / ``earley``),
    selectable per call;
 3. structured outcomes: rejected inputs carry a diagnostic with
    line/column and the *expected terminal set*, which tracks live

@@ -6,9 +6,9 @@ Three pillars (one PR, one protocol, every front end):
   scanner from SDF, or grammar-literal scanner) and an engine choice;
   ``Language.from_sdf(text).parse("true and false")`` runs the full
   ISG/IPG pipeline on raw text.
-* the **engine registry** — ``lazy`` / ``compiled`` / ``gss`` /
-  ``earley`` behind one ``recognize``/``parse``/``invalidate``
-  protocol, discoverable via :func:`engines` and selectable per call.
+* the **engine registry** — ``lazy`` / ``gss`` / ``earley`` behind one
+  ``recognize``/``parse``/``invalidate`` protocol, discoverable via
+  :func:`engines` and selectable per call.
 * :class:`ParseOutcome` — structured results everywhere: acceptance,
   trees, ambiguity, timing, and on rejection a :class:`Diagnostic` with
   token index, line/column and the expected terminal set.

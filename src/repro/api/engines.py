@@ -1,22 +1,21 @@
 """The Engine protocol and registry: one uniform way to drive every parser.
 
-The registry holds four engines: ``lazy`` (the paper's parallel pool over the
-lazy graph, the reference), ``compiled`` (the same pool behind the
-compiled control plane, the default), ``gss`` (graph-structured-stack
-GLR) and ``earley`` (the table-free oracle).  An
-:class:`Engine` packages one runtime behind ``recognize`` / ``parse`` /
-``invalidate``; the registry makes them discoverable
+The registry holds three engines, one per job: ``lazy`` (the paper's
+parallel pool over the lazy graph, the reference), ``gss``
+(graph-structured-stack GLR over the compiled control plane, the
+production engine and the default) and ``earley`` (the table-free
+oracle).  An :class:`Engine` packages one runtime behind ``recognize`` /
+``parse`` / ``invalidate``; the registry makes them discoverable
 (:func:`engines`) and selectable per call (``Language.parse(...,
-engine="gss")``).
+engine="lazy")``).
 
 Engines are constructed against a :class:`~repro.api.language.Language`
-and share its incremental infrastructure: the ``lazy`` and ``compiled``
-engines are one :class:`PoolEngine` — the same
-:class:`~repro.runtime.parallel.PoolParser` loop over the *same* item-set
-graph (so laziness and MODIFY behave exactly as in the paper), differing
-only in whether ACTION goes through the compiled control plane — and
-``gss`` runs full GLR with shared packed forests over the same compiled
-control.  ``earley`` reads the live grammar and needs no tables at all.
+and share its incremental infrastructure: ``lazy`` runs the
+:class:`~repro.runtime.parallel.PoolParser` loop straight over the
+item-set graph (so laziness and MODIFY behave exactly as in the paper),
+and ``gss`` runs full GLR with shared packed forests and checkpointed
+re-parsing over the compiled control that wraps the *same* graph.
+``earley`` reads the live grammar and needs no tables at all.
 
 Each engine declares its capabilities (``supports_trees``,
 ``supports_ambiguity``, ``supports_reparse``); asking a recognizer-only
@@ -226,11 +225,19 @@ class Engine:
         this engine (or ``None``).  The default implementation is the
         correct-by-construction fallback: a full parse of the spliced
         token sequence, ignoring the handle, whose ``reuse`` names the
-        ``engine-without-reparse`` fallback.
+        ``engine-without-reparse`` fallback in the same six keys a
+        resumed parse reports.
         """
         del base, edit
         report = self.parse(spliced) if build_trees else self.recognize(spliced)
-        report.reuse = {"fallback": "engine-without-reparse"}
+        report.reuse = {
+            "converged_at": None,
+            "fallback": "engine-without-reparse",
+            "resumed_at": 0,
+            "reused_prefix": 0,
+            "parsed_tokens": len(spliced),
+            "total_tokens": len(spliced),
+        }
         return report
 
     def invalidate(self) -> None:
@@ -309,32 +316,34 @@ def create_engine(name: str, language: Any) -> Engine:
     return cls(language)
 
 
-class PoolEngine(Engine):
-    """PAR-PARSE (section 3.2) over one control, with checkpointed reparse.
+# ---------------------------------------------------------------------------
+# The three registered engines.
+# ---------------------------------------------------------------------------
 
-    Every call — plain, checkpointed or resumed — runs the one
-    :meth:`PoolParser.run <repro.runtime.parallel.PoolParser.run>` loop;
-    :mod:`repro.runtime.incremental` supplies the checkpoint policy.
-    Subclasses only pick the control.  The pool keeps no per-run state and
-    is built once, so checkpoints stay valid across calls until a MODIFY
-    moves the grammar's revision.
+
+@register_engine
+class LazyEngine(Engine):
+    """The paper's system as presented: lazy generation + parallel parsing.
+
+    Runs the plain PAR-PARSE loop of section 3.2 directly over the
+    lazy/incremental graph control (no compiled ACTION memo, no
+    deterministic stretch, no checkpoints), which is exactly the paper's
+    hot path — kept as a registered engine so the production engine's
+    speedup stays measurable through the same API it is used through, and
+    the one engine that honours ``trace``.  The pool keeps no per-run
+    state and is built once.
     """
 
-    supports_reparse = True
+    name = "lazy"
+    summary = "parallel LR over the lazy/incremental graph (sections 5-6)"
 
-    def __init__(self, language: Any, control: Any) -> None:
+    def __init__(self, language: Any) -> None:
         super().__init__(language)
         self.pool = PoolParser(
-            control, language.grammar, max_sweep_steps=language.max_sweep_steps
+            language.generator.control,
+            language.grammar,
+            max_sweep_steps=language.max_sweep_steps,
         )
-
-    def _checkpoint_report(
-        self, outcome: IncrementalOutcome, build_trees: bool
-    ) -> EngineReport:
-        report = self._report(outcome.result, self.pool.control, build_trees)
-        report.incremental = outcome
-        report.reuse = dict(outcome.reuse)
-        return report
 
     def recognize(self, terminals: Sequence[Terminal]) -> EngineReport:
         return self._report(
@@ -346,81 +355,26 @@ class PoolEngine(Engine):
     def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
         return self._report(self.pool.parse(terminals), self.pool.control)
 
-    def parse_incremental(
-        self, terminals: Sequence[Terminal], build_trees: bool = True
-    ) -> EngineReport:
-        outcome = checkpointed_parse(self.pool, terminals, build_trees)
-        return self._checkpoint_report(outcome, build_trees)
-
-    def reparse(
-        self,
-        base: Optional[Any],
-        edit: Edit,
-        spliced: Sequence[Terminal],
-        build_trees: bool = True,
-    ) -> EngineReport:
-        if isinstance(base, IncrementalOutcome):
-            outcome = reparse(
-                self.pool, base, edit, build_trees=build_trees, spliced=spliced
-            )
-        else:
-            outcome = checkpointed_parse(self.pool, spliced, build_trees)
-            outcome.reuse["fallback"] = "no-checkpoint"
-        return self._checkpoint_report(outcome, build_trees)
-
-
-# ---------------------------------------------------------------------------
-# The four registered engines.
-# ---------------------------------------------------------------------------
-
-
-@register_engine
-class LazyEngine(PoolEngine):
-    """The paper's system as presented: lazy generation + parallel parsing.
-
-    Runs the pool parser directly over the lazy/incremental graph control
-    (no compiled ACTION memo), which is exactly the seed's hot path —
-    kept as a registered engine so the compiled layer's speedup stays
-    measurable through the same API it is used through.
-    """
-
-    name = "lazy"
-    summary = "parallel LR over the lazy/incremental graph (sections 5-6)"
-
-    def __init__(self, language: Any) -> None:
-        super().__init__(language, language.generator.control)
-
-
-@register_engine
-class CompiledEngine(PoolEngine):
-    """Lazy + incremental generation behind the compiled control plane.
-
-    The default engine: ACTION results are memoized into shared tuples
-    and invalidated precisely on MODIFY (see :mod:`repro.lr.compiled`);
-    deterministic stretches run the Elkhound-style plain-LR fast loop.
-    """
-
-    name = "compiled"
-    summary = "the default: lazy graph + memoized ACTION + fast-path LR"
-
-    def __init__(self, language: Any) -> None:
-        super().__init__(language, language.control)
-
 
 @register_engine
 class GSSEngine(Engine):
     """Tomita/Rekers GLR over a graph-structured stack with packed forests.
 
-    Runs over the *same* compiled control as the default engine (memoized
-    ACTION cells, step-cache probes, Elkhound-style deterministic
-    stretches), merging parsers that reach the same state so the number
-    of live stack tops stays bounded on ambiguous inputs.  ``parse``
-    builds a shared packed parse forest whose tree count may be
+    The production engine and the default: runs over the compiled
+    control (memoized ACTION cells, step-cache probes, Elkhound-style
+    deterministic stretches), merging parsers that reach the same state
+    so the number of live stack tops stays bounded on ambiguous inputs.
+    ``parse`` builds a shared packed parse forest whose tree count may be
     exponential in the input length — enumeration is lazy and capped.
+    Checkpointed parses and ``reparse`` run the same loop through
+    :mod:`repro.runtime.incremental`; the parser keeps no per-run state
+    and is built once, so checkpoints stay valid across calls until a
+    MODIFY moves the grammar's revision.
     """
 
     name = "gss"
-    summary = "merged-stack GLR with shared packed forests (compiled control)"
+    summary = "the default: merged-stack GLR with packed forests and reparse"
+    supports_reparse = True
 
     def __init__(self, language: Any) -> None:
         super().__init__(language)
@@ -453,6 +407,36 @@ class GSSEngine(Engine):
 
     def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
         return self._gss_report(self.gss.parse(terminals), build_trees=True)
+
+    def _checkpoint_report(
+        self, outcome: IncrementalOutcome, build_trees: bool
+    ) -> EngineReport:
+        report = self._gss_report(outcome.result, build_trees)
+        report.incremental = outcome
+        report.reuse = dict(outcome.reuse)
+        return report
+
+    def parse_incremental(
+        self, terminals: Sequence[Terminal], build_trees: bool = True
+    ) -> EngineReport:
+        outcome = checkpointed_parse(self.gss, terminals, build_trees)
+        return self._checkpoint_report(outcome, build_trees)
+
+    def reparse(
+        self,
+        base: Optional[Any],
+        edit: Edit,
+        spliced: Sequence[Terminal],
+        build_trees: bool = True,
+    ) -> EngineReport:
+        if isinstance(base, IncrementalOutcome):
+            outcome = reparse(
+                self.gss, base, edit, build_trees=build_trees, spliced=spliced
+            )
+        else:
+            outcome = checkpointed_parse(self.gss, spliced, build_trees)
+            outcome.reuse["fallback"] = "no-checkpoint"
+        return self._checkpoint_report(outcome, build_trees)
 
 
 @register_engine

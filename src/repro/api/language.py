@@ -52,8 +52,8 @@ from .tokenizers import ScannerTokenizer, Tokenizer, WhitespaceTokenizer
 
 __all__ = ["Language", "LexedInput", "DEFAULT_ENGINE"]
 
-#: The engine used when none is named: the compiled control plane.
-DEFAULT_ENGINE = "compiled"
+#: The engine used when none is named: the production GLR engine.
+DEFAULT_ENGINE = "gss"
 
 TokenInput = Union[str, Iterable[Union[str, Terminal]]]
 RuleInput = Union[Rule, str]
@@ -382,9 +382,9 @@ class Language:
         whose diagnostic has ``kind="lexical"`` — errors are data at this
         layer, exactly as in the service protocol.
 
-        ``trace`` records the parser's moves and is honored by the
-        pool-backed engines (lazy/compiled); ``gss`` and ``earley``
-        record no LR moves, answer as untraced, and leave the trace empty.
+        ``trace`` records the parser's moves and is honored only by
+        ``lazy``, the paper's pool parser; ``gss`` and ``earley`` record
+        no LR moves, answer as untraced, and leave the trace empty.
 
         With ``checkpoint=True`` (and an engine that supports re-parsing)
         the outcome carries per-token-boundary checkpoints, and a later

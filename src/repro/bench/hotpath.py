@@ -7,16 +7,16 @@ generators put the system in — for each tier of the control plane:
   method call on the item-set graph, the denominator of the floor's
   same-run ratios;
 * ``compiled`` — :class:`~repro.lr.compiled.CompiledControl` memoizing
-  ACTION into shared tuples (what every :class:`~repro.api.Language`
-  runs by default);
+  ACTION into shared tuples (the control every
+  :class:`~repro.api.Language` builds), under the same PAR-PARSE loop;
 * ``table`` — a :class:`~repro.lr.table.ParseTable` decided once from a
   fully expanded LR(0) graph, run as its own control (the
   conventional-generator representation; no engine serves it);
 * ``gss`` — the merged-stack :class:`~repro.runtime.gss.GSSParser` over
-  the compiled control: Tomita's graph-structured stack bounds the live
-  frontier by the state count, so the heavily ambiguous booleans
-  medium/large inputs (exponential for every linear-stack tier) stay
-  polynomial and join the measurement.
+  the compiled control, the production engine: Tomita's
+  graph-structured stack bounds the live frontier by the state count, so
+  the heavily ambiguous booleans medium/large inputs (exponential for
+  every linear-stack tier) stay polynomial and join the measurement.
 
 Every tier drives the same token streams, so the numbers isolate the
 control plane and the stack discipline.  The first parse per tier is a
@@ -29,17 +29,13 @@ throughput is the best of ``repeats`` timed warm parses.
 ratio against counting the same forest, so a renderer that builds
 intermediate trees again fails on any machine.
 
-Two more sections guard the compiled control's SLR(1) step cells:
-:func:`measure_lookahead` counts the forks of the ASF.sdf parse on
-``compiled`` (the LR(0) conflicts FOLLOW left standing) next to the
-same-run ``compiled``/``lazy`` ratio on that input, and
-:func:`measure_right_recursion` times ``compiled`` and ``gss`` on a
+Two more sections guard the compiled control's SLR(1) step cells, which
+only gss's deterministic stretch reads: :func:`measure_lookahead` counts
+the ASF.sdf positions gss's general sweep handles (the LR(0) conflicts
+FOLLOW left standing) next to the same-run ``gss``/``lazy`` ratio on
+that input, and :func:`measure_right_recursion` times ``gss`` on a
 right-recursive list at two lengths, whose ratio tells linear from
 quadratic on any machine.
-
-:func:`measure_tree_mode` times a plain service parse of the SDF corpus,
-tree building and payload included, on ``gss`` against ``compiled`` in
-the same run: the ratio guards gss's deterministic stretch in tree mode.
 """
 
 from __future__ import annotations
@@ -240,7 +236,7 @@ RENDER_OPERANDS = 8
 
 def _render_forests() -> Dict[str, ParseForest]:
     """The forests :func:`measure_render` renders, parsed by the default
-    (``compiled``) engine: one root per booleans tree, one ASF.sdf tree."""
+    (``gss``) engine: the booleans packed forest, one ASF.sdf tree."""
     booleans = booleans_workload()
     sdf = sdf_workload()
     parses = {
@@ -305,31 +301,32 @@ LOOKAHEAD_INPUT = "ASF.sdf"
 
 
 def measure_lookahead(repeats: int = 5) -> Dict[str, Any]:
-    """Forks and same-run recognition tok/s of ASF.sdf, lazy vs compiled.
+    """Sweeps and same-run recognition tok/s of ASF.sdf, lazy vs gss.
 
     ``lazy`` is pure LR(0) (the paper's automaton): every conflicted cell
-    forks a parser.  ``compiled`` reads FOLLOW-filtered step cells, so
-    only the conflicts SLR(1) keeps fork.  Returns::
+    forks a parser.  gss's deterministic stretch reads FOLLOW-filtered
+    step cells, so only the conflicts SLR(1) keeps send a position to the
+    general sweep.  Returns::
 
-        {"input", "tokens", "forks": {tier: n},
-         "tokens_per_sec": {tier: t/s}, "compiled_vs_lazy": ratio}
+        {"input", "tokens", "lazy_forks": n, "gss_general_sweeps": n,
+         "tokens_per_sec": {tier: t/s}, "gss_vs_lazy": ratio}
     """
     workload = sdf_workload()
     tokens = workload.inputs[LOOKAHEAD_INPUT]
     parsers = {
         tier: TIER_FACTORIES[tier](workload.fresh_grammar())
-        for tier in ("lazy", "compiled")
+        for tier in ("lazy", "gss")
     }
     rates = _throughputs(parsers, tokens, repeats, "recognize")
     return {
         "input": LOOKAHEAD_INPUT,
         "tokens": len(tokens),
-        "forks": {
-            tier: parser.recognize_result(tokens).stats.forks
-            for tier, parser in parsers.items()
-        },
+        "lazy_forks": parsers["lazy"].recognize_result(tokens).stats.forks,
+        "gss_general_sweeps": (
+            parsers["gss"].recognize_result(tokens).stats.general_sweeps
+        ),
         "tokens_per_sec": {tier: round(rate, 1) for tier, rate in rates.items()},
-        "compiled_vs_lazy": round(rates["compiled"] / rates["lazy"], 2),
+        "gss_vs_lazy": round(rates["gss"] / rates["lazy"], 2),
     }
 
 
@@ -344,7 +341,7 @@ def measure_right_recursion(repeats: int = 5) -> Dict[str, Any]:
     """Best-of-``repeats`` ms per tree-mode parse of ``x``^n on ``L ::= x L``.
 
     Returns ``{"grammar", "unit", "engines": {tier: {"ms": {n: ms},
-    "growth": ms(longest) / ms(shortest)}}}``, for ``compiled`` and ``gss``.
+    "growth": ms(longest) / ms(shortest)}}}``, for ``gss``.
     """
     report: Dict[str, Any] = {
         "grammar": RIGHT_RECURSION_GRAMMAR,
@@ -352,7 +349,7 @@ def measure_right_recursion(repeats: int = 5) -> Dict[str, Any]:
         "engines": {},
     }
     shortest, longest = str(RIGHT_RECURSION_TOKENS[0]), str(RIGHT_RECURSION_TOKENS[-1])
-    for tier in ("compiled", "gss"):
+    for tier in ("gss",):
         ms: Dict[str, float] = {}
         for length in RIGHT_RECURSION_TOKENS:
             parser = TIER_FACTORIES[tier](grammar_from_text(RIGHT_RECURSION_GRAMMAR))
@@ -366,47 +363,6 @@ def measure_right_recursion(repeats: int = 5) -> Dict[str, Any]:
     return report
 
 
-def measure_tree_mode(repeats: int = 5) -> Dict[str, Any]:
-    """Best-of-``repeats`` ms per tree-mode parse plus ``to_payload`` of
-    the four SDF corpus inputs, on ``compiled`` and ``gss``.
-
-    This is what a plain service parse runs: the engine builds the
-    forest, then the payload counts and renders it.  Both engines share
-    one :class:`~repro.api.Language`, and each round times every
-    (engine, input) pair once.  Returns ``{"inputs", "unit", "ms":
-    {engine: ms summed over the inputs}, "gss_vs_compiled": ratio}``.
-    """
-    workload = sdf_workload()
-    language = Language(workload.fresh_grammar())
-    engines = ("compiled", "gss")
-    best: Dict[str, Dict[str, float]] = {
-        engine: {name: float("inf") for name in workload.inputs}
-        for engine in engines
-    }
-    for name, tokens in workload.inputs.items():
-        for engine in engines:
-            if not language.parse(tokens, engine=engine).accepted:
-                raise ValueError(f"tree-mode input {name!r} rejected by {engine!r}")
-    for _ in range(repeats):
-        for engine in engines:
-            for name, tokens in workload.inputs.items():
-                started = time.perf_counter()
-                language.parse(tokens, engine=engine).to_payload()
-                elapsed = time.perf_counter() - started
-                if elapsed < best[engine][name]:
-                    best[engine][name] = elapsed
-    ms = {
-        engine: round(sum(per_input.values()) * 1e3, 3)
-        for engine, per_input in best.items()
-    }
-    return {
-        "inputs": list(workload.inputs),
-        "unit": "ms per parse + to_payload, summed over the inputs (best of warm repeats)",
-        "ms": ms,
-        "gss_vs_compiled": round(ms["gss"] / ms["compiled"], 3),
-    }
-
-
 def collect_hotpath_report(
     repeats: int = 5, workload_names: Optional[Sequence[str]] = None
 ) -> Dict[str, Any]:
@@ -416,8 +372,8 @@ def collect_hotpath_report(
     input lists — both ``benchmarks/bench_parse_hotpath.py`` and
     ``benchmarks/collect_experiments.py`` write the repo-root JSON through
     this function, so the tracked artifact never depends on which entry
-    point ran last.  The ``render``, ``lookahead``, ``right_recursion``
-    and ``tree_mode`` sections are measured whatever ``workload_names``
+    point ran last.  The ``render``, ``lookahead`` and
+    ``right_recursion`` sections are measured whatever ``workload_names``
     selects.
     """
     factories = {"sdf": sdf_workload, "booleans": booleans_workload}
@@ -437,7 +393,6 @@ def collect_hotpath_report(
         "render": measure_render(repeats=repeats),
         "lookahead": measure_lookahead(repeats=repeats),
         "right_recursion": measure_right_recursion(repeats=repeats),
-        "tree_mode": measure_tree_mode(repeats=repeats),
     }
 
 
@@ -460,7 +415,7 @@ def render_hotpath(report: Dict[str, Any]) -> str:
 def render_tree_timings(report: Dict[str, Any]) -> str:
     """ASCII rendering of a :func:`measure_render` report."""
     lines = [
-        "tree rendering (ParseForest.brackets, compiled engine)",
+        "tree rendering (ParseForest.brackets, gss engine)",
         f"  {'forest':12s} {'trees':>6s} {'chars':>8s} {'render us':>10s}"
         f" {'count us':>10s} {'ratio':>6s}",
     ]
@@ -481,12 +436,16 @@ def render_step_cells(report: Dict[str, Any]) -> str:
         f"SLR(1) step cells ({lookahead['input']}, {lookahead['tokens']} "
         f"tokens, recognition)",
     ]
-    for tier in ("lazy", "compiled"):
-        lines.append(
-            f"  {tier:9s} {lookahead['forks'][tier]:>5d} forks"
-            f" {lookahead['tokens_per_sec'][tier]:>12,.0f} tok/s"
-        )
-    lines.append(f"  compiled/lazy {lookahead['compiled_vs_lazy']:.2f}x")
+    rates = lookahead["tokens_per_sec"]
+    lines.append(
+        f"  lazy {lookahead['lazy_forks']:>5d} forks"
+        f"           {rates['lazy']:>12,.0f} tok/s"
+    )
+    lines.append(
+        f"  gss  {lookahead['gss_general_sweeps']:>5d} general sweeps"
+        f"  {rates['gss']:>12,.0f} tok/s"
+    )
+    lines.append(f"  gss/lazy {lookahead['gss_vs_lazy']:.2f}x")
     right = report["right_recursion"]
     lines.append(f"right recursion ({right['unit']})")
     for tier, data in right["engines"].items():
@@ -512,9 +471,9 @@ def check_floor(
       each rule ``{"input", "numerator", "denominator", "min_ratio"}``
       fails when ``numerator`` tokens/sec is less than ``min_ratio`` ×
       ``denominator``.  This is the real regression signal: losing the
-      compiled control's memoized ACTION cells or its deterministic
-      stretch collapses the compiled-vs-lazy ratio no matter how fast the
-      runner is.
+      compiled control's memoized ACTION cells or gss's deterministic
+      stretch collapses its ratio to lazy no matter how fast the runner
+      is.
     * ``growth`` — same-run time ceilings: each rule fails when ``tier``
       takes more than ``max_ratio`` × its ``denominator`` time on ``numerator``.
     """
@@ -592,41 +551,13 @@ def check_render_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
     return problems
 
 
-def render_tree_mode(report: Dict[str, Any]) -> str:
-    """ASCII rendering of a :func:`measure_tree_mode` report."""
-    ms = report["ms"]
-    return "\n".join([
-        f"SDF tree mode (parse + to_payload, {len(report['inputs'])} inputs)",
-        *(f"  {engine:9s} {value:>9.2f} ms" for engine, value in ms.items()),
-        f"  gss/compiled {report['gss_vs_compiled']:.2f}x",
-    ])
-
-
-def check_tree_mode_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
-    """Failure strings for the ``tree_mode`` section against the floor
-    file's ``tree_mode.max_gss_vs_compiled`` (a same-run time ratio)."""
-    ceiling = floor.get("tree_mode", {}).get("max_gss_vs_compiled")
-    if ceiling is None:
-        return []
-    tree_mode = report.get("tree_mode")
-    if tree_mode is None:
-        return ["tree_mode section missing from the report"]
-    if tree_mode["gss_vs_compiled"] > ceiling:
-        return [
-            f"tree_mode: gss takes {tree_mode['gss_vs_compiled']:.2f}x the "
-            f"time of compiled on the SDF inputs in this run (ceiling "
-            f"{ceiling}x)"
-        ]
-    return []
-
-
 def check_step_cell_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list:
     """Failure strings for the ``lookahead`` and ``right_recursion``
     sections of a :func:`collect_hotpath_report` payload.
 
     Rules read from the floor file, all machine-independent:
-    ``lookahead.max_compiled_forks`` (a count),
-    ``lookahead.min_compiled_vs_lazy`` (a same-run ratio) and
+    ``lookahead.max_gss_general_sweeps`` (a count),
+    ``lookahead.min_gss_vs_lazy`` (a same-run ratio) and
     ``right_recursion.max_growth`` per engine (the same-run time ratio of
     the longest to the shortest input).
     """
@@ -636,18 +567,18 @@ def check_step_cell_floor(report: Dict[str, Any], floor: Dict[str, Any]) -> list
     if rules and lookahead is None:
         problems.append("lookahead section missing from the report")
     elif rules:
-        forks = lookahead["forks"]["compiled"]
-        ceiling = rules.get("max_compiled_forks")
-        if ceiling is not None and forks > ceiling:
+        sweeps = lookahead["gss_general_sweeps"]
+        ceiling = rules.get("max_gss_general_sweeps")
+        if ceiling is not None and sweeps > ceiling:
             problems.append(
-                f"lookahead: {lookahead['input']} forks {forks} times on "
-                f"compiled (ceiling {ceiling})"
+                f"lookahead: gss's general sweep handles {sweeps} positions "
+                f"of {lookahead['input']} (ceiling {ceiling})"
             )
-        ratio = lookahead["compiled_vs_lazy"]
-        minimum = rules.get("min_compiled_vs_lazy")
+        ratio = lookahead["gss_vs_lazy"]
+        minimum = rules.get("min_gss_vs_lazy")
         if minimum is not None and ratio < minimum:
             problems.append(
-                f"lookahead: compiled is only {ratio:.2f}x lazy on "
+                f"lookahead: gss is only {ratio:.2f}x lazy on "
                 f"{lookahead['input']} in this run (floor requires >= "
                 f"{minimum}x)"
             )

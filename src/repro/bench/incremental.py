@@ -3,9 +3,9 @@
 Measures, for every SDF corpus input and a grid of splice edits, the
 same-run cost of :func:`~repro.runtime.incremental.reparse` against a full
 re-parse of the spliced tokens through the production hot path.  Both
-sides run the one :class:`~repro.runtime.parallel.PoolParser` loop over
-the compiled control, deterministic stretch and all; the reparse only
-adds the checkpoint resume and the convergence stop.
+sides run the one :class:`~repro.runtime.gss.GSSParser` loop over the
+compiled control, deterministic stretch and all; the reparse only adds
+the checkpoint resume and the convergence stop.
 
 Edits are realistic editor operations on the SDF token streams, chosen so
 the edited input stays in the language (asserted — an accidental
@@ -38,8 +38,8 @@ from ..core.incremental import IncrementalGenerator
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Terminal
 from ..lr.compiled import CompiledControl
+from ..runtime.gss import GSSParser
 from ..runtime.incremental import Edit, checkpointed_parse, reparse
-from ..runtime.parallel import PoolParser
 
 #: Input-fraction positions each edit kind is tried at.
 POSITIONS = (0.25, 0.5, 0.75)
@@ -118,13 +118,13 @@ def _measure_input(
     grammar = grammar_factory()
     generator = IncrementalGenerator(grammar)
     control = CompiledControl(generator.control, grammar)
-    pool = PoolParser(control, grammar)
+    parser = GSSParser(control, grammar=grammar)
 
     tokens = tuple(tokens)
-    full_run = pool.parse if build_trees else pool.recognize
+    full_run = parser.parse if build_trees else parser.recognize
     if not full_run(tokens):  # warm-up doubling as the acceptance check
         raise ValueError("corpus input rejected — workload is broken")
-    base = checkpointed_parse(pool, tokens, build_trees=build_trees)
+    base = checkpointed_parse(parser, tokens, build_trees=build_trees)
 
     report: Dict[str, Any] = {"tokens": len(tokens), "edits": {}}
     for kind, edits in edit_grid(tokens).items():
@@ -133,12 +133,12 @@ def _measure_input(
             spliced = edit.apply(tokens)
             # Both sides must accept: a rejecting edit would let the full
             # baseline stop early and inflate the reported speedup.
-            fresh = reparse(pool, base, edit, build_trees=build_trees)
+            fresh = reparse(parser, base, edit, build_trees=build_trees)
             if not fresh.result.accepted or not full_run(spliced):
                 continue
             full_seconds = _best(lambda s=spliced: full_run(s), repeats)
             inc_seconds = _best(
-                lambda e=edit: reparse(pool, base, e, build_trees=build_trees),
+                lambda e=edit: reparse(parser, base, e, build_trees=build_trees),
                 repeats,
             )
             cell = {

@@ -59,7 +59,8 @@ Commands
 ``recognize tok ...``     accept/reject only
 ``trace tok tok ...``     parse and print every LR move (Fig. 4.2),
                           each with the token position it consumed and
-                          its line/column in the input
+                          its line/column in the input (only
+                          ``engine lazy`` records LR moves)
 ``edit i j tok ...``      splice-edit the last input (replace tokens
                           ``[i:j]``) and *incrementally* re-parse it
 ``engine [name]``         show the engine registry / pick the engine
@@ -76,7 +77,7 @@ Commands
 Parsing runs through :mod:`repro.api`: rejected inputs print a diagnostic
 line with the offending token's position and the expected terminal set,
 and ``engine`` switches between every registered parsing runtime
-(``lazy`` / ``compiled`` / ``gss`` / ``earley``).  With
+(``lazy`` / ``gss`` / ``earley``).  With
 ``lexer scanner`` the REPL derives an ISG scanner from the grammar's own
 terminals (kept in sync with ``add``/``delete``), so punctuation no
 longer needs surrounding blanks: ``parse (n+n)*n``.
@@ -107,7 +108,8 @@ _HELP = """commands:
   parse <tokens>    parse and print every tree
   recognize <toks>  accept/reject only
   trace <tokens>    parse and print every LR move with the token
-                    position (and line/column) it consumed
+                    position (and line/column) it consumed; only
+                    engine lazy records LR moves
   edit <i> <j> [tokens]  replace tokens [i:j] of the last input and
                     re-parse incrementally from its checkpoints
   engine [name]     show the engine registry / pick the parse engine
@@ -253,8 +255,8 @@ class ReplSession:
         # No checkpoint: tracing routes through the pool parser, which
         # records moves instead of resumable frontiers (they are mutually
         # exclusive in the API) — so ``edit`` keeps its previous base.
-        # gss has no pool and answers untraced; recognizer-only engines
-        # fall back to recognition.  Both record no LR moves.
+        # Only lazy has a pool: gss answers untraced, and recognizer-only
+        # engines fall back to recognition.  Both record no LR moves.
         try:
             outcome = self.language.parse(text, trace=trace)
         except CapabilityError:
@@ -279,7 +281,9 @@ class ReplSession:
             for event in trace.events
         )
         if not trace.events and outcome.accepted:
-            lines.append(f"  (engine {outcome.engine} records no LR moves)")
+            lines.append(
+                f"  (engine {outcome.engine} records no LR moves; lazy does)"
+            )
         return lines
 
     @staticmethod

@@ -38,8 +38,8 @@ once computed, recomputed on every edit; the cells of states reducing a
 non-terminal whose FOLLOW set moved are re-encoded.
 
 Every :class:`~repro.api.Language` builds one of these over its lazy
-generator (``language.control``), so every service session and the REPL
-run through it.
+generator (``language.control``) for its ``gss`` engine, so every service
+session and the REPL run through it.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 A span is a named, timed region of work with attributes and children:
 
-    with obs.span("parse", engine="compiled") as sp:
+    with obs.span("parse", engine="gss") as sp:
         ...
         sp.set(tokens=42)
 

@@ -147,6 +147,17 @@ class Forest:
             self._packed[key] = node
         return node
 
+    def branch(self) -> "Forest":
+        """A forest that shares this one's parse nodes and packs afresh.
+
+        Parse nodes carry no positions, so a run resumed after an input
+        edit may reuse them; packed nodes are keyed by span, and the edit
+        moves every span after the resume boundary.
+        """
+        forest = Forest()
+        forest._nodes = self._nodes
+        return forest
+
     @property
     def size(self) -> int:
         """Distinct nodes allocated (a sharing metric for the benches)."""

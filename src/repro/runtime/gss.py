@@ -29,19 +29,27 @@ the examined vertices' paths that take it.  It also has a parse mode:
   loop — Elkhound's LR/GLR hybrid — and only falls back to the general
   graph sweep on a conflict, an empty cell, a merged stack region, or a
   suspected cycle.
+* **Checkpoints.**  Given a :class:`Checkpoints` log, the same loop starts
+  at a recorded token boundary, records the frontier (a tuple of
+  :class:`GSSNode`) at every boundary it reaches, and stops once that
+  frontier matches the base run's by structure — the mechanism behind
+  :mod:`repro.runtime.incremental`.  A plain and a checkpointed parse
+  take the same steps.
 * **Failure records.**  A rejected input carries a
   :class:`~repro.runtime.parallel.ParseFailure` listing the states the
   fatal sweep visited; since LR(0) reductions are lookahead-independent,
   their shift terminals are exactly the expected-set a diagnostic reports.
 
-The recognizer remains the ablation subject of
-``bench_ablation_pool_vs_gss`` and the property tests that cross-check
-PAR-PARSE, GSS and Earley on random grammars.
+This is the production runtime: the default ``gss`` engine of
+:mod:`repro.api.engines` serves every parse, checkpoint and reparse that
+names no engine.  Its recognizer is also the ablation subject of
+``bench_ablation_pool_vs_gss`` and of the property tests that
+cross-check PAR-PARSE, GSS and Earley on random grammars.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import END, Terminal
@@ -55,9 +63,15 @@ from .parallel import ParseFailure
 
 
 class GSSNode:
-    """One stack top (or interior vertex) of the graph-structured stack."""
+    """One stack top (or interior vertex) of the graph-structured stack.
 
-    __slots__ = ("state", "edges", "labels", "position")
+    Most vertices keep the one edge they were created with, and a vertex
+    is allocated per parser step, so that edge lives in :attr:`below` and
+    :attr:`label`; only a vertex that gains a second edge (a merge) lists
+    its edges in :attr:`edges` and :attr:`labels`.
+    """
+
+    __slots__ = ("state", "below", "label", "edges", "labels", "position", "sig")
 
     def __init__(
         self,
@@ -67,24 +81,49 @@ class GSSNode:
         label: Optional[TreeNode] = None,
     ) -> None:
         self.state = state
-        #: predecessor vertices (the cells "below" this one); ``below``
-        #: is the first
-        self.edges: List["GSSNode"] = [] if below is None else [below]
-        #: forest label per edge (parallel to :attr:`edges`); ``None`` in
-        #: recognition mode
-        self.labels: List[Optional[TreeNode]] = [] if below is None else [label]
+        #: the first predecessor vertex (the cell "below" this one);
+        #: ``None`` only on the start vertex
+        self.below = below
+        #: forest label of that edge; ``None`` in recognition mode
+        self.label = label
+        #: every predecessor, once there are several (``[]`` on the start
+        #: vertex); ``None`` while :attr:`below` is the only one
+        self.edges: Optional[List["GSSNode"]] = [] if below is None else None
+        #: forest label per edge, parallel to :attr:`edges`
+        self.labels: Optional[List[Optional[TreeNode]]] = (
+            [] if below is None else None
+        )
         #: tokens consumed when this vertex was created (the *end* of the
         #: span any reduction over it packs)
         self.position = position
+        #: structural hash of this vertex and everything below it, set by
+        #: :func:`_signature` once a checkpointed run compares it
+        self.sig: Optional[int] = None
+
+    def add_edge(self, below: "GSSNode", label: Optional[TreeNode]) -> None:
+        """Merge another stack path into this vertex."""
+        if self.edges is None:
+            self.edges = [self.below, below]
+            self.labels = [self.label, label]
+        else:
+            self.edges.append(below)
+            self.labels.append(label)
 
     def __repr__(self) -> str:
-        return f"GSSNode(state={getattr(self.state, 'uid', self.state)}, {len(self.edges)} edges)"
+        edges = 1 if self.edges is None else len(self.edges)
+        return f"GSSNode(state={getattr(self.state, 'uid', self.state)}, {edges} edges)"
 
 
 class GSSStats:
     """Work counters for one GSS run (reported by benches and engines)."""
 
-    __slots__ = ("nodes_created", "edges_created", "reductions_applied", "paths_walked")
+    __slots__ = (
+        "nodes_created",
+        "edges_created",
+        "reductions_applied",
+        "paths_walked",
+        "general_sweeps",
+    )
 
     def __init__(
         self,
@@ -92,12 +131,16 @@ class GSSStats:
         edges_created: int = 0,
         reductions_applied: int = 0,
         paths_walked: int = 0,
+        general_sweeps: int = 0,
     ) -> None:
         self.nodes_created = nodes_created
         self.edges_created = edges_created
         self.reductions_applied = reductions_applied
         #: reduction paths the general sweep walked; each is applied once
         self.paths_walked = paths_walked
+        #: input positions the general sweep handled (the deterministic
+        #: stretch took every other one)
+        self.general_sweeps = general_sweeps
 
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -136,6 +179,80 @@ class GSSResult:
         return f"GSSResult(accepted={self.accepted}, forest={self.forest!r})"
 
 
+#: Frontier at one token boundary: the stack tops *before* consuming the
+#: token at that index (``None`` marks boundaries the run never reached).
+Frontier = Optional[Tuple[GSSNode, ...]]
+
+
+class Checkpoints:
+    """The frontier log of one checkpointed :meth:`GSSParser.run`.
+
+    ``frontiers[i]`` holds the stack tops before input token ``i``; the
+    run starts from ``frontiers[start]`` (a fresh start vertex at boundary
+    0) and records every boundary it reaches.  With ``base_frontiers``
+    (the log of an earlier run over the input before an edit that shifted
+    later positions by ``delta``), from boundary ``watch_from`` on the run
+    stops as soon as its frontier matches the base's at the matching
+    boundary, and ``converged_at`` names that boundary.
+
+    A logged vertex is final: a boundary frontier holds shift targets
+    only, which no reduction can reach (a state has one accessing
+    symbol), and every vertex below belongs to a finished level.
+    """
+
+    __slots__ = (
+        "frontiers",
+        "start",
+        "base_frontiers",
+        "delta",
+        "watch_from",
+        "converged_at",
+    )
+
+    def __init__(
+        self,
+        frontiers: List[Frontier],
+        start: int = 0,
+        base_frontiers: Sequence[Frontier] = (),
+        delta: int = 0,
+        watch_from: int = 0,
+    ) -> None:
+        self.frontiers = frontiers
+        self.start = start
+        self.base_frontiers = base_frontiers
+        self.delta = delta
+        self.watch_from = watch_from
+        self.converged_at: Optional[int] = None
+
+    def reached(self, boundary: int, frontier: Tuple[GSSNode, ...]) -> bool:
+        """Record ``frontier`` at ``boundary``; True once it re-converges.
+
+        Two frontiers match when their vertices carry the same states,
+        edges and labels down to the first shared vertex; positions are
+        left out, since an edit moves them.  A compared vertex caches its
+        :func:`_signature`, so an unequal frontier is rejected in O(1)
+        once its vertices are hashed, and only a likely match is walked.
+        """
+        self.frontiers[boundary] = frontier
+        old_index = boundary - self.delta
+        if boundary < self.watch_from or not 0 <= old_index < len(self.base_frontiers):
+            return False
+        old = self.base_frontiers[old_index]
+        if old is None or len(old) != len(frontier):
+            return False
+        by_state = {node.state: node for node in old}
+        pairs = []
+        for node in frontier:
+            other = by_state.get(node.state)
+            if other is None or _signature(other) != _signature(node):
+                return False
+            pairs.append((other, node))
+        if not _same_below(pairs):
+            return False
+        self.converged_at = boundary
+        return True
+
+
 class GSSParser:
     """GLR parsing over a merged stack graph.
 
@@ -164,37 +281,63 @@ class GSSParser:
     # -- public API ------------------------------------------------------
 
     def recognize(self, tokens: Iterable[Terminal]) -> bool:
-        return self._run(tokens, build_trees=False).accepted
+        return self.run(tokens, build_trees=False).accepted
 
     def recognize_result(self, tokens: Iterable[Terminal]) -> GSSResult:
         """Recognition that keeps the full result (stats and failure)."""
-        return self._run(tokens, build_trees=False)
+        return self.run(tokens, build_trees=False)
 
     def parse(self, tokens: Iterable[Terminal]) -> GSSResult:
-        if self.grammar is None:
+        return self.run(tokens, build_trees=True)
+
+    # -- the algorithm ---------------------------------------------------
+
+    def run(
+        self,
+        tokens: Iterable[Terminal],
+        build_trees: bool,
+        forest: Optional[Forest] = None,
+        checkpoints: Optional[Checkpoints] = None,
+    ) -> GSSResult:
+        """GLR over ``tokens``: the one loop behind every gss parse.
+
+        ``forest`` is the forest a tree-mode run builds into, fresh by
+        default.  With ``checkpoints`` the run starts at
+        ``checkpoints.start``, records the frontier at every token
+        boundary, and stops early when it re-converges with the base run
+        (see :class:`Checkpoints`); a converged result carries neither
+        acceptance nor a failure record — the caller adopts the base's.
+        """
+        if build_trees and self.grammar is None:
             raise ValueError(
                 "GSSParser.parse needs a grammar (START-rule recovery); "
                 "construct with GSSParser(control, grammar=...)"
             )
-        return self._run(tokens, build_trees=True)
-
-    # -- the algorithm ---------------------------------------------------
-
-    def _run(self, tokens: Iterable[Terminal], build_trees: bool) -> GSSResult:
         sentence: List[Terminal] = list(tokens)
         sentence.append(END)
         sentence_length = len(sentence)
 
-        nodes_created = 1  # the start node below
         edges_created = 0
         reductions_applied = 0
         paths_walked = 0
+        general_sweeps = 0
 
-        forest = Forest() if build_trees else None
+        if not build_trees:
+            forest = None
+        elif forest is None:
+            forest = Forest()
         roots: Dict[TreeNode, None] = {}
 
-        start_node = GSSNode(self.control.start_state, 0)
-        frontier: Dict[Any, GSSNode] = {start_node.state: start_node}
+        position = 0 if checkpoints is None else checkpoints.start
+        if position:
+            nodes_created = 0
+            frontier: Dict[Any, GSSNode] = {
+                node.state: node for node in checkpoints.frontiers[position]
+            }
+        else:
+            nodes_created = 1
+            start_node = GSSNode(self.control.start_state, 0)
+            frontier = {start_node.state: start_node}
         accepted = False
         deadline = active_deadline()
 
@@ -213,13 +356,18 @@ class GSSParser:
         )
         fast_reduce_budget = 64 + 4 * (nonterminal_count + 2)
 
-        position = 0
         # Fatal-sweep record for the failure diagnostic.
         failure_position = 0
         failure_symbol: Terminal = END
         failure_states: Tuple[Any, ...] = ()
 
         while frontier and position < sentence_length:
+            # A token boundary: the one place (with the shift in the
+            # stretch below) a checkpointed run records and converges.
+            if checkpoints is not None and checkpoints.reached(
+                position, tuple(frontier.values())
+            ):
+                break
             symbol = sentence[position]
             if deadline is not None and deadline.expired():
                 raise deadline.exceed(position)
@@ -246,6 +394,7 @@ class GSSParser:
                 # hash-consing dedups the re-derived alternatives.
                 stretch_start = node
                 reduces_here = 0
+                # The stack accepted, or a checkpointed run converged.
                 retired = False
                 while True:
                     state = node.state
@@ -281,6 +430,11 @@ class GSSParser:
                         nodes_created += 1
                         edges_created += 1
                         position += 1
+                        if checkpoints is not None and checkpoints.reached(
+                            position, (node,)
+                        ):
+                            retired = True
+                            break
                         # A shift never consumes the end-marker, so the
                         # next symbol always exists.
                         symbol = sentence[position]
@@ -301,11 +455,11 @@ class GSSParser:
                         chain_labels: List[Optional[TreeNode]] = []
                         linear = True
                         for _ in range(arity):
-                            if len(base.edges) != 1:
+                            if base.edges is not None:
                                 linear = False
                                 break
-                            chain_labels.append(base.labels[0])
-                            base = base.edges[0]
+                            chain_labels.append(base.label)
+                            base = base.below
                         if not linear:
                             break  # merged region: the graph sweep decides
                         if graph_states:
@@ -357,6 +511,7 @@ class GSSParser:
             # -- general graph sweep ------------------------------------
             # Examining a vertex walks all its reduction paths; a later
             # edge queues the examined vertices' paths that take it.
+            general_sweeps += 1
             worklist: List[GSSNode] = list(frontier.values())
             # Walked paths waiting to be applied, one batch per rule walk.
             walks: List[Tuple[Any, List[Tuple[GSSNode, Tuple]]]] = []
@@ -404,12 +559,12 @@ class GSSParser:
                         goto_state = control_goto(base.state, lhs)
                         target = frontier.get(goto_state)
                         if target is None:
-                            target = GSSNode(goto_state, position)
+                            target = GSSNode(goto_state, position, base, label)
                             nodes_created += 1
                             frontier[goto_state] = target
                             worklist.append(target)
-                        target.edges.append(base)
-                        target.labels.append(label)
+                        else:
+                            target.add_edge(base, label)
                         edges_created += 1
                         # A vertex still in the worklist walks the new
                         # paths when it is examined.
@@ -455,11 +610,11 @@ class GSSParser:
             for node, target_state in shifts:
                 target = new_frontier.get(target_state)
                 if target is None:
-                    target = GSSNode(target_state, position + 1)
+                    target = GSSNode(target_state, position + 1, node, shifted)
                     nodes_created += 1
                     new_frontier[target_state] = target
-                target.edges.append(node)
-                target.labels.append(shifted)
+                else:
+                    target.add_edge(node, shifted)
                 edges_created += 1
             failure_position = position
             failure_symbol = symbol
@@ -470,10 +625,14 @@ class GSSParser:
         if fast_hits and credit_hits is not None:
             credit_hits(fast_hits)
         stats = GSSStats(
-            nodes_created, edges_created, reductions_applied, paths_walked
+            nodes_created,
+            edges_created,
+            reductions_applied,
+            paths_walked,
+            general_sweeps,
         )
         failure: Optional[ParseFailure] = None
-        if not accepted:
+        if not accepted and (checkpoints is None or checkpoints.converged_at is None):
             # Every rejection passes through a general sweep (the stretch
             # bails on empty cells), so the recorded states are the fatal
             # sweep's reduce closure — exactly what the expected-terminal
@@ -502,7 +661,7 @@ class GSSParser:
         for rule in self.grammar.start_rules():
             arity = len(rule.rhs)
             for base, children in _labeled_paths(node, arity):
-                if base.edges:  # only the initial vertex has no edges
+                if base.below is not None:  # not the initial vertex
                     continue
                 if any(child is None for child in children):
                     continue
@@ -536,17 +695,104 @@ def _labeled_paths(
     if via is not None:
         paths, waiting = waiting, paths
     for _ in range(length):
-        extended = [
-            (below, (label,) + labels)
-            for tail, labels in paths
-            for below, label in zip(tail.edges, tail.labels)
-        ]
+        extended = []
+        for tail, labels in paths:
+            if tail.edges is None:
+                extended.append((tail.below, (tail.label,) + labels))
+            else:
+                for below, label in zip(tail.edges, tail.labels):
+                    extended.append((below, (label,) + labels))
         still_waiting = []
         for tail, labels in waiting:
-            for below, label in zip(tail.edges, tail.labels):
+            for below, label in _edges_of(tail):
                 if tail is via and below is edge:
                     extended.append((below, (label,) + labels))
                 elif below.position == via.position:
                     still_waiting.append((below, (label,) + labels))
         paths, waiting = extended, still_waiting
     return paths
+
+
+def _signature(node: GSSNode) -> int:
+    """The structural hash of ``node`` and every vertex below it, cached
+    per vertex (only final vertices are hashed: a logged frontier and
+    what lies below it).
+
+    A vertex's signature combines its state with each edge's label
+    identity and the signature below that edge; positions are left out.
+    Hashed vertices stop the walk.  A deterministic stretch builds chains
+    of single-edge vertices, which are hashed on the way back up; a
+    single edge always points to an older vertex, so a chain has no
+    cycle.
+    """
+    sig = node.sig
+    if sig is not None:
+        return sig
+    chain = []
+    while sig is None and node.edges is None:
+        chain.append(node)
+        node = node.below
+        sig = node.sig
+    if sig is None:
+        sig = _merged_signature(node)
+    for vertex in reversed(chain):
+        sig = vertex.sig = hash((id(vertex.state), id(vertex.label), sig))
+    return sig
+
+
+def _merged_signature(node: GSSNode) -> int:
+    """:func:`_signature` of a vertex with no edge or several, by a
+    depth-first walk.  Hidden left recursion loops ε-edges back onto a
+    vertex; such a back edge hashes as ``None``."""
+    pending = [node]
+    entered: Set[GSSNode] = set()
+    while pending:
+        top = pending[-1]
+        if top.sig is not None:
+            pending.pop()
+            continue
+        if top not in entered:
+            entered.add(top)
+            for below, _label in _edges_of(top):
+                if below.sig is None and below not in entered:
+                    pending.append(below)
+            continue
+        pending.pop()
+        if top.edges is None:
+            top.sig = hash((id(top.state), id(top.label), top.below.sig))
+        else:
+            top.sig = hash((
+                id(top.state),
+                tuple(map(id, top.labels)),
+                tuple([below.sig for below in top.edges]),
+            ))
+    return node.sig  # type: ignore[return-value]
+
+
+def _same_below(pairs: List[Tuple[GSSNode, GSSNode]]) -> bool:
+    """Whether each pair has equal states, edges and labels down to the
+    first shared vertex (signatures must already be cached)."""
+    seen: Set[Tuple[GSSNode, GSSNode]] = set()
+    while pairs:
+        a, b = pairs.pop()
+        if a is b or (a, b) in seen:
+            continue
+        seen.add((a, b))
+        if a.sig != b.sig or a.state is not b.state:
+            return False
+        a_edges = list(_edges_of(a))
+        b_edges = list(_edges_of(b))
+        if len(a_edges) != len(b_edges):
+            return False
+        for (a_below, a_label), (b_below, b_label) in zip(a_edges, b_edges):
+            if a_label is not b_label:
+                return False
+            pairs.append((a_below, b_below))
+    return True
+
+
+def _edges_of(node: GSSNode) -> Iterable[Tuple[GSSNode, Optional[TreeNode]]]:
+    """``(below, label)`` per edge of ``node``."""
+    if node.edges is None:
+        return ((node.below, node.label),)
+    return zip(node.edges, node.labels)

@@ -3,20 +3,19 @@
 The paper makes parser **generation** incremental under grammar edits; this
 module closes the symmetric gap for **parsing** under input edits, in the
 spirit of Plaisted's abstract-congruence view of reusing prior
-derivations.  The observation is the same one that makes PAR-PARSE's
-stacks cheap to copy: parse stacks are immutable cons chains, so the
-configuration of the whole parser pool at a token boundary is captured by
-a tuple of :class:`~repro.runtime.stacks.StackCell` pointers — an O(live
-parsers) *checkpoint* that shares every cell with the run that produced
-it.
+derivations.  The graph-structured stack is never mutated below its
+frontier once a level is finished, so the configuration of the whole
+parser at a token boundary is captured by a tuple of
+:class:`~repro.runtime.gss.GSSNode` pointers — an O(stack tops)
+*checkpoint* that shares every vertex with the run that produced it.
 
 There is no second parser here.  :func:`checkpointed_parse` and
 :func:`reparse` are the checkpoint *policy* over a
-:class:`~repro.runtime.parallel.PoolParser`; the mechanism — start at a
+:class:`~repro.runtime.gss.GSSParser`; the mechanism — start at a
 boundary, record the frontier at every boundary, stop on re-convergence —
-is :class:`~repro.runtime.parallel.Checkpoints` inside
-:meth:`PoolParser.run <repro.runtime.parallel.PoolParser.run>`, the same
-loop (deterministic stretch plus general sweep) a plain parse runs.  So a
+is :class:`~repro.runtime.gss.Checkpoints` inside
+:meth:`GSSParser.run <repro.runtime.gss.GSSParser.run>`, the same loop
+(deterministic stretch plus general sweep) a plain parse runs.  So a
 checkpointed parse takes exactly the steps of a plain one.  Given a splice
 edit ``(start, end, replacement)`` over the previous input,
 :func:`reparse`
@@ -31,24 +30,25 @@ edit ``(start, end, replacement)`` over the previous input,
    prior outcome's acceptance, derivations, failure record and remaining
    checkpoints are reused wholesale.
 
-Two regimes fall out of the cell signature covering *trees as well as
+Two regimes fall out of the frontier match covering *labels as well as
 states*:
 
-* **Recognition** (``build_trees=False``) — cells carry no trees, so
-  convergence is pure state-frontier equality and fires shortly after the
+* **Recognition** (``build_trees=False``) — edges carry no labels, so
+  convergence is pure state-graph equality and fires shortly after the
   damaged region for any edit, including length-changing ones.  This is
   the regime the service's hot re-submission traffic runs in.
-* **Tree building** — cells carry hash-consed subtrees (the reparse
-  reuses the prior run's :class:`~repro.runtime.forest.Forest`, so equal
-  derivations are *identical* objects).  Subtrees carry no positions,
-  but a whole stack spells the whole prefix before its boundary, so
-  convergence certifies identical derivations of prefixes of the same
-  length.  That only happens for edits that rewrite a region into the
-  same parse (e.g. re-submissions); a genuinely changed region keeps its
-  differing subtree on the stack, and after a length-changing edit every
-  stack spells a prefix of another length, so the run continues to the
-  end — still skipping the whole prefix, and still correct by
-  construction.
+* **Tree building** — edges carry forest nodes.  The reparse shares the
+  prior run's hash-consed parse nodes, so equal derivations are
+  *identical* objects; parse nodes carry no positions, but a whole stack
+  spells the whole prefix before its boundary, so convergence certifies
+  identical derivations of prefixes of the same length.  That only
+  happens for edits that rewrite a region into the same parse (e.g.
+  re-submissions); after a length-changing edit every stack spells a
+  prefix of another length, so the run continues to the end — still
+  skipping the whole prefix, and still correct by construction.  Packed
+  nodes are keyed by span and an edit moves every span after it, so a
+  resumed run packs into a table of its own
+  (:meth:`~repro.runtime.forest.Forest.branch`).
 
 Checkpoints are **invalidated by grammar edits**: every MODIFY bumps
 :attr:`Grammar.revision <repro.grammar.grammar.Grammar.revision>`, and
@@ -65,7 +65,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..grammar.symbols import Terminal
 from .forest import Forest
-from .parallel import Checkpoints, Frontier, ParseFailure, ParseResult, PoolParser
+from .gss import Checkpoints, Frontier, GSSParser, GSSResult
+from .parallel import ParseFailure
 
 __all__ = ["Edit", "IncrementalOutcome", "checkpointed_parse", "reparse"]
 
@@ -117,10 +118,10 @@ class Edit:
 class IncrementalOutcome:
     """A parse result plus everything a later ``reparse`` needs.
 
-    ``frontiers[i]`` is the pool frontier before consuming token ``i``
+    ``frontiers[i]`` is the frontier before consuming token ``i``
     (``frontiers[0]`` is the start configuration, ``frontiers[n]`` the one
     facing the end-marker); entries after the point a rejected run died at
-    are ``None``.  ``owner`` is the :class:`PoolParser` that produced it.
+    are ``None``.  ``owner`` is the :class:`GSSParser` that produced it.
     ``reuse`` describes how the outcome was obtained — see :func:`reparse`.
     """
 
@@ -137,13 +138,13 @@ class IncrementalOutcome:
 
     def __init__(
         self,
-        result: ParseResult,
+        result: GSSResult,
         tokens: Tuple[Terminal, ...],
         frontiers: List[Frontier],
         build_trees: bool,
         forest: Optional[Forest],
         version: int,
-        owner: PoolParser,
+        owner: GSSParser,
     ) -> None:
         self.result = result
         self.tokens = tokens
@@ -166,30 +167,30 @@ class IncrementalOutcome:
         )
 
 
-def _revision(pool: PoolParser) -> int:
-    return pool.grammar.revision if pool.grammar is not None else 0
+def _revision(parser: GSSParser) -> int:
+    return parser.grammar.revision if parser.grammar is not None else 0
 
 
 def checkpointed_parse(
-    pool: PoolParser, tokens: Iterable[Terminal], build_trees: bool = True
+    parser: GSSParser, tokens: Iterable[Terminal], build_trees: bool = True
 ) -> IncrementalOutcome:
     """A full parse that records a checkpoint at every token boundary."""
     sentence = tuple(tokens)
     checkpoints = Checkpoints([None] * (len(sentence) + 1))
     forest = Forest() if build_trees else None
-    return _run(pool, sentence, checkpoints, build_trees, forest, None)
+    return _run(parser, sentence, checkpoints, build_trees, forest, None)
 
 
 def reparse(
-    pool: PoolParser,
+    parser: GSSParser,
     base: IncrementalOutcome,
     edit: Edit,
     build_trees: Optional[bool] = None,
     spliced: Optional[Sequence[Terminal]] = None,
 ) -> IncrementalOutcome:
-    """Parse ``edit.apply(base.tokens)`` on ``pool``, reusing ``base``'s work.
+    """Parse ``edit.apply(base.tokens)`` on ``parser``, reusing ``base``'s work.
 
-    Equivalent to ``checkpointed_parse(pool, edit.apply(base.tokens))`` in
+    Equivalent to ``checkpointed_parse(parser, edit.apply(base.tokens))`` in
     every observable (acceptance, derivations, ambiguity, failure record) —
     proven by the differential property suite — but resumes from the last
     checkpoint before the edit and stops at frontier re-convergence.  When
@@ -212,29 +213,34 @@ def reparse(
     )
 
     reason: Optional[str] = None
-    if base.owner is not pool:
+    if base.owner is not parser:
         reason = "foreign-checkpoint"
-    elif base.version != _revision(pool):
+    elif base.version != _revision(parser):
         reason = "grammar-modified"
     elif base.build_trees != build_trees:
         reason = "mode-changed"
     if reason is not None:
-        outcome = checkpointed_parse(pool, spliced, build_trees=build_trees)
+        outcome = checkpointed_parse(parser, spliced, build_trees=build_trees)
         outcome.reuse["fallback"] = reason
         return outcome
 
     n = len(spliced)
     forest = base.forest if build_trees else None
-    if forest is not None and forest.size > 64 * (n + 16):
-        # Chained tree-mode reparses share the base's hash-consing
-        # forest (that is what makes identity-convergence O(1)), but
-        # its memo tables retain every node ever built — a long edit
-        # chain would grow memory linearly.  Past this cap the chain
-        # restarts on a fresh forest: still correct (prefix resume
-        # and run-out are forest-agnostic; resumed stacks keep their
-        # old nodes alive only while reachable), only this turn's
-        # tree-identity convergence is forfeited.
-        forest = Forest()
+    if forest is not None:
+        if forest.size > 64 * (n + 16):
+            # Chained tree-mode reparses share the base's parse nodes
+            # (that is what makes identity-convergence O(1)), but its
+            # memo table retains every node ever built — a long edit
+            # chain would grow memory linearly.  Past this cap the
+            # chain restarts on a fresh forest: still correct (prefix
+            # resume and run-out are forest-agnostic; resumed stacks
+            # keep their old nodes alive only while reachable), only
+            # this turn's tree-identity convergence is forfeited.
+            forest = Forest()
+        else:
+            # Never the base's packed table: its spans after the
+            # resume boundary name other tokens once the edit moves them.
+            forest = forest.branch()
     frontiers: List[Frontier] = [None] * (n + 1)
     # Checkpoints at boundaries <= start depend only on the unchanged
     # prefix, so they carry over verbatim; resume from the last one
@@ -246,27 +252,33 @@ def reparse(
     while boundary > 0 and frontiers[boundary] is None:
         boundary -= 1
 
+    watched = base.frontiers
+    if build_trees and edit.replacement != tuple(base.tokens[edit.start : edit.end]):
+        # A label spells its yield, so a tree-mode frontier can match the
+        # base's only over the same prefix: once the edit changes a token,
+        # no later boundary converges and none is compared.
+        watched = []
     checkpoints = Checkpoints(
         frontiers,
         start=boundary,
-        base_frontiers=base.frontiers,
+        base_frontiers=watched,
         delta=edit.delta,
         watch_from=edit.start + len(edit.replacement),
     )
-    return _run(pool, spliced, checkpoints, build_trees, forest, base)
+    return _run(parser, spliced, checkpoints, build_trees, forest, base)
 
 
 def _run(
-    pool: PoolParser,
+    parser: GSSParser,
     sentence: Tuple[Terminal, ...],
     checkpoints: Checkpoints,
     build_trees: bool,
     forest: Optional[Forest],
     base: Optional[IncrementalOutcome],
 ) -> IncrementalOutcome:
-    """Run ``pool`` from ``checkpoints.start``; adopt the base on convergence."""
+    """Run ``parser`` from ``checkpoints.start``; adopt the base on convergence."""
     n = len(sentence)
-    result = pool.run(
+    result = parser.run(
         sentence, build_trees, forest=forest, checkpoints=checkpoints
     )
     frontiers = checkpoints.frontiers
@@ -285,9 +297,9 @@ def _run(
                 failure.stacks,
                 failure.states,
             )
-        result = ParseResult(
+        result = GSSResult(
             base.result.accepted,
-            base.result.trees if build_trees else (),
+            base.result.forest if build_trees else None,
             result.stats,
             failure,
         )
@@ -300,7 +312,7 @@ def _run(
         stopped_at = n
 
     outcome = IncrementalOutcome(
-        result, sentence, frontiers, build_trees, forest, _revision(pool), pool
+        result, sentence, frontiers, build_trees, forest, _revision(parser), parser
     )
     start = checkpoints.start
     outcome.reuse = {

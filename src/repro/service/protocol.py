@@ -78,7 +78,14 @@ from ..runtime.forest import ENUMERATION_CAP
 #: engine (``compiled``).  Cache keys and result ids name the bound and
 #: the engine a request resolves to, so naming either explicitly is the
 #: same request as leaving it out.
-PROTOCOL_VERSION = 9
+#: Version 10 (v9-compatible for requests other than ``"engine":
+#: "compiled"``): one production engine.  The registry is ``lazy``,
+#: ``gss`` and ``earley``, so ``"engine": "compiled"`` gets the
+#: registry's "unknown engine" error.  Checkpointed requests and
+#: ``edit-parse`` run on ``gss`` like every other request that names no
+#: engine; an ``edit-parse`` on ``lazy`` re-parses in full (its ``reuse``
+#: names the ``engine-without-reparse`` fallback).
+PROTOCOL_VERSION = 10
 
 #: Trees a parse-shaped request renders when it names no ``max_trees``.
 DEFAULT_MAX_TREES = 1

@@ -26,9 +26,6 @@ from ..grammar.rules import Rule
 from .cache import CacheKey, ResultCache
 from .protocol import ServiceError, SessionNotFound
 
-#: The engine a plain (uncheckpointed) request runs on when it names none.
-PLAIN_ENGINE = "gss"
-
 #: Callback invoked (with the session) after every grammar modification.
 ModifyListener = Callable[["ParseSession"], None]
 
@@ -165,19 +162,14 @@ class ParseSession:
         payload.pop("trees_built", None)
         return payload
 
-    def engine_for(self, engine: Optional[str], checkpoint: bool = False) -> str:
-        """The engine a request runs on: ``engine`` when it names one.
+    def engine_for(self, engine: Optional[str]) -> str:
+        """The engine a request runs on: ``engine`` when it names one,
+        else the language's default (``gss``).
 
-        Otherwise a plain request runs on ``gss``, whose packed forest
-        counts ambiguity lazily, and a checkpointed one on the language's
-        default engine, the production engine with checkpoints (an
-        ``edit-parse`` then stays on its base's engine).  Cache keys and
-        result ids spell this name, so naming the engine a request would
-        run on anyway is the same request as naming none.
+        Cache keys and result ids spell this name, so naming the engine a
+        request would run on anyway is the same request as naming none.
         """
-        if engine is not None:
-            return engine
-        return self.language.default_engine if checkpoint else PLAIN_ENGINE
+        return engine if engine is not None else self.language.default_engine
 
     # -- incremental re-parsing (checkpoint store) -------------------------
 
@@ -220,7 +212,7 @@ class ParseSession:
         ``"recognize"`` mode checkpoints carry pure state frontiers, the
         regime where an edit re-converges a token or two past the damage.
         """
-        engine = self.engine_for(engine, checkpoint=True)
+        engine = self.engine_for(engine)
         lexed = self.language.lex(tokens)
         result_id = self._result_id(
             mode,

@@ -16,7 +16,7 @@ from repro.sdf.lexer import terminal_stream
 from tests.conftest import BOOLEANS
 
 #: engines whose rejections carry a position (all of them).
-ALL_ENGINES = ("lazy", "compiled", "gss", "earley")
+ALL_ENGINES = ("lazy", "gss", "earley")
 
 
 @pytest.fixture()

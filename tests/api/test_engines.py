@@ -11,10 +11,10 @@ import pytest
 from repro.api import Language, create_engine, engine_descriptions, engines
 from tests.conftest import AMBIGUOUS_EXPR, BOOLEANS, EPSILON, EXPR
 
-ALL_ENGINES = ("lazy", "compiled", "gss", "earley")
+ALL_ENGINES = ("lazy", "gss", "earley")
 
 #: engines whose ``parse`` builds derivation trees
-TREE_ENGINES = ("lazy", "compiled", "gss")
+TREE_ENGINES = ("lazy", "gss")
 
 #: (grammar text, accepted sentences, rejected sentences)
 CORPUS = [
@@ -60,7 +60,7 @@ class TestRegistry:
     def test_engine_instances_are_cached(self):
         lang = Language.from_text(BOOLEANS)
         assert lang.engine("gss") is lang.engine("gss")
-        assert lang.engine() is lang.engine("compiled")
+        assert lang.engine() is lang.engine("gss")
 
     def test_detail_reports_capability_flags(self):
         detail = engines(detail=True)
@@ -70,11 +70,11 @@ class TestRegistry:
             assert detail[name]["supports_ambiguity"] is True
         assert detail["earley"]["supports_trees"] is False
         assert detail["earley"]["supports_ambiguity"] is False
-        # The checkpoint family answers reparse natively; the others fall
-        # back to a full parse through Language.reparse.
-        for name in ("lazy", "compiled"):
-            assert detail[name]["supports_reparse"] is True
-        assert detail["gss"]["supports_reparse"] is False
+        # gss answers reparse natively; the others fall back to a full
+        # parse through Language.reparse.
+        assert detail["gss"]["supports_reparse"] is True
+        for name in ("lazy", "earley"):
+            assert detail[name]["supports_reparse"] is False
         for record in detail.values():
             assert record["summary"]
 
@@ -219,11 +219,11 @@ class TestRightRecursion:
     """``L ::= x L`` unwinds n stacked reduces at the end-marker.
 
     FOLLOW(L) = {$}, so the compiled step cells shift every ``x`` instead
-    of forking a dead ``L ::= x`` reduce, and the stretches do not count
-    the stack-shrinking ``L ::= x L`` reduces against their cycle budget:
+    of forking a dead ``L ::= x`` reduce, and gss's stretch does not count
+    the stack-shrinking ``L ::= x L`` reduces against its cycle budget:
     the unwinding stays in the stretch.  Before, each ``x`` forked a
     branch that reduced the whole right spine (about n²/2 reduces), and
-    the unwinding bailed into the general sweeps.
+    the unwinding bailed into the general sweep.
     """
 
     TOKENS = 2000
@@ -233,12 +233,10 @@ class TestRightRecursion:
         lang = Language.from_text("START ::= L\nL ::= x\nL ::= x L")
         sentence = " ".join(["x"] * self.TOKENS)
         run = lang.parse if build_trees else lang.recognize
-        compiled = run(sentence, engine="compiled")
         gss = run(sentence, engine="gss")
-        assert compiled.accepted and gss.accepted
-        assert compiled.stats["reduces"] <= 2 * self.TOKENS
-        assert compiled.stats["forks"] == 0
+        assert gss.accepted
         assert gss.stats["reductions_applied"] <= 2 * self.TOKENS
+        assert gss.stats["general_sweeps"] == 0
 
 
 class TestEngineBehaviour:
@@ -253,10 +251,11 @@ class TestEngineBehaviour:
         assert outcome.trees_built is False
 
     def test_lazy_and_compiled_share_one_graph(self):
+        # gss runs over the compiled control, which wraps lazy's graph.
         lang = Language.from_text(BOOLEANS)
         lang.recognize("true or false", engine="lazy")
         states_after_lazy = len(lang.graph)
-        lang.recognize("true or false", engine="compiled")
+        lang.recognize("true or false", engine="gss")
         assert len(lang.graph) == states_after_lazy
 
     def test_explicit_token_sequences_accepted(self, toks):

@@ -139,10 +139,10 @@ class TestReparse:
         assert edited.reuse["fallback"] == "no-checkpoint"
 
     def test_engine_override_does_not_reuse_foreign_checkpoints(self, language):
-        base = language.parse("a + a", checkpoint=True)
-        edited = language.reparse(base, 2, 3, "b", engine="lazy")
-        scratch = language.parse("a + b", engine="lazy")
-        assert edited.engine == "lazy"
+        base = language.parse("a + a", checkpoint=True, engine="lazy")
+        edited = language.reparse(base, 2, 3, "b", engine="gss")
+        scratch = language.parse("a + b", engine="gss")
+        assert edited.engine == "gss"
         assert edited.brackets() == scratch.brackets()
         assert edited.reuse["fallback"] == "no-checkpoint"
 
@@ -183,3 +183,26 @@ class TestReparse:
         scratch = language.recognize("a + b + b", engine="earley")
         assert edited.accepted == scratch.accepted is True
 
+
+    @pytest.mark.parametrize("name", engines())
+    def test_every_engine_answers_one_reuse_shape(self, language, name):
+        base = language.recognize("a + a + b", checkpoint=True, engine=name)
+        edited = language.reparse(base, 2, 3, "b")
+        assert set(edited.reuse) == {
+            "converged_at",
+            "fallback",
+            "resumed_at",
+            "reused_prefix",
+            "parsed_tokens",
+            "total_tokens",
+        }
+        assert edited.reuse["total_tokens"] == 5
+        if not engines(detail=True)[name]["supports_reparse"]:
+            assert edited.reuse == {
+                "converged_at": None,
+                "fallback": "engine-without-reparse",
+                "resumed_at": 0,
+                "reused_prefix": 0,
+                "parsed_tokens": 5,
+                "total_tokens": 5,
+            }

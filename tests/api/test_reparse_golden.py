@@ -1,13 +1,13 @@
 """Golden pins for checkpointed parsing and reparse.
 
 Every cell of ``repro.bench.incremental.edit_grid`` on the SDF corpus is
-re-parsed on ``compiled`` and ``lazy``, in tree and recognition mode,
+re-parsed on ``gss`` and ``lazy``, in tree and recognition mode,
 followed by one chained edit (the undo of the first).  The exact
-``reuse`` accounting, the ``ParseStats`` and a digest of the
+``reuse`` accounting, the engine stats and a digest of the
 ``max_trees=5`` payload of each step are pinned in
-``reparse_golden.json``: a change to the PAR-PARSE loop that moves a
+``reparse_golden.json``: a change to either loop that moves a
 convergence point, a stats counter or a rendered tree shows up here by
-cell.  A second check pins that checkpointed and plain parses of an
+cell (``lazy`` re-parses every edit in full).  A second check pins that checkpointed and plain parses of an
 ambiguous grammar render the same bounded tree list (root order decides
 which trees a bound renders).
 
@@ -30,7 +30,7 @@ from repro.bench.incremental import edit_grid
 from repro.sdf.corpus import corpus_tokens, sdf_grammar
 
 GOLDEN = Path(__file__).with_name("reparse_golden.json")
-ENGINES = ("compiled", "lazy")
+ENGINES = ("gss", "lazy")
 MODES = ("tree", "recognition")
 
 

@@ -4,14 +4,11 @@ from repro.bench.hotpath import (
     check_floor,
     check_render_floor,
     check_step_cell_floor,
-    check_tree_mode_floor,
     measure_hotpath,
     measure_lookahead,
     measure_render,
     measure_right_recursion,
-    measure_tree_mode,
     render_step_cells,
-    render_tree_mode,
     render_tree_timings,
 )
 from repro.bench.workloads import booleans_workload
@@ -175,31 +172,27 @@ class TestRender:
 
 class TestStepCells:
     FLOOR = {
-        "lookahead": {"max_compiled_forks": 20, "min_compiled_vs_lazy": 3.0},
-        "right_recursion": {"max_growth": {"compiled": 8.0, "gss": 8.0}},
+        "lookahead": {"max_gss_general_sweeps": 13, "min_gss_vs_lazy": 3.0},
+        "right_recursion": {"max_growth": {"gss": 8.0}},
     }
 
-    def report_with(self, forks=6, ratio=4.4, growth=4.3):
+    def report_with(self, sweeps=4, ratio=4.4, growth=4.3):
         return {
             "lookahead": {
                 "input": "ASF.sdf",
-                "forks": {"lazy": 328, "compiled": forks},
-                "compiled_vs_lazy": ratio,
+                "lazy_forks": 328,
+                "gss_general_sweeps": sweeps,
+                "gss_vs_lazy": ratio,
             },
-            "right_recursion": {
-                "engines": {
-                    "compiled": {"growth": growth},
-                    "gss": {"growth": growth},
-                }
-            },
+            "right_recursion": {"engines": {"gss": {"growth": growth}}},
         }
 
     def test_healthy_run_passes(self):
         assert check_step_cell_floor(self.report_with(), self.FLOOR) == []
 
     def test_lr0_forks_fail(self):
-        problems = check_step_cell_floor(self.report_with(forks=328), self.FLOOR)
-        assert any("forks 328 times" in p for p in problems)
+        problems = check_step_cell_floor(self.report_with(sweeps=328), self.FLOOR)
+        assert any("handles 328 positions" in p for p in problems)
 
     def test_ratio_under_floor_fails(self):
         problems = check_step_cell_floor(self.report_with(ratio=2.0), self.FLOOR)
@@ -207,7 +200,7 @@ class TestStepCells:
 
     def test_quadratic_growth_fails(self):
         problems = check_step_cell_floor(self.report_with(growth=16.0), self.FLOOR)
-        assert len([p for p in problems if "grows 16.00x" in p]) == 2
+        assert len([p for p in problems if "grows 16.00x" in p]) == 1
 
     def test_missing_sections_reported(self):
         problems = check_step_cell_floor({}, self.FLOOR)
@@ -219,37 +212,11 @@ class TestStepCells:
             "right_recursion": measure_right_recursion(repeats=1),
         }
         lookahead = report["lookahead"]
-        assert lookahead["forks"]["lazy"] > lookahead["forks"]["compiled"]
-        assert lookahead["compiled_vs_lazy"] > 0
+        assert lookahead["lazy_forks"] > lookahead["gss_general_sweeps"]
+        assert lookahead["gss_vs_lazy"] > 0
         engines = report["right_recursion"]["engines"]
-        assert set(engines) == {"compiled", "gss"}
+        assert set(engines) == {"gss"}
         for data in engines.values():
             assert set(data["ms"]) == {"500", "2000"}
             assert data["growth"] > 0
         assert "growth" in render_step_cells(report)
-
-
-class TestTreeMode:
-    FLOOR = {"tree_mode": {"max_gss_vs_compiled": 1.3}}
-
-    def report_with(self, ratio):
-        return {"tree_mode": {"gss_vs_compiled": ratio}}
-
-    def test_ratio_under_ceiling_passes(self):
-        assert check_tree_mode_floor(self.report_with(1.05), self.FLOOR) == []
-
-    def test_packed_stretch_ratio_fails(self):
-        problems = check_tree_mode_floor(self.report_with(2.1), self.FLOOR)
-        assert len(problems) == 1 and "2.10x" in problems[0]
-
-    def test_missing_section_reported(self):
-        problems = check_tree_mode_floor({}, self.FLOOR)
-        assert problems and "missing" in problems[0]
-
-    def test_report_shape(self):
-        report = measure_tree_mode(repeats=1)
-        assert len(report["inputs"]) == 4
-        assert set(report["ms"]) == {"compiled", "gss"}
-        assert all(ms > 0 for ms in report["ms"].values())
-        assert report["gss_vs_compiled"] > 0
-        assert "gss/compiled" in render_tree_mode(report)

@@ -54,7 +54,7 @@ class TestParsing:
         from repro.runtime.trace import Trace
 
         trace = Trace()
-        lang.parse("true", trace=trace)
+        lang.parse("true", engine="lazy", trace=trace)
         assert len(trace) > 0
 
 
@@ -121,7 +121,7 @@ class TestIntrospection:
 
     def test_repr(self, lang):
         assert repr(lang) == (
-            "Language(5 rules, tokenizer=whitespace, engine=compiled)"
+            "Language(5 rules, tokenizer=whitespace, engine=gss)"
         )
 
     def test_collect_garbage_roundtrip(self, lang):

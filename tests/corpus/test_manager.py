@@ -40,6 +40,25 @@ class TestCommands:
             {"cmd": "corpus-create", "corpus": "demo", "grammar": "  "}
         )["error"]
 
+    def test_stored_compiled_engine_fails_the_parse_job(self, tmp_path):
+        # A registry written when ``compiled`` was an engine still loads;
+        # its parse job fails on the registry's "unknown engine" error.
+        from repro.corpus.registry import CorpusRegistry
+
+        root = str(tmp_path / "corpora")
+        CorpusRegistry(root).create("demo", GRAMMAR, engine="compiled")
+        served = Dispatcher(corpus_root=root)
+        try:
+            ingest(served, ["true or false"])
+            job = served.handle(
+                {"cmd": "corpus-parse", "corpus": "demo", "wait": True}
+            )["job"]
+        finally:
+            served.close()
+        assert job["state"] == "failed"
+        assert "unknown engine 'compiled'" in job["job_error"]
+        assert job["done"] == 0
+
     def test_commands_refuse_unknown_corpus(self, dispatcher):
         for cmd in ("corpus-ingest", "corpus-parse", "corpus-status",
                     "corpus-query"):

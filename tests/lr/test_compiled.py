@@ -17,6 +17,7 @@ from repro.lr.graph import ItemSetGraph
 from repro.lr.slr import slr_table
 from repro.lr.table import lr0_table
 from repro.grammar.symbols import END, NonTerminal, Terminal
+from repro.runtime.gss import GSSParser
 from repro.runtime.parallel import PoolParser
 
 BOOLEANS = """
@@ -146,8 +147,8 @@ class TestFollowFilter:
         # FOLLOW(L) = {$}: on another x only the shift survives.
         grammar = grammar_from_text("START ::= L\nL ::= x\nL ::= x L")
         _, control = compiled_setup(grammar)
-        result = PoolParser(control, grammar).recognize_result(toks("x x x"))
-        assert result.accepted and result.stats.forks == 0
+        result = GSSParser(control).recognize_result(toks("x x x"))
+        assert result.accepted and result.stats.general_sweeps == 0
         x = Terminal("x")
         [state] = [
             state

@@ -132,7 +132,7 @@ RENDER_LIMIT = 200
 @settings(max_examples=60, deadline=None)
 @given(
     ambiguous_parses(),
-    st.sampled_from(["compiled", "gss"]),
+    st.sampled_from(["lazy", "gss"]),
     st.one_of(st.none(), st.integers(1, 6)),
 )
 def test_render_matches_decode_then_render(parse, engine, max_trees):

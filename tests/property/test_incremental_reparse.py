@@ -26,6 +26,8 @@ from repro.grammar.rules import Rule
 from repro.grammar.symbols import NonTerminal, Terminal
 from repro.runtime.errors import SweepLimitExceeded
 
+from tests.conftest import BOOLEANS
+
 from .strategies import derive_sentence, grammars, is_pool_safe
 
 TERMINALS = [Terminal(name) for name in ("x", "y", "z")]
@@ -116,7 +118,7 @@ class TestReparseEquivalence:
                         language.parse(tokens, engine=engine, checkpoint=True).stats,
                         language.parse(tokens, engine=engine).stats,
                     )
-                    for engine in ("compiled", "lazy")
+                    for engine in ("gss", "lazy")
                 }
             except SweepLimitExceeded:
                 continue  # indirect hidden left recursion slipped the filter
@@ -228,6 +230,31 @@ class TestReparseEquivalence:
             checked += 1
         assert checked >= 50
         assert fallbacks >= 25  # the MODIFY genuinely changed the grammar
+
+    @pytest.mark.parametrize(
+        "start,end,replacement",
+        [(0, 0, "false and"), (0, 2, ""), (1, 1, "and true"), (2, 3, "false")],
+    )
+    def test_length_changing_edit_before_an_ambiguous_span(
+        self, start, end, replacement
+    ):
+        """Packed nodes are keyed by span: a resumed gss run must not find
+        the base's packed node for a span the edit moved."""
+        language = Language.from_text(BOOLEANS)
+        text = "true or false and true or false and true"
+        base = language.parse(text, checkpoint=True)
+        assert base.ambiguity > 1
+        edited = language.reparse(base, start, end, replacement)
+        tokens = text.split()
+        fresh = Language.from_text(BOOLEANS).parse(
+            " ".join(tokens[:start] + replacement.split() + tokens[end:])
+        )
+        assert edited.reuse["fallback"] is None
+        assert edited.accepted and fresh.accepted
+        assert edited.forest.tree_count() == fresh.forest.tree_count()
+        assert sorted(edited.forest.brackets(10_000)) == sorted(
+            fresh.forest.brackets(10_000)
+        )
 
     @pytest.mark.parametrize("engine", ["lazy", "gss", "earley"])
     def test_other_engines_agree(self, engine):

@@ -9,10 +9,11 @@ add/delete-rule edits:
   populated step cell equals the wrapped control's LR(0) cell, filtered
   by FOLLOW from a *fresh* :class:`GrammarAnalysis` — so a MODIFY that
   moves a FOLLOW set re-encodes every cell it affects, and no other cell
-  goes stale.  ``compiled`` answers equal ``lazy`` (pure LR(0)) answers.
+  goes stale.  ``gss`` (whose stretch reads the cells) answers equal
+  ``lazy`` (pure LR(0)) answers.
 * **Diagnostics do not move.**  On rejected inputs (a derived sentence
-  with one token mutated), ``lazy``, ``compiled`` and ``gss`` report the
-  same failing token index and the same expected set.
+  with one token mutated), ``lazy`` and ``gss`` report the same failing
+  token index and the same expected set.
 """
 
 from __future__ import annotations
@@ -103,11 +104,11 @@ def test_step_cells_are_follow_filtered_lr0_cells_across_edits(data):
             if sentence is None or len(sentence) > 12:
                 continue
             try:
-                compiled = language.parse(sentence, engine="compiled")
+                gss = language.parse(sentence, engine="gss")
                 lazy = language.parse(sentence, engine="lazy")
             except SweepLimitExceeded:
                 return  # indirect hidden left recursion slipped the filter
-            assert fingerprint(compiled) == fingerprint(lazy), (
+            assert fingerprint(gss) == fingerprint(lazy), (
                 language.grammar.pretty(),
                 sentence,
             )
@@ -153,14 +154,10 @@ def test_engines_report_the_same_diagnostic_across_edits(data):
             try:
                 reports = {
                     engine: rejection(run(sentence, engine=engine))
-                    for engine in ("lazy", "compiled", "gss")
+                    for engine in ("lazy", "gss")
                 }
             except SweepLimitExceeded:
                 return
-            assert reports["compiled"] == reports["lazy"], (
-                language.grammar.pretty(),
-                sentence,
-            )
             assert reports["gss"] == reports["lazy"], (
                 language.grammar.pretty(),
                 sentence,

@@ -94,7 +94,7 @@ class TestDeepTrees:
 
     TOKENS = 2000
 
-    @pytest.mark.parametrize("engine", ["compiled", "gss"])
+    @pytest.mark.parametrize("engine", ["gss"])
     def test_helpers_walk_a_deep_tree(self, engine):
         lang = Language.from_text("START ::= L\nL ::= x\nL ::= x L")
         outcome = lang.parse(" ".join(["x"] * self.TOKENS), engine=engine)

@@ -6,7 +6,6 @@ from repro.grammar.builders import grammar_from_text
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.errors import SweepLimitExceeded
 from repro.runtime.forest import bracketed, tokens_of
-from repro.runtime.incremental import checkpointed_parse
 from repro.runtime.parallel import PoolParser
 
 from ..conftest import toks
@@ -116,16 +115,6 @@ def pool_run(grammar, tokens, build_trees, **kwargs):
     return pool_for(grammar, **kwargs).run(tokens, build_trees=build_trees)
 
 
-def checkpointed_run(grammar, tokens, build_trees, **kwargs):
-    pool = pool_for(grammar, **kwargs)
-    return checkpointed_parse(pool, tokens, build_trees=build_trees).result
-
-
-#: A plain and a checkpointed parse run the one PAR-PARSE loop, so both
-#: reach its guards.
-DRIVERS = (pool_run, checkpointed_run)
-
-
 class TestGuards:
     def test_cyclic_grammar_detected(self):
         # A ::= A builds a new tree per turn (the step budget fires); the
@@ -138,22 +127,19 @@ class TestGuards:
             START ::= A
         """
         cases = ((CYCLIC, "parser steps"), (hidden, "exceeded depth"))
-        for run in DRIVERS:
-            for text, guard in cases:
-                grammar = grammar_from_text(text)
-                with pytest.raises(SweepLimitExceeded, match=guard):
-                    run(grammar, toks("a"), True, max_sweep_steps=10_000)
+        for text, guard in cases:
+            grammar = grammar_from_text(text)
+            with pytest.raises(SweepLimitExceeded, match=guard):
+                pool_run(grammar, toks("a"), True, max_sweep_steps=10_000)
 
     def test_cyclic_recognition_terminates_with_state_dedup(self):
         # In recognition mode signatures ignore trees, so the A ::= A loop
         # converges instead of spinning.
-        for run in DRIVERS:
-            assert run(grammar_from_text(CYCLIC), toks("a"), False).accepted
+        assert pool_run(grammar_from_text(CYCLIC), toks("a"), False).accepted
 
     def test_duplicate_parsers_dropped_in_recognition(self, ambiguous_expr):
         # In recognition mode signatures ignore trees, so the ambiguous
         # derivations converge onto identical stacks and get merged.
-        for run in DRIVERS:
-            result = run(ambiguous_expr, toks("n + n + n + n"), False)
-            assert result.accepted
-            assert result.stats.duplicates_dropped > 0
+        result = pool_run(ambiguous_expr, toks("n + n + n + n"), False)
+        assert result.accepted
+        assert result.stats.duplicates_dropped > 0

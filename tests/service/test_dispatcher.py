@@ -535,28 +535,37 @@ class TestDiagnosticsAndEngines:
     def test_naming_the_default_engine_shares_the_cache(
         self, booleans_dispatcher, variant
     ):
-        # Plain requests resolve to gss, checkpointed ones to compiled.
-        resolved = "compiled" if variant.get("checkpoint") else "gss"
+        # Plain and checkpointed requests both resolve to gss.
         request = {"session": "s1", "tokens": "true or false", **variant}
-        named = booleans_dispatcher.handle({**request, "engine": resolved})
+        named = booleans_dispatcher.handle({**request, "engine": "gss"})
         unnamed = booleans_dispatcher.handle(request)
         assert named["cache"] is False
         assert unnamed["cache"] is True
-        assert unnamed["engine"] == resolved
+        assert unnamed["engine"] == "gss"
         for response in (named, unnamed):
             del response["time"], response["cache"]
         assert named == unnamed                 # including any result id
 
-    def test_naming_compiled_on_a_plain_parse_is_its_own_entry(
+    def test_naming_lazy_on_a_plain_parse_is_its_own_entry(
         self, booleans_dispatcher
     ):
         request = {"cmd": "parse", "session": "s1", "tokens": "true or false"}
         plain = booleans_dispatcher.handle(request)
-        compiled = booleans_dispatcher.handle({**request, "engine": "compiled"})
+        lazy = booleans_dispatcher.handle({**request, "engine": "lazy"})
         assert plain["engine"] == "gss"
-        assert compiled["engine"] == "compiled"
-        assert compiled["cache"] is False       # never gss's entry
-        assert compiled["trees"] == plain["trees"]
+        assert lazy["engine"] == "lazy"
+        assert lazy["cache"] is False           # never gss's entry
+        assert lazy["trees"] == plain["trees"]
+
+    @pytest.mark.parametrize("cmd", ["parse", "recognize", "edit-parse"])
+    def test_compiled_is_an_unknown_engine(self, booleans_dispatcher, cmd):
+        response = booleans_dispatcher.handle(
+            {"cmd": cmd, "session": "s1", "tokens": "true", "base": "x",
+             "edit": {"start": 0, "end": 0}, "engine": "compiled"}
+        )
+        assert response["error"] == (
+            "unknown engine 'compiled' — known: lazy, gss, earley"
+        )
 
     def test_batch_parse_with_engine_and_diagnostics(self, booleans_dispatcher):
         response = booleans_dispatcher.handle(
@@ -602,11 +611,11 @@ class TestIntrospection:
 
     def test_info(self, booleans_dispatcher):
         server = booleans_dispatcher.handle({"cmd": "info"})
-        assert server["protocol"] == 9
+        assert server["protocol"] == 10
         assert "parse" in server["commands"]
         assert "corpus-query" in server["commands"]
         assert "metrics-export" in server["commands"]
-        assert "compiled" in server["engines"]
+        assert list(server["engines"]) == ["lazy", "gss", "earley"]
         assert server["sessions"] == ["s1"]
         session = booleans_dispatcher.handle({"cmd": "info", "session": "s1"})
         assert "B ::= true" in session["grammar"]

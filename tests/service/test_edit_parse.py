@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import engines
 from repro.service.dispatcher import Dispatcher
 from repro.service.scheduler import Scheduler
 from repro.service.workspace import CHECKPOINT_CAPACITY
@@ -71,11 +72,25 @@ class TestEditParse:
 
     def test_naming_the_default_engine_keeps_the_result_id(self, dispatcher):
         base = checkpoint_parse(dispatcher, "a + a + b")["result"]
-        named = edit_parse(dispatcher, base, 2, 3, "b", engine="compiled")
+        named = edit_parse(dispatcher, base, 2, 3, "b", engine="gss")
         unnamed = edit_parse(dispatcher, base, 2, 3, "b")
         assert named["cache"] is False
         assert unnamed["cache"] is True
         assert unnamed["result"] == named["result"]
+
+    @pytest.mark.parametrize("engine", engines())
+    def test_every_engine_answers_one_reuse_shape(self, dispatcher, engine):
+        base = checkpoint_parse(dispatcher, "a + a + b", engine=engine)["result"]
+        response = edit_parse(dispatcher, base, 2, 3, "b")
+        assert response["engine"] == engine
+        assert sorted(response["reuse"]) == [
+            "converged_at",
+            "fallback",
+            "parsed_tokens",
+            "resumed_at",
+            "reused_prefix",
+            "total_tokens",
+        ]
 
     def test_matches_a_scratch_parse(self, dispatcher):
         base = checkpoint_parse(dispatcher, "a + a + b")["result"]

@@ -158,7 +158,7 @@ class TestSession:
 class TestEngineCommand:
     def test_listing_marks_the_default(self):
         output = run_session(["engine"])
-        assert any(line.startswith("* compiled") for line in output)
+        assert any(line.startswith("* gss") for line in output)
         assert sum(line.startswith("*") for line in output) == 1
 
     def test_switching_engines(self):
@@ -296,9 +296,9 @@ class TestTraceCommand:
     ]
 
     def test_accepted_trace_lists_moves_with_positions(self):
-        out = run_session(self.GRAMMAR + ["trace true or false"])
+        out = run_session(self.GRAMMAR + ["engine lazy", "trace true or false"])
         assert any(
-            line.startswith("accepted — ") and "(engine compiled)" in line
+            line.startswith("accepted — ") and "(engine lazy)" in line
             for line in out
         )
         shifts = [line for line in out if line.strip().startswith("shift")]
@@ -308,7 +308,7 @@ class TestTraceCommand:
         assert any(line.strip().startswith("accept") for line in out)
 
     def test_rejected_trace_keeps_the_diagnostic(self):
-        out = run_session(self.GRAMMAR + ["trace true or or"])
+        out = run_session(self.GRAMMAR + ["engine lazy", "trace true or or"])
         assert any(line.startswith("rejected — ") for line in out)
         assert any("expected" in line for line in out)
 
@@ -317,7 +317,11 @@ class TestTraceCommand:
 
     def test_engine_without_lr_moves_says_so(self):
         out = run_session(self.GRAMMAR + ["engine earley", "trace true"])
-        assert any("records no LR moves" in line for line in out)
+        assert any("records no LR moves; lazy does" in line for line in out)
+
+    def test_default_gss_engine_without_lr_moves_says_so(self):
+        out = run_session(self.GRAMMAR + ["engine gss", "trace true"])
+        assert any("records no LR moves; lazy does" in line for line in out)
 
     def test_trace_does_not_disturb_the_edit_base(self):
         out = run_session(
