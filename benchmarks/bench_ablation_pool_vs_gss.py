@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.workloads import ambiguous_expression_grammar, ambiguous_sentence
+from repro.lr.compiled import CompiledControl
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.gss import GSSParser
 from repro.runtime.parallel import PoolParser
@@ -39,7 +40,7 @@ def test_pool_recognize_ambiguous(benchmark, operators):
 @pytest.mark.parametrize("operators", OPERATORS)
 def test_gss_recognize_ambiguous(benchmark, operators):
     grammar = ambiguous_expression_grammar()
-    parser = GSSParser(_control(grammar))
+    parser = GSSParser(CompiledControl(_control(grammar)))
     tokens = ambiguous_sentence(operators)
     result = benchmark(lambda: parser.recognize_result(tokens))
     assert result
@@ -49,7 +50,7 @@ def test_gss_recognize_ambiguous(benchmark, operators):
 def test_gss_scales_past_pool(benchmark):
     """At 40 operators the pool is hopeless; the GSS shrugs."""
     grammar = ambiguous_expression_grammar()
-    parser = GSSParser(_control(grammar))
+    parser = GSSParser(CompiledControl(_control(grammar)))
     tokens = ambiguous_sentence(40)
     result = benchmark(lambda: parser.recognize_result(tokens))
     assert result
@@ -60,7 +61,7 @@ def test_unambiguous_inputs_comparable(benchmark, workload, tokens):
     """On the (unambiguous) SDF corpus the pool parser is not the problem."""
     grammar = workload.fresh_grammar()
     pool = PoolParser(_control(grammar), grammar)
-    gss = GSSParser(_control(workload.fresh_grammar()))
+    gss = GSSParser(CompiledControl(_control(workload.fresh_grammar())))
     stream = tokens["SDF.sdf"]
 
     import time

@@ -51,12 +51,14 @@ def test_fork_copying(benchmark):
 
 
 def test_sharing_in_ambiguous_parse(benchmark):
-    """Forks during a real ambiguous parse share their stack tails."""
+    """Forks during a real ambiguous parse share their stack tails.
+
+    Runs on ``lazy``, the engine whose parsers are linear stacks."""
     grammar = ambiguous_expression_grammar()
     tokens = ambiguous_sentence(8)  # Catalan(8) = 1430 parses
 
     def parse():
-        return Language(grammar.copy()).parse(tokens)
+        return Language(grammar.copy()).parse(tokens, engine="lazy")
 
     outcome = benchmark(parse)
     assert outcome.accepted

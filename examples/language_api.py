@@ -15,7 +15,7 @@ Shows the three pillars of the redesigned public API:
 Run:  python examples/language_api.py
 """
 
-from repro.api import Language, ScannerTokenizer, engine_descriptions, engines
+from repro.api import Language, ScannerTokenizer, engines
 from repro.sdf.corpus import EXP_SDF
 
 
@@ -44,8 +44,8 @@ def main() -> None:
 
     # --- pillar 2: the engine registry ----------------------------------
     print("\nengines:")
-    for name, summary in engine_descriptions().items():
-        print(f"  {name:10s} {summary}")
+    for name, record in engines(detail=True).items():
+        print(f"  {name:10s} {record['summary']}")
 
     sentence = "not true and not false"
     print(f"\n{sentence!r} through every engine:")

@@ -23,7 +23,6 @@ from .engines import (
     Engine,
     EngineReport,
     create_engine,
-    engine_descriptions,
     engines,
     expected_terminals,
     register_engine,
@@ -51,7 +50,6 @@ __all__ = [
     "Engine",
     "EngineReport",
     "engines",
-    "engine_descriptions",
     "create_engine",
     "register_engine",
     "expected_terminals",

@@ -22,9 +22,10 @@ Each engine declares its capabilities (``supports_trees``,
 engine for trees raises :class:`~repro.runtime.errors.CapabilityError`
 instead of silently answering with an empty forest.
 
-Every engine reports rejections through the same death-site protocol:
-:func:`expected_terminals` probes the ACTION row of each state the run
-died in, which is where the diagnostics layer gets its *expected set*.
+Both LR engines report a rejection the same way: their
+:class:`~repro.runtime.parallel.ParseFailure` lists every state the fatal
+sweep visited, and :func:`expected_terminals` probes those states' ACTION
+rows, which is where the diagnostics layer gets its *expected set*.
 """
 
 from __future__ import annotations
@@ -33,20 +34,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 from ..baselines.earley import EarleyParser
 from ..grammar.symbols import END, Terminal
-from ..lr.actions import Accept, Reduce, Shift
+from ..lr.actions import Accept, Shift
 from ..runtime.errors import CapabilityError
 from ..runtime.forest import ParseForest
-from ..runtime.gss import GSSParser
+from ..runtime.gss import GSSParser, GSSResult
 from ..runtime.incremental import Edit, IncrementalOutcome, checkpointed_parse, reparse
 from ..runtime.parallel import ParseFailure, ParseResult, PoolParser
-from ..runtime.stacks import StackCell
 from .diagnostics import expected_names
 
 __all__ = [
     "Engine",
     "EngineReport",
     "engines",
-    "engine_descriptions",
     "create_engine",
     "register_engine",
     "expected_terminals",
@@ -90,45 +89,6 @@ class EngineReport:
         return f"EngineReport(accepted={self.accepted}, forest={self.forest!r})"
 
 
-def _sweep_states(control: Any, failure: ParseFailure) -> List[Any]:
-    """Every state the fatal sweep visited (or could have visited).
-
-    Replays PAR-PARSE's reduce closure from the sweep-start stacks.
-    LR(0) reduce actions are lookahead-independent — a reduce fires on
-    *every* terminal — so the chain explored on the failing symbol is the
-    chain any other lookahead would explore, and the union of visited
-    states therefore covers every configuration from which some terminal
-    could have been shifted.  The replay only re-treads reductions the
-    dying sweep already performed, so on a lazy control every state it
-    touches is already expanded (and ``action`` would expand it anyway).
-    """
-    visited: List[Any] = []
-    visited_ids: set = set()
-    seen_stacks: set = set()
-    work = list(failure.stacks)
-    budget = 100_000  # cyclic grammars raise before ever producing a failure
-    while work and budget:
-        budget -= 1
-        stack = work.pop()
-        if stack in seen_stacks:
-            continue
-        seen_stacks.add(stack)
-        state = stack.state
-        if id(state) not in visited_ids:
-            visited_ids.add(id(state))
-            visited.append(state)
-        for action in control.action(state, failure.symbol):
-            if isinstance(action, Reduce):
-                below, _children = stack.pop(len(action.rule.rhs))
-                goto_state = control.goto(below.state, action.rule.lhs)
-                work.append(StackCell(goto_state, below, None))
-    for state in failure.states:
-        if id(state) not in visited_ids:
-            visited_ids.add(id(state))
-            visited.append(state)
-    return visited
-
-
 def expected_terminals(
     control: Any,
     failure: ParseFailure,
@@ -136,19 +96,18 @@ def expected_terminals(
 ) -> Tuple[str, ...]:
     """The viable continuation set at a :class:`ParseFailure`.
 
-    For every state the fatal sweep visited (sweep-start stacks plus
-    their replayed reduce closure — see :func:`_sweep_states`), a
-    terminal with a *shift* action there would have let some parser make
-    progress; an *accept* reachable on the end-marker makes ``$`` (end of
-    input) expected.  Reduce cells deliberately do not count: LR(0)
-    reduces fire on every terminal, and the state the reduce leads to is
-    itself part of the replayed closure.  Works against any control
-    (graph-backed, compiled, table): they all answer ``action``.
+    For every state the fatal sweep visited (``failure.states``, the same
+    record for the pool and gss), a terminal with a *shift* action there
+    would have let some parser make progress; an *accept* reachable on the
+    end-marker makes ``$`` (end of input) expected.  Reduce cells
+    deliberately do not count: LR(0) reduces fire on every terminal, and
+    the state the reduce leads to is itself one of the visited states.
+    ``control`` is the one the run read: the lazy graph control or the
+    compiled control.
     """
-    states = _sweep_states(control, failure)
     expected: List[Terminal] = []
     seen = set()
-    for state in states:
+    for state in failure.states:
         for terminal in terminals:
             if terminal in seen:
                 continue
@@ -177,7 +136,7 @@ class Engine:
 
     #: registry key, e.g. ``"lazy"``
     name = "abstract"
-    #: one-line description for ``repro.api.engine_descriptions()``
+    #: one-line description, listed by ``engines(detail=True)``
     summary = ""
     #: whether ``parse`` builds derivation forests; on engines that leave
     #: this False, ``parse`` raises
@@ -246,17 +205,19 @@ class Engine:
     # -- shared plumbing ---------------------------------------------------
 
     def _report(
-        self, result: ParseResult, control: Any, build_trees: bool = True
+        self,
+        result: Union[ParseResult, GSSResult],
+        control: Any,
+        build_trees: bool = True,
     ) -> EngineReport:
+        """The report of a pool or gss run over ``control``."""
         failure = None
         if not result.accepted and result.failure is not None:
             failure = (
                 result.failure.token_index,
                 self._expected(control, result.failure),
             )
-        forest = None
-        if build_trees and result.accepted:
-            forest = ParseForest(result.trees)
+        forest = result.forest if build_trees and result.accepted else None
         return EngineReport(
             result.accepted, forest, result.stats.snapshot(), failure
         )
@@ -299,11 +260,6 @@ def engines(
         }
         for name, cls in _REGISTRY.items()
     }
-
-
-def engine_descriptions() -> Dict[str, str]:
-    """name → one-line summary, for UIs (CLI ``engine`` command, README)."""
-    return {name: cls.summary for name, cls in _REGISTRY.items()}
 
 
 def create_engine(name: str, language: Any) -> Engine:
@@ -379,39 +335,21 @@ class GSSEngine(Engine):
     def __init__(self, language: Any) -> None:
         super().__init__(language)
         self.gss = GSSParser(
-            language.control,
-            max_steps_per_token=language.max_sweep_steps,
-            grammar=language.grammar,
-        )
-
-    def _gss_report(self, result: Any, build_trees: bool) -> EngineReport:
-        failure = None
-        if not result.accepted and result.failure is not None:
-            # The GSS failure record carries the fatal sweep's visited
-            # states directly (no linear stacks to replay): LR(0) reduces
-            # are lookahead-independent, so that sweep's reduce closure
-            # already covers every viable continuation.
-            failure = (
-                result.failure.token_index,
-                self._expected(self.gss.control, result.failure),
-            )
-        forest = result.forest if build_trees else None
-        return EngineReport(
-            result.accepted, forest, result.stats.snapshot(), failure
+            language.control, max_steps_per_token=language.max_sweep_steps
         )
 
     def recognize(self, terminals: Sequence[Terminal]) -> EngineReport:
-        return self._gss_report(
-            self.gss.recognize_result(terminals), build_trees=False
+        return self._report(
+            self.gss.recognize_result(terminals), self.gss.control, build_trees=False
         )
 
     def parse(self, terminals: Sequence[Terminal]) -> EngineReport:
-        return self._gss_report(self.gss.parse(terminals), build_trees=True)
+        return self._report(self.gss.parse(terminals), self.gss.control)
 
     def _checkpoint_report(
         self, outcome: IncrementalOutcome, build_trees: bool
     ) -> EngineReport:
-        report = self._gss_report(outcome.result, build_trees)
+        report = self._report(outcome.result, self.gss.control, build_trees)
         report.incremental = outcome
         report.reuse = dict(outcome.reuse)
         return report

@@ -75,7 +75,8 @@ _PARSE_REJECTED = obs.counter("repro.parse.rejected")
 _LEX_TOKENS = obs.counter("repro.lexer.tokens")
 _LEX_ERRORS = obs.counter("repro.lexer.errors")
 
-#: ParseStats keys mirrored as global engine-work counters.
+#: The additive work counters of both runtimes (the pool's ParseStats,
+#: then gss's GSSStats), mirrored as global ``repro.engine.*`` counters.
 _ENGINE_STAT_KEYS = (
     "sweeps",
     "action_calls",
@@ -83,6 +84,11 @@ _ENGINE_STAT_KEYS = (
     "reduces",
     "forks",
     "duplicates_dropped",
+    "nodes_created",
+    "edges_created",
+    "reductions_applied",
+    "paths_walked",
+    "general_sweeps",
 )
 _ENGINE_COUNTERS = tuple(
     (key, obs.counter("repro.engine." + key)) for key in _ENGINE_STAT_KEYS
@@ -536,11 +542,7 @@ class Language:
             if sp.recording:
                 sp.set(lazy_expansions=graph_stats.expansions - expansions_before)
                 if report.stats:
-                    sp.set(**{
-                        key: report.stats[key]
-                        for key in ("shifts", "reduces", "forks", "sweeps")
-                        if key in report.stats
-                    })
+                    sp.set(**report.stats)
         return self._outcome_from_report(
             lexed, report, selected, build_trees, started
         )

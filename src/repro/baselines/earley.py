@@ -61,7 +61,7 @@ class EarleyParser:
         self.last_chart_size = 0
         #: ``(token_index, expected_terminal_names)`` of the last rejected
         #: :meth:`recognize` call; ``None`` after an accept.  The chart is
-        #: Earley's equivalent of the LR death-site protocol: the highest
+        #: Earley's equivalent of the LR failure record: the highest
         #: non-empty item set is where recognition stalled, and the
         #: terminals after a dot there are the viable continuations.
         self.last_failure: Optional[Tuple[int, Tuple[str, ...]]] = None

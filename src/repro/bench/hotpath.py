@@ -98,7 +98,7 @@ def _table_parser(grammar: Grammar) -> PoolParser:
 def _gss_parser(grammar: Grammar) -> GSSParser:
     generator = IncrementalGenerator(grammar)
     control = CompiledControl(generator.control, grammar)
-    return GSSParser(control, grammar=grammar)
+    return GSSParser(control)
 
 
 TIER_FACTORIES: Dict[str, Callable[[Grammar], Any]] = {

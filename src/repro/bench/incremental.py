@@ -118,7 +118,7 @@ def _measure_input(
     grammar = grammar_factory()
     generator = IncrementalGenerator(grammar)
     control = CompiledControl(generator.control, grammar)
-    parser = GSSParser(control, grammar=grammar)
+    parser = GSSParser(control)
 
     tokens = tuple(tokens)
     full_run = parser.parse if build_trees else parser.recognize

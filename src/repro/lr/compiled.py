@@ -1,5 +1,12 @@
 """The compiled control plane: memoized ACTION over a graph-backed control.
 
+This is the control the production runtime reads, and the only one:
+:class:`~repro.runtime.gss.GSSParser` takes a :class:`CompiledControl`,
+probes its pre-decoded step cells in the deterministic stretch, calls its
+``action``/``goto`` in the general sweep, and reads the START rules off
+its :attr:`~CompiledControl.grammar`.  The paper-reference pool runs over
+the lazy graph control itself.
+
 The lazy/incremental generators make the parse-time ACTION/GOTO loop the
 system's steady state, yet the graph controls recompute
 ``GraphControl._actions_of`` — a fresh tuple of :class:`Reduce`/
@@ -24,7 +31,7 @@ before returning), so a surviving entry is always consistent with the
 current grammar.
 
 **Step cells are SLR(1); ACTION stays LR(0).**  The pre-decoded step
-cells the runtimes' deterministic stretches read drop every ``Reduce``
+cells gss's deterministic stretch reads drop every ``Reduce``
 whose lookahead is outside FOLLOW of its left-hand side (the lookahead
 Horspool adds to incremental generation).  Such a reduce can never lead
 to shifting that lookahead or to accept, so the parser it would fork
@@ -54,12 +61,11 @@ from .actions import ActionSet, Reduce, Shift
 from .graph import ItemSetGraph
 from .states import ItemSet
 
-#: Pre-decoded single-action cells (the *step cache* protocol shared with
-#: :class:`~repro.lr.table.ParseTable`): a deterministic cell is stored
-#: as ``(STEP_SHIFT, target)``, ``(STEP_REDUCE, rule, arity, lhs)`` or
-#: ``(STEP_ACCEPT,)``; a conflicted or empty cell as ``False``.  Runtime
-#: fast paths dispatch on the leading int without touching the action
-#: objects at all.
+#: Pre-decoded single-action cells of :attr:`CompiledControl.fast_step_cache`:
+#: a deterministic cell is stored as ``(STEP_SHIFT, target)``,
+#: ``(STEP_REDUCE, rule, arity, lhs)`` or ``(STEP_ACCEPT,)``; a conflicted
+#: or empty cell as ``False``.  gss's deterministic stretch dispatches on
+#: the leading int without touching the action objects at all.
 STEP_SHIFT = 1
 STEP_REDUCE = 2
 STEP_ACCEPT = 3
@@ -68,7 +74,7 @@ Step = Any  # Tuple[int, ...] or the False sentinel
 
 
 def encode_step(actions: ActionSet) -> Step:
-    """Pre-decode an ACTION cell for the step-cache protocol."""
+    """Pre-decode an ACTION cell into a step cell."""
     if len(actions) != 1:
         return False
     action = actions[0]
@@ -115,7 +121,7 @@ class CompiledControl:
     :meth:`action` answers the wrapped control's LR(0) cell;
     :attr:`fast_step_cache` holds the same cell filtered by FOLLOW (see
     the module docstring), so an LR(0) conflict that SLR(1) resolves is a
-    single step for the runtimes' deterministic stretches.
+    single step for gss's deterministic stretch.
 
     Parameters
     ----------
@@ -124,10 +130,10 @@ class CompiledControl:
         :class:`~repro.core.lazy.LazyControl`); must expose
         ``start_state``/``action``/``goto`` and a ``graph``.
     grammar:
-        The grammar to observe for invalidation.  Defaults to the wrapped
-        graph's grammar.  The wrapper must be constructed *after* the
-        generator that repairs the graph has subscribed, so its flush
-        observes the post-MODIFY state types.
+        The grammar to observe for invalidation, kept as :attr:`grammar`.
+        Defaults to the wrapped graph's grammar.  The wrapper must be
+        constructed *after* the generator that repairs the graph has
+        subscribed, so its flush observes the post-MODIFY state types.
     """
 
     def __init__(self, inner: Any, grammar: Optional[Grammar] = None) -> None:
@@ -136,11 +142,10 @@ class CompiledControl:
         self.stats = CompiledStats()
         #: state -> {terminal -> shared action tuple}: the memo itself,
         #: keyed by the state object (identity hash; the key also pins the
-        #: state, and the flush re-checks its life-cycle type).  Runtime
-        #: fast paths read :attr:`fast_step_cache` instead, reporting the
-        #: hits they took via :meth:`count_probe_hits`; misses must go
-        #: through :meth:`action`.  Its presence tells a runtime that the
-        #: states are graph item sets, whose GOTO it may probe directly.
+        #: state, and the flush re-checks its life-cycle type).  gss's
+        #: stretch reads :attr:`fast_step_cache` instead, reporting the
+        #: hits it took via :meth:`count_probe_hits`; misses must go
+        #: through :meth:`action`.
         self.action_cache: Dict[ItemSet, Dict[Terminal, ActionSet]] = {}
         #: state -> {terminal -> pre-decoded step}; same keys as
         #: :attr:`action_cache`, kept in lock-step with it by both the miss
@@ -149,6 +154,7 @@ class CompiledControl:
         self.fast_step_cache: Dict[ItemSet, Dict[Terminal, Step]] = {}
         if grammar is None:
             grammar = self.graph.grammar
+        self.grammar = grammar
         self._analysis = GrammarAnalysis(grammar)
         #: FOLLOW per non-terminal; ``None`` until a conflicted cell needs it.
         self._follow: Optional[Dict[NonTerminal, FrozenSet[Terminal]]] = None
@@ -206,7 +212,7 @@ class CompiledControl:
     def count_probe_hits(self, hits: int) -> None:
         """Credit ``hits`` direct :attr:`action_cache` probes to the stats.
 
-        Runtime fast paths that bypass :meth:`action` report their hit
+        gss's stretch, which bypasses :meth:`action`, reports its hit
         batches here so ``metrics`` still reflects the real hit rate.
         """
         self.stats.action_cache_hits += hits

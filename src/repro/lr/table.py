@@ -8,9 +8,10 @@ expanded automaton, with per-lookahead reduce actions for SLR(1)/LALR(1).
 
 A conventional parser needs *"only the ACTION and GOTO information"*
 (section 5.3), so the table is itself a parser control: it exposes the
-same ``start_state`` / ``action`` / ``goto`` interface (plus the step-cache
-protocol of :mod:`repro.lr.compiled`) as the graph controls, and every
-parsing runtime in :mod:`repro.runtime` runs off it directly.
+same ``start_state`` / ``action`` / ``goto`` interface as the graph
+controls, so the pool parser of :mod:`repro.runtime.parallel` and the
+deterministic LR-PARSE of :mod:`repro.runtime.lr_parse` run off it
+directly.
 
 :func:`table_from_graph` builds all three table kinds; LR(0), SLR(1) and
 LALR(1) differ only in the reduce list each state gets.
@@ -23,7 +24,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from ..grammar.rules import Rule
 from ..grammar.symbols import END, NonTerminal, Terminal
 from .actions import ACCEPT_ACTION, Action, ActionSet, Reduce, Shift
-from .compiled import Step, encode_step
 from .conflicts import Conflict
 from .graph import ItemSetGraph
 from .states import ACCEPT, ItemSet
@@ -53,9 +53,8 @@ class ParseTable:
     """An immutable ACTION/GOTO table that is its own parser control.
 
     Every ACTION cell is decided once, at construction, into a per-state
-    dict of shared action tuples (equal cells are one tuple) with a
-    pre-decoded step beside it, so a lookup is one list index and one dict
-    probe.  A terminal outside the grammar gets the state's default: its
+    dict of shared action tuples (equal cells are one tuple), so a lookup
+    is one list index and one dict probe.  A terminal outside the grammar gets the state's default: its
     lookahead-free reduces.
 
     State numbers are interned int objects: the pool parser's duplicate
@@ -83,24 +82,13 @@ class ParseTable:
         states = list(range(len(rows)))
         self.start_state = states[start]
 
-        shared: Dict[ActionSet, Tuple[ActionSet, Step]] = {}
-
-        def decide(actions: ActionSet) -> Tuple[ActionSet, Step]:
-            entry = shared.get(actions)
-            if entry is None:
-                entry = shared[actions] = (actions, encode_step(actions))
-            return entry
-
+        # Equal cells anywhere in the grid are interned into one tuple.
+        shared: Dict[ActionSet, ActionSet] = {}
         self._actions: List[Dict[Terminal, ActionSet]] = []
         self._defaults: List[ActionSet] = []
         self._gotos: List[Dict[NonTerminal, int]] = []
-        #: state -> {terminal -> pre-decoded step}: the step-cache protocol
-        #: of :mod:`repro.lr.compiled`.  The table is immutable, so it
-        #: never invalidates.
-        self.fast_step_cache: Dict[int, Dict[Terminal, Step]] = {}
-        for state, row in zip(states, rows):
+        for row in rows:
             cells: Dict[Terminal, ActionSet] = {}
-            steps: Dict[Terminal, Step] = {}
             for terminal in columns:
                 actions: List[Action] = [
                     Reduce(rule)
@@ -112,13 +100,13 @@ class ParseTable:
                 target = row.shifts.get(terminal)
                 if target is not None:
                     actions.append(Shift(states[target]))
-                cells[terminal], steps[terminal] = decide(tuple(actions))
+                cell = tuple(actions)
+                cells[terminal] = shared.setdefault(cell, cell)
             self._actions.append(cells)
-            self.fast_step_cache[state] = steps
             defaults = tuple(
                 Reduce(rule) for rule, lookaheads in row.reduces if lookaheads is None
             )
-            self._defaults.append(decide(defaults)[0])
+            self._defaults.append(shared.setdefault(defaults, defaults))
             self._gotos.append(
                 {nonterminal: states[target] for nonterminal, target in row.gotos.items()}
             )

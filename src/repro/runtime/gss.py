@@ -36,9 +36,10 @@ the examined vertices' paths that take it.  It also has a parse mode:
   :mod:`repro.runtime.incremental`.  A plain and a checkpointed parse
   take the same steps.
 * **Failure records.**  A rejected input carries a
-  :class:`~repro.runtime.parallel.ParseFailure` listing the states the
-  fatal sweep visited; since LR(0) reductions are lookahead-independent,
-  their shift terminals are exactly the expected-set a diagnostic reports.
+  :class:`~repro.runtime.parallel.ParseFailure` listing every state the
+  fatal sweep visited, the record the pool keeps too; since LR(0)
+  reductions are lookahead-independent, their shift terminals are exactly
+  the expected-set a diagnostic reports.
 
 This is the production runtime: the default ``gss`` engine of
 :mod:`repro.api.engines` serves every parse, checkpoint and reparse that
@@ -51,10 +52,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..grammar.grammar import Grammar
 from ..grammar.symbols import END, Terminal
 from ..lr.actions import Accept, Reduce, Shift
-from ..lr.compiled import STEP_REDUCE, STEP_SHIFT, encode_step
+from ..lr.compiled import STEP_REDUCE, STEP_SHIFT, CompiledControl
 from ..lr.states import ItemSet
 from .deadline import CHECK_MASK, active_deadline
 from .errors import SweepLimitExceeded
@@ -259,24 +259,18 @@ class GSSParser:
     Parameters
     ----------
     control:
-        ``start_state`` / ``action`` / ``goto`` provider; a compiled control
-        (or a parse table) additionally exposes the step-cache probe
-        surface the deterministic stretch reads.
+        The compiled control: the general sweep calls its ``action`` and
+        ``goto``, the deterministic stretch reads its step cells, and its
+        ``grammar`` names the START rules roots are recovered from.
     max_steps_per_token:
         Work budget per input symbol (cyclic-grammar guard).
-    grammar:
-        Needed for START-rule root recovery; optional in recognition mode.
     """
 
     def __init__(
-        self,
-        control: Any,
-        max_steps_per_token: int = 1_000_000,
-        grammar: Optional[Grammar] = None,
+        self, control: CompiledControl, max_steps_per_token: int = 1_000_000
     ) -> None:
         self.control = control
         self.max_steps_per_token = max_steps_per_token
-        self.grammar = grammar
 
     # -- public API ------------------------------------------------------
 
@@ -308,11 +302,6 @@ class GSSParser:
         (see :class:`Checkpoints`); a converged result carries neither
         acceptance nor a failure record — the caller adopts the base's.
         """
-        if build_trees and self.grammar is None:
-            raise ValueError(
-                "GSSParser.parse needs a grammar (START-rule recovery); "
-                "construct with GSSParser(control, grammar=...)"
-            )
         sentence: List[Terminal] = list(tokens)
         sentence.append(END)
         sentence_length = len(sentence)
@@ -341,20 +330,15 @@ class GSSParser:
         accepted = False
         deadline = active_deadline()
 
-        # Hoisted hot-loop attributes and the compiled control's zero-call
-        # probe surface (see PoolParser._run for the protocol).
-        control_action = self.control.action
-        control_goto = self.control.goto
+        # Hoisted hot-loop attributes: the stretch probes the compiled
+        # control's step cells directly and credits its hits in one batch.
+        control = self.control
+        control_action = control.action
+        control_goto = control.goto
         max_steps_per_token = self.max_steps_per_token
-        step_cache = getattr(self.control, "fast_step_cache", None)
-        steps_get = step_cache.get if step_cache is not None else None
-        credit_hits = getattr(self.control, "count_probe_hits", None)
-        graph_states = getattr(self.control, "action_cache", None) is not None
+        steps_get = control.fast_step_cache.get
         fast_hits = 0
-        nonterminal_count = (
-            len(self.grammar.nonterminals) if self.grammar is not None else 16
-        )
-        fast_reduce_budget = 64 + 4 * (nonterminal_count + 2)
+        fast_reduce_budget = 64 + 4 * (len(control.grammar.nonterminals) + 2)
 
         # Fatal-sweep record for the failure diagnostic.
         failure_position = 0
@@ -399,20 +383,16 @@ class GSSParser:
                 while True:
                     state = node.state
                     step = None
-                    if steps_get is not None:
-                        per_state = steps_get(state)
-                        if per_state is not None:
-                            step = per_state.get(symbol)
-                            if step is not None and step is not False:
-                                fast_hits += 1
+                    per_state = steps_get(state)
+                    if per_state is not None:
+                        step = per_state.get(symbol)
+                        if step is not None and step is not False:
+                            fast_hits += 1
                     if step is None:
                         # Cold cell: read the (FOLLOW-filtered) step the
                         # compiled control's ACTION just cached.
                         actions = control_action(state, symbol)
-                        if graph_states:
-                            step = steps_get(state)[symbol]
-                        else:
-                            step = encode_step(actions)
+                        step = steps_get(state)[symbol]
                         if step is False:
                             prefetched = actions
                             prefetched_state = state
@@ -462,11 +442,8 @@ class GSSParser:
                             base = base.below
                         if not linear:
                             break  # merged region: the graph sweep decides
-                        if graph_states:
-                            goto_state = base.state.transitions.get(lhs)
-                            if goto_state.__class__ is not ItemSet:
-                                goto_state = control_goto(base.state, lhs)
-                        else:
+                        goto_state = base.state.transitions.get(lhs)
+                        if goto_state.__class__ is not ItemSet:
                             goto_state = control_goto(base.state, lhs)
                         # A plain node, not a one-alternative packed one:
                         # a span ending before this position never gains
@@ -622,8 +599,8 @@ class GSSParser:
             frontier = new_frontier
             position += 1
 
-        if fast_hits and credit_hits is not None:
-            credit_hits(fast_hits)
+        if fast_hits:
+            control.count_probe_hits(fast_hits)
         stats = GSSStats(
             nodes_created,
             edges_created,
@@ -635,11 +612,9 @@ class GSSParser:
         if not accepted and (checkpoints is None or checkpoints.converged_at is None):
             # Every rejection passes through a general sweep (the stretch
             # bails on empty cells), so the recorded states are the fatal
-            # sweep's reduce closure — exactly what the expected-terminal
-            # diagnostic replays.
-            failure = ParseFailure(
-                failure_position, failure_symbol, (), failure_states
-            )
+            # sweep's reduce closure — exactly the states the
+            # expected-terminal diagnostic reads.
+            failure = ParseFailure(failure_position, failure_symbol, failure_states)
         result_forest: Optional[ParseForest] = None
         if accepted and build_trees:
             result_forest = ParseForest(tuple(roots))
@@ -657,8 +632,7 @@ class GSSParser:
         at the initial vertex contributes one packed root; hash-consing
         dedups identical derivations across paths.
         """
-        assert self.grammar is not None
-        for rule in self.grammar.start_rules():
+        for rule in self.control.grammar.start_rules():
             arity = len(rule.rhs)
             for base, children in _labeled_paths(node, arity):
                 if base.below is not None:  # not the initial vertex

@@ -167,10 +167,6 @@ class IncrementalOutcome:
         )
 
 
-def _revision(parser: GSSParser) -> int:
-    return parser.grammar.revision if parser.grammar is not None else 0
-
-
 def checkpointed_parse(
     parser: GSSParser, tokens: Iterable[Terminal], build_trees: bool = True
 ) -> IncrementalOutcome:
@@ -215,7 +211,7 @@ def reparse(
     reason: Optional[str] = None
     if base.owner is not parser:
         reason = "foreign-checkpoint"
-    elif base.version != _revision(parser):
+    elif base.version != parser.control.grammar.revision:
         reason = "grammar-modified"
     elif base.build_trees != build_trees:
         reason = "mode-changed"
@@ -292,10 +288,7 @@ def _run(
         failure = base.result.failure
         if failure is not None:
             failure = ParseFailure(
-                failure.token_index + delta,
-                failure.symbol,
-                failure.stacks,
-                failure.states,
+                failure.token_index + delta, failure.symbol, failure.states
             )
         result = GSSResult(
             base.result.accepted,
@@ -311,8 +304,9 @@ def _run(
     else:
         stopped_at = n
 
+    revision = parser.control.grammar.revision
     outcome = IncrementalOutcome(
-        result, sentence, frontiers, build_trees, forest, _revision(parser), parser
+        result, sentence, frontiers, build_trees, forest, revision, parser
     )
     start = checkpoints.start
     outcome.reuse = {

@@ -40,7 +40,7 @@ from ..grammar.symbols import END, Terminal
 from ..lr.actions import Accept, Reduce, Shift
 from .deadline import CHECK_MASK, active_deadline
 from .errors import SweepLimitExceeded
-from .forest import Forest, TreeNode
+from .forest import Forest, ParseForest, TreeNode
 from .lr_parse import recover_start_trees
 from .stacks import StackCell
 from .trace import Trace, TraceEvent
@@ -78,36 +78,30 @@ class ParseStats:
 
 
 class ParseFailure:
-    """Where (and in which configurations) a rejected parse died.
+    """Where a rejected parse died, and which states its last sweep visited.
 
-    ``token_index`` indexes the *input* token the pool could not act on;
-    an index equal to the input length means the pool died on the
-    end-marker (unexpected end of input).  ``stacks`` are the parser
-    stacks alive at the *start* of the fatal sweep — replaying their
-    (lookahead-independent) LR(0) reduce chains visits every state the
-    sweep could reach, whose shift terminals are exactly the viable
-    continuations a diagnostic should report.  ``states`` are the death
-    sites themselves (states whose ACTION row was empty on ``symbol``).
+    ``token_index`` indexes the *input* token the parser could not act
+    on; an index equal to the input length means it died on the
+    end-marker (unexpected end of input).  ``states`` are every state the
+    fatal sweep over ``symbol`` visited: the sweep-start configurations
+    plus their reduce closure.  LR(0) reduces are lookahead-independent,
+    so these states' shift terminals are exactly the viable continuations
+    a diagnostic reports.  The pool and gss record the same thing.
     """
 
-    __slots__ = ("token_index", "symbol", "stacks", "states")
+    __slots__ = ("token_index", "symbol", "states")
 
     def __init__(
-        self,
-        token_index: int,
-        symbol: Terminal,
-        stacks: Tuple = (),
-        states: Tuple = (),
+        self, token_index: int, symbol: Terminal, states: Tuple = ()
     ) -> None:
         self.token_index = token_index
         self.symbol = symbol
-        self.stacks = stacks
         self.states = states
 
     def __repr__(self) -> str:
         return (
             f"ParseFailure(token_index={self.token_index}, "
-            f"symbol={self.symbol!s}, stacks={len(self.stacks)})"
+            f"symbol={self.symbol!s}, states={len(self.states)})"
         )
 
 
@@ -119,6 +113,7 @@ class ParseResult:
     ``accepted`` is the paper's return value: at least one simple parser
     accepted.  On rejection, ``failure`` records where the pool died
     (:class:`ParseFailure`); it is ``None`` for accepted inputs.
+    ``forest`` views ``trees`` the way a gss result presents its roots.
     """
 
     __slots__ = ("accepted", "trees", "stats", "failure")
@@ -134,6 +129,10 @@ class ParseResult:
         self.trees = trees
         self.stats = stats
         self.failure = failure
+
+    @property
+    def forest(self) -> ParseForest:
+        return ParseForest(self.trees)
 
     @property
     def is_ambiguous(self) -> bool:
@@ -179,17 +178,17 @@ def sweep_symbol(
     stats: ParseStats,
     deadline: Any = None,
     trace: Optional[Trace] = None,
-) -> Tuple[Tuple[StackCell, ...], List[Any], List[StackCell]]:
+) -> Tuple[Tuple[StackCell, ...], Set[StackCell], List[StackCell]]:
     """One shift-synchronized sweep of PAR-PARSE over ``symbol``.
 
     ``stacks`` are the live parsers facing the symbol at input index
-    ``position``.  Returns ``(next frontier, dead states, accepting
-    stacks)``: the parsers that shifted the symbol, the states whose
-    ACTION row was empty on it (the death sites a diagnostic reads), and
-    the parsers that accepted.  Reduces feed back into the current sweep
-    behind a seen-set seeded with ``stacks``; shifts deduplicate into the
-    next frontier.  ``trace`` records every move.  Work counters are
-    added to ``stats``.
+    ``position``.  Returns ``(next frontier, seen, accepting stacks)``:
+    the parsers that shifted the symbol, every parser the sweep acted on
+    (``stacks`` plus the reduce closure; their states are the failure
+    record if the pool dies here), and the parsers that accepted.
+    Reduces feed back into the current sweep behind ``seen``; shifts
+    deduplicate into the next frontier.  ``trace`` records every move.
+    Work counters are added to ``stats``.
 
     The one sweep behind :meth:`PoolParser.run`.
     """
@@ -203,7 +202,6 @@ def sweep_symbol(
     seen = set(this_sweep)
     next_seen: Set[StackCell] = set()
     next_sweep: List[StackCell] = []
-    dead_states: List[Any] = []
     accepting: List[StackCell] = []
     # Local counters, folded into ``stats`` once at the end: attribute
     # increments are hot-loop costs.
@@ -239,11 +237,7 @@ def sweep_symbol(
         actions = control_action(state, symbol)
         n_action_calls += 1
         if not actions:
-            # The paper's error action: this parser dies here.  The state
-            # is remembered so a rejection can report what *would* have
-            # been accepted instead.
-            if state not in dead_states:
-                dead_states.append(state)
+            # The paper's error action: this parser dies here.
             continue
         if len(actions) > 1:
             n_forks += len(actions) - 1
@@ -311,7 +305,7 @@ def sweep_symbol(
     stats.duplicates_dropped += n_duplicates
     if max_live > stats.max_live_parsers:
         stats.max_live_parsers = max_live
-    return tuple(next_sweep), dead_states, accepting
+    return tuple(next_sweep), seen, accepting
 
 
 def collect_accepted(
@@ -400,14 +394,11 @@ class PoolParser:
 
         # The live parsers facing the next symbol.  Stacks are immutable
         # cons cells, so a frontier is O(live parsers) and shares
-        # everything; the frontier at the start of the final sweep goes
-        # into the failure record.
+        # everything.
         frontier: Tuple[StackCell, ...] = (StackCell(self.control.start_state),)
-        sweep_stacks = frontier
-        # States whose ACTION row came back empty during the last sweep:
-        # if the pool dies, exactly the death sites a diagnostic reads the
-        # expected terminals off.
-        dead_states: List[Any] = []
+        # Every parser the last sweep acted on: if the pool dies, their
+        # states are the failure record.
+        seen: Set[StackCell] = set()
         position = 0
         symbol = END
         while frontier and position < len(sentence):
@@ -416,8 +407,7 @@ class PoolParser:
             stats.sweeps += 1
             if deadline is not None and deadline.expired():
                 raise deadline.exceed(position - 1)
-            sweep_stacks = frontier
-            frontier, dead_states, accepting = sweep_symbol(
+            frontier, seen, accepting = sweep_symbol(
                 frontier,
                 symbol,
                 position - 1,
@@ -437,6 +427,6 @@ class PoolParser:
             # position - 1 indexes the symbol of the final sweep; if that
             # symbol is the end-marker the index equals the input length.
             failure = ParseFailure(
-                position - 1, symbol, sweep_stacks, tuple(dead_states)
+                position - 1, symbol, tuple({stack.state: None for stack in seen})
             )
         return ParseResult(accepted, tuple(accepted_trees), stats, failure)

@@ -8,7 +8,7 @@ treat ``engine="..."`` as a pure performance knob.
 
 import pytest
 
-from repro.api import Language, create_engine, engine_descriptions, engines
+from repro.api import Language, create_engine, engines
 from tests.conftest import AMBIGUOUS_EXPR, BOOLEANS, EPSILON, EXPR
 
 ALL_ENGINES = ("lazy", "gss", "earley")
@@ -46,9 +46,9 @@ class TestRegistry:
         assert engines() == ALL_ENGINES
 
     def test_descriptions_cover_every_engine(self):
-        described = engine_descriptions()
+        described = engines(detail=True)
         for name in engines():
-            assert described[name]
+            assert described[name]["summary"]
 
     def test_unknown_engine_rejected(self):
         lang = Language.from_text(BOOLEANS)

@@ -167,3 +167,27 @@ class TestTokenizerIntegration:
         lang.add_rule("B ::= ε")
         assert lang.parse("").accepted
 
+
+class TestEngineTelemetry:
+    """A default-engine parse feeds the ``repro.engine.*`` counters and
+    its traced ``engine`` span with gss's own work counters."""
+
+    def test_gss_counters_reach_the_registry_and_the_span(self):
+        from repro import obs
+
+        lang = Language.from_text(BOOLEANS)
+        counter = obs.counter("repro.engine.reductions_applied")
+        before = counter.value
+        was_tracing = obs.tracing_enabled()
+        obs.set_tracing(True)
+        try:
+            with obs.span("request") as root:
+                outcome = lang.parse("true or false and true")
+        finally:
+            obs.set_tracing(was_tracing)
+            obs.clear_spans()
+        assert outcome.engine == "gss"
+        assert counter.value - before == outcome.stats["reductions_applied"] > 0
+        [parse] = root.children
+        [engine] = [child for child in parse.children if child.name == "engine"]
+        assert engine.attributes["general_sweeps"] == outcome.stats["general_sweeps"]

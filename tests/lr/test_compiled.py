@@ -217,17 +217,17 @@ class TestEncodeStep:
         ]
         assert conflicted  # LR(0) booleans has shift/reduce conflicts
         state, terminal = conflicted[0]
-        assert table.fast_step_cache[state][terminal] is False
+        assert encode_step(table.action(state, terminal)) is False
 
     def test_kinds(self):
         grammar = booleans()
         table = lr0_table_of(grammar)
-        kinds = {
-            step[0]
-            for steps in table.fast_step_cache.values()
-            for step in steps.values()
-            if step is not False
-        }
+        steps = [
+            encode_step(table.action(state, terminal))
+            for state in range(len(table))
+            for terminal in list(table.terminals) + [END]
+        ]
+        kinds = {step[0] for step in steps if step is not False}
         assert kinds == {STEP_SHIFT, STEP_REDUCE, STEP_ACCEPT}
 
 
@@ -293,9 +293,10 @@ class TestTableAsControl:
             """
         )
         table = lr0_table_of(grammar)  # must not raise
-        for state, steps in table.fast_step_cache.items():
-            for symbol, step in steps.items():
-                assert step == encode_step(table.action(state, symbol))
+        for state in range(len(table)):
+            for symbol in list(table.terminals) + [END]:
+                step = encode_step(table.action(state, symbol))
+                assert step is False or step[0] in (STEP_SHIFT, STEP_REDUCE, STEP_ACCEPT)
 
     def test_state_objects_are_interned(self):
         # Duplicate elision keys on state identity, so every occurrence of
@@ -306,19 +307,21 @@ class TestTableAsControl:
         )
         table = lr0_table_of(grammar)
         assert len(table) > 300
-        interned = {state: state for state in table.fast_step_cache}
-        assert table.start_state is interned[table.start_state]
+        # The first occurrence of each state number is its object.
+        interned = {table.start_state: table.start_state}
         for state in range(len(table)):
             for terminal in list(table.terminals) + [END]:
                 for action in table.action(state, terminal):
                     if isinstance(action, Shift):
-                        assert action.target is interned[action.target]
+                        target = action.target
+                        assert target is interned.setdefault(target, target)
             for nonterminal in table.nonterminals:
                 try:
                     target = table.goto(state, nonterminal)
                 except LookupError:
                     continue
-                assert target is interned[target]
+                assert target is interned.setdefault(target, target)
+        assert len(interned) > 300
 
 
 class TestConflictCaching:

@@ -50,7 +50,7 @@ def table_parser(grammar: Grammar) -> PoolParser:
 def gss_parser(grammar: Grammar) -> GSSParser:
     generator = IncrementalGenerator(grammar)
     control = CompiledControl(generator.control, grammar)
-    return GSSParser(control, max_steps_per_token=MAX_STEPS, grammar=grammar)
+    return GSSParser(control, max_steps_per_token=MAX_STEPS)
 
 
 def outcome(parser: PoolParser, sentence):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.baselines.earley import EarleyParser
 from repro.core.lazy import LazyGenerator
+from repro.lr.compiled import CompiledControl
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.errors import SweepLimitExceeded
 from repro.runtime.gss import GSSParser
@@ -24,7 +25,7 @@ from .strategies import derive_sentence, grammars, is_pool_safe, sentences
 @given(grammars(), sentences())
 def test_earley_agrees_with_gss(grammar, sentence):
     earley = EarleyParser(grammar)
-    gss = GSSParser(ConventionalGenerator(grammar.copy()).generate())
+    gss = GSSParser(CompiledControl(ConventionalGenerator(grammar.copy()).generate()))
     assert earley.recognize(sentence) == gss.recognize(sentence)
 
 
@@ -72,7 +73,7 @@ def test_derived_sentences_are_accepted(grammar, seed):
     assume(sentence is not None)
     earley = EarleyParser(grammar)
     assert earley.recognize(sentence)
-    gss = GSSParser(ConventionalGenerator(grammar.copy()).generate())
+    gss = GSSParser(CompiledControl(ConventionalGenerator(grammar.copy()).generate()))
     assert gss.recognize(sentence)
 
 

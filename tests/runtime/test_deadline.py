@@ -126,11 +126,12 @@ class TestParserEnforcement:
 
     def test_gss_honors_deadline(self):
         from repro.grammar.builders import grammar_from_text
+        from repro.lr.compiled import CompiledControl
         from repro.lr.generator import ConventionalGenerator
         from repro.runtime.gss import GSSParser
 
         grammar = grammar_from_text("START ::= E\n" + AMBIGUOUS)
-        parser = GSSParser(ConventionalGenerator(grammar).generate())
+        parser = GSSParser(CompiledControl(ConventionalGenerator(grammar).generate()))
         terminals = {t.name: t for t in grammar.terminals}
         tokens = [terminals["x"]] * 50
         # An already-expired deadline trips the per-position check on the

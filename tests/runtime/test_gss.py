@@ -6,6 +6,7 @@ import pytest
 from repro.api import Language
 from repro.bench.workloads import booleans_workload
 from repro.grammar.builders import grammar_from_text
+from repro.lr.compiled import CompiledControl
 from repro.lr.generator import ConventionalGenerator
 from repro.runtime.gss import GSSParser, _labeled_paths, GSSNode
 from repro.runtime.parallel import PoolParser
@@ -14,7 +15,7 @@ from ..conftest import toks
 
 
 def gss_for(grammar):
-    return GSSParser(ConventionalGenerator(grammar).generate())
+    return GSSParser(CompiledControl(ConventionalGenerator(grammar).generate()))
 
 
 class TestRecognition:

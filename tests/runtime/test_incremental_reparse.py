@@ -29,7 +29,7 @@ def setup():
     grammar = grammar_from_text(GRAMMAR_TEXT)
     generator = IncrementalGenerator(grammar)
     control = CompiledControl(generator.control, grammar)
-    parser = GSSParser(control, grammar=grammar)
+    parser = GSSParser(control)
     return grammar, parser
 
 
@@ -143,7 +143,7 @@ class TestCheckpoints:
             "A ::= E A a\nA ::= a\nE ::=\nSTART ::= A", {"A", "E"}
         )
         control = CompiledControl(IncrementalGenerator(grammar).control, grammar)
-        parser = GSSParser(control, grammar=grammar)
+        parser = GSSParser(control)
         base = checkpointed_parse(parser, tokens("a a a a"), build_trees=False)
         for edit in (Edit(1, 2, tokens("a")), Edit(1, 1, tokens("a")), Edit(0, 1)):
             out = reparse(parser, base, edit)
@@ -189,7 +189,7 @@ class TestInvalidation:
 
     def test_foreign_checkpoint_falls_back(self, setup):
         grammar, parser = setup
-        other = GSSParser(parser.control, grammar=grammar)
+        other = GSSParser(parser.control)
         base = checkpointed_parse(other, tokens("a + a"))
         out = reparse(parser, base, Edit(0, 1, tokens("b")))
         assert out.reuse["fallback"] == "foreign-checkpoint"
