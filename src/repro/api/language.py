@@ -89,6 +89,7 @@ _ENGINE_STAT_KEYS = (
     "reductions_applied",
     "paths_walked",
     "general_sweeps",
+    "subtrees_reused",
 )
 _ENGINE_COUNTERS = tuple(
     (key, obs.counter("repro.engine." + key)) for key in _ENGINE_STAT_KEYS
@@ -458,8 +459,11 @@ class Language:
         handle = prev.incremental if engine is None or engine == prev.engine else None
         with obs.span("reparse", engine=engine_name) as sp:
             report = selected.reparse(handle, edit, spliced, build_trees)
-            if sp.recording and report.reuse is not None:
-                sp.set(**{k: v for k, v in report.reuse.items() if v is not None})
+            if sp.recording:
+                if report.reuse is not None:
+                    sp.set(**{k: v for k, v in report.reuse.items() if v is not None})
+                if report.stats:
+                    sp.set(**report.stats)
         lexed = LexedInput(None, (), spliced)
         return self._outcome_from_report(
             lexed, report, selected, build_trees, started, reparsed=True

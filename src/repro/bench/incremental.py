@@ -24,9 +24,9 @@ gate then guards the weakest case, not a lucky one.
 
 The headline numbers are **recognition mode** (the regime the service's
 re-submission traffic runs in, and the same mode the hot-path bench
-reports); a tree-mode section is included for visibility — there the
-reuse is prefix-skipping only, since a genuinely changed region keeps its
-differing subtree on the stack (see :mod:`repro.runtime.incremental`).
+reports); a tree-mode section measures the largest input, where the
+reuse is the skipped prefix plus the base tree's subtrees after the edit
+shifted whole (see :mod:`repro.runtime.incremental`).
 """
 
 from __future__ import annotations
@@ -185,20 +185,26 @@ def collect_incremental_report(repeats: int = 7) -> Dict[str, Any]:
 
 
 def render_incremental(report: Dict[str, Any]) -> str:
-    """ASCII rendering of the recognition-mode grid."""
-    lines = [
-        f"incremental re-parse vs full ({report['mode']}, worst position per cell)",
-        f"  {'input':12s} {'tokens':>7s} {'edit':>6s} {'size':>5s} "
-        f"{'full':>10s} {'incr':>10s} {'speedup':>9s} {'reparsed':>9s}",
-    ]
-    for name, data in report["inputs"].items():
-        for kind, cell in data["edits"].items():
-            lines.append(
-                f"  {name:12s} {data['tokens']:>7d} {kind:>6s} "
-                f"{cell['edit_size']:>5d} {cell['full_us']:>8,.0f}us "
-                f"{cell['incremental_us']:>8,.0f}us {cell['speedup']:>8.1f}x "
-                f"{cell['reparsed_tokens']:>9}"
-            )
+    """ASCII rendering of the recognition-mode grid and the tree-mode rows."""
+    lines: List[str] = []
+    sections = (
+        (report["mode"], report["inputs"]),
+        ("tree mode", report.get("tree_mode", {})),
+    )
+    for mode, inputs in sections:
+        lines += [
+            f"incremental re-parse vs full ({mode}, worst position per cell)",
+            f"  {'input':12s} {'tokens':>7s} {'edit':>6s} {'size':>5s} "
+            f"{'full':>10s} {'incr':>10s} {'speedup':>9s} {'reparsed':>9s}",
+        ]
+        for name, data in inputs.items():
+            for kind, cell in data["edits"].items():
+                lines.append(
+                    f"  {name:12s} {data['tokens']:>7d} {kind:>6s} "
+                    f"{cell['edit_size']:>5d} {cell['full_us']:>8,.0f}us "
+                    f"{cell['incremental_us']:>8,.0f}us {cell['speedup']:>8.1f}x "
+                    f"{cell['reparsed_tokens']:>9}"
+                )
     return "\n".join(lines)
 
 
@@ -214,28 +220,33 @@ def check_floor(
       incremental/full speedup for that cell drops below ``min_speedup``.
       This is the real signal: losing checkpoint resume or convergence
       collapses the ratio on any machine.
+    * ``tree_relative`` — the same rules against the tree-mode rows,
+      where losing right-context reuse collapses the ratio.
     * ``incremental_us`` — absolute per-cell ceilings (microseconds),
       failing only beyond ``max_regression`` — a gross sanity net.
     """
     problems: List[str] = []
-    for rule in floor.get("relative", ()):
-        cell = (
-            report["inputs"]
-            .get(rule["input"], {})
-            .get("edits", {})
-            .get(rule["edit"])
-        )
-        if cell is None:
-            problems.append(
-                f"{rule['input']}/{rule['edit']}: cell missing from the report"
+    for key, section, label in (
+        ("relative", "inputs", ""),
+        ("tree_relative", "tree_mode", " (tree mode)"),
+    ):
+        for rule in floor.get(key, ()):
+            where = f"{rule['input']}/{rule['edit']}{label}"
+            cell = (
+                report.get(section, {})
+                .get(rule["input"], {})
+                .get("edits", {})
+                .get(rule["edit"])
             )
-            continue
-        if cell["speedup"] < rule["min_speedup"]:
-            problems.append(
-                f"{rule['input']}/{rule['edit']}: incremental is only "
-                f"{cell['speedup']:.2f}x full in this run "
-                f"(floor requires >= {rule['min_speedup']}x)"
-            )
+            if cell is None:
+                problems.append(f"{where}: cell missing from the report")
+                continue
+            if cell["speedup"] < rule["min_speedup"]:
+                problems.append(
+                    f"{where}: incremental is only "
+                    f"{cell['speedup']:.2f}x full in this run "
+                    f"(floor requires >= {rule['min_speedup']}x)"
+                )
     for name, ceilings in floor.get("incremental_us", {}).items():
         measured_input = report["inputs"].get(name)
         if measured_input is None:

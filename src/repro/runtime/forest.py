@@ -59,9 +59,19 @@ Tree = Union[Terminal, TreeNode]
 
 
 class ParseNode(TreeNode):
-    """An application of ``rule`` to already-built children."""
+    """An application of ``rule`` to already-built children.
 
-    __slots__ = ("rule", "children")
+    A third slot, ``_width``, caches the number of tokens the node spans
+    once :func:`width` has been asked for it (a tree-mode reparse asks
+    for the subtrees it may reuse).  It is left unset at construction,
+    so a plain parse never pays for it, and set through
+    ``object.__setattr__``: the node is otherwise immutable, and its
+    width is a fact of its children.  There is no packed-free flag: a
+    reparse reuses only subtrees its base built without a general sweep,
+    and those hold no packed node.
+    """
+
+    __slots__ = ("rule", "children", "_width")
 
     def __init__(self, rule: Rule, children: Tuple[Tree, ...]) -> None:
         if len(children) != len(rule.rhs):
@@ -187,6 +197,45 @@ def bracketed(tree: Tree) -> str:
     node inside ``tree`` renders as its first alternative.
     """
     return _render(tree, 0, {})
+
+
+def width(tree: Tree) -> int:
+    """The number of tokens ``tree`` spans, cached on parse nodes.
+
+    A packed node reads its span; a parse node sums its children, in an
+    iterative post-order that stops at nodes whose width is cached.
+    """
+    kind = tree.__class__
+    if kind is Terminal:
+        return 1
+    if kind is PackedNode:
+        return tree.end - tree.start
+    cached = getattr(tree, "_width", None)
+    if cached is not None:
+        return cached
+    stack: List[ParseNode] = [tree]
+    while stack:
+        node = stack[-1]
+        pending = [
+            child
+            for child in node.children
+            if child.__class__ is ParseNode and getattr(child, "_width", None) is None
+        ]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        total = 0
+        for child in node.children:
+            kind = child.__class__
+            if kind is Terminal:
+                total += 1
+            elif kind is PackedNode:
+                total += child.end - child.start
+            else:
+                total += child._width
+        object.__setattr__(node, "_width", total)
+    return tree._width
 
 
 def node_count(tree: Tree, _seen: Optional[set] = None) -> int:

@@ -29,6 +29,18 @@ the examined vertices' paths that take it.  It also has a parse mode:
   loop — Elkhound's LR/GLR hybrid — and only falls back to the general
   graph sweep on a conflict, an empty cell, a merged stack region, or a
   suspected cycle.
+* **Right-context reuse.**  A tree-mode reparse hands the run the base
+  tree's subtrees after the edit, each with its new start and its LR
+  *left state* (Wagner & Graham, "Efficient and flexible incremental
+  parsing", TOPLAS 1998).  When the stretch is about to shift at a
+  subtree's start from a vertex in its left state, it pushes one GOTO
+  vertex labelled with the whole subtree instead; a subtree that does
+  not fit is broken into its children.  Only subtrees the base built in
+  the stretch alone are offered: a general sweep inside one may have
+  dropped stacks that the edited left context keeps alive.  If the
+  stretch bails before the next real shift, the last reuse is undone and
+  the subtree's tokens are parsed, so every general sweep starts from a
+  shift target.
 * **Checkpoints.**  Given a :class:`Checkpoints` log, the same loop starts
   at a recorded token boundary, records the frontier (a tuple of
   :class:`GSSNode`) at every boundary it reaches, and stops once that
@@ -50,7 +62,7 @@ cross-check PAR-PARSE, GSS and Earley on random grammars.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..grammar.symbols import END, Terminal
 from ..lr.actions import Accept, Reduce, Shift
@@ -58,7 +70,7 @@ from ..lr.compiled import STEP_REDUCE, STEP_SHIFT, CompiledControl
 from ..lr.states import ItemSet
 from .deadline import CHECK_MASK, active_deadline
 from .errors import SweepLimitExceeded
-from .forest import Forest, ParseForest, TreeNode
+from .forest import Forest, ParseForest, ParseNode, TreeNode, width
 from .parallel import ParseFailure
 
 
@@ -123,6 +135,7 @@ class GSSStats:
         "reductions_applied",
         "paths_walked",
         "general_sweeps",
+        "subtrees_reused",
     )
 
     def __init__(
@@ -132,6 +145,7 @@ class GSSStats:
         reductions_applied: int = 0,
         paths_walked: int = 0,
         general_sweeps: int = 0,
+        subtrees_reused: int = 0,
     ) -> None:
         self.nodes_created = nodes_created
         self.edges_created = edges_created
@@ -141,6 +155,9 @@ class GSSStats:
         #: input positions the general sweep handled (the deterministic
         #: stretch took every other one)
         self.general_sweeps = general_sweeps
+        #: base-tree subtrees the stretch shifted whole (right-context
+        #: reuse; 0 outside a tree-mode reparse)
+        self.subtrees_reused = subtrees_reused
 
     def snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -183,6 +200,10 @@ class GSSResult:
 #: token at that index (``None`` marks boundaries the run never reached).
 Frontier = Optional[Tuple[GSSNode, ...]]
 
+#: One subtree of a right context: ``(start, left state, parse node)``,
+#: ``start`` in the edited input's token positions.
+Subtree = Tuple[int, Optional[ItemSet], ParseNode]
+
 
 class Checkpoints:
     """The frontier log of one checkpointed :meth:`GSSParser.run`.
@@ -197,7 +218,16 @@ class Checkpoints:
 
     A logged vertex is final: a boundary frontier holds shift targets
     only, which no reduction can reach (a state has one accessing
-    symbol), and every vertex below belongs to a finished level.
+    symbol), and every vertex below belongs to a finished level.  So a
+    boundary inside a subtree of ``right_context`` the run shifted whole,
+    and the one at its end, stay ``None``: no token was shifted there.
+
+    ``right_context`` is a stack of :data:`Subtree` entries, leftmost
+    last, that the stretch may shift whole (see :func:`_take_subtree`);
+    every entry must be *sweep-free*: built by the base run without a
+    general sweep at any position it spans.  The run pops what it uses
+    or moves past.  ``sweeps`` receives the position of every general
+    sweep a tree-mode run makes, in order.
     """
 
     __slots__ = (
@@ -207,6 +237,8 @@ class Checkpoints:
         "delta",
         "watch_from",
         "converged_at",
+        "right_context",
+        "sweeps",
     )
 
     def __init__(
@@ -216,6 +248,7 @@ class Checkpoints:
         base_frontiers: Sequence[Frontier] = (),
         delta: int = 0,
         watch_from: int = 0,
+        right_context: Optional[List[Subtree]] = None,
     ) -> None:
         self.frontiers = frontiers
         self.start = start
@@ -223,6 +256,10 @@ class Checkpoints:
         self.delta = delta
         self.watch_from = watch_from
         self.converged_at: Optional[int] = None
+        self.right_context: List[Subtree] = (
+            right_context if right_context is not None else []
+        )
+        self.sweeps: List[int] = []
 
     def reached(self, boundary: int, frontier: Tuple[GSSNode, ...]) -> bool:
         """Record ``frontier`` at ``boundary``; True once it re-converges.
@@ -340,6 +377,21 @@ class GSSParser:
         fast_hits = 0
         fast_reduce_budget = 64 + 4 * (len(control.grammar.nonterminals) + 2)
 
+        # Right-context reuse (see Checkpoints): the subtree stack, the
+        # position the stretch next checks it at (past the end-marker
+        # when there is nothing to reuse), and the last reuse — undone
+        # if the stretch bails at ``rewind_end``, before any real shift.
+        # Only tree mode has subtrees to reuse, so only it logs sweeps.
+        right = checkpoints.right_context if checkpoints is not None else []
+        sweeps: Optional[List[int]] = (
+            checkpoints.sweeps if checkpoints is not None and forest is not None else None
+        )
+        next_reuse = right[-1][0] if right else sentence_length
+        subtrees_reused = 0
+        blocked = -1
+        rewind_end = -1
+        rewind: Any = None
+
         # Fatal-sweep record for the failure diagnostic.
         failure_position = 0
         failure_symbol: Terminal = END
@@ -381,100 +433,140 @@ class GSSParser:
                 # The stack accepted, or a checkpointed run converged.
                 retired = False
                 while True:
-                    state = node.state
-                    step = None
-                    per_state = steps_get(state)
-                    if per_state is not None:
-                        step = per_state.get(symbol)
-                        if step is not None and step is not False:
-                            fast_hits += 1
-                    if step is None:
-                        # Cold cell: read the (FOLLOW-filtered) step the
-                        # compiled control's ACTION just cached.
-                        actions = control_action(state, symbol)
-                        step = steps_get(state)[symbol]
+                    while True:
+                        state = node.state
+                        step = None
+                        per_state = steps_get(state)
+                        if per_state is not None:
+                            step = per_state.get(symbol)
+                            if step is not None and step is not False:
+                                fast_hits += 1
+                        if step is None:
+                            # Cold cell: read the (FOLLOW-filtered) step the
+                            # compiled control's ACTION just cached.
+                            actions = control_action(state, symbol)
+                            step = steps_get(state)[symbol]
+                            if step is False:
+                                prefetched = actions
+                                prefetched_state = state
+                                break
                         if step is False:
-                            prefetched = actions
-                            prefetched_state = state
                             break
-                    if step is False:
-                        break
-                    kind = step[0]
-                    if kind == STEP_SHIFT:
-                        node = GSSNode(
-                            step[1],
-                            position + 1,
-                            node,
-                            symbol if forest is not None else None,
-                        )
-                        nodes_created += 1
-                        edges_created += 1
-                        position += 1
-                        if checkpoints is not None and checkpoints.reached(
-                            position, (node,)
-                        ):
-                            retired = True
-                            break
-                        # A shift never consumes the end-marker, so the
-                        # next symbol always exists.
-                        symbol = sentence[position]
-                        stretch_start = node
-                        reduces_here = 0
-                        if (
-                            deadline is not None
-                            and (position & CHECK_MASK) == 0
-                            and deadline.expired()
-                        ):
-                            raise deadline.exceed(position - 1)
-                        continue
-                    if kind == STEP_REDUCE:
-                        rule = step[1]
-                        arity = step[2]
-                        lhs = step[3]
-                        base = node
-                        chain_labels: List[Optional[TreeNode]] = []
-                        linear = True
-                        for _ in range(arity):
-                            if base.edges is not None:
-                                linear = False
-                                break
-                            chain_labels.append(base.label)
-                            base = base.below
-                        if not linear:
-                            break  # merged region: the graph sweep decides
-                        goto_state = base.state.transitions.get(lhs)
-                        if goto_state.__class__ is not ItemSet:
-                            goto_state = control_goto(base.state, lhs)
-                        # A plain node, not a one-alternative packed one:
-                        # a span ending before this position never gains
-                        # another derivation, and a bail replays this
-                        # position's reductions in the sweep, which packs.
-                        if forest is not None:
-                            chain_labels.reverse()
-                            label: Optional[TreeNode] = forest.node(
-                                rule, chain_labels
+                        kind = step[0]
+                        if kind == STEP_SHIFT:
+                            if position >= next_reuse:
+                                tree = _take_subtree(right, position, state, blocked)
+                                next_reuse = right[-1][0] if right else sentence_length
+                                if tree is not None:
+                                    # Shift the whole subtree: one GOTO
+                                    # vertex, no frontier logged inside it.
+                                    rewind = (node, tree)
+                                    lhs = tree.rule.lhs
+                                    goto_state = state.transitions.get(lhs)
+                                    if goto_state.__class__ is not ItemSet:
+                                        goto_state = control_goto(state, lhs)
+                                    position += width(tree)
+                                    node = GSSNode(goto_state, position, node, tree)
+                                    nodes_created += 1
+                                    edges_created += 1
+                                    subtrees_reused += 1
+                                    rewind_end = position
+                                    symbol = sentence[position]
+                                    reduces_here = 0
+                                    # A reuse jumps positions, past the
+                                    # masked poll of the shift below.
+                                    if deadline is not None and deadline.expired():
+                                        raise deadline.exceed(position)
+                                    continue
+                            node = GSSNode(
+                                step[1],
+                                position + 1,
+                                node,
+                                symbol if forest is not None else None,
                             )
-                        else:
-                            label = None
-                        node = GSSNode(goto_state, position, base, label)
-                        nodes_created += 1
-                        edges_created += 1
-                        reductions_applied += 1
-                        # Only reduces of arity < 2 can loop without
-                        # shrinking the chain (see PoolParser.run).
-                        if arity < 2:
-                            reduces_here += 1
-                            if reduces_here > fast_reduce_budget:
-                                # Possible cycle: the general sweep
-                                # applies each path once, so it converges.
+                            nodes_created += 1
+                            edges_created += 1
+                            position += 1
+                            if checkpoints is not None and checkpoints.reached(
+                                position, (node,)
+                            ):
+                                retired = True
                                 break
-                        continue
-                    # STEP_ACCEPT
-                    accepted = True
-                    if forest is not None:
-                        self._collect_roots(node, forest, roots)
-                    retired = True
-                    break
+                            # A shift never consumes the end-marker, so the
+                            # next symbol always exists.
+                            symbol = sentence[position]
+                            stretch_start = node
+                            reduces_here = 0
+                            if (
+                                deadline is not None
+                                and (position & CHECK_MASK) == 0
+                                and deadline.expired()
+                            ):
+                                raise deadline.exceed(position - 1)
+                            continue
+                        if kind == STEP_REDUCE:
+                            rule = step[1]
+                            arity = step[2]
+                            lhs = step[3]
+                            base = node
+                            chain_labels: List[Optional[TreeNode]] = []
+                            linear = True
+                            for _ in range(arity):
+                                if base.edges is not None:
+                                    linear = False
+                                    break
+                                chain_labels.append(base.label)
+                                base = base.below
+                            if not linear:
+                                break  # merged region: the graph sweep decides
+                            goto_state = base.state.transitions.get(lhs)
+                            if goto_state.__class__ is not ItemSet:
+                                goto_state = control_goto(base.state, lhs)
+                            # A plain node, not a one-alternative packed one:
+                            # a span ending before this position never gains
+                            # another derivation, and a bail replays this
+                            # position's reductions in the sweep, which packs.
+                            if forest is not None:
+                                chain_labels.reverse()
+                                label: Optional[TreeNode] = forest.node(
+                                    rule, chain_labels
+                                )
+                            else:
+                                label = None
+                            node = GSSNode(goto_state, position, base, label)
+                            nodes_created += 1
+                            edges_created += 1
+                            reductions_applied += 1
+                            # Only reduces of arity < 2 can loop without
+                            # shrinking the chain (see PoolParser.run).
+                            if arity < 2:
+                                reduces_here += 1
+                                if reduces_here > fast_reduce_budget:
+                                    # Possible cycle: the general sweep
+                                    # applies each path once, so it converges.
+                                    break
+                            continue
+                        # STEP_ACCEPT
+                        accepted = True
+                        if forest is not None:
+                            self._collect_roots(node, forest, roots)
+                        retired = True
+                        break
+                    if retired or position != rewind_end:
+                        break
+                    # The stretch bailed right after a reuse: undo it and
+                    # parse the subtree's tokens instead (reuse is blocked
+                    # at its start), so the sweep starts from the vertex
+                    # of a real shift and records the whole reduce chain.
+                    # The step at ``node`` is that shift, which resets the
+                    # stretch's start and reduce count.
+                    node, tree = rewind
+                    position = blocked = next_reuse = node.position
+                    right.append((position, node.state, tree))
+                    symbol = sentence[position]
+                    subtrees_reused -= 1
+                    rewind_end = -1
+                    prefetched = None
                 if retired:
                     frontier = {}
                     break
@@ -489,6 +581,8 @@ class GSSParser:
             # Examining a vertex walks all its reduction paths; a later
             # edge queues the examined vertices' paths that take it.
             general_sweeps += 1
+            if sweeps is not None:
+                sweeps.append(position)
             worklist: List[GSSNode] = list(frontier.values())
             # Walked paths waiting to be applied, one batch per rule walk.
             walks: List[Tuple[Any, List[Tuple[GSSNode, Tuple]]]] = []
@@ -607,6 +701,7 @@ class GSSParser:
             reductions_applied,
             paths_walked,
             general_sweeps,
+            subtrees_reused,
         )
         failure: Optional[ParseFailure] = None
         if not accepted and (checkpoints is None or checkpoints.converged_at is None):
@@ -646,6 +741,65 @@ class GSSParser:
                 ):
                     continue
                 roots.setdefault(forest.node(rule, children))
+
+
+def _take_subtree(
+    right: List[Subtree], position: int, state: Any, blocked: int
+) -> Optional[ParseNode]:
+    """The right-context subtree to shift whole at ``position`` from a
+    vertex in ``state``, popped off ``right``; ``None`` if there is none.
+
+    Entries the run has moved past are dropped, or broken into their
+    children if they reach past ``position``; so is an entry at
+    ``position`` whose left state is not ``state`` or whose start is
+    ``blocked``.  Children of width 0 and terminals never become entries
+    (there is nothing to gain by shifting them whole), nor do packed
+    nodes: their alternatives may come from other left states.
+    """
+    while right:
+        start, left, tree = right[-1]
+        if start > position:
+            return None
+        right.pop()
+        if start == position and left is state and start != blocked:
+            return tree
+        end = start + width(tree)
+        if end > position:
+            for child in subtree_children(tree, left, end):
+                if child[2].__class__ is ParseNode and child[0] < end:
+                    right.append(child)
+                end = child[0]
+    return None
+
+
+def subtree_children(
+    tree: ParseNode, left: Optional[ItemSet], end: int
+) -> Iterator[Subtree]:
+    """``(start, left state, child)`` per child of ``tree``, rightmost
+    first, for ``tree`` ending at ``end`` with left state ``left``."""
+    children = tree.children
+    lefts = left_states(left, children)
+    for index in range(len(children) - 1, -1, -1):
+        child = children[index]
+        end -= width(child)
+        yield end, lefts[index], child
+
+
+def left_states(
+    left: Optional[ItemSet], children: Sequence[Any]
+) -> List[Optional[ItemSet]]:
+    """The left state of each of ``children``, a rule body spelled from
+    ``left``: GOTO along the body, ``None`` once a transition is missing."""
+    lefts = [left]
+    for child in children[:-1]:
+        if left is not None:
+            left = left.transitions.get(
+                child if child.__class__ is Terminal else child.symbol
+            )
+            if left.__class__ is not ItemSet:
+                left = None
+        lefts.append(left)
+    return lefts
 
 
 def _labeled_paths(

@@ -43,11 +43,15 @@ states*:
   spells the whole prefix before its boundary, so convergence certifies
   identical derivations of prefixes of the same length.  That only
   happens for edits that rewrite a region into the same parse (e.g.
-  re-submissions); after a length-changing edit every stack spells a
-  prefix of another length, so the run continues to the end — still
-  skipping the whole prefix, and still correct by construction.  Packed
-  nodes are keyed by span and an edit moves every span after it, so a
-  resumed run packs into a table of its own
+  re-submissions); after an edit that changes a token no stack spells the
+  base's prefix again, so no frontier is compared.  The run reuses the
+  base *tree* instead: :func:`reparse` hands it the base tree's subtrees
+  after the edit with their LR left states, and the deterministic stretch
+  shifts each one whole once its state matches (right-context subtree
+  reuse, Wagner & Graham, TOPLAS 1998; see :mod:`repro.runtime.gss`).
+  Only the spine above the edit and the subtrees that do not fit are
+  parsed again.  Packed nodes are keyed by span and an edit moves every
+  span after it, so a resumed run packs into a table of its own
   (:meth:`~repro.runtime.forest.Forest.branch`).
 
 Checkpoints are **invalidated by grammar edits**: every MODIFY bumps
@@ -61,11 +65,20 @@ reuse is sound.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..grammar.symbols import Terminal
-from .forest import Forest
-from .gss import Checkpoints, Frontier, GSSParser, GSSResult
+from .forest import Forest, ParseNode, width
+from .gss import (
+    Checkpoints,
+    Frontier,
+    GSSParser,
+    GSSResult,
+    Subtree,
+    left_states,
+    subtree_children,
+)
 from .parallel import ParseFailure
 
 __all__ = ["Edit", "IncrementalOutcome", "checkpointed_parse", "reparse"]
@@ -123,6 +136,9 @@ class IncrementalOutcome:
     facing the end-marker); entries after the point a rejected run died at
     are ``None``.  ``owner`` is the :class:`GSSParser` that produced it.
     ``reuse`` describes how the outcome was obtained — see :func:`reparse`.
+    ``sweeps`` lists, in order, the positions where the runs behind a
+    tree-mode outcome made a general sweep: a subtree spanning none of
+    them was built by the deterministic stretch alone.
     """
 
     __slots__ = (
@@ -134,6 +150,7 @@ class IncrementalOutcome:
         "version",
         "owner",
         "reuse",
+        "sweeps",
     )
 
     def __init__(
@@ -154,6 +171,7 @@ class IncrementalOutcome:
         self.version = version
         self.owner = owner
         self.reuse: Dict[str, Any] = {}
+        self.sweeps: List[int] = []
 
     @property
     def checkpoint_count(self) -> int:
@@ -189,7 +207,10 @@ def reparse(
     Equivalent to ``checkpointed_parse(parser, edit.apply(base.tokens))`` in
     every observable (acceptance, derivations, ambiguity, failure record) —
     proven by the differential property suite — but resumes from the last
-    checkpoint before the edit and stops at frontier re-convergence.  When
+    checkpoint before the edit and stops at frontier re-convergence; a
+    tree-mode edit that changes a token shifts the base tree's subtrees
+    after it whole instead (``reuse["parsed_tokens"]`` still counts the
+    tokens they span, ``stats["subtrees_reused"]`` counts them).  When
     the base is unusable (grammar modified since it was produced, different
     tree mode, or a checkpoint from another parser) the function falls back
     to a full checkpointed parse; ``outcome.reuse["fallback"]`` names the
@@ -249,19 +270,108 @@ def reparse(
         boundary -= 1
 
     watched = base.frontiers
+    right: Optional[List[Subtree]] = None
     if build_trees and edit.replacement != tuple(base.tokens[edit.start : edit.end]):
         # A label spells its yield, so a tree-mode frontier can match the
         # base's only over the same prefix: once the edit changes a token,
-        # no later boundary converges and none is compared.
+        # no later boundary converges and none is compared.  The run
+        # shifts the base tree's subtrees after the edit whole instead.
         watched = []
+        right = _right_context(parser, base, edit)
     checkpoints = Checkpoints(
         frontiers,
         start=boundary,
         base_frontiers=watched,
         delta=edit.delta,
         watch_from=edit.start + len(edit.replacement),
+        right_context=right,
     )
     return _run(parser, spliced, checkpoints, build_trees, forest, base)
+
+
+def _right_context(
+    parser: GSSParser, base: IncrementalOutcome, edit: Edit
+) -> Optional[List[Subtree]]:
+    """The base tree's maximal reusable subtrees after ``edit``, as the
+    :class:`~repro.runtime.gss.Checkpoints` stack (leftmost last).
+
+    Only an accepted base with a single root has one.  The walk starts
+    at the root in ``control.start_state`` and goes right to left,
+    descending through parse nodes only — never into a packed node,
+    whose alternatives may come from other left states — until it
+    reaches ``edit.end``; so it reads the widths of the tree after the
+    edit only.  A subtree starting at or after ``edit.end`` is kept (its
+    start moved by ``edit.delta``) if no general sweep of the base ran
+    at a position it spans.  A sweep there may have let stacks die that
+    the edited left context keeps alive; such a subtree is broken down
+    instead, so every entry is one the deterministic stretch built alone.
+    """
+    forest = base.result.forest
+    if forest is None or len(forest.roots) != 1:
+        return None
+    cut = edit.end
+    root = forest.roots[0]
+    # One frame per open node, the root first: [node, its children's
+    # left states, the next child to place (right to left), the position
+    # that child ends at, the children found wholly after the cut,
+    # rightmost first].
+    frames: List[List[Any]] = [[
+        root,
+        left_states(parser.control.start_state, root.children),
+        len(root.children) - 1,
+        len(base.tokens),
+        [],
+    ]]
+    while True:
+        frame = frames[-1]
+        node, lefts, index, end, found = frame
+        if index < 0:
+            if len(frames) == 1:
+                break
+            # The node lies wholly after the cut: its parent places it.
+            frames.pop()
+            width(node)  # its children's widths are known: caches its own
+            parent = frames[-1]
+            parent[4].append((end, parent[1][parent[2]], node))
+            parent[2] -= 1
+            parent[3] = end
+            continue
+        child = node.children[index]
+        kind = child.__class__
+        if kind is ParseNode:
+            size = getattr(child, "_width", None)
+        else:
+            size = width(child)
+        if size is not None and end - size >= cut:
+            found.append((end - size, lefts[index], child))
+            frame[2] = index - 1
+            frame[3] = end - size
+            continue
+        if end == cut or kind is not ParseNode:
+            break  # the rest lies before the cut, or a packed node spans it
+        frames.append(
+            [child, left_states(lefts[index], child.children), len(child.children) - 1, end, []]
+        )
+
+    # Every open frame spans the cut; their finds, root first, run right
+    # to left.  A find that spans a sweep is broken down.
+    sweeps = base.sweeps
+    delta = edit.delta
+    entries: List[Subtree] = []
+    for frame in frames:
+        pending = list(reversed(frame[4]))
+        while pending:
+            start, left, tree = pending.pop()
+            if tree.__class__ is not ParseNode:
+                continue
+            end = start + width(tree)
+            index = bisect_left(sweeps, start)
+            if index == len(sweeps) or sweeps[index] >= end:
+                if end > start:
+                    entries.append((start + delta, left, tree))
+            else:
+                pending.extend(reversed(list(subtree_children(tree, left, end))))
+    return entries
 
 
 def _run(
@@ -279,6 +389,10 @@ def _run(
     )
     frontiers = checkpoints.frontiers
     converged_at = checkpoints.converged_at
+    sweeps = checkpoints.sweeps
+    if base is not None:
+        # Below the resume boundary the base's sweeps stand.
+        sweeps[:0] = base.sweeps[: bisect_left(base.sweeps, checkpoints.start)]
     if converged_at is not None:
         assert base is not None
         # Equal frontiers + equal remaining input => every future
@@ -297,6 +411,10 @@ def _run(
             failure,
         )
         frontiers[converged_at + 1 :] = base.frontiers[converged_at + 1 - delta :]
+        sweeps.extend(
+            position + delta
+            for position in base.sweeps[bisect_left(base.sweeps, converged_at - delta) :]
+        )
         # the boundary the sweeps actually reached
         stopped_at = converged_at
     elif result.failure is not None:
@@ -308,6 +426,7 @@ def _run(
     outcome = IncrementalOutcome(
         result, sentence, frontiers, build_trees, forest, revision, parser
     )
+    outcome.sweeps = sweeps
     start = checkpoints.start
     outcome.reuse = {
         "converged_at": converged_at,

@@ -191,3 +191,30 @@ class TestEngineTelemetry:
         [parse] = root.children
         [engine] = [child for child in parse.children if child.name == "engine"]
         assert engine.attributes["general_sweeps"] == outcome.stats["general_sweeps"]
+        assert engine.attributes["subtrees_reused"] == 0
+
+    def test_tree_mode_reparse_counts_the_subtrees_it_reuses(self):
+        from repro import obs
+        from repro.bench.incremental import edit_grid
+        from repro.sdf.corpus import corpus_tokens, sdf_grammar
+
+        tokens = corpus_tokens()["ASF.sdf"]
+        edit = edit_grid(tokens)["sub1"][1]
+        lang = Language(sdf_grammar())
+        base = lang.parse(tokens, checkpoint=True)
+        assert base.stats["subtrees_reused"] == 0
+        counter = obs.counter("repro.engine.subtrees_reused")
+        before = counter.value
+        was_tracing = obs.tracing_enabled()
+        obs.set_tracing(True)
+        try:
+            with obs.span("request") as root:
+                outcome = lang.reparse(base, edit.start, edit.end, ["ID"])
+        finally:
+            obs.set_tracing(was_tracing)
+            obs.clear_spans()
+        reused = outcome.stats["subtrees_reused"]
+        assert reused > 0
+        assert counter.value - before == reused
+        [reparse] = [child for child in root.children if child.name == "reparse"]
+        assert reparse.attributes["subtrees_reused"] == reused
